@@ -14,9 +14,9 @@ from .cohomology import cohomology
 from .core import (adjoint_grep, validate_leibniz, validate_leibniz_g_rep)
 from .deformations import (Deformation, check_deformation, check_nijenhuis,
                            extend, obstruction, rigidity_certificate)
-from .errors import (InvalidDeformation, InvalidInput, InvalidOperator,
-                     LrbError, ManifestError, NotInvertible, ResourceLimit,
-                     ShapeMismatch, WrongField, WrongWeight)
+from .errors import (CharacteristicTwo, InvalidDeformation, InvalidInput,
+                     InvalidOperator, LrbError, ManifestError, NotInvertible,
+                     ResourceLimit, ShapeMismatch, WrongField, WrongWeight)
 from .graded import check_dgla, dgla_samples, maurer_cartan_residual
 from .linalg import Matrix
 from .manifest import parse_manifest
@@ -51,8 +51,13 @@ class Report:
 
 
 def _load(args):
-    with open(args.manifest, encoding="utf-8") as fh:
-        text = fh.read()
+    with open(args.manifest, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ManifestError("%s is not UTF-8 text (byte 0x%02x at offset %d)"
+                            % (args.manifest, data[exc.start], exc.start))
     if args.field:
         lines = text.splitlines()
         replaced = False
@@ -367,6 +372,19 @@ COMMANDS = {
 }
 
 
+def _count(minimum):
+    """argparse type: an int that is at least ``minimum``."""
+    def parse(text):
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError("must be at least %d, got %d"
+                                             % (minimum, value))
+        return value
+
+    parse.__name__ = "int"  # argparse says "invalid int value" for non-ints
+    return parse
+
+
 def build_parser():
     ap = argparse.ArgumentParser(
         prog="leibniz-rb",
@@ -382,11 +400,11 @@ def build_parser():
     ap.add_argument("--deformation", help="deformation name")
     ap.add_argument("--post", help="post-Leibniz structure name")
     ap.add_argument("--element", help="comma-separated coordinates in g")
-    ap.add_argument("--max-degree", type=int, default=2)
-    ap.add_argument("--cap", type=int, default=20000)
-    ap.add_argument("--samples", type=int, default=4)
+    ap.add_argument("--max-degree", type=_count(0), default=2)
+    ap.add_argument("--cap", type=_count(0), default=20000)
+    ap.add_argument("--samples", type=_count(0), default=4)
     ap.add_argument("--format", choices=["text", "machine"], default="text")
-    ap.add_argument("--jobs", type=int, default=1,
+    ap.add_argument("--jobs", type=_count(1), default=1,
                     help="worker count; results are identical for any value")
     return ap
 
@@ -405,7 +423,8 @@ def run_command(argv, out=sys.stdout, err=sys.stderr):
         err.write("error: %s\n" % exc)
         return 1
     except (ManifestError, ResourceLimit, WrongField, WrongWeight,
-            NotInvertible, ShapeMismatch, InvalidInput, OSError) as exc:
+            NotInvertible, ShapeMismatch, InvalidInput, CharacteristicTwo,
+            OSError) as exc:
         err.write("error: %s\n" % exc)
         return 2
     except LrbError as exc:

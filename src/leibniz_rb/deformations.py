@@ -173,7 +173,8 @@ def check_equivalence(defm, defm2, x0, higher_phi=None, higher_psi=None):
     the deformation order: Phi and Psi are algebra morphisms, intertwine
     the two truncated operators and both actions.  On success with
     order >= 1, the cohomologous-infinitesimal identity
-    T_1 - T_1' = delta(x0) is re-asserted.
+    T_1 - T_1' = delta(x0) is re-checked; a mismatch raises
+    OracleDisagreement.
     """
     if defm.base != defm2.base or defm.order != defm2.order:
         raise ShapeMismatch("equivalence needs deformations of a common base "
@@ -225,8 +226,10 @@ def check_equivalence(defm, defm2, x0, higher_phi=None, higher_psi=None):
                                                      phi[k].mul_vec(ei)))
                 if lhs != rhs:
                     return False
-    if order >= 1:
-        assert defm.coeffs[1] - defm2.coeffs[1] == delta_T_0(defm.base, x0)
+    if order >= 1 and \
+            defm.coeffs[1] - defm2.coeffs[1] != delta_T_0(defm.base, x0):
+        raise OracleDisagreement("equivalence holds but T_1 - T_1' is not "
+                                 "delta(x0)")
     return True
 
 

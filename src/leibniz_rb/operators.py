@@ -9,11 +9,14 @@ Non-relative operators (T: g -> g) are handled by placing them in the
 adjoint context, so all verification code has a single code path.
 """
 
+from itertools import product
+
 from .core import (ActionPair, LeibnizAlgebra, LeibnizGRep, ValidationReport,
                    adjoint_grep, basis_vec, is_adjoint_grep,
                    is_algebra_morphism)
 from .errors import (InvalidInput, InvalidOperator, NotAdjointContext,
-                     ResourceLimit, ShapeMismatch, WrongField)
+                     OracleDisagreement, ResourceLimit, ShapeMismatch,
+                     WrongField)
 from .fields import PrimeField
 from .linalg import Matrix, span_rank, vec_add, vec_scale
 
@@ -24,10 +27,12 @@ def _check_operator_shape(d, t):
                             % (d.g.dim, d.h.dim, t.shape[0], t.shape[1]))
 
 
-def operator_rhs(d, lam, t, u, v):
-    """rho^L(Tu,v) + rho^R(u,Tv) + lambda [u,v]_h as a vector of h."""
+def operator_rhs(d, lam, u, tu, v, tv):
+    """rho^L(Tu,v) + rho^R(u,Tv) + lambda [u,v]_h as a vector of h.
+
+    tu and tv are the images Tu and Tv.
+    """
     act = d.actions
-    tu, tv = t.mul_vec(u), t.mul_vec(v)
     out = vec_add(act.left_act(tu, v), act.right_act(u, tv))
     return vec_add(out, vec_scale(lam, d.h.bracket(u, v)))
 
@@ -37,12 +42,13 @@ def check_weighted_relative_rbo(d, lam, t):
     _check_operator_shape(d, t)
     lam = d.field.coerce(lam)
     rep = ValidationReport("weighted-relative-rbo")
+    basis = [basis_vec(d.field, d.h.dim, a) for a in range(d.h.dim)]
+    cols = [t.col(a) for a in range(d.h.dim)]  # T e_a
     for a in range(d.h.dim):
-        ea = basis_vec(d.field, d.h.dim, a)
         for b in range(d.h.dim):
-            eb = basis_vec(d.field, d.h.dim, b)
-            lhs = d.g.bracket(t.mul_vec(ea), t.mul_vec(eb))
-            rhs = t.mul_vec(operator_rhs(d, lam, t, ea, eb))
+            lhs = d.g.bracket(cols[a], cols[b])
+            rhs = t.mul_vec(operator_rhs(d, lam, basis[a], cols[a],
+                                         basis[b], cols[b]))
             if lhs != rhs:
                 rep.add("operator-identity", (a, b), lhs, rhs)
     return rep
@@ -123,14 +129,10 @@ def induced_algebra(r):
                               % rep.summary())
     d, fld = r.context, r.field
     nh = d.h.dim
-    c = []
-    for a in range(nh):
-        ea = basis_vec(fld, nh, a)
-        row = []
-        for b in range(nh):
-            eb = basis_vec(fld, nh, b)
-            row.append(operator_rhs(d, r.weight, r.t, ea, eb))
-        c.append(row)
+    basis = [basis_vec(fld, nh, a) for a in range(nh)]
+    cols = [r.t.col(a) for a in range(nh)]
+    c = [[operator_rhs(d, r.weight, basis[a], cols[a], basis[b], cols[b])
+          for b in range(nh)] for a in range(nh)]
     return LeibnizAlgebra(fld, nh, c)
 
 
@@ -170,8 +172,10 @@ def check_operator_morphism(r, rp, m):
             if psi.mul_vec(d.actions.right_act(ea, ei)) != \
                     dp.actions.right_act(psi.mul_vec(ea), phi.mul_vec(ei)):
                 return False
-    if r.is_valid and rp.is_valid:
-        assert is_algebra_morphism(induced_algebra(r), induced_algebra(rp), psi)
+    if r.is_valid and rp.is_valid and not is_algebra_morphism(
+            induced_algebra(r), induced_algebra(rp), psi):
+        raise OracleDisagreement("psi satisfies the five morphism conditions "
+                                 "but does not carry the induced bracket")
     return True
 
 
@@ -256,12 +260,57 @@ def ideal_context(a, indices):
     return ctx, Matrix.from_cols(fld, cols, n)
 
 
+def _compile_identity(d, lam):
+    """The weighted identity as quadratic polynomials mod p in the cells of T.
+
+    Cell i * n_h + a holds T[i][a] as an int in [0, p).  Polynomial
+    (a, b, k) is coordinate k of
+
+        [Te_a, Te_b]_g
+            - T(rho^L(Te_a, e_b) + rho^R(e_a, Te_b) + lambda [e_a, e_b]_h),
+
+    so T satisfies the identity iff every polynomial vanishes mod p.  Each
+    is returned as (quadratic terms (c, u, v), linear terms (c, u)) with
+    nonzero c; polynomials with no terms are dropped.
+    """
+    p, ng, nh = d.field.p, d.g.dim, d.h.dim
+    cg, ch = d.g.c, d.h.c
+    left, right = d.actions.left, d.actions.right
+    lam = lam.v
+    polys = []
+    for a, b, k in product(range(nh), range(nh), range(ng)):
+        quad, lin = {}, {}
+
+        def put(c, u, v):
+            key = (min(u, v), max(u, v))
+            quad[key] = (quad.get(key, 0) + c) % p
+
+        for i, j in product(range(ng), repeat=2):
+            put(cg[i][j][k].v, i * nh + a, j * nh + b)
+        for m in range(nh):
+            km = k * nh + m
+            for i in range(ng):
+                put(-left[i][b][m].v, km, i * nh + a)
+                put(-right[a][i][m].v, km, i * nh + b)
+            lin[km] = -lam * ch[a][b][m].v % p
+        quad = [(c, u, v) for (u, v), c in quad.items() if c]
+        lin = [(c, u) for u, c in lin.items() if c]
+        if quad or lin:
+            polys.append((quad, lin))
+    return polys
+
+
 def search_rbos(d, lam, cap=10 ** 6):
     """All operators T over GF(p) satisfying the weighted identity.
 
     Enumerates every n_g x n_h matrix in lexicographic order of the
     row-major entry vector (entries ordered 0..p-1) and yields the ones
-    passing check_weighted_relative_rbo.  The order is deterministic.
+    satisfying the weighted identity.  The order is deterministic.
+
+    Candidates are screened with int arithmetic by the identity compiled
+    to polynomials mod p (``_compile_identity``); every candidate that
+    passes is re-verified by check_weighted_relative_rbo, and a rejection
+    there raises OracleDisagreement.
     """
     fld = d.field
     if not isinstance(fld, PrimeField):
@@ -273,15 +322,18 @@ def search_rbos(d, lam, cap=10 ** 6):
     if total > cap:
         raise ResourceLimit("search space %d exceeds cap %d" % (total, cap))
     lam = fld.coerce(lam)
-    for code in range(total):
-        digits = []
-        c = code
-        for _ in range(cells):
-            c, r = divmod(c, p)
-            digits.append(r)
-        digits.reverse()
-        rows = [[fld.coerce(digits[i * nh + j]) for j in range(nh)]
-                for i in range(ng)]
-        t = Matrix(fld, rows)
-        if check_weighted_relative_rbo(d, lam, t).ok:
+    polys = _compile_identity(d, lam)
+    els = fld.elements()
+    for x in product(range(p), repeat=cells):
+        for quad, lin in polys:
+            if (sum(c * x[u] * x[v] for c, u, v in quad)
+                    + sum(c * x[u] for c, u in lin)) % p:
+                break
+        else:
+            t = Matrix(fld, [[els[x[i * nh + j]] for j in range(nh)]
+                             for i in range(ng)])
+            if not check_weighted_relative_rbo(d, lam, t).ok:
+                raise OracleDisagreement(
+                    "compiled identity accepts %r, the direct check rejects "
+                    "it" % (list(x),))
             yield t

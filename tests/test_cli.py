@@ -53,6 +53,37 @@ def test_exit_code_usage_errors(tmp_path):
     assert "line 1" in (r.stderr + r.stdout)
 
 
+def test_non_utf8_manifest_is_usage_error(tmp_path):
+    bad = tmp_path / "bad.lra"
+    bad.write_bytes(b"\xff\xfe algebra g dim 2\n")
+    r = _run(["validate", str(bad)])
+    assert r.returncode == 2
+    assert r.stderr.startswith("error: ") and "UTF-8" in r.stderr
+    assert len(r.stderr.splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["cohomology", MANIFEST, "--operator", "id", "--max-degree", "-1"],
+    ["dgla-check", MANIFEST, "--samples", "-1"],
+    ["search", MANIFEST, "--field", "gf 3", "--cap", "-5"],
+    ["validate", MANIFEST, "--jobs", "0"],
+    ["validate", MANIFEST, "--jobs", "-3"],
+], ids=["max-degree", "samples", "cap", "jobs-0", "jobs-negative"])
+def test_negative_counts_are_usage_errors(argv):
+    r = _run(argv)
+    assert r.returncode == 2
+    assert "must be at least" in r.stderr
+    assert r.stdout == ""
+
+
+def test_characteristic_two_is_usage_error():
+    r = _run(["obstruct", os.path.join(ROOT, "manifests",
+                                       "obstructed-deformation.lra"),
+              "--actions", "act", "--field", "gf 2"])
+    assert r.returncode == 2
+    assert r.stderr == "error: 1/2 is undefined over GF(2)\n"
+
+
 def test_exit_code_math_failure():
     r = _run(["check-rbo", MANIFEST, "--operator", "id", "--weight", "1"])
     assert r.returncode == 1

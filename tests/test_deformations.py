@@ -1,11 +1,13 @@
 import pytest
 
+from leibniz_rb import deformations
 from leibniz_rb.deformations import (Deformation, check_deformation,
                                      check_equivalence, check_nijenhuis,
                                      conjugate_deformation, extend,
                                      infinitesimal, obstruction,
                                      rigidity_certificate)
-from leibniz_rb.errors import (BaseMismatch, InvalidDeformation, ResourceLimit,
+from leibniz_rb.errors import (BaseMismatch, InvalidDeformation,
+                               OracleDisagreement, ResourceLimit,
                                ShapeMismatch, WrongField)
 from leibniz_rb.linalg import Matrix
 from leibniz_rb.operators import WeightedRBO
@@ -85,6 +87,19 @@ def test_equivalence_rejects_wrong_map(gf5):
     assert other.coeffs[1] != defm.coeffs[1]
     assert check_equivalence(defm, other, [gf5.one, gf5.zero])
     assert not check_equivalence(defm, other, [gf5.zero, gf5.one])
+
+
+def test_equivalence_infinitesimal_disagreement(gf5, monkeypatch):
+    # the morphism conditions hold, but delta(x0) is made to differ
+    d = small_contexts(gf5, (2, 1))[2]
+    r = WeightedRBO(d, gf5.zero, Matrix(gf5, [[0], [1]]))
+    defm = Deformation.trivial(r, 1)
+    x0 = [gf5.one, gf5.zero]
+    other = conjugate_deformation(defm, x0)
+    monkeypatch.setattr(deformations, "delta_T_0",
+                        lambda r, x0: Matrix.zeros(gf5, 2, 1))
+    with pytest.raises(OracleDisagreement):
+        check_equivalence(defm, other, x0)
 
 
 def test_nijenhuis_conditions(Q):

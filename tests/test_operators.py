@@ -1,8 +1,14 @@
+import os
+from itertools import product
+
 import pytest
 
-from leibniz_rb.core import adjoint_grep
+from leibniz_rb import operators
+from leibniz_rb.core import LeibnizAlgebra, ValidationReport, adjoint_grep
 from leibniz_rb.errors import (InvalidInput, InvalidOperator,
-                               NotAdjointContext, ResourceLimit, WrongField)
+                               NotAdjointContext, OracleDisagreement,
+                               ResourceLimit, WrongField)
+from leibniz_rb.fields import PrimeField
 from leibniz_rb.linalg import Matrix
 from leibniz_rb.operators import (WeightedRBO, OperatorMorphism,
                                   check_crossed_homomorphism,
@@ -13,8 +19,10 @@ from leibniz_rb.operators import (WeightedRBO, OperatorMorphism,
                                   ideal_context, induced_algebra,
                                   invert_crossed, search_rbos)
 from leibniz_rb.core import validate_leibniz
+from leibniz_rb.manifest import load_manifest
 
 from conftest import dim2_nonlie, heisenberg, rho_l_context, small_contexts
+from golden_cases import ROOT
 
 
 def test_identity_is_minus_one_weighted_rbo(Q):
@@ -47,14 +55,8 @@ def test_graph_check_agrees_with_direct_identity(gf5):
 
 
 def _all_matrices(fld, rows, cols):
-    els = fld.elements()
-    total = len(els) ** (rows * cols)
-    for code in range(total):
-        digits = []
-        c = code
-        for _ in range(rows * cols):
-            digits.append(els[c % len(els)])
-            c //= len(els)
+    """Every rows x cols matrix, lexicographic in the row-major entries."""
+    for digits in product(fld.elements(), repeat=rows * cols):
         yield Matrix(fld, [[digits[r * cols + c] for c in range(cols)]
                            for r in range(rows)])
 
@@ -86,6 +88,17 @@ def test_operator_morphism_identity_and_failure(Q):
     # non-morphism phi fails
     bad = OperatorMorphism(Matrix(Q, [[1, 0], [0, 2]]), Matrix.identity(Q, 2))
     assert not check_operator_morphism(r, r, bad)
+
+
+def test_operator_morphism_induced_bracket_disagreement(Q, monkeypatch):
+    # the five conditions hold, but the induced brackets are made to differ
+    a = dim2_nonlie(Q)
+    r = WeightedRBO.on_algebra(a, Q.coerce(-1), Matrix.identity(Q, 2))
+    ident = OperatorMorphism(Matrix.identity(Q, 2), Matrix.identity(Q, 2))
+    induced = iter([a, LeibnizAlgebra.zero(Q, 2)])
+    monkeypatch.setattr(operators, "induced_algebra", lambda r: next(induced))
+    with pytest.raises(OracleDisagreement):
+        check_operator_morphism(r, r, ident)
 
 
 def test_crossed_homomorphism_inverse(Q):
@@ -136,14 +149,31 @@ def test_ideal_context_rejects_non_ideal(Q):
 
 
 def test_search_matches_brute_force(gf5):
-    d = rho_l_context(gf5)
-    for lam in (gf5.zero, gf5.one):
-        found = {tuple(tuple(row) for row in t.rows)
-                 for t in search_rbos(d, lam)}
-        brute = {tuple(tuple(row) for row in t.rows)
-                 for t in _all_matrices(gf5, 1, 1)
-                 if check_weighted_relative_rbo(d, lam, t).ok}
-        assert found == brute
+    # the same hits in the same (lexicographic) order as filtering every
+    # matrix with the direct check, so no operator is missed or reordered
+    gf2, gf3 = PrimeField(2), PrimeField(3)
+    pair = load_manifest(os.path.join(ROOT, "manifests",
+                                      "gf5-abelian-pair.lra")).grep("act")
+    contexts = ([rho_l_context(gf5), pair] + small_contexts(gf2, (2, 2))
+                + small_contexts(gf3, (2, 2)))
+    for d in contexts:
+        fld = d.field
+        for lam in (fld.zero, fld.one, -fld.one):
+            found = [t.rows for t in search_rbos(d, lam)]
+            brute = [t.rows for t in _all_matrices(fld, d.g.dim, d.h.dim)
+                     if check_weighted_relative_rbo(d, lam, t).ok]
+            assert found == brute
+
+
+def test_search_raises_when_direct_check_disagrees(gf5, monkeypatch):
+    def reject(d, lam, t):
+        rep = ValidationReport("weighted-relative-rbo")
+        rep.add("operator-identity", (0, 0), [], [])
+        return rep
+
+    monkeypatch.setattr(operators, "check_weighted_relative_rbo", reject)
+    with pytest.raises(OracleDisagreement):
+        list(search_rbos(rho_l_context(gf5), gf5.zero))
 
 
 def test_search_deterministic_order(gf5):
