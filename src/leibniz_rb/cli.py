@@ -9,6 +9,7 @@ criterion unsatisfied), 2 usage or resource errors.
 
 import argparse
 import sys
+from contextlib import redirect_stdout
 
 from .cohomology import cohomology
 from .core import (adjoint_grep, validate_leibniz, validate_leibniz_g_rep)
@@ -180,21 +181,16 @@ def _matrix_report(rep, key, mat, fld):
 
 
 def cmd_validate(m, args, rep):
+    checks = ([("algebra", n, validate_leibniz, a) for n, a in m.algebras.items()]
+              + [("actions", n, validate_leibniz_g_rep, m.grep(n))
+                 for n in m.actions]
+              + [("post", n, validate_post_leibniz, p)
+                 for n, p in m.posts.items()])
     worst = 0
-    for name, a in m.algebras.items():
-        vrep = validate_leibniz(a)
-        rep.add("algebra", "%s %s" % (name, "pass" if vrep.ok else "fail"),
-                "algebra %s: %s" % (name, vrep.summary()))
-        worst = max(worst, 0 if vrep.ok else 1)
-    for name in m.actions:
-        vrep = validate_leibniz_g_rep(m.grep(name))
-        rep.add("actions", "%s %s" % (name, "pass" if vrep.ok else "fail"),
-                "actions %s: %s" % (name, vrep.summary()))
-        worst = max(worst, 0 if vrep.ok else 1)
-    for name, p in m.posts.items():
-        vrep = validate_post_leibniz(p)
-        rep.add("post", "%s %s" % (name, "pass" if vrep.ok else "fail"),
-                "post %s: %s" % (name, vrep.summary()))
+    for kind, name, validate, obj in checks:
+        vrep = validate(obj)
+        rep.add(kind, "%s %s" % (name, "pass" if vrep.ok else "fail"),
+                "%s %s: %s" % (kind, name, vrep.summary()))
         worst = max(worst, 0 if vrep.ok else 1)
     rep.add("status", "pass" if worst == 0 else "fail")
     return worst
@@ -385,8 +381,14 @@ def _count(minimum):
     return parse
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        # one line on the caller's stream instead of the usage block
+        raise argparse.ArgumentError(None, message)
+
+
 def build_parser():
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="leibniz-rb",
         description="Exact computations with Leibniz algebras and weighted "
                     "Rota-Baxter operators.")
@@ -412,7 +414,11 @@ def build_parser():
 def run_command(argv, out=sys.stdout, err=sys.stderr):
     ap = build_parser()
     try:
-        args = ap.parse_args(argv)
+        with redirect_stdout(out):  # -h / --help
+            args = ap.parse_args(argv)
+    except argparse.ArgumentError as exc:
+        err.write("leibniz-rb: error: %s\n" % exc)
+        return 2
     except SystemExit as exc:
         return int(exc.code or 0)
     rep = Report(args.command, args.format)

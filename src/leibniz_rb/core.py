@@ -61,6 +61,28 @@ def _coerce_tensor3(field, dims, tensor):
     return tuple(out)
 
 
+def contract(field, tensor, x, y, n):
+    """sum_{i,j} x_i y_j tensor[i][j], a vector of length n.
+
+    The one bilinear kernel behind brackets, actions and post-Leibniz
+    products; zero coordinates and zero tensor entries are skipped and
+    the result is accumulated in place.
+    """
+    out = [field.zero] * n
+    for i, xi in enumerate(x):
+        if not xi:
+            continue
+        plane = tensor[i]
+        for j, yj in enumerate(y):
+            if not yj:
+                continue
+            c = xi * yj
+            for k, t in enumerate(plane[j]):
+                if t:
+                    out[k] = out[k] + c * t
+    return out
+
+
 def zero_tensor3(field, d0, d1, d2):
     return tuple(tuple(tuple(field.zero for _ in range(d2))
                        for _ in range(d1)) for _ in range(d0))
@@ -92,15 +114,7 @@ class LeibnizAlgebra:
         return list(self.c[i][j])
 
     def bracket(self, x, y):
-        out = zero_vec(self.field, self.dim)
-        for i in range(self.dim):
-            if not x[i]:
-                continue
-            for j in range(self.dim):
-                cij = x[i] * y[j]
-                if cij:
-                    out = vec_add(out, vec_scale(cij, self.c[i][j]))
-        return out
+        return contract(self.field, self.c, x, y, self.dim)
 
     def mu(self):
         """The bracket as an arity-2 MultiMap on the algebra itself."""
@@ -145,26 +159,10 @@ class ActionPair:
         return list(self.right[a][i])
 
     def left_act(self, x, v):
-        out = zero_vec(self.field, self.dim_v)
-        for i in range(self.dim_g):
-            if not x[i]:
-                continue
-            for a in range(self.dim_v):
-                c = x[i] * v[a]
-                if c:
-                    out = vec_add(out, vec_scale(c, self.left[i][a]))
-        return out
+        return contract(self.field, self.left, x, v, self.dim_v)
 
     def right_act(self, v, x):
-        out = zero_vec(self.field, self.dim_v)
-        for a in range(self.dim_v):
-            if not v[a]:
-                continue
-            for i in range(self.dim_g):
-                c = v[a] * x[i]
-                if c:
-                    out = vec_add(out, vec_scale(c, self.right[a][i]))
-        return out
+        return contract(self.field, self.right, v, x, self.dim_v)
 
     def __eq__(self, other):
         return (isinstance(other, ActionPair) and self.field == other.field

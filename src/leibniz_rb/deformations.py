@@ -166,6 +166,20 @@ def equivalence_maps(defm, x0, higher_phi=None, higher_psi=None):
     return phi[:n + 1], psi[:n + 1]
 
 
+def _expands(field, op, out, lft, rgt, nx, ny, n):
+    """out_n op(x, y) == sum_k op(lft_k x, rgt_{n-k} y) on basis pairs."""
+    for i in range(nx):
+        x = basis_vec(field, nx, i)
+        for j in range(ny):
+            y = basis_vec(field, ny, j)
+            rhs = [field.zero] * out[n].nrows
+            for k in range(n + 1):
+                rhs = vec_add(rhs, op(lft[k].mul_vec(x), rgt[n - k].mul_vec(y)))
+            if out[n].mul_vec(op(x, y)) != rhs:
+                return False
+    return True
+
+
 def check_equivalence(defm, defm2, x0, higher_phi=None, higher_psi=None):
     """Is (Phi_t, Psi_t) a morphism of deformed operators from defm to defm2?
 
@@ -184,48 +198,14 @@ def check_equivalence(defm, defm2, x0, higher_phi=None, higher_psi=None):
     if _poly_compose(fld, phi, defm.coeffs, order) != \
             _poly_compose(fld, defm2.coeffs, psi, order):
         return False
-    act = d.actions
+    g, h, act = d.g, d.h, d.actions
+    conditions = [(g.bracket, phi, phi, phi, g.dim, g.dim),
+                  (h.bracket, psi, psi, psi, h.dim, h.dim),
+                  (act.left_act, psi, phi, psi, g.dim, h.dim),
+                  (act.right_act, psi, psi, phi, h.dim, g.dim)]
     for n in range(order + 1):
-        for i in range(d.g.dim):
-            ei = basis_vec(fld, d.g.dim, i)
-            for j in range(d.g.dim):
-                ej = basis_vec(fld, d.g.dim, j)
-                lhs = phi[n].mul_vec(d.g.bracket(ei, ej))
-                rhs = [fld.zero] * d.g.dim
-                for k in range(n + 1):
-                    rhs = vec_add(rhs, d.g.bracket(phi[k].mul_vec(ei),
-                                                   phi[n - k].mul_vec(ej)))
-                if lhs != rhs:
-                    return False
-        for a in range(d.h.dim):
-            ea = basis_vec(fld, d.h.dim, a)
-            for b in range(d.h.dim):
-                eb = basis_vec(fld, d.h.dim, b)
-                lhs = psi[n].mul_vec(d.h.bracket(ea, eb))
-                rhs = [fld.zero] * d.h.dim
-                for k in range(n + 1):
-                    rhs = vec_add(rhs, d.h.bracket(psi[k].mul_vec(ea),
-                                                   psi[n - k].mul_vec(eb)))
-                if lhs != rhs:
-                    return False
-        for i in range(d.g.dim):
-            ei = basis_vec(fld, d.g.dim, i)
-            for a in range(d.h.dim):
-                ea = basis_vec(fld, d.h.dim, a)
-                lhs = psi[n].mul_vec(act.left_act(ei, ea))
-                rhs = [fld.zero] * d.h.dim
-                for k in range(n + 1):
-                    rhs = vec_add(rhs, act.left_act(phi[k].mul_vec(ei),
-                                                    psi[n - k].mul_vec(ea)))
-                if lhs != rhs:
-                    return False
-                lhs = psi[n].mul_vec(act.right_act(ea, ei))
-                rhs = [fld.zero] * d.h.dim
-                for k in range(n + 1):
-                    rhs = vec_add(rhs, act.right_act(psi[n - k].mul_vec(ea),
-                                                     phi[k].mul_vec(ei)))
-                if lhs != rhs:
-                    return False
+        if not all(_expands(fld, *c, n) for c in conditions):
+            return False
     if order >= 1 and \
             defm.coeffs[1] - defm2.coeffs[1] != delta_T_0(defm.base, x0):
         raise OracleDisagreement("equivalence holds but T_1 - T_1' is not "

@@ -64,6 +64,9 @@ def circ_i(f, g, i):
 
     The last argument of g occupies the fixed slot; the earlier
     arguments of g are shuffled with the first i-1 arguments of f.
+    Only nonzero rows are visited: each nonzero row of g meets the
+    nonzero rows of f whose slot-i index is in its support, and the
+    product is scattered to the output tuple of every shuffle.
     """
     if not (f.src_dim == g.src_dim == f.tgt_dim == g.tgt_dim):
         raise ShapeMismatch("partial composition needs maps on one space")
@@ -72,23 +75,33 @@ def circ_i(f, g, i):
     if not 1 <= i <= m + 1:
         raise ShapeMismatch("composition slot %d out of range 1..%d" % (i, m + 1))
     fld = f.field
-    out = MultiMap(fld, m + n + 1, f.src_dim, f.tgt_dim)
-    shs = shuffles2(fld, i - 1, n)
-    for idx in out.tuples():
-        acc = zero_vec(fld, f.tgt_dim)
-        for perm, sign in shs:
-            # perm permutes argument positions 0..i+n-2
-            gval = g.get(tuple([idx[perm[k]] for k in range(i - 1, i - 1 + n)]
-                               + [idx[i + n - 1]]))
-            if vec_is_zero(gval):
+    # position p of the shuffled block holds value number inv[p] of
+    # (f's first i-1 indices, g's first n indices)
+    shs = [(sorted(range(len(perm)), key=perm.__getitem__), sign == fld.one)
+           for perm, sign in shuffles2(fld, i - 1, n)]
+    by_slot = {}
+    for ft, frow in f.nz.items():
+        by_slot.setdefault(ft[i - 1], []).append((ft, frow))
+    rows = {}
+    for gt, grow in g.nz.items():
+        for s, gs in enumerate(grow):
+            if not gs:
                 continue
-            args = [idx[perm[k]] for k in range(i - 1)] + [gval] \
-                + list(idx[i + n:])
-            fval = f.apply(args)
-            for t in range(f.tgt_dim):
-                if fval[t]:
-                    acc[t] = acc[t] + sign * fval[t]
-        out.set_(idx, acc)
+            for ft, frow in by_slot.get(s, ()):
+                term = [gs * x for x in frow]
+                vals = ft[:i - 1] + gt[:n]
+                tail = gt[n:] + ft[i:]
+                for inv, positive in shs:
+                    idx = tuple([vals[k] for k in inv]) + tail
+                    acc = rows.get(idx)
+                    if acc is None:
+                        rows[idx] = term if positive else [-x for x in term]
+                    elif positive:
+                        rows[idx] = [a + x for a, x in zip(acc, term)]
+                    else:
+                        rows[idx] = [a - x for a, x in zip(acc, term)]
+    out = MultiMap(fld, m + n + 1, f.src_dim, f.tgt_dim)
+    out.nz = {idx: tuple(r) for idx, r in rows.items() if any(r)}
     return out
 
 
@@ -164,20 +177,19 @@ def lift(p, ng, nh):
     """Embed P: h^{x m} -> g as P^ on V, zero unless all inputs are in h."""
     if p.src_dim != nh or p.tgt_dim != ng:
         raise ShapeMismatch("lift expects a map h^{x m} -> g")
-    n = ng + nh
-    out = MultiMap(p.field, p.arity, n, n)
-    for idx in p.tuples():
-        val = p.get(idx)
-        out.set_(tuple(ng + a for a in idx), list(val) + [p.field.zero] * nh)
+    out = MultiMap(p.field, p.arity, ng + nh, ng + nh)
+    pad = (p.field.zero,) * nh
+    out.nz = {tuple(ng + a for a in idx): row + pad
+              for idx, row in p.nz.items()}
     return out
 
 
 def restrict(q, ng, nh):
     """Restrict a map on V to h-inputs and project onto g."""
     out = MultiMap(q.field, q.arity, nh, ng)
-    for idx in out.tuples():
-        val = q.get(tuple(ng + a for a in idx))
-        out.set_(idx, val[:ng])
+    out.nz = {tuple(a - ng for a in idx): row[:ng]
+              for idx, row in q.nz.items()
+              if min(idx) >= ng and any(row[:ng])}
     return out
 
 

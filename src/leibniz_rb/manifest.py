@@ -21,13 +21,19 @@ zero) and use 1-based basis tokens e1, e2, ...
 
 render() produces a canonical text with entries in lexicographic order;
 parse(render(m)) reproduces m exactly.
+
+A declared dimension n is held in dense n x n x n structure tensors, so
+a declaration with n^3 above MAX_TENSOR_CELLS (n > 100) is refused with
+ResourceLimit before anything is allocated.
 """
 
 from .core import ActionPair, LeibnizAlgebra, LeibnizGRep
-from .errors import ManifestError
+from .errors import ManifestError, ResourceLimit
 from .fields import field_from_spec
 from .linalg import Matrix
 from .postleibniz import PostLeibnizAlgebra
+
+MAX_TENSOR_CELLS = 10 ** 6
 
 
 class Manifest:
@@ -68,6 +74,20 @@ def _basis_index(tok, dim, line_no, what):
         raise ManifestError("basis index %s out of range for %s (dim %d)"
                             % (tok, what, dim), line_no)
     return k - 1
+
+
+def _parse_dim(tok, line_no):
+    try:
+        dim = int(tok)
+    except ValueError:
+        raise ManifestError("bad dimension %r" % tok, line_no)
+    if dim < 0:
+        raise ManifestError("negative dimension", line_no)
+    if dim ** 3 > MAX_TENSOR_CELLS:
+        raise ResourceLimit("line %d: dim %d needs %d tensor cells, over the "
+                            "budget of %d" % (line_no, dim, dim ** 3,
+                                              MAX_TENSOR_CELLS))
+    return dim
 
 
 def _parse_scalar(field, tok, line_no):
@@ -129,13 +149,7 @@ def parse_manifest(text):
             name = toks[1]
             if name in alg_dims:
                 raise ManifestError("duplicate algebra %r" % name, line_no)
-            try:
-                dim = int(toks[3])
-            except ValueError:
-                raise ManifestError("bad dimension %r" % toks[3], line_no)
-            if dim < 0:
-                raise ManifestError("negative dimension", line_no)
-            alg_dims[name] = dim
+            alg_dims[name] = _parse_dim(toks[3], line_no)
             alg_entries[name] = {}
             order.append(("algebra", name))
         elif kw == "bracket":
@@ -234,10 +248,7 @@ def parse_manifest(text):
             name = toks[1]
             if name in post_dims:
                 raise ManifestError("duplicate post %r" % name, line_no)
-            try:
-                post_dims[name] = int(toks[3])
-            except ValueError:
-                raise ManifestError("bad dimension %r" % toks[3], line_no)
+            post_dims[name] = _parse_dim(toks[3], line_no)
             post_entries[name] = {"pleft": {}, "pright": {}, "pbracket": {}}
             order.append(("post", name))
         elif kw in ("pleft", "pright", "pbracket"):

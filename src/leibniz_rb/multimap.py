@@ -1,15 +1,19 @@
-"""Dense multilinear maps V^{x k} -> W indexed by basis tuples.
+"""Sparse multilinear maps V^{x k} -> W indexed by basis tuples.
 
 A :class:`MultiMap` of arity k on source dimension s and target
-dimension t stores t coefficients per source basis k-tuple, in
-lexicographic tuple order.  These are the cochains and graded Lie
-algebra elements of the whole library.
+dimension t stores only its nonzero rows: ``nz`` maps a source basis
+k-tuple to the tuple of its t target coefficients, and a tuple that is
+absent has the zero row.  A zero row is never stored and rows are
+immutable tuples, so ``==`` and ``hash`` compare the stores directly
+and maps may share rows.  The dense view (``coeffs``, ``flatten``) lists
+the rows in lexicographic tuple order.  These are the cochains and
+graded Lie algebra elements of the whole library.
 """
 
 from itertools import product
 
 from .errors import ShapeMismatch
-from .linalg import Matrix, vec_add, vec_is_zero, vec_scale, zero_vec
+from .linalg import Matrix, zero_vec
 
 
 class MultiMap:
@@ -20,69 +24,71 @@ class MultiMap:
         self.arity = arity
         self.src_dim = src_dim
         self.tgt_dim = tgt_dim
-        size = src_dim ** arity
-        if coeffs is None:
-            self.coeffs = [zero_vec(field, tgt_dim) for _ in range(size)]
-        else:
-            if len(coeffs) != size:
+        self.nz = {}
+        if coeffs is not None:
+            if len(coeffs) != src_dim ** arity:
                 raise ShapeMismatch("expected %d coefficient rows, got %d"
-                                    % (size, len(coeffs)))
-            self.coeffs = [[field.coerce(x) for x in row] for row in coeffs]
-            for row in self.coeffs:
-                if len(row) != tgt_dim:
-                    raise ShapeMismatch("coefficient row of wrong length")
+                                    % (src_dim ** arity, len(coeffs)))
+            for idx, row in zip(self.tuples(), coeffs):
+                self.set_(idx, row)
 
     @classmethod
     def from_matrix(cls, m):
         """View a tgt x src matrix as an arity-1 map."""
-        return cls(m.field, 1, m.ncols, m.nrows,
-                   [[m.rows[b][a] for b in range(m.nrows)] for a in range(m.ncols)])
+        return cls(m.field, 1, m.ncols, m.nrows, [m.col(a) for a in range(m.ncols)])
 
     def to_matrix(self):
         if self.arity != 1:
             raise ShapeMismatch("only arity-1 maps convert to matrices")
-        return Matrix(self.field, [[self.coeffs[a][b] for a in range(self.src_dim)]
-                                   for b in range(self.tgt_dim)])
+        cols = [self.get((a,)) for a in range(self.src_dim)]
+        return Matrix.from_cols(self.field, cols, self.tgt_dim)
 
-    def _flat(self, idx):
-        f = 0
-        for i in idx:
-            f = f * self.src_dim + i
-        return f
+    def _like(self, nz):
+        out = MultiMap(self.field, self.arity, self.src_dim, self.tgt_dim)
+        out.nz = nz
+        return out
+
+    @property
+    def coeffs(self):
+        """Dense rows in lexicographic tuple order (fresh lists)."""
+        return [self.get(idx) for idx in self.tuples()]
 
     def tuples(self):
         return product(range(self.src_dim), repeat=self.arity)
 
     def get(self, idx):
-        return self.coeffs[self._flat(idx)]
+        row = self.nz.get(tuple(idx))
+        return list(row) if row else zero_vec(self.field, self.tgt_dim)
 
     def set_(self, idx, vec):
         # construction-time helper; maps are treated as frozen afterwards
-        self.coeffs[self._flat(idx)] = [self.field.coerce(x) for x in vec]
+        row = tuple(self.field.coerce(x) for x in vec)
+        if len(row) != self.tgt_dim:
+            raise ShapeMismatch("coefficient row of wrong length")
+        if any(row):
+            self.nz[tuple(idx)] = row
+        else:
+            self.nz.pop(tuple(idx), None)
 
     def apply(self, args):
         """Evaluate at a mixed argument list of basis indices and vectors."""
         if len(args) != self.arity:
             raise ShapeMismatch("arity %d map applied to %d arguments"
                                 % (self.arity, len(args)))
-        vec_slots = [k for k, a in enumerate(args) if not isinstance(a, int)]
-        if not vec_slots:
-            return list(self.get(tuple(args)))
+        choices = [((a, None),) if isinstance(a, int)
+                   else [(j, x) for j, x in enumerate(a) if x] for a in args]
         out = zero_vec(self.field, self.tgt_dim)
-        ranges = [range(self.src_dim) if k in vec_slots else (args[k],)
-                  for k in range(self.arity)]
-        for idx in product(*ranges):
-            c = self.field.one
-            for k in vec_slots:
-                c = c * args[k][idx[k]]
-                if not c:
-                    break
-            if not c:
+        for choice in product(*choices):
+            row = self.nz.get(tuple(j for j, _ in choice))
+            if row is None:
                 continue
-            row = self.coeffs[self._flat(idx)]
-            for t in range(self.tgt_dim):
-                if row[t]:
-                    out[t] = out[t] + c * row[t]
+            c = self.field.one
+            for _, x in choice:
+                if x is not None:
+                    c = c * x
+            for t, y in enumerate(row):
+                if y:
+                    out[t] = out[t] + c * y
         return out
 
     def same_shape(self, other):
@@ -92,8 +98,13 @@ class MultiMap:
     def __add__(self, other):
         if not self.same_shape(other):
             raise ShapeMismatch("MultiMap shape mismatch in addition")
-        return MultiMap(self.field, self.arity, self.src_dim, self.tgt_dim,
-                        [vec_add(a, b) for a, b in zip(self.coeffs, other.coeffs)])
+        nz = dict(self.nz)
+        for idx, row in other.nz.items():
+            if idx in nz:
+                row = tuple(x + y for x, y in zip(nz.pop(idx), row))
+            if any(row):
+                nz[idx] = row
+        return self._like(nz)
 
     def __sub__(self, other):
         return self + other.scale(-self.field.one)
@@ -103,19 +114,26 @@ class MultiMap:
 
     def scale(self, c):
         c = self.field.coerce(c)
-        return MultiMap(self.field, self.arity, self.src_dim, self.tgt_dim,
-                        [vec_scale(c, row) for row in self.coeffs])
+        if not c:
+            return self._like({})
+        if c == self.field.one:
+            return self._like(dict(self.nz))
+        if c == -self.field.one:
+            return self._like({idx: tuple(-x for x in row)
+                               for idx, row in self.nz.items()})
+        return self._like({idx: tuple(c * x for x in row)
+                           for idx, row in self.nz.items()})
 
     def is_zero(self):
-        return all(vec_is_zero(row) for row in self.coeffs)
+        return not self.nz
 
     def __eq__(self, other):
         return (isinstance(other, MultiMap) and self.same_shape(other)
-                and self.field == other.field and self.coeffs == other.coeffs)
+                and self.field == other.field and self.nz == other.nz)
 
     def __hash__(self):
         return hash((self.field, self.arity, self.src_dim, self.tgt_dim,
-                     tuple(tuple(r) for r in self.coeffs)))
+                     frozenset(self.nz.items())))
 
     def __repr__(self):
         return "MultiMap(arity=%d, src=%d, tgt=%d)" % (self.arity, self.src_dim,
@@ -124,8 +142,8 @@ class MultiMap:
     def flatten(self):
         """Lexicographic (source tuple, target index) coefficient vector."""
         out = []
-        for row in self.coeffs:
-            out.extend(row)
+        for idx in self.tuples():
+            out.extend(self.nz.get(idx) or zero_vec(self.field, self.tgt_dim))
         return out
 
     @classmethod

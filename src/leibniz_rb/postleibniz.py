@@ -14,27 +14,15 @@ structures on their codomain.
 """
 
 from dataclasses import dataclass
+from itertools import product
 from typing import Optional
 
 from .core import (ActionPair, LeibnizAlgebra, LeibnizGRep, ValidationReport,
-                   _coerce_tensor3, basis_vec, validate_leibniz)
+                   _coerce_tensor3, basis_vec, contract,
+                   validate_leibniz, zero_tensor3)
 from .errors import (InvalidInput, InvalidOperator, OracleDisagreement,
                      ShapeMismatch, WrongWeight)
-from .linalg import vec_add, vec_scale, vec_sub, zero_vec
-
-
-def _apply2(field, c, x, y):
-    """Evaluate a bilinear operation given by a structure tensor."""
-    n = len(c)
-    out = zero_vec(field, n)
-    for i in range(n):
-        if not x[i]:
-            continue
-        for j in range(n):
-            if not y[j]:
-                continue
-            out = vec_add(out, vec_scale(x[i] * y[j], c[i][j]))
-    return out
+from .linalg import vec_add, vec_scale, vec_sub
 
 
 def _add_tensors(field, n, *tensors):
@@ -59,13 +47,13 @@ class PostLeibnizAlgebra:
         return cls(field, dim, z, z, z)
 
     def lt(self, x, y):
-        return _apply2(self.field, self.left, x, y)
+        return contract(self.field, self.left, x, y, self.dim)
 
     def rt(self, x, y):
-        return _apply2(self.field, self.right, x, y)
+        return contract(self.field, self.right, x, y, self.dim)
 
     def br(self, x, y):
-        return _apply2(self.field, self.bracket, x, y)
+        return contract(self.field, self.bracket, x, y, self.dim)
 
     def star(self, x, y):
         return vec_add(vec_add(self.lt(x, y), self.rt(x, y)), self.br(x, y))
@@ -89,31 +77,26 @@ def validate_post_leibniz(p):
     fld, n = p.field, p.dim
     rep = ValidationReport("post-leibniz")
     bv = [basis_vec(fld, n, i) for i in range(n)]
-    for i in range(n):
-        u = bv[i]
-        for j in range(n):
-            v = bv[j]
-            for k in range(n):
-                w = bv[k]
-                checks = [
-                    ("post-l1", p.lt(u, p.star(v, w)),
-                     vec_add(p.lt(p.lt(u, v), w), p.rt(v, p.lt(u, w)))),
-                    ("post-l2", p.rt(u, p.lt(v, w)),
-                     vec_add(p.lt(p.rt(u, v), w), p.lt(v, p.star(u, w)))),
-                    ("post-l3", p.rt(u, p.rt(v, w)),
-                     vec_add(p.rt(p.star(u, v), w), p.rt(v, p.rt(u, w)))),
-                    ("post-l4", p.rt(u, p.br(v, w)),
-                     vec_add(p.br(p.rt(u, v), w), p.br(v, p.rt(u, w)))),
-                    ("post-l5", p.br(u, p.rt(v, w)),
-                     vec_add(p.br(p.lt(u, v), w), p.rt(v, p.br(u, w)))),
-                    ("post-l6", p.br(u, p.lt(v, w)),
-                     vec_add(p.lt(p.br(u, v), w), p.br(v, p.lt(u, w)))),
-                    ("post-l7", p.br(u, p.br(v, w)),
-                     vec_add(p.br(p.br(u, v), w), p.br(v, p.br(u, w)))),
-                ]
-                for law, lhs, rhs in checks:
-                    if lhs != rhs:
-                        rep.add(law, (i, j, k), lhs, rhs)
+    for (i, u), (j, v), (k, w) in product(enumerate(bv), repeat=3):
+        checks = [
+            ("post-l1", p.lt(u, p.star(v, w)),
+             vec_add(p.lt(p.lt(u, v), w), p.rt(v, p.lt(u, w)))),
+            ("post-l2", p.rt(u, p.lt(v, w)),
+             vec_add(p.lt(p.rt(u, v), w), p.lt(v, p.star(u, w)))),
+            ("post-l3", p.rt(u, p.rt(v, w)),
+             vec_add(p.rt(p.star(u, v), w), p.rt(v, p.rt(u, w)))),
+            ("post-l4", p.rt(u, p.br(v, w)),
+             vec_add(p.br(p.rt(u, v), w), p.br(v, p.rt(u, w)))),
+            ("post-l5", p.br(u, p.rt(v, w)),
+             vec_add(p.br(p.lt(u, v), w), p.rt(v, p.br(u, w)))),
+            ("post-l6", p.br(u, p.lt(v, w)),
+             vec_add(p.lt(p.br(u, v), w), p.br(v, p.lt(u, w)))),
+            ("post-l7", p.br(u, p.br(v, w)),
+             vec_add(p.br(p.br(u, v), w), p.br(v, p.br(u, w)))),
+        ]
+        for law, lhs, rhs in checks:
+            if lhs != rhs:
+                rep.add(law, (i, j, k), lhs, rhs)
     return rep
 
 
@@ -159,30 +142,23 @@ def validate_pre_leibniz(field, dim, left, right):
     The post-Leibniz validator on (left, right, 0) must return the same
     verdict; a split raises OracleDisagreement.
     """
-    p = PostLeibnizAlgebra(field, dim,
-                           left, right,
-                           [[[field.zero] * dim for _ in range(dim)]
-                            for _ in range(dim)])
+    p = PostLeibnizAlgebra(field, dim, left, right,
+                           zero_tensor3(field, dim, dim, dim))
     rep = ValidationReport("pre-leibniz")
     bv = [basis_vec(field, dim, i) for i in range(dim)]
-    for i in range(dim):
-        u = bv[i]
-        for j in range(dim):
-            v = bv[j]
-            for k in range(dim):
-                w = bv[k]
-                both = lambda x, y: vec_add(p.lt(x, y), p.rt(x, y))
-                checks = [
-                    ("pre-l1", p.lt(u, both(v, w)),
-                     vec_add(p.lt(p.lt(u, v), w), p.rt(v, p.lt(u, w)))),
-                    ("pre-l2", p.rt(u, p.lt(v, w)),
-                     vec_add(p.lt(p.rt(u, v), w), p.lt(v, both(u, w)))),
-                    ("pre-l3", p.rt(u, p.rt(v, w)),
-                     vec_add(p.rt(both(u, v), w), p.rt(v, p.rt(u, w)))),
-                ]
-                for law, lhs, rhs in checks:
-                    if lhs != rhs:
-                        rep.add(law, (i, j, k), lhs, rhs)
+    for (i, u), (j, v), (k, w) in product(enumerate(bv), repeat=3):
+        both = lambda x, y: vec_add(p.lt(x, y), p.rt(x, y))
+        checks = [
+            ("pre-l1", p.lt(u, both(v, w)),
+             vec_add(p.lt(p.lt(u, v), w), p.rt(v, p.lt(u, w)))),
+            ("pre-l2", p.rt(u, p.lt(v, w)),
+             vec_add(p.lt(p.rt(u, v), w), p.lt(v, both(u, w)))),
+            ("pre-l3", p.rt(u, p.rt(v, w)),
+             vec_add(p.rt(both(u, v), w), p.rt(v, p.rt(u, w)))),
+        ]
+        for law, lhs, rhs in checks:
+            if lhs != rhs:
+                rep.add(law, (i, j, k), lhs, rhs)
     if rep.ok != validate_post_leibniz(p).ok:
         raise OracleDisagreement("pre-Leibniz and zero-bracket post-Leibniz "
                                  "validators disagree")
@@ -217,26 +193,21 @@ def check_skewsymmetric_reduction(p):
     if not out.is_skewsymmetric:
         return out
     rep = ValidationReport("post-lie")
-    for i in range(n):
-        u = bv[i]
-        for j in range(n):
-            v = bv[j]
-            for k in range(n):
-                w = bv[k]
-                lhs = p.br(u, p.br(v, w))
-                rhs = vec_add(p.br(p.br(u, v), w), p.br(v, p.br(u, w)))
-                if lhs != rhs:
-                    rep.add("lie-jacobi", (i, j, k), lhs, rhs)
-                lhs = p.rt(u, p.br(v, w))
-                rhs = vec_add(p.br(p.rt(u, v), w), p.br(v, p.rt(u, w)))
-                if lhs != rhs:
-                    rep.add("post-lie-derivation", (i, j, k), lhs, rhs)
-                lhs = p.rt(p.br(u, v), w)
-                rhs = vec_sub(p.rt(u, p.rt(v, w)), p.rt(p.rt(u, v), w))
-                rhs = vec_sub(rhs, p.rt(v, p.rt(u, w)))
-                rhs = vec_add(rhs, p.rt(p.rt(v, u), w))
-                if lhs != rhs:
-                    rep.add("post-lie-curvature", (i, j, k), lhs, rhs)
+    for (i, u), (j, v), (k, w) in product(enumerate(bv), repeat=3):
+        lhs = p.br(u, p.br(v, w))
+        rhs = vec_add(p.br(p.br(u, v), w), p.br(v, p.br(u, w)))
+        if lhs != rhs:
+            rep.add("lie-jacobi", (i, j, k), lhs, rhs)
+        lhs = p.rt(u, p.br(v, w))
+        rhs = vec_add(p.br(p.rt(u, v), w), p.br(v, p.rt(u, w)))
+        if lhs != rhs:
+            rep.add("post-lie-derivation", (i, j, k), lhs, rhs)
+        lhs = p.rt(p.br(u, v), w)
+        rhs = vec_sub(p.rt(u, p.rt(v, w)), p.rt(p.rt(u, v), w))
+        rhs = vec_sub(rhs, p.rt(v, p.rt(u, w)))
+        rhs = vec_add(rhs, p.rt(p.rt(v, u), w))
+        if lhs != rhs:
+            rep.add("post-lie-curvature", (i, j, k), lhs, rhs)
     out.post_lie = rep
     return out
 

@@ -1,3 +1,4 @@
+import io
 import os
 import shutil
 import subprocess
@@ -6,6 +7,7 @@ import sys
 import pytest
 
 import leibniz_rb
+from leibniz_rb.cli import run_command
 from golden_cases import CASES, GOLDEN_DIR, ROOT, run_case
 
 MANIFEST = os.path.join(ROOT, "manifests", "dim2-nonlie.lra")
@@ -74,6 +76,31 @@ def test_negative_counts_are_usage_errors(argv):
     assert r.returncode == 2
     assert "must be at least" in r.stderr
     assert r.stdout == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["cohomology", MANIFEST, "--max-degree", "-1"],
+    ["no-such-command", MANIFEST],
+    ["validate"],
+    ["validate", MANIFEST, "--no-such-flag"],
+], ids=["bad-value", "unknown-command", "missing-manifest", "unknown-flag"])
+def test_usage_error_is_one_line_on_err_stream(argv, capsys):
+    out, err = io.StringIO(), io.StringIO()
+    assert run_command(argv, out=out, err=err) == 2
+    lines = err.getvalue().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("leibniz-rb: error: ")
+    assert out.getvalue() == ""
+    assert capsys.readouterr() == ("", "")
+
+
+def test_help_goes_to_stdout_with_exit_0():
+    out, err = io.StringIO(), io.StringIO()
+    assert run_command(["-h"], out=out, err=err) == 0
+    assert out.getvalue().startswith("usage: leibniz-rb")
+    assert err.getvalue() == ""
+    r = _run(["--help"])
+    assert r.returncode == 0 and r.stderr == ""
+    assert r.stdout.startswith("usage: leibniz-rb")
 
 
 def test_characteristic_two_is_usage_error():

@@ -1,9 +1,12 @@
+import io
+
 import pytest
 
+from leibniz_rb.cli import run_command
 from leibniz_rb.core import validate_leibniz, validate_leibniz_g_rep
-from leibniz_rb.errors import ManifestError
-from leibniz_rb.manifest import (load_manifest, parse_manifest,
-                                 render_manifest)
+from leibniz_rb.errors import ManifestError, ResourceLimit
+from leibniz_rb.manifest import (MAX_TENSOR_CELLS, load_manifest,
+                                 parse_manifest, render_manifest)
 
 from conftest import dim2_nonlie
 
@@ -121,3 +124,25 @@ pleft P e1 e1 -> 2 e1
     assert base == "t0" and coeffs == ["t0", "t1"]
     assert m.posts["P"].left[0][0][0] == gf5.coerce(2)
     assert parse_manifest(render_manifest(m)) == m
+
+
+@pytest.mark.parametrize("decl", ["algebra g dim 100000000",
+                                  "post P dim 100000000",
+                                  "algebra g dim 101"])
+def test_huge_dimension_is_refused_before_allocation(decl, tmp_path):
+    text = "field rational\nalgebra a dim 1\n%s\n" % decl
+    with pytest.raises(ResourceLimit, match="line 3: dim"):
+        parse_manifest(text)
+    bad = tmp_path / "huge.lra"
+    bad.write_text(text)
+    out, err = io.StringIO(), io.StringIO()
+    assert run_command(["validate", str(bad)], out=out, err=err) == 2
+    assert err.getvalue().count("\n") == 1
+    assert err.getvalue().startswith("error: line 3: dim ")
+
+
+def test_largest_dimension_within_budget_parses():
+    n = round(MAX_TENSOR_CELLS ** (1 / 3))
+    assert n ** 3 <= MAX_TENSOR_CELLS < (n + 1) ** 3
+    m = parse_manifest("field gf 2\npost P dim 2\nalgebra g dim %d\n" % n)
+    assert m.algebras["g"].dim == n

@@ -1,0 +1,273 @@
+"""Sparse MultiMap, the contraction kernel and circ_i against dense oracles.
+
+The oracles below are the dense formulas the sparse code replaced: a
+MultiMap as a full list of rows in lexicographic tuple order, the
+row-by-row bilinear contraction, and the partial composition that visits
+every output tuple and every shuffle.
+"""
+
+from fractions import Fraction
+from itertools import combinations, product
+
+from hypothesis import given, settings, strategies as st
+
+from leibniz_rb.core import ActionPair, LeibnizAlgebra, contract
+from leibniz_rb.fields import PrimeField, RationalField
+from leibniz_rb.graded import circ_i
+from leibniz_rb.multimap import MultiMap
+from leibniz_rb.postleibniz import PostLeibnizAlgebra
+
+Q = RationalField()
+GF5 = PrimeField(5)
+FIELDS = st.sampled_from([Q, GF5])
+# mostly zeros, so that the sparse paths see empty rows and empty supports
+SCALARS = st.sampled_from([0, 0, 0, 0, 1, -1, 2, -3, Fraction(1, 2),
+                           Fraction(-2, 3)])
+
+PROPERTY = settings(max_examples=60, deadline=None)
+
+
+def _vec(draw, field, n):
+    return [field.coerce(draw(SCALARS)) for _ in range(n)]
+
+
+def _rows(draw, field, arity, src, tgt):
+    return [_vec(draw, field, tgt) for _ in range(src ** arity)]
+
+
+@st.composite
+def maps(draw, field=None, arity=None, src=None, tgt=None):
+    field = field or draw(FIELDS)
+    arity = arity or draw(st.integers(1, 3))
+    src = src or draw(st.integers(1, 3))
+    tgt = tgt or draw(st.integers(1, 3))
+    return MultiMap(field, arity, src, tgt, _rows(draw, field, arity, src, tgt))
+
+
+# ---------------------------------------------------------------------------
+# Dense reference
+
+
+def _flat(idx, src):
+    f = 0
+    for i in idx:
+        f = f * src + i
+    return f
+
+
+def dense_apply(field, arity, src, tgt, rows, args):
+    vec_slots = [k for k, a in enumerate(args) if not isinstance(a, int)]
+    if not vec_slots:
+        return list(rows[_flat(args, src)])
+    out = [field.zero] * tgt
+    ranges = [range(src) if k in vec_slots else (args[k],)
+              for k in range(arity)]
+    for idx in product(*ranges):
+        c = field.one
+        for k in vec_slots:
+            c = c * args[k][idx[k]]
+        row = rows[_flat(idx, src)]
+        for t in range(tgt):
+            out[t] = out[t] + c * row[t]
+    return out
+
+
+def dense_contract(field, tensor, x, y, n):
+    out = [field.zero] * n
+    for i in range(len(x)):
+        for j in range(len(y)):
+            cij = x[i] * y[j]
+            if cij:
+                out = [a + cij * b for a, b in zip(out, tensor[i][j])]
+    return out
+
+
+def _parity(field, perm):
+    inv = sum(1 for i in range(len(perm)) for j in range(i + 1, len(perm))
+              if perm[i] > perm[j])
+    return field.one if inv % 2 == 0 else -field.one
+
+
+def dense_circ_i(f, g, i):
+    """The former dense loop: every output tuple, every (i-1, n)-shuffle."""
+    fld, dim = f.field, f.src_dim
+    m, n = f.arity - 1, g.arity - 1
+    frows, grows = f.coeffs, g.coeffs
+    shs = []
+    for first in combinations(range(i - 1 + n), i - 1):
+        perm = list(first) + [k for k in range(i - 1 + n) if k not in first]
+        shs.append((perm, _parity(fld, perm)))
+    out = []
+    for idx in product(range(dim), repeat=m + n + 1):
+        acc = [fld.zero] * dim
+        for perm, sign in shs:
+            gval = grows[_flat([idx[perm[k]] for k in range(i - 1, i - 1 + n)]
+                               + [idx[i + n - 1]], dim)]
+            if not any(gval):
+                continue
+            args = [idx[perm[k]] for k in range(i - 1)] + [gval] \
+                + list(idx[i + n:])
+            fval = dense_apply(fld, f.arity, dim, dim, frows, args)
+            acc = [a + sign * b for a, b in zip(acc, fval)]
+        out.append(acc)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# MultiMap
+
+
+@PROPERTY
+@given(st.data())
+def test_apply_matches_dense(data):
+    m = data.draw(maps())
+    args = [data.draw(st.one_of(st.integers(0, m.src_dim - 1),
+                                st.just(None)))
+            for _ in range(m.arity)]
+    args = [a if a is not None else _vec(data.draw, m.field, m.src_dim)
+            for a in args]
+    want = dense_apply(m.field, m.arity, m.src_dim, m.tgt_dim, m.coeffs, args)
+    assert m.apply(args) == want
+
+
+@PROPERTY
+@given(st.data())
+def test_linear_operations_match_dense(data):
+    a = data.draw(maps())
+    b = data.draw(maps(a.field, a.arity, a.src_dim, a.tgt_dim))
+    fld = a.field
+    c = fld.coerce(data.draw(SCALARS))
+    assert (a + b).coeffs == [[x + y for x, y in zip(r, s)]
+                              for r, s in zip(a.coeffs, b.coeffs)]
+    assert (a - b).coeffs == [[x - y for x, y in zip(r, s)]
+                              for r, s in zip(a.coeffs, b.coeffs)]
+    for k in (c, fld.zero, fld.one, -fld.one):
+        assert a.scale(k).coeffs == [[k * x for x in r] for r in a.coeffs]
+    assert (-a).coeffs == [[-x for x in r] for r in a.coeffs]
+    assert (a - a).is_zero() and a.scale(0).is_zero()
+    assert a.is_zero() == all(not x for r in a.coeffs for x in r)
+
+
+@PROPERTY
+@given(maps())
+def test_flatten_round_trip(m):
+    flat = m.flatten()
+    assert flat == [x for row in m.coeffs for x in row]
+    back = MultiMap.from_flat(m.field, m.arity, m.src_dim, m.tgt_dim, flat)
+    assert back == m and back.flatten() == flat
+
+
+@PROPERTY
+@given(st.data())
+def test_equal_maps_hash_equal(data):
+    a = data.draw(maps())
+    b = data.draw(maps(a.field, a.arity, a.src_dim, a.tgt_dim))
+    same = [(a + b) - b, a.scale(1), MultiMap(a.field, a.arity, a.src_dim,
+                                               a.tgt_dim, a.coeffs),
+            -(-a), a + b.scale(0)]
+    for other in same:
+        assert other == a and hash(other) == hash(a)
+    if a != b:
+        assert a.coeffs != b.coeffs
+
+
+def test_get_returns_a_copy():
+    rows = [[1, 0], [0, 0], [2, -1], [0, 3]]
+    m = MultiMap(Q, 2, 2, 2, rows)
+    before = MultiMap(Q, 2, 2, 2, rows)
+    m.get((0, 0))[0] = Fraction(99)
+    m.get((0, 1))[1] = Fraction(7)   # a zero row
+    m.coeffs[2][0] = Fraction(5)
+    m.flatten()[0] = Fraction(-4)
+    assert m == before and m.coeffs == before.coeffs
+    assert hash(m) == hash(before)
+
+
+def test_zero_rows_are_never_stored():
+    m = MultiMap(GF5, 1, 3, 2, [[0, 0], [0, 5], [2, 3]])
+    assert set(m.nz) == {(2,)}
+    m2 = MultiMap(GF5, 1, 3, 2)
+    m2.set_((2,), [2, 3])
+    m2.set_((1,), [1, 0])
+    assert m2 != m
+    m2.set_((1,), [0, 5])            # zero mod 5: the stored row is dropped
+    m2.set_((0,), [0, 0])
+    assert set(m2.nz) == {(2,)}
+    assert m2 == m and hash(m2) == hash(m)
+    assert (m2 - m).nz == {} and (m2 + m.scale(-1)).is_zero()
+
+
+# ---------------------------------------------------------------------------
+# Contraction kernel
+
+
+@st.composite
+def contraction_case(draw):
+    field = draw(FIELDS)
+    d0, d1, n = (draw(st.integers(1, 3)) for _ in range(3))
+    tensor = [[_vec(draw, field, n) for _ in range(d1)] for _ in range(d0)]
+    return field, tensor, _vec(draw, field, d0), _vec(draw, field, d1), n
+
+
+@PROPERTY
+@given(contraction_case())
+def test_contract_matches_dense(case):
+    field, tensor, x, y, n = case
+    assert contract(field, tensor, x, y, n) == \
+        dense_contract(field, tensor, x, y, n)
+
+
+@PROPERTY
+@given(st.data())
+def test_structure_products_use_the_kernel(data):
+    field = data.draw(FIELDS)
+    ng, nv = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+    t3 = lambda a, b, c: [[_vec(data.draw, field, c) for _ in range(b)]
+                          for _ in range(a)]
+    c, left, right = t3(ng, ng, ng), t3(ng, nv, nv), t3(nv, ng, nv)
+    x, x2 = _vec(data.draw, field, ng), _vec(data.draw, field, ng)
+    v = _vec(data.draw, field, nv)
+    act = ActionPair(field, ng, nv, left, right)
+    assert LeibnizAlgebra(field, ng, c).bracket(x, x2) == \
+        dense_contract(field, c, x, x2, ng)
+    assert act.left_act(x, v) == dense_contract(field, left, x, v, nv)
+    assert act.right_act(v, x) == dense_contract(field, right, v, x, nv)
+    p = PostLeibnizAlgebra(field, ng, c, c, c)
+    assert p.lt(x, x2) == p.rt(x, x2) == p.br(x, x2) == \
+        dense_contract(field, c, x, x2, ng)
+
+
+# ---------------------------------------------------------------------------
+# circ_i
+
+
+@st.composite
+def composable(draw):
+    field = draw(FIELDS)
+    dim = draw(st.integers(1, 3))
+    top = 2 if dim == 3 else 3
+    f = draw(maps(field, draw(st.integers(1, top)), dim, dim))
+    g = draw(maps(field, draw(st.integers(1, top)), dim, dim))
+    return f, g, draw(st.integers(1, f.arity))
+
+
+@PROPERTY
+@given(composable())
+def test_circ_i_matches_dense_loop(case):
+    f, g, i = case
+    out = circ_i(f, g, i)
+    assert out.arity == f.arity + g.arity - 1
+    assert out.coeffs == dense_circ_i(f, g, i)
+
+
+def test_circ_i_shuffle_signs():
+    # f(x, y) = x_2 y_1 e_1 and g(x, y) = x_1 y_2 e_1 on a 2-dim space, so
+    # (f o_2 g)(a, b, c) = f(a, g(b, c)) - f(b, g(a, c)): the second
+    # (1,1)-shuffle swaps a and b and carries the sign -1
+    f = MultiMap(Q, 2, 2, 2, [[0, 0], [0, 0], [1, 0], [0, 0]])
+    g = MultiMap(Q, 2, 2, 2, [[0, 0], [1, 0], [0, 0], [0, 0]])
+    out = circ_i(f, g, 2)
+    assert set(out.nz) == {(1, 0, 1), (0, 1, 1)}
+    assert out.get((1, 0, 1)) == [1, 0] and out.get((0, 1, 1)) == [-1, 0]
+    assert circ_i(g, g, 2).is_zero()   # the two shuffles cancel
+    assert out.coeffs == dense_circ_i(f, g, 2)
