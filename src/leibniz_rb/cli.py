@@ -407,7 +407,7 @@ def build_parser():
     ap.add_argument("--samples", type=_count(0), default=4)
     ap.add_argument("--format", choices=["text", "machine"], default="text")
     ap.add_argument("--jobs", type=_count(1), default=1,
-                    help="worker count; results are identical for any value")
+                    help="accepted and ignored; the run is single-process")
     return ap
 
 

@@ -13,40 +13,35 @@ the sign d_T f = (-1)^n delta f, which the test-suite uses as an oracle.
 
 from dataclasses import dataclass, field as dc_field
 
-from .core import ActionPair, basis_vec, leibniz_differential
-from .errors import ContainmentViolated, InvalidOperator, ResourceLimit
-from .linalg import Matrix, quotient_dim, vec_sub
+from .core import (ActionPair, add_combination, basis_vec,
+                   leibniz_differential)
+from .errors import ContainmentViolated, ResourceLimit
+from .linalg import Matrix, quotient_dim, vec_sub, zero_vec
 from .multimap import MultiMap
 from .operators import induced_algebra
 
 
 def induced_representation(r):
-    """The action pair of the induced algebra h_T on g."""
-    rep = r.validate()
-    if not rep.ok:
-        raise InvalidOperator("operator fails the weighted identity: %s"
-                              % rep.summary())
+    """The action pair of the induced algebra h_T on g.
+
+    Te_a is the column a of T; [., e_i]_g, [e_i, .]_g, rho^R(e_a, e_i)
+    and rho^L(e_i, e_a) are slices of the structure and action tensors.
+    """
+    r.require_valid()
     d, fld, t = r.context, r.field, r.t
-    ng, nh, act = d.g.dim, d.h.dim, d.actions
-    left = []
-    for a in range(nh):
-        ea = basis_vec(fld, nh, a)
-        ta = t.mul_vec(ea)
-        row = []
-        for i in range(ng):
-            ei = basis_vec(fld, ng, i)
-            row.append(vec_sub(d.g.bracket(ta, ei),
-                               t.mul_vec(act.right_act(ea, ei))))
-        left.append(row)
-    right = []
-    for i in range(ng):
-        ei = basis_vec(fld, ng, i)
-        row = []
-        for a in range(nh):
-            ea = basis_vec(fld, nh, a)
-            row.append(vec_sub(d.g.bracket(ei, t.mul_vec(ea)),
-                               t.mul_vec(act.left_act(ei, ea))))
-        right.append(row)
+    ng, nh, c, act = d.g.dim, d.h.dim, d.g.c, d.actions
+    cols = [t.col(a) for a in range(nh)]
+
+    def entry(ta, bracket_rows, acted):
+        # sum_j (Te_a)_j bracket_rows[j] - T(acted)
+        out = [-x for x in t.mul_vec(acted)]
+        add_combination(out, fld.one, ta, bracket_rows)
+        return out
+
+    left = [[entry(cols[a], [plane[i] for plane in c], act.right[a][i])
+             for i in range(ng)] for a in range(nh)]
+    right = [[entry(cols[a], c[i], act.left[i][a]) for a in range(nh)]
+             for i in range(ng)]
     return ActionPair(fld, nh, ng, left, right)
 
 
@@ -55,9 +50,9 @@ def delta_T_0(r, x):
     d, fld, t = r.context, r.field, r.t
     cols = []
     for a in range(d.h.dim):
-        ea = basis_vec(fld, d.h.dim, a)
-        cols.append(vec_sub(t.mul_vec(d.actions.left_act(x, ea)),
-                            d.g.bracket(x, t.mul_vec(ea))))
+        lx = zero_vec(fld, d.h.dim)  # rho^L(x, e_a)
+        add_combination(lx, fld.one, x, [plane[a] for plane in d.actions.left])
+        cols.append(vec_sub(t.mul_vec(lx), d.g.bracket(x, t.col(a))))
     return Matrix.from_cols(fld, cols, d.g.dim)
 
 
@@ -88,30 +83,30 @@ def cochain_basis(r, n):
     ng, nh = d.g.dim, d.h.dim
     if n == 0:
         return [basis_vec(fld, ng, i) for i in range(ng)]
-    out = []
     dim = cochain_dim(r, n)
-    for k in range(dim):
-        flat = [fld.zero] * dim
-        flat[k] = fld.one
-        out.append(MultiMap.from_flat(fld, n, nh, ng, flat))
-    return out
+    return [MultiMap.from_flat(fld, n, nh, ng, basis_vec(fld, dim, k))
+            for k in range(dim)]
 
 
 def delta_matrix(r, n, cap=20000):
     """Matrix of delta: C^n -> C^{n+1} in the flattening order.
 
     Cochains flatten lexicographically by (source index tuple, target
-    index); columns are images of the unit cochains of C^n.
+    index); columns are images of the unit cochains of C^n.  h_T and
+    rho_T are built once per matrix, and cap bounds its cells.
     """
-    if cochain_dim(r, n) > cap or cochain_dim(r, n + 1) > cap:
-        raise ResourceLimit("cochain space beyond the configured cap %d" % cap)
-    cols = []
-    for f in cochain_basis(r, n):
-        img = delta_T_0(r, f) if n == 0 else delta_T(r, f)
-        if isinstance(img, Matrix):
-            img = MultiMap.from_matrix(img)
-        cols.append(img.flatten())
-    return Matrix.from_cols(r.field, cols, cochain_dim(r, n + 1))
+    nrows, ncols = cochain_dim(r, n + 1), cochain_dim(r, n)
+    if nrows * ncols > cap:
+        raise ResourceLimit("delta_%d has %d x %d cells, beyond the "
+                            "configured cap %d" % (n, nrows, ncols, cap))
+    if n == 0:
+        cols = [MultiMap.from_matrix(delta_T_0(r, x)).flatten()
+                for x in cochain_basis(r, 0)]
+    else:
+        h, rho = induced_algebra(r), induced_representation(r)
+        cols = [leibniz_differential(h, rho, f).flatten()
+                for f in cochain_basis(r, n)]
+    return Matrix.from_cols(r.field, cols, nrows)
 
 
 @dataclass
@@ -138,12 +133,11 @@ def cohomology(r, max_degree, cap=20000, representatives=False):
     B^n subset Z^n is re-verified exactly (ContainmentViolated on failure,
     which would indicate a differential bug rather than bad input).
     """
-    rep = r.validate()
-    if not rep.ok:
-        raise InvalidOperator("operator fails the weighted identity: %s"
-                              % rep.summary())
+    r.require_valid()
     fld = r.field
-    mats = {n: delta_matrix(r, n, cap=cap) for n in range(max_degree + 1)}
+    # largest first, so that the cap refuses before any column is built
+    mats = {n: delta_matrix(r, n, cap=cap)
+            for n in reversed(range(max_degree + 1))}
     out = CohomologyReport(max_degree)
     for n in range(max_degree + 1):
         dim_c = cochain_dim(r, n)

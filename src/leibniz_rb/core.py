@@ -10,7 +10,7 @@ from dataclasses import dataclass, field as dc_field
 from itertools import product
 
 from .errors import InvalidInput, ShapeMismatch
-from .linalg import Matrix, vec_add, vec_scale, zero_vec
+from .linalg import axpy, vec_add, zero_vec
 from .multimap import MultiMap
 
 
@@ -347,7 +347,8 @@ def leibniz_differential(g, actions, f):
 
     f is a MultiMap g^{x n} -> V; actions is the (rho^L, rho^R) pair of
     g on V.  Degree 0 is deliberately not exposed here; the specialized
-    operator complex pins its own degree-0 formula.
+    operator complex pins its own degree-0 formula.  rho^L(e_i, .),
+    rho^R(., e_j) and [e_i, e_j] are read as slices of the tensors.
     """
     if f.src_dim != g.dim or f.tgt_dim != actions.dim_v:
         raise ShapeMismatch("cochain does not match algebra/carrier dims")
@@ -355,28 +356,36 @@ def leibniz_differential(g, actions, f):
         raise ShapeMismatch("actions do not match algebra dim")
     fld = g.field
     n = f.arity
+    left = actions.left
+    # right[j][a] = rho^R(f_a, e_j)
+    right = [[plane[j] for plane in actions.right] for j in range(g.dim)]
     out = MultiMap(fld, n + 1, g.dim, actions.dim_v)
     for idx in out.tuples():
         acc = zero_vec(fld, actions.dim_v)
         for i in range(1, n + 1):
-            rest = idx[:i - 1] + idx[i:]
-            val = actions.left_act(basis_vec(fld, g.dim, idx[i - 1]),
-                                   f.get(rest))
-            acc = vec_add(acc, vec_scale(_sign(fld, i + 1), val))
-        val = actions.right_act(f.get(idx[:n]),
-                                basis_vec(fld, g.dim, idx[n]))
-        acc = vec_add(acc, vec_scale(_sign(fld, n + 1), val))
+            add_combination(acc, _pow_sign(fld, i + 1),
+                            f.nz.get(idx[:i - 1] + idx[i:], ()),
+                            left[idx[i - 1]])
+        add_combination(acc, _pow_sign(fld, n + 1), f.nz.get(idx[:n], ()),
+                        right[idx[n]])
         for i in range(1, n + 1):
             for j in range(i + 1, n + 2):
-                bij = g.bracket_basis(idx[i - 1], idx[j - 1])
-                args = (list(idx[:i - 1]) + list(idx[i:j - 1]) + [bij]
-                        + list(idx[j:]))
-                acc = vec_add(acc, vec_scale(_sign(fld, i), f.apply(args)))
+                args = (idx[:i - 1] + idx[i:j - 1]
+                        + (g.c[idx[i - 1]][idx[j - 1]],) + idx[j:])
+                axpy(acc, _pow_sign(fld, i), f.apply(args))
         out.set_(idx, acc)
     return out
 
 
-def _sign(field, k):
+def add_combination(acc, c, coeffs, rows):
+    """acc += c * sum_k coeffs[k] rows[k] in place; zero coeffs are skipped."""
+    for x, row in zip(coeffs, rows):
+        if x:
+            axpy(acc, c * x, row)
+
+
+def _pow_sign(field, k):
+    """(-1)^k in the field."""
     return field.one if k % 2 == 0 else -field.one
 
 

@@ -22,7 +22,7 @@ from .core import ValidationReport, basis_vec
 from .errors import (BaseMismatch, InvalidDeformation, OracleDisagreement,
                      ResourceLimit, ShapeMismatch, WrongField)
 from .fields import PrimeField
-from .linalg import Matrix, vec_add, vec_scale
+from .linalg import Matrix, axpy, vec_add, vec_scale
 from .multimap import MultiMap
 
 
@@ -286,7 +286,7 @@ def rigidity_certificate(r, cap=10 ** 6):
     for digits in iproduct(range(fld.p), repeat=len(zb)):
         v = [fld.zero] * (d.g.dim * d.h.dim)
         for c, base in zip(digits, zb):
-            v = vec_add(v, vec_scale(fld.coerce(c), base))
+            axpy(v, fld.coerce(c), base)
         z_set.add(tuple(v))
     nij_image = set()
     count = 0

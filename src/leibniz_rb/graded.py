@@ -10,10 +10,11 @@ traps sign-convention bugs without trusting either route alone.
 from functools import lru_cache
 from itertools import combinations, product
 
-from .core import ValidationReport, basis_vec, validate_leibniz_g_rep
+from .core import (ValidationReport, _pow_sign, basis_vec,
+                   validate_leibniz_g_rep)
 from .errors import (InvalidInput, OracleDisagreement, ShapeMismatch,
                      StructureIncompatible)
-from .linalg import Matrix, vec_add, vec_is_zero, vec_scale, zero_vec
+from .linalg import Matrix, axpy, vec_is_zero, vec_scale, zero_vec
 from .multimap import MultiMap
 
 
@@ -24,7 +25,7 @@ def _parity_sign(field, perm):
         for j in range(i + 1, n):
             if perm[i] > perm[j]:
                 inv += 1
-    return field.one if inv % 2 == 0 else -field.one
+    return _pow_sign(field, inv)
 
 
 @lru_cache(maxsize=None)
@@ -53,10 +54,6 @@ def shuffles3(field, p, q):
             perm = list(first) + [mid] + rest
             out.append((perm, _parity_sign(field, perm)))
     return out
-
-
-def _pow_sign(field, k):
-    return field.one if k % 2 == 0 else -field.one
 
 
 def circ_i(f, g, i):
@@ -204,8 +201,7 @@ def derived_bracket_explicit(d, p, q):
     out = MultiMap(fld, m + n, d.h.dim, d.g.dim)
     for idx in out.tuples():
         acc = _derived_half(d, p, q, idx)
-        acc = vec_add(acc, vec_scale(-_pow_sign(fld, m * n),
-                                     _derived_half(d, q, p, idx)))
+        axpy(acc, -_pow_sign(fld, m * n), _derived_half(d, q, p, idx))
         out.set_(idx, acc)
     return out
 
@@ -216,12 +212,6 @@ def _derived_half(d, p, q, idx):
     act = d.actions
     m, n = p.arity, q.arity
     acc = zero_vec(fld, d.g.dim)
-
-    def accumulate(c, vec):
-        for t in range(d.g.dim):
-            if vec[t]:
-                acc[t] = acc[t] + c * vec[t]
-
     for i in range(1, m + 1):
         block_sign = _pow_sign(fld, (i - 1) * n)
         # rho^L(Q(...), u_{i+n}) slot
@@ -231,7 +221,7 @@ def _derived_half(d, p, q, idx):
                 continue
             lval = act.left_act(qval, basis_vec(fld, d.h.dim, idx[i + n - 1]))
             args = [idx[perm[k]] for k in range(i - 1)] + [lval] + list(idx[i + n:])
-            accumulate(block_sign * sign, p.apply(args))
+            axpy(acc, block_sign * sign, p.apply(args))
         # rho^R(u_{sigma(i)}, Q(...)) slot.  The shuffle sign here is the
         # parity of the permutation with the middle element moved past the
         # inner block (an extra (-1)^{n-1}); this is the unique convention
@@ -244,7 +234,7 @@ def _derived_half(d, p, q, idx):
                 continue
             rval = act.right_act(basis_vec(fld, d.h.dim, idx[perm[i - 1]]), qval)
             args = [idx[perm[k]] for k in range(i - 1)] + [rval] + list(idx[i + n:])
-            accumulate(block_sign * sign * mid_sign, p.apply(args))
+            axpy(acc, block_sign * sign * mid_sign, p.apply(args))
     # [P(...), Q(...)]_g term
     outer = _pow_sign(fld, m * n)
     for perm, sign in shuffles2(fld, m, n - 1):
@@ -253,7 +243,7 @@ def _derived_half(d, p, q, idx):
             continue
         qval = q.get(tuple([idx[perm[k]] for k in range(m, m + n - 1)]
                            + [idx[m + n - 1]]))
-        accumulate(outer * sign, d.g.bracket(pval, qval))
+        axpy(acc, outer * sign, d.g.bracket(pval, qval))
     return acc
 
 
@@ -293,7 +283,6 @@ def differential_d_explicit(d, lam, p):
     lam = fld.coerce(lam)
     n = p.arity
     out = MultiMap(fld, n + 1, d.h.dim, d.g.dim)
-    outer = _pow_sign(fld, n)
     for idx in out.tuples():
         acc = zero_vec(fld, d.g.dim)
         for i in range(1, n + 1):
@@ -301,8 +290,8 @@ def differential_d_explicit(d, lam, p):
                 br = vec_scale(lam, d.h.bracket_basis(idx[i - 1], idx[j - 1]))
                 args = (list(idx[:i - 1]) + list(idx[i:j - 1]) + [br]
                         + list(idx[j:]))
-                acc = vec_add(acc, vec_scale(_pow_sign(fld, i), p.apply(args)))
-        out.set_(idx, vec_scale(outer, acc))
+                axpy(acc, _pow_sign(fld, n + i), p.apply(args))
+        out.set_(idx, acc)
     return out
 
 

@@ -24,6 +24,13 @@ def vec_scale(c, a):
     return [c * x for x in a]
 
 
+def axpy(acc, c, v):
+    """acc += c * v in place; zero entries of v are skipped."""
+    for k, x in enumerate(v):
+        if x:
+            acc[k] = acc[k] + c * x
+
+
 def vec_is_zero(v):
     return all(not x for x in v)
 

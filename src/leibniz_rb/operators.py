@@ -87,6 +87,13 @@ class WeightedRBO:
     def is_valid(self):
         return self.validate().ok
 
+    def require_valid(self):
+        """Raise InvalidOperator unless T satisfies the weighted identity."""
+        rep = self.validate()
+        if not rep.ok:
+            raise InvalidOperator("operator fails the weighted identity: %s"
+                                  % rep.summary())
+
     def __eq__(self, other):
         return (isinstance(other, WeightedRBO) and self.context == other.context
                 and self.weight == other.weight and self.t == other.t)
@@ -123,10 +130,7 @@ def graph_check(d, lam, t):
 
 def induced_algebra(r):
     """The Leibniz algebra (h, [.,.]_T) induced by a valid operator."""
-    rep = r.validate()
-    if not rep.ok:
-        raise InvalidOperator("operator fails the weighted identity: %s"
-                              % rep.summary())
+    r.require_valid()
     d, fld = r.context, r.field
     nh = d.h.dim
     basis = [basis_vec(fld, nh, a) for a in range(nh)]
@@ -161,16 +165,13 @@ def check_operator_morphism(r, rp, m):
         return False
     if phi * r.t != rp.t * psi:
         return False
-    fld = d.field
     for i in range(d.g.dim):
-        ei = basis_vec(fld, d.g.dim, i)
         for a in range(d.h.dim):
-            ea = basis_vec(fld, d.h.dim, a)
-            if psi.mul_vec(d.actions.left_act(ei, ea)) != \
-                    dp.actions.left_act(phi.mul_vec(ei), psi.mul_vec(ea)):
+            if psi.mul_vec(d.actions.left[i][a]) != \
+                    dp.actions.left_act(phi.col(i), psi.col(a)):
                 return False
-            if psi.mul_vec(d.actions.right_act(ea, ei)) != \
-                    dp.actions.right_act(psi.mul_vec(ea), phi.mul_vec(ei)):
+            if psi.mul_vec(d.actions.right[a][i]) != \
+                    dp.actions.right_act(psi.col(a), phi.col(i)):
                 return False
     if r.is_valid and rp.is_valid and not is_algebra_morphism(
             induced_algebra(r), induced_algebra(rp), psi):

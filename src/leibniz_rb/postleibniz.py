@@ -20,8 +20,8 @@ from typing import Optional
 from .core import (ActionPair, LeibnizAlgebra, LeibnizGRep, ValidationReport,
                    _coerce_tensor3, basis_vec, contract,
                    validate_leibniz, zero_tensor3)
-from .errors import (InvalidInput, InvalidOperator, OracleDisagreement,
-                     ShapeMismatch, WrongWeight)
+from .errors import (InvalidInput, OracleDisagreement, ShapeMismatch,
+                     WrongWeight)
 from .linalg import vec_add, vec_scale, vec_sub
 
 
@@ -115,19 +115,15 @@ def total_algebra(p):
 
 def from_rbo(r):
     """The post-Leibniz algebra of a valid weighted operator on h."""
-    rep = r.validate()
-    if not rep.ok:
-        raise InvalidOperator("operator fails the weighted identity: %s"
-                              % rep.summary())
+    r.require_valid()
     d, fld, t = r.context, r.field, r.t
     nh, act = d.h.dim, d.actions
     bv = [basis_vec(fld, nh, a) for a in range(nh)]
-    left = [[act.right_act(bv[a], t.mul_vec(bv[b])) for b in range(nh)]
+    left = [[act.right_act(bv[a], t.col(b)) for b in range(nh)]
             for a in range(nh)]
-    right = [[act.left_act(t.mul_vec(bv[a]), bv[b]) for b in range(nh)]
+    right = [[act.left_act(t.col(a), bv[b]) for b in range(nh)]
              for a in range(nh)]
-    bracket = [[vec_scale(r.weight, d.h.bracket(bv[a], bv[b]))
-                for b in range(nh)] for a in range(nh)]
+    bracket = [[vec_scale(r.weight, row) for row in plane] for plane in d.h.c]
     p = PostLeibnizAlgebra(fld, nh, left, right, bracket)
     check = validate_post_leibniz(p)
     if not check.ok:
@@ -236,22 +232,18 @@ def compatible_structure(a, r):
         raise WrongWeight("compatible structures need weight 1")
     if r.context.g != a:
         raise InvalidInput("operator codomain differs from the target algebra")
-    rep = r.validate()
-    if not rep.ok:
-        raise InvalidOperator("operator fails the weighted identity: %s"
-                              % rep.summary())
+    r.require_valid()
     d, fld, t = r.context, r.field, r.t
     if t.nrows != t.ncols:
         raise ShapeMismatch("compatible structures need T square")
     tinv = t.inverse()
     n, act = a.dim, d.actions
     bv = [basis_vec(fld, n, i) for i in range(n)]
-    left = [[t.mul_vec(act.right_act(tinv.mul_vec(bv[i]), bv[j]))
+    left = [[t.mul_vec(act.right_act(tinv.col(i), bv[j]))
              for j in range(n)] for i in range(n)]
-    right = [[t.mul_vec(act.left_act(bv[i], tinv.mul_vec(bv[j])))
+    right = [[t.mul_vec(act.left_act(bv[i], tinv.col(j)))
               for j in range(n)] for i in range(n)]
-    bracket = [[t.mul_vec(d.h.bracket(tinv.mul_vec(bv[i]),
-                                      tinv.mul_vec(bv[j])))
+    bracket = [[t.mul_vec(d.h.bracket(tinv.col(i), tinv.col(j)))
                 for j in range(n)] for i in range(n)]
     p = PostLeibnizAlgebra(fld, n, left, right, bracket)
     if p.star_tensor() != a.c:

@@ -3,6 +3,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -109,6 +110,18 @@ def test_characteristic_two_is_usage_error():
               "--actions", "act", "--field", "gf 2"])
     assert r.returncode == 2
     assert r.stderr == "error: 1/2 is undefined over GF(2)\n"
+
+
+def test_cohomology_cap_refuses_before_work():
+    # dim C^13 = 16,384 is within the cap; delta_12 has 16,384 x 8,192 cells
+    out, err = io.StringIO(), io.StringIO()
+    t0 = time.perf_counter()
+    code = run_command(["cohomology", MANIFEST, "--operator", "id",
+                        "--max-degree", "12"], out=out, err=err)
+    assert time.perf_counter() - t0 < 0.5
+    assert code == 2 and out.getvalue() == ""
+    lines = err.getvalue().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
 def test_exit_code_math_failure():

@@ -9,8 +9,10 @@ from leibniz_rb.graded import _pow_sign
 from leibniz_rb.linalg import Matrix
 from leibniz_rb.multimap import MultiMap
 from leibniz_rb.operators import WeightedRBO, induced_algebra
+from leibniz_rb.postleibniz import compatible_structure, from_rbo
 
-from conftest import dim2_nonlie, random_matrix, random_multimap, seeded
+from conftest import (dim2_nonlie, random_matrix, random_multimap, seeded,
+                      small_contexts)
 
 
 def _rbo_id(Q):
@@ -30,9 +32,24 @@ def test_induced_representation_rejects_invalid_operator(Q):
         induced_representation(r)
 
 
+@pytest.mark.parametrize("call", [
+    induced_algebra,
+    induced_representation,
+    lambda r: cohomology(r, 1),
+    lambda r: delta_matrix(r, 1),
+    from_rbo,
+    lambda r: compatible_structure(r.context.g, r),
+], ids=["induced_algebra", "induced_representation", "cohomology",
+        "delta_matrix", "from_rbo", "compatible_structure"])
+def test_invalid_operator_is_refused(Q, call):
+    r = WeightedRBO.on_algebra(dim2_nonlie(Q), Q.one, Matrix.identity(Q, 2))
+    with pytest.raises(InvalidOperator,
+                       match="^operator fails the weighted identity"):
+        call(r)
+
+
 def test_induced_representation_nonsquare_dims(gf5):
     # regression: carrier and acting algebra dims differ
-    from conftest import small_contexts
     d = small_contexts(gf5, (2, 1))[2]
     r = WeightedRBO(d, gf5.zero, Matrix(gf5, [[0], [1]]))
     pair = induced_representation(r)
@@ -57,14 +74,18 @@ def test_delta_squares_to_zero(Q):
 
 def test_d_T_is_signed_delta(Q, gf7):
     for fld in (Q, gf7):
-        r = WeightedRBO.on_algebra(dim2_nonlie(fld), fld.coerce(-1),
-                                   Matrix.identity(fld, 2))
-        rng = seeded(37)
-        for arity in (1, 2):
-            f = random_multimap(fld, arity, 2, 2, rng)
-            lhs = d_T(r, f)
-            rhs = delta_T(r, f).scale(_pow_sign(fld, arity))
-            assert lhs == rhs
+        # rho^R_T vanishes for T = id; T = diag(0, 1) of weight 0 has a
+        # nonzero one
+        for lam, t in ((-1, Matrix.identity(fld, 2)),
+                       (0, Matrix(fld, [[0, 0], [0, 1]]))):
+            r = WeightedRBO.on_algebra(dim2_nonlie(fld), fld.coerce(lam), t)
+            assert r.is_valid
+            rng = seeded(37)
+            for arity in (1, 2):
+                f = random_multimap(fld, arity, 2, 2, rng)
+                lhs = d_T(r, f)
+                rhs = delta_T(r, f).scale(_pow_sign(fld, arity))
+                assert lhs == rhs
 
 
 def test_cochain_dims_and_flattening(Q):
@@ -121,7 +142,34 @@ def test_representatives_are_cocycles(Q):
             assert all(x == Q.zero for x in m.mul_vec(z))
 
 
+def _delta_by_columns(r, n):
+    """Oracle: one delta_T call per unit cochain of C^n."""
+    cols = [delta_T(r, f).flatten() for f in cochain_basis(r, n)]
+    return Matrix.from_cols(r.field, cols, cochain_dim(r, n + 1))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_delta_matrix_matches_column_oracle(Q, gf5, n):
+    for fld in (Q, gf5):
+        nonsquare = small_contexts(fld, (2, 1))
+        cases = [WeightedRBO.on_algebra(dim2_nonlie(fld), fld.coerce(-1),
+                                        Matrix.identity(fld, 2)),
+                 WeightedRBO(nonsquare[1], fld.one, Matrix(fld, [[0], [1]])),
+                 WeightedRBO(nonsquare[2], fld.zero, Matrix(fld, [[0], [1]])),
+                 WeightedRBO.on_algebra(dim2_nonlie(fld), fld.zero,
+                                        Matrix(fld, [[0, 0], [0, 1]]))]
+        for r in cases:
+            assert r.is_valid
+            m = delta_matrix(r, n)
+            assert m.shape == (cochain_dim(r, n + 1), cochain_dim(r, n))
+            assert m == _delta_by_columns(r, n)
+
+
 def test_cap_enforced(Q):
     r = _rbo_id(Q)
     with pytest.raises(ResourceLimit):
         cohomology(r, 3, cap=8)
+    # the cap bounds the cells of each delta matrix, not each dimension
+    assert delta_matrix(r, 2, cap=16 * 8).shape == (16, 8)
+    with pytest.raises(ResourceLimit):
+        delta_matrix(r, 2, cap=16 * 8 - 1)

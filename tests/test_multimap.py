@@ -1,9 +1,11 @@
-"""Sparse MultiMap, the contraction kernel and circ_i against dense oracles.
+"""Sparse MultiMap, the contraction kernel, circ_i and the Leibniz
+differential against dense oracles.
 
 The oracles below are the dense formulas the sparse code replaced: a
 MultiMap as a full list of rows in lexicographic tuple order, the
-row-by-row bilinear contraction, and the partial composition that visits
-every output tuple and every shuffle.
+row-by-row bilinear contraction, the partial composition that visits
+every output tuple and every shuffle, and the differential that contracts
+with unit vectors and scales and adds every term.
 """
 
 from fractions import Fraction
@@ -11,9 +13,11 @@ from itertools import combinations, product
 
 from hypothesis import given, settings, strategies as st
 
-from leibniz_rb.core import ActionPair, LeibnizAlgebra, contract
+from leibniz_rb.core import (ActionPair, LeibnizAlgebra, basis_vec, contract,
+                             leibniz_differential)
 from leibniz_rb.fields import PrimeField, RationalField
 from leibniz_rb.graded import circ_i
+from leibniz_rb.linalg import vec_add, vec_scale, zero_vec
 from leibniz_rb.multimap import MultiMap
 from leibniz_rb.postleibniz import PostLeibnizAlgebra
 
@@ -271,3 +275,48 @@ def test_circ_i_shuffle_signs():
     assert out.get((1, 0, 1)) == [1, 0] and out.get((0, 1, 1)) == [-1, 0]
     assert circ_i(g, g, 2).is_zero()   # the two shuffles cancel
     assert out.coeffs == dense_circ_i(f, g, 2)
+
+
+# ---------------------------------------------------------------------------
+# Leibniz differential
+
+
+def old_leibniz_differential(g, actions, f):
+    """The former loop: unit-vector contractions, every term scaled and added."""
+    fld = g.field
+    n = f.arity
+    sign = lambda k: fld.one if k % 2 == 0 else -fld.one
+    out = MultiMap(fld, n + 1, g.dim, actions.dim_v)
+    for idx in out.tuples():
+        acc = zero_vec(fld, actions.dim_v)
+        for i in range(1, n + 1):
+            rest = idx[:i - 1] + idx[i:]
+            val = actions.left_act(basis_vec(fld, g.dim, idx[i - 1]),
+                                   f.get(rest))
+            acc = vec_add(acc, vec_scale(sign(i + 1), val))
+        val = actions.right_act(f.get(idx[:n]),
+                                basis_vec(fld, g.dim, idx[n]))
+        acc = vec_add(acc, vec_scale(sign(n + 1), val))
+        for i in range(1, n + 1):
+            for j in range(i + 1, n + 2):
+                bij = g.bracket_basis(idx[i - 1], idx[j - 1])
+                args = (list(idx[:i - 1]) + list(idx[i:j - 1]) + [bij]
+                        + list(idx[j:]))
+                acc = vec_add(acc, vec_scale(sign(i), f.apply(args)))
+        out.set_(idx, acc)
+    return out
+
+
+@PROPERTY
+@given(st.data())
+def test_leibniz_differential_matches_old_loop(data):
+    # arbitrary (mostly zero) tensors: the formula needs no axioms
+    field = data.draw(FIELDS)
+    ng, nv = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+    t3 = lambda a, b, c: [[_vec(data.draw, field, c) for _ in range(b)]
+                          for _ in range(a)]
+    g = LeibnizAlgebra(field, ng, t3(ng, ng, ng))
+    act = ActionPair(field, ng, nv, t3(ng, nv, nv), t3(nv, ng, nv))
+    f = data.draw(maps(field, data.draw(st.integers(1, 3)), ng, nv))
+    assert leibniz_differential(g, act, f) == \
+        old_leibniz_differential(g, act, f)
