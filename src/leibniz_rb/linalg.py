@@ -1,11 +1,13 @@
-"""Dense exact linear algebra: rank, kernel, solve, quotient dimension.
+"""Dense exact linear algebra: rref, rank, kernel, solve and span rank.
 
+Each question is answered by one elimination: ``solve`` reads both the
+particular solution and the kernel off a single rref of [M | b].
 Everything is deterministic.  Elimination always picks the first row
 with a nonzero entry scanning columns left to right, so bases are
 reproducible across runs and platforms.
 """
 
-from .errors import ContainmentViolated, NotInvertible, ShapeMismatch
+from .errors import NotInvertible, ShapeMismatch
 
 
 def zero_vec(field, n):
@@ -154,11 +156,13 @@ class Matrix:
 
     def kernel_basis(self):
         """Null-space basis, one vector per free column in ascending order."""
-        rows, pivots = self.rref()
-        pivot_set = set(pivots)
-        free = [c for c in range(self.ncols) if c not in pivot_set]
+        return self._kernel(*self.rref())
+
+    def _kernel(self, rows, pivots):
+        """Kernel basis read off an rref whose first ncols columns are rref(M)."""
+        pivots = [c for c in pivots if c < self.ncols]
         basis = []
-        for f in free:
+        for f in sorted(set(range(self.ncols)) - set(pivots)):
             v = zero_vec(self.field, self.ncols)
             v[f] = self.field.one
             for r, c in enumerate(pivots):
@@ -169,22 +173,20 @@ class Matrix:
     def solve(self, b):
         """Solve M x = b.  Returns (particular_or_None, kernel_basis).
 
-        The particular solution sets all free variables to zero.
+        One rref of [M | b] answers both: its first ncols columns are
+        rref(M).  The particular solution sets all free variables to zero.
         """
         if len(b) != self.nrows:
             raise ShapeMismatch("rhs length %d for %d equations" % (len(b), self.nrows))
-        b = [self.field.coerce(x) for x in b]
-        aug = Matrix(self.field, [row + [bx] for row, bx in zip(self.rows, b)]) \
-            if self.ncols or self.nrows else Matrix(self.field, [])
-        if self.nrows == 0:
-            return zero_vec(self.field, self.ncols), self.kernel_basis()
+        aug = Matrix(self.field, [row + [bx] for row, bx in zip(self.rows, b)])
         rows, pivots = aug.rref()
+        kernel = self._kernel(rows, pivots)
         if self.ncols in pivots:
-            return None, self.kernel_basis()
+            return None, kernel
         x = zero_vec(self.field, self.ncols)
         for r, c in enumerate(pivots):
             x[c] = rows[r][self.ncols]
-        return x, self.kernel_basis()
+        return x, kernel
 
     def is_invertible(self):
         return self.nrows == self.ncols and self.rank() == self.nrows
@@ -207,13 +209,3 @@ def span_rank(field, vectors):
         return 0
     return Matrix(field, vectors).rank()
 
-
-def quotient_dim(field, z_basis, b_basis):
-    """dim span(Z) - dim span(B); raises unless span(B) is inside span(Z)."""
-    rz = span_rank(field, z_basis)
-    if b_basis:
-        combined = list(z_basis) + list(b_basis)
-        if span_rank(field, combined) != rz:
-            raise ContainmentViolated("coboundaries not contained in cocycles")
-    rb = span_rank(field, b_basis)
-    return rz - rb

@@ -31,6 +31,20 @@ def gf2():
     return PrimeField(2)
 
 
+@pytest.fixture
+def rref_calls(monkeypatch):
+    """Shapes of the matrices Matrix.rref eliminates while the test runs."""
+    calls = []
+    real = Matrix.rref
+
+    def counted(self):
+        calls.append(self.shape)
+        return real(self)
+
+    monkeypatch.setattr(Matrix, "rref", counted)
+    return calls
+
+
 def dim2_nonlie(field):
     """[e1, e1] = e2, the smallest non-Lie Leibniz algebra."""
     return LeibnizAlgebra.from_entries(field, 2, {(0, 0, 1): 1})

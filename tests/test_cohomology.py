@@ -1,18 +1,27 @@
+import argparse
+import glob
+import os
+from dataclasses import replace
+
 import pytest
 
-from leibniz_rb.cohomology import (cochain_basis, cochain_dim, cohomology,
-                                   d_T, delta_T, delta_T_0, delta_matrix,
-                                   induced_representation)
-from leibniz_rb.core import basis_vec, change_of_basis_grep, validate_representation
-from leibniz_rb.errors import InvalidOperator, ResourceLimit
+from leibniz_rb import cohomology as cohomology_module
+from leibniz_rb.cli import _load
+from leibniz_rb.cohomology import (DegreeData, cochain_basis, cochain_dim,
+                                   cohomology, d_T, delta_T, delta_T_0,
+                                   delta_matrix, induced_representation)
+from leibniz_rb.core import (adjoint_grep, basis_vec, change_of_basis_grep,
+                             validate_representation)
+from leibniz_rb.errors import ContainmentViolated, InvalidOperator, ResourceLimit
 from leibniz_rb.graded import _pow_sign
-from leibniz_rb.linalg import Matrix
+from leibniz_rb.linalg import Matrix, span_rank, vec_is_zero
 from leibniz_rb.multimap import MultiMap
 from leibniz_rb.operators import WeightedRBO, induced_algebra
 from leibniz_rb.postleibniz import compatible_structure, from_rbo
 
 from conftest import (dim2_nonlie, random_matrix, random_multimap, seeded,
                       small_contexts)
+from golden_cases import ROOT
 
 
 def _rbo_id(Q):
@@ -173,3 +182,102 @@ def test_cap_enforced(Q):
     assert delta_matrix(r, 2, cap=16 * 8).shape == (16, 8)
     with pytest.raises(ResourceLimit):
         delta_matrix(r, 2, cap=16 * 8 - 1)
+
+
+def _kernel_quotient_route(r, max_degree):
+    """Oracle: the route cohomology() took before rank-nullity.
+
+    Z^n is the kernel of delta_n and B^n the column span of delta_{n-1};
+    dim H^n is rank Z - rank B after checking rank(Z + B) = rank Z.
+    """
+    fld = r.field
+    out = []
+    for n in range(max_degree + 1):
+        z_basis = delta_matrix(r, n).kernel_basis()
+        b_basis = []
+        if n:
+            prev = delta_matrix(r, n - 1)
+            b_basis = [prev.col(j) for j in range(prev.ncols)]
+        rz = span_rank(fld, z_basis)
+        if b_basis and span_rank(fld, z_basis + b_basis) != rz:
+            raise ContainmentViolated("coboundaries not contained in cocycles")
+        rb = span_rank(fld, b_basis)
+        out.append(DegreeData(cochain_dim(r, n), len(z_basis), rb, rz - rb,
+                              z_basis))
+    return out
+
+
+def _manifest_operators(field_spec):
+    """Every valid operator on every context of manifests/*.lra.
+
+    Each manifest is read as `leibniz-rb --field field_spec` reads it.  The
+    contexts are the adjoint one of each algebra and each action pair; the
+    operators are zero, id (square contexts) and the named maps from h to
+    g, of weight 0, 1, -1 and the manifest's lambda.
+    """
+    out = []
+    for path in sorted(glob.glob(os.path.join(ROOT, "manifests", "*.lra"))):
+        m = _load(argparse.Namespace(manifest=path, field=field_spec))
+        fld = m.field
+        contexts = [(name, name, adjoint_grep(a))
+                    for name, a in m.algebras.items()]
+        contexts += [(g, h, m.grep(name))
+                     for name, (g, h, _) in m.actions.items()]
+        weights = {fld.zero, fld.one, -fld.one}
+        if "lambda" in m.scalars:
+            weights.add(m.scalars["lambda"])
+        for g, h, d in contexts:
+            ops = [("zero", Matrix.zeros(fld, d.g.dim, d.h.dim))]
+            if d.g.dim == d.h.dim:
+                ops.append(("id", Matrix.identity(fld, d.g.dim)))
+            ops += [(name, t) for name, (src, dst, t) in m.maps.items()
+                    if (src, dst) == (h, g)]
+            for label, t in ops:
+                for lam in sorted(weights, key=str):
+                    r = WeightedRBO(d, lam, t)
+                    if r.is_valid:
+                        out.append((os.path.basename(path), label, r))
+    return out
+
+
+@pytest.mark.parametrize("field_spec", ["rational", "gf 5"])
+def test_cohomology_matches_kernel_quotient_oracle(field_spec):
+    cases = _manifest_operators(field_spec)
+    assert {label for _, label, _ in cases} >= {"zero", "id", "incl", "zz"}
+    for name, label, r in cases:
+        want = _kernel_quotient_route(r, 2)
+        got = cohomology(r, 2, representatives=True)
+        assert [got.degrees[n] for n in range(3)] == want, (name, label)
+        plain = cohomology(r, 2)
+        assert list(plain.degrees.values()) == \
+            [replace(dd, cocycles=[]) for dd in want]
+
+
+def test_corrupted_delta_raises_containment_violated(Q, monkeypatch):
+    r = _rbo_id(Q)
+    n = 2
+    dn = delta_matrix(r, n)
+    # a row of delta_{n-1} whose delta_n column is nonzero
+    i = next(k for k in range(dn.ncols) if not vec_is_zero(dn.col(k)))
+    real = cohomology_module.delta_matrix
+
+    def corrupted(r, m, cap=20000):
+        mat = real(r, m, cap=cap)
+        if m != n - 1:
+            return mat
+        rows = [list(row) for row in mat.rows]
+        rows[i][0] = rows[i][0] + 1
+        return Matrix(mat.field, rows)
+
+    monkeypatch.setattr(cohomology_module, "delta_matrix", corrupted)
+    with pytest.raises(ContainmentViolated):
+        cohomology(r, n)
+
+
+@pytest.mark.parametrize("representatives", [False, True])
+def test_cohomology_eliminates_each_delta_once(Q, rref_calls, representatives):
+    r = _rbo_id(Q)
+    for k in range(4):
+        rref_calls.clear()
+        cohomology(r, k, representatives=representatives)
+        assert len(rref_calls) == k + 1

@@ -45,13 +45,30 @@ def test_report_names_violated_law(Q):
 
 def test_graph_check_agrees_with_direct_identity(gf5):
     # exhaustive over small contexts: graph criterion == operator identity
-    ctxs = small_contexts(gf5, (1, 1)) + small_contexts(gf5, (2, 1))
+    ctxs = (small_contexts(gf5, (1, 1)) + small_contexts(gf5, (2, 1))
+            + small_contexts(gf5, (1, 2)))
     for d in ctxs:
         for lam in (gf5.zero, gf5.one):
             n, m = d.g.dim, d.h.dim
             for t in _all_matrices(gf5, n, m):
                 direct = check_weighted_relative_rbo(d, lam, t).ok
                 assert graph_check(d, lam, t) == direct
+
+
+def test_graph_check_ranks_twice(rref_calls):
+    # two span ranks whatever dim h is; the verdict still matches the
+    # identity on every 2 x 2 operator over GF(3)
+    gf3 = PrimeField(3)
+    for d in small_contexts(gf3, (2, 2)):
+        for t in _all_matrices(gf3, 2, 2):
+            rref_calls.clear()
+            verdict = graph_check(d, gf3.one, t)
+            assert len(rref_calls) == 2
+            assert verdict == check_weighted_relative_rbo(d, gf3.one, t).ok
+    rref_calls.clear()
+    assert graph_check(adjoint_grep(heisenberg(gf3)), -gf3.one,
+                       Matrix.identity(gf3, 3))
+    assert len(rref_calls) == 2
 
 
 def _all_matrices(fld, rows, cols):
