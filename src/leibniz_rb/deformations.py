@@ -22,6 +22,7 @@ from .core import ValidationReport, basis_vec
 from .errors import (BaseMismatch, InvalidDeformation, OracleDisagreement,
                      ResourceLimit, ShapeMismatch, WrongField)
 from .fields import PrimeField
+from .graded import derived_bracket, derived_bracket_explicit
 from .linalg import Matrix, axpy, vec_add, vec_scale
 from .multimap import MultiMap
 
@@ -75,13 +76,12 @@ def check_deformation(defm, cross_check=True):
             for b in range(d.h.dim):
                 eb = basis_vec(fld, d.h.dim, b)
                 lhs = [fld.zero] * d.g.dim
-                rhs = vec_scale(lam, ts[n].mul_vec(d.h.bracket(ea, eb)))
+                rhs = vec_scale(lam, ts[n].mul_vec(d.h.bracket_basis(a, b)))
                 for i in range(n + 1):
                     j = n - i
-                    lhs = vec_add(lhs, d.g.bracket(ts[i].mul_vec(ea),
-                                                   ts[j].mul_vec(eb)))
-                    inner = vec_add(act.left_act(ts[j].mul_vec(ea), eb),
-                                    act.right_act(ea, ts[j].mul_vec(eb)))
+                    lhs = vec_add(lhs, d.g.bracket(ts[i].col(a), ts[j].col(b)))
+                    inner = vec_add(act.left_act(ts[j].col(a), eb),
+                                    act.right_act(ea, ts[j].col(b)))
                     rhs = vec_add(rhs, ts[i].mul_vec(inner))
                 if lhs != rhs:
                     rep.add("deformation-equation", (n, a, b), lhs, rhs)
@@ -91,7 +91,6 @@ def check_deformation(defm, cross_check=True):
             tn = MultiMap.from_matrix(ts[n])
             resid = d_T(r, tn, cross_check=False).scale(fld.coerce(2))
             for i in range(1, n):
-                from .graded import derived_bracket_explicit
                 resid = resid + derived_bracket_explicit(
                     d, MultiMap.from_matrix(ts[i]),
                     MultiMap.from_matrix(ts[n - i]))
@@ -316,8 +315,6 @@ def obstruction(defm):
     The coboundary test solves delta(x) = Ob over x in Hom(h, g); the
     2-cocycle identity delta(Ob) = 0 is re-asserted on every call.
     """
-    from .graded import derived_bracket
-
     r, fld = defm.base, defm.field
     d, n = r.context, defm.order
     acc = MultiMap(fld, 2, d.h.dim, d.g.dim)

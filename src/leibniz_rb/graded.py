@@ -5,16 +5,21 @@ implementations: an explicit shuffle formula and a route through the
 Balavoine bracket on maps of the total space V = g + h.  Public entry
 points compare the two and raise OracleDisagreement on any split, which
 traps sign-convention bugs without trusting either route alone.
+
+Both bracket routes visit nonzero rows only.  The explicit route scatters
+each shuffle sum from the rows of P and Q and reads rho^L and rho^R as
+slices of the action tensors; the lifted route composes with circ_i.  The
+two share no code beyond the shuffle enumeration.
 """
 
 from functools import lru_cache
 from itertools import combinations, product
 
-from .core import (ValidationReport, _pow_sign, basis_vec,
+from .core import (ValidationReport, _pow_sign, add_combination,
                    validate_leibniz_g_rep)
 from .errors import (InvalidInput, OracleDisagreement, ShapeMismatch,
                      StructureIncompatible)
-from .linalg import Matrix, axpy, vec_is_zero, vec_scale, zero_vec
+from .linalg import Matrix, axpy, vec_scale, zero_vec
 from .multimap import MultiMap
 
 
@@ -195,56 +200,89 @@ def restrict(q, ng, nh):
 
 
 def derived_bracket_explicit(d, p, q):
-    """The six-sum shuffle formula for [[P, Q]] on Hom(h^{x *}, g)."""
+    """The six-sum shuffle formula for [[P, Q]] on Hom(h^{x *}, g).
+
+    Both halves (P outer, then Q outer times -(-1)^{mn}) are scattered
+    from the nonzero rows of P and Q into one {tuple: row} accumulator,
+    so only the output tuples that receive a term are visited.
+    """
     fld = d.field
     m, n = p.arity, q.arity
+    rows = {}
+    _scatter_half(d, p, q, fld.one, rows)
+    _scatter_half(d, q, p, -_pow_sign(fld, m * n), rows)
     out = MultiMap(fld, m + n, d.h.dim, d.g.dim)
-    for idx in out.tuples():
-        acc = _derived_half(d, p, q, idx)
-        axpy(acc, -_pow_sign(fld, m * n), _derived_half(d, q, p, idx))
-        out.set_(idx, acc)
+    out.nz = {idx: tuple(r) for idx, r in rows.items() if any(r)}
     return out
 
 
-def _derived_half(d, p, q, idx):
-    """The three P-outer sums of the explicit formula at one basis tuple."""
-    fld = d.field
-    act = d.actions
+def _signed(fld, shs, c):
+    """(inverse permutation, whether sign * c is +1) for each shuffle."""
+    return [(sorted(range(len(perm)), key=perm.__getitem__),
+             sign * c == fld.one) for perm, sign in shs]
+
+
+def _spread(rows, shs, vals, tail, term):
+    """Add +-term at the tuple (vals shuffled) + tail for each shuffle."""
+    for inv, positive in shs:
+        idx = tuple([vals[k] for k in inv]) + tail
+        acc = rows.get(idx)
+        if acc is None:
+            rows[idx] = list(term) if positive else [-x for x in term]
+        elif positive:
+            rows[idx] = [a + x for a, x in zip(acc, term)]
+        else:
+            rows[idx] = [a - x for a, x in zip(acc, term)]
+
+
+def _scatter_half(d, p, q, half, rows):
+    """Add half times the three P-outer sums of the explicit formula.
+
+    rho^L(Q(v), e_x) and rho^R(e_x, Q(v)) are read from the action slices
+    once per nonzero row v of Q.  In the rho^L sum the indices v are
+    shuffled with P's first i-1 and x is fixed; in the rho^R sum x is
+    shuffled (as a middle block) and v's last index is fixed.  Each
+    nonzero coordinate k of the action vector meets the rows of P whose
+    slot-i index is k.
+    """
+    fld, act, nh = d.field, d.actions, d.h.dim
     m, n = p.arity, q.arity
-    acc = zero_vec(fld, d.g.dim)
+    acts = []  # (shuffled indices, fixed index, rho^L?, sparse h-vector)
+    for qt, qv in q.nz.items():
+        for x in range(nh):
+            lv, rv = zero_vec(fld, nh), zero_vec(fld, nh)
+            add_combination(lv, fld.one, qv, [plane[x] for plane in act.left])
+            add_combination(rv, fld.one, qv, act.right[x])
+            for shuffled, fixed, left, full in ((qt, (x,), True, lv),
+                                                ((x,) + qt[:-1], qt[-1:],
+                                                 False, rv)):
+                vec = [(k, y) for k, y in enumerate(full) if y]
+                if vec:
+                    acts.append((shuffled, fixed, left, vec))
     for i in range(1, m + 1):
-        block_sign = _pow_sign(fld, (i - 1) * n)
-        # rho^L(Q(...), u_{i+n}) slot
-        for perm, sign in shuffles2(fld, i - 1, n):
-            qval = q.get(tuple(idx[perm[k]] for k in range(i - 1, i - 1 + n)))
-            if vec_is_zero(qval):
-                continue
-            lval = act.left_act(qval, basis_vec(fld, d.h.dim, idx[i + n - 1]))
-            args = [idx[perm[k]] for k in range(i - 1)] + [lval] + list(idx[i + n:])
-            axpy(acc, block_sign * sign, p.apply(args))
-        # rho^R(u_{sigma(i)}, Q(...)) slot.  The shuffle sign here is the
-        # parity of the permutation with the middle element moved past the
-        # inner block (an extra (-1)^{n-1}); this is the unique convention
-        # under which the formula agrees with the nested-Balavoine route.
-        mid_sign = _pow_sign(fld, n - 1)
-        for perm, sign in shuffles3(fld, i - 1, n - 1):
-            qval = q.get(tuple([idx[perm[k]] for k in range(i, i + n - 1)]
-                               + [idx[i + n - 1]]))
-            if vec_is_zero(qval):
-                continue
-            rval = act.right_act(basis_vec(fld, d.h.dim, idx[perm[i - 1]]), qval)
-            args = [idx[perm[k]] for k in range(i - 1)] + [rval] + list(idx[i + n:])
-            axpy(acc, block_sign * sign * mid_sign, p.apply(args))
-    # [P(...), Q(...)]_g term
-    outer = _pow_sign(fld, m * n)
-    for perm, sign in shuffles2(fld, m, n - 1):
-        pval = p.get(tuple(idx[perm[k]] for k in range(m)))
-        if vec_is_zero(pval):
-            continue
-        qval = q.get(tuple([idx[perm[k]] for k in range(m, m + n - 1)]
-                           + [idx[m + n - 1]]))
-        axpy(acc, outer * sign, d.g.bracket(pval, qval))
-    return acc
+        block = half * _pow_sign(fld, (i - 1) * n)
+        # The rho^R shuffle sign is the parity of the permutation with the
+        # middle element moved past the inner block (an extra (-1)^{n-1});
+        # this is the unique convention under which the formula agrees
+        # with the nested-Balavoine route.
+        shs = {True: _signed(fld, shuffles2(fld, i - 1, n), block),
+               False: _signed(fld, shuffles3(fld, i - 1, n - 1),
+                              block * _pow_sign(fld, n - 1))}
+        by_slot = {}
+        for pt, pv in p.nz.items():
+            by_slot.setdefault(pt[i - 1], []).append((pt, pv))
+        for shuffled, fixed, left, vec in acts:
+            for k, y in vec:
+                for pt, pv in by_slot.get(k, ()):
+                    _spread(rows, shs[left], pt[:i - 1] + shuffled,
+                            fixed + pt[i:], [y * z for z in pv])
+    # [P(..), Q(..)]_g: one g-bracket per pair of nonzero rows
+    shs = _signed(fld, shuffles2(fld, m, n - 1), half * _pow_sign(fld, m * n))
+    for pt, pv in p.nz.items():
+        for qt, qv in q.nz.items():
+            br = d.g.bracket(pv, qv)
+            if any(br):
+                _spread(rows, shs, pt + qt[:-1], qt[-1:], br)
 
 
 def derived_bracket_lifted(d, p, q, theta=None):

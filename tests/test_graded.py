@@ -1,6 +1,7 @@
 import pytest
 
-from leibniz_rb.core import adjoint_grep
+from leibniz_rb.core import (ActionPair, LeibnizAlgebra, LeibnizGRep,
+                             adjoint_grep, validate_leibniz_g_rep)
 from leibniz_rb.errors import OracleDisagreement
 from leibniz_rb.graded import (balavoine_bracket, check_dgla, derived_bracket,
                                derived_bracket_explicit,
@@ -11,11 +12,28 @@ from leibniz_rb.graded import (balavoine_bracket, check_dgla, derived_bracket,
                                restrict)
 from leibniz_rb.multimap import MultiMap
 
-from conftest import dim2_nonlie, random_multimap, rho_l_context, seeded
+from conftest import (dim2_nonlie, random_multimap, rho_l_context, seeded,
+                      small_contexts)
 
 
 def _ctx(field):
     return adjoint_grep(dim2_nonlie(field))
+
+
+def _both_actions(field):
+    """dim g = 1 acting on an abelian dim h = 2 by rho^L = A, rho^R = -A.
+
+    A = [[1, 1], [0, 2]] is not symmetric, so a transposed action slice
+    or a swapped rho^L/rho^R changes the bracket.
+    """
+    a = [[1, 1], [0, 2]]
+    left = [[[field.coerce(a[u][v]) for v in range(2)] for u in range(2)]]
+    right = [[[-field.coerce(a[u][v]) for v in range(2)]] for u in range(2)]
+    d = LeibnizGRep(LeibnizAlgebra.zero(field, 1),
+                    LeibnizAlgebra.zero(field, 2),
+                    ActionPair(field, 1, 2, left, right))
+    assert validate_leibniz_g_rep(d).ok
+    return d
 
 
 def test_theta_encodes_structure(Q):
@@ -44,15 +62,38 @@ def test_lift_restrict_roundtrip(Q, gf7):
 
 def test_derived_bracket_routes_agree(Q, gf7):
     for fld in (Q, gf7):
-        d = _ctx(fld)
+        # the adjoint context, then dim g != dim h with a nonzero g bracket
+        # or nonzero actions
+        contexts = [_ctx(fld), _both_actions(fld)] \
+            + small_contexts(fld, (2, 1))
         rng = seeded(11)
-        for _ in range(10):
-            p = random_multimap(fld, rng.randint(1, 2), d.h.dim, d.g.dim, rng)
-            q = random_multimap(fld, rng.randint(1, 2), d.h.dim, d.g.dim, rng)
-            a = derived_bracket_explicit(d, p, q)
-            b = derived_bracket_lifted(d, p, q)
-            assert a == b
-            assert derived_bracket(d, p, q, cross_check=True) == a
+        for d in contexts:
+            arities = [(rng.randint(1, 2), rng.randint(1, 2))
+                       for _ in range(6)] + [(3, 1), (1, 3)]
+            for m, n in arities:
+                p = random_multimap(fld, m, d.h.dim, d.g.dim, rng)
+                q = random_multimap(fld, n, d.h.dim, d.g.dim, rng)
+                a = derived_bracket_explicit(d, p, q)
+                b = derived_bracket_lifted(d, p, q)
+                assert a == b
+                assert derived_bracket(d, p, q, cross_check=True) == a
+
+
+def test_explicit_route_is_independent(Q, monkeypatch):
+    import leibniz_rb.graded as gr
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the explicit route used the lifted route")
+
+    d = _both_actions(Q)
+    rng = seeded(29)
+    p = random_multimap(Q, 2, d.h.dim, d.g.dim, rng)
+    q = random_multimap(Q, 1, d.h.dim, d.g.dim, rng)
+    want = derived_bracket_lifted(d, p, q)
+    monkeypatch.setattr(gr, "circ_i", refuse)
+    monkeypatch.setattr(gr, "balavoine_bracket", refuse)
+    got = gr.derived_bracket_explicit(d, p, q)
+    assert got == want and not got.is_zero()
 
 
 def test_differential_routes_agree(Q, gf7):

@@ -1,23 +1,25 @@
-"""Sparse MultiMap, the contraction kernel, circ_i and the Leibniz
-differential against dense oracles.
+"""Sparse MultiMap, the contraction kernel, circ_i, the Leibniz
+differential and the explicit derived bracket against dense oracles.
 
 The oracles below are the dense formulas the sparse code replaced: a
 MultiMap as a full list of rows in lexicographic tuple order, the
 row-by-row bilinear contraction, the partial composition that visits
-every output tuple and every shuffle, and the differential that contracts
-with unit vectors and scales and adds every term.
+every output tuple and every shuffle, the differential that contracts
+with unit vectors and scales and adds every term, and the derived
+bracket that evaluates every shuffle term at every output tuple.
 """
 
 from fractions import Fraction
-from itertools import combinations, product
+from functools import lru_cache
+from itertools import combinations, permutations, product
 
 from hypothesis import given, settings, strategies as st
 
-from leibniz_rb.core import (ActionPair, LeibnizAlgebra, basis_vec, contract,
-                             leibniz_differential)
+from leibniz_rb.core import (ActionPair, LeibnizAlgebra, LeibnizGRep,
+                             basis_vec, contract, leibniz_differential)
 from leibniz_rb.fields import PrimeField, RationalField
-from leibniz_rb.graded import circ_i
-from leibniz_rb.linalg import vec_add, vec_scale, zero_vec
+from leibniz_rb.graded import circ_i, derived_bracket_explicit
+from leibniz_rb.linalg import axpy, vec_add, vec_is_zero, vec_scale, zero_vec
 from leibniz_rb.multimap import MultiMap
 from leibniz_rb.postleibniz import PostLeibnizAlgebra
 
@@ -320,3 +322,93 @@ def test_leibniz_differential_matches_old_loop(data):
     f = data.draw(maps(field, data.draw(st.integers(1, 3)), ng, nv))
     assert leibniz_differential(g, act, f) == \
         old_leibniz_differential(g, act, f)
+
+
+# ---------------------------------------------------------------------------
+# Explicit derived bracket
+
+
+def _sign(field, k):
+    return field.one if k % 2 == 0 else -field.one
+
+
+@lru_cache(maxsize=None)
+def _shuffles(field, *blocks):
+    """Shuffles of range(sum(blocks)), increasing on each block, with sign."""
+    n = sum(blocks)
+    out = []
+    for perm in permutations(range(n)):
+        starts = [sum(blocks[:b]) for b in range(len(blocks))]
+        if all(list(perm[s:s + k]) == sorted(perm[s:s + k])
+               for s, k in zip(starts, blocks)):
+            out.append((list(perm), _parity(field, perm)))
+    return out
+
+
+def old_derived_bracket_explicit(d, p, q):
+    """The former loop: every output tuple, both halves evaluated there."""
+    fld = d.field
+    m, n = p.arity, q.arity
+    out = MultiMap(fld, m + n, d.h.dim, d.g.dim)
+    for idx in out.tuples():
+        acc = old_derived_half(d, p, q, idx)
+        axpy(acc, -_sign(fld, m * n), old_derived_half(d, q, p, idx))
+        out.set_(idx, acc)
+    return out
+
+
+def old_derived_half(d, p, q, idx):
+    """The three P-outer sums, with rho^L/rho^R on unit vectors."""
+    fld = d.field
+    act = d.actions
+    m, n = p.arity, q.arity
+    acc = zero_vec(fld, d.g.dim)
+    for i in range(1, m + 1):
+        block_sign = _sign(fld, (i - 1) * n)
+        for perm, sign in _shuffles(fld, i - 1, n):
+            qval = q.get(tuple(idx[perm[k]] for k in range(i - 1, i - 1 + n)))
+            if vec_is_zero(qval):
+                continue
+            lval = act.left_act(qval, basis_vec(fld, d.h.dim, idx[i + n - 1]))
+            args = [idx[perm[k]] for k in range(i - 1)] + [lval] \
+                + list(idx[i + n:])
+            axpy(acc, block_sign * sign, p.apply(args))
+        mid_sign = _sign(fld, n - 1)
+        for perm, sign in _shuffles(fld, i - 1, 1, n - 1):
+            qval = q.get(tuple([idx[perm[k]] for k in range(i, i + n - 1)]
+                               + [idx[i + n - 1]]))
+            if vec_is_zero(qval):
+                continue
+            rval = act.right_act(basis_vec(fld, d.h.dim, idx[perm[i - 1]]),
+                                 qval)
+            args = [idx[perm[k]] for k in range(i - 1)] + [rval] \
+                + list(idx[i + n:])
+            axpy(acc, block_sign * sign * mid_sign, p.apply(args))
+    outer = _sign(fld, m * n)
+    for perm, sign in _shuffles(fld, m, n - 1):
+        pval = p.get(tuple(idx[perm[k]] for k in range(m)))
+        if vec_is_zero(pval):
+            continue
+        qval = q.get(tuple([idx[perm[k]] for k in range(m, m + n - 1)]
+                           + [idx[m + n - 1]]))
+        axpy(acc, outer * sign, d.g.bracket(pval, qval))
+    return acc
+
+
+@PROPERTY
+@given(st.data())
+def test_derived_bracket_explicit_matches_old_loop(data):
+    # arbitrary (mostly zero) tensors with dim g and dim h drawn apart, so
+    # that a slot or index mix-up between g and h cannot cancel out
+    field = data.draw(FIELDS)
+    ng, nh = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+    t3 = lambda a, b, c: [[_vec(data.draw, field, c) for _ in range(b)]
+                          for _ in range(a)]
+    d = LeibnizGRep(LeibnizAlgebra(field, ng, t3(ng, ng, ng)),
+                    LeibnizAlgebra(field, nh, t3(nh, nh, nh)),
+                    ActionPair(field, ng, nh, t3(ng, nh, nh), t3(nh, ng, nh)))
+    top = 2 if nh == 3 else 3
+    p = data.draw(maps(field, data.draw(st.integers(1, top)), nh, ng))
+    q = data.draw(maps(field, data.draw(st.integers(1, top)), nh, ng))
+    assert derived_bracket_explicit(d, p, q) == \
+        old_derived_bracket_explicit(d, p, q)
