@@ -20,8 +20,7 @@ from .errors import (CharacteristicTwo, InvalidDeformation, InvalidInput,
                      ResourceLimit, ShapeMismatch, WrongField, WrongWeight)
 from .graded import check_dgla, dgla_samples, maurer_cartan_residual
 from .linalg import Matrix
-from .manifest import parse_manifest
-
+from .manifest import load_manifest
 from .operators import (WeightedRBO, graph_check,
                         induced_algebra, search_rbos)
 from .postleibniz import from_rbo, total_algebra, validate_post_leibniz
@@ -49,28 +48,6 @@ class Report:
         else:
             for line in self.text:
                 out.write(line + "\n")
-
-
-def _load(args):
-    with open(args.manifest, "rb") as fh:
-        data = fh.read()
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise ManifestError("%s is not UTF-8 text (byte 0x%02x at offset %d)"
-                            % (args.manifest, data[exc.start], exc.start))
-    if args.field:
-        lines = text.splitlines()
-        replaced = False
-        for i, line in enumerate(lines):
-            if line.split("#", 1)[0].strip().startswith("field"):
-                lines[i] = "field %s" % args.field
-                replaced = True
-                break
-        if not replaced:
-            lines.insert(0, "field %s" % args.field)
-        text = "\n".join(lines) + "\n"
-    return parse_manifest(text)
 
 
 def _context(m, args):
@@ -423,7 +400,7 @@ def run_command(argv, out=sys.stdout, err=sys.stderr):
         return int(exc.code or 0)
     rep = Report(args.command, args.format)
     try:
-        m = _load(args)
+        m = load_manifest(args.manifest, args.field)
         code = COMMANDS[args.command](m, args, rep)
     except (InvalidOperator, InvalidDeformation) as exc:
         err.write("error: %s\n" % exc)

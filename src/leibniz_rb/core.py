@@ -83,9 +83,11 @@ def contract(field, tensor, x, y, n):
     return out
 
 
-def zero_tensor3(field, d0, d1, d2):
-    return tuple(tuple(tuple(field.zero for _ in range(d2))
-                       for _ in range(d1)) for _ in range(d0))
+def zero_tensor(field, *shape):
+    """Nested lists of zeros, one level per axis of ``shape`` (two or more)."""
+    if len(shape) == 2:
+        return [[field.zero] * shape[1] for _ in range(shape[0])]
+    return [zero_tensor(field, *shape[1:]) for _ in range(shape[0])]
 
 
 class LeibnizAlgebra:
@@ -98,12 +100,12 @@ class LeibnizAlgebra:
 
     @classmethod
     def zero(cls, field, dim):
-        return cls(field, dim, zero_tensor3(field, dim, dim, dim))
+        return cls(field, dim, zero_tensor(field, dim, dim, dim))
 
     @classmethod
     def from_entries(cls, field, dim, entries):
         """entries: {(i, j, k): scalar} with [e_i, e_j] = sum_k c e_k."""
-        c = [[[field.zero] * dim for _ in range(dim)] for _ in range(dim)]
+        c = zero_tensor(field, dim, dim, dim)
         for (i, j, k), v in entries.items():
             if not (0 <= i < dim and 0 <= j < dim and 0 <= k < dim):
                 raise ShapeMismatch("bracket entry index out of range")
@@ -115,14 +117,6 @@ class LeibnizAlgebra:
 
     def bracket(self, x, y):
         return contract(self.field, self.c, x, y, self.dim)
-
-    def mu(self):
-        """The bracket as an arity-2 MultiMap on the algebra itself."""
-        m = MultiMap(self.field, 2, self.dim, self.dim)
-        for i in range(self.dim):
-            for j in range(self.dim):
-                m.set_((i, j), self.c[i][j])
-        return m
 
     def __eq__(self, other):
         return (isinstance(other, LeibnizAlgebra) and self.field == other.field
@@ -149,8 +143,8 @@ class ActionPair:
     @classmethod
     def zero(cls, field, dim_g, dim_v):
         return cls(field, dim_g, dim_v,
-                   zero_tensor3(field, dim_g, dim_v, dim_v),
-                   zero_tensor3(field, dim_v, dim_g, dim_v))
+                   zero_tensor(field, dim_g, dim_v, dim_v),
+                   zero_tensor(field, dim_v, dim_g, dim_v))
 
     def left_basis(self, i, a):
         return list(self.left[i][a])
@@ -309,7 +303,7 @@ def semidirect_product_unchecked(d, lam):
     lam = f.coerce(lam)
     ng, nh = d.g.dim, d.h.dim
     n = ng + nh
-    c = [[[f.zero] * n for _ in range(n)] for _ in range(n)]
+    c = zero_tensor(f, n, n, n)
     for i, j in product(range(ng), repeat=2):
         for k, v in enumerate(d.g.c[i][j]):
             c[i][j][k] = v
@@ -392,7 +386,7 @@ def _pow_sign(field, k):
 def change_of_basis_algebra(a, s):
     """Structure constants of a in the basis e'_i = sum_j s[j][i] e_j."""
     si = s.inverse()
-    c = [[[a.field.zero] * a.dim for _ in range(a.dim)] for _ in range(a.dim)]
+    c = zero_tensor(a.field, a.dim, a.dim, a.dim)
     for i, j in product(range(a.dim), repeat=2):
         v = si.mul_vec(a.bracket(s.col(i), s.col(j)))
         for k in range(a.dim):
@@ -406,8 +400,8 @@ def change_of_basis_grep(d, sg, sh):
     g2 = change_of_basis_algebra(d.g, sg)
     h2 = change_of_basis_algebra(d.h, sh)
     shi = sh.inverse()
-    left = [[[f.zero] * d.h.dim for _ in range(d.h.dim)] for _ in range(d.g.dim)]
-    right = [[[f.zero] * d.h.dim for _ in range(d.g.dim)] for _ in range(d.h.dim)]
+    left = zero_tensor(f, d.g.dim, d.h.dim, d.h.dim)
+    right = zero_tensor(f, d.h.dim, d.g.dim, d.h.dim)
     for i in range(d.g.dim):
         for a in range(d.h.dim):
             v = shi.mul_vec(d.actions.left_act(sg.col(i), sh.col(a)))

@@ -2,7 +2,13 @@
 
 
 class LrbError(Exception):
-    """Base class for all library errors."""
+    """Base class for all library errors; ``line`` locates a manifest line."""
+
+    def __init__(self, reason="", line=None):
+        super().__init__(reason if line is None
+                         else "line %d: %s" % (line, reason))
+        self.reason = reason
+        self.line = line
 
 
 class ShapeMismatch(LrbError):
@@ -66,9 +72,3 @@ class ResourceLimit(LrbError):
 
 class ManifestError(LrbError):
     """Manifest text failed to parse or resolve."""
-
-    def __init__(self, message, line=None):
-        if line is not None:
-            message = "line %d: %s" % (line, message)
-        super().__init__(message)
-        self.line = line

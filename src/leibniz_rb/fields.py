@@ -125,10 +125,6 @@ class Field:
         """Render an element in plain manifest syntax ('a' or 'a/b')."""
         raise NotImplementedError
 
-    def format_tagged(self, x):
-        """Render with the field made explicit ('a/b' or 'a mod p')."""
-        raise NotImplementedError
-
     def half(self):
         return self.one / self.coerce(2)
 
@@ -157,8 +153,6 @@ class RationalField(Field):
         if x.denominator == 1:
             return str(x.numerator)
         return "%d/%d" % (x.numerator, x.denominator)
-
-    format_tagged = format
 
     def __eq__(self, other):
         return isinstance(other, RationalField)
@@ -203,9 +197,6 @@ class PrimeField(Field):
 
     def format(self, x):
         return str(x.v)
-
-    def format_tagged(self, x):
-        return "%d mod %d" % (x.v, self.p)
 
     def half(self):
         if self.p == 2:

@@ -371,11 +371,6 @@ def maurer_cartan_residual(d, lam, t):
     return dt + br.scale(fld.half())
 
 
-def _degree(p):
-    """dgLa degree of an element of the derived bracket algebra."""
-    return p.arity
-
-
 def dgla_samples(d, count=4, max_arity=2, seed=0):
     """Deterministic pseudo-random (P, Q) pairs and (P, Q, R) triples.
 
@@ -419,7 +414,7 @@ def check_dgla(d, lam, samples, cross_check=False):
     for k, sample in enumerate(samples):
         if len(sample) == 2:
             p, q = sample
-            m, n = _degree(p), _degree(q)
+            m, n = p.arity, q.arity
             pq = br(p, q)
             if not (pq + br(q, p).scale(_pow_sign(fld, m * n))).is_zero():
                 rep.add("graded-antisymmetry", (k,), pq.flatten(), [])
@@ -431,7 +426,7 @@ def check_dgla(d, lam, samples, cross_check=False):
                 rep.add("d-squared", (k,), dd(dd(p)).flatten(), [])
         else:
             p, q, r = sample
-            m, n = _degree(p), _degree(q)
+            m, n = p.arity, q.arity
             lhs = br(p, br(q, r))
             rhs = br(br(p, q), r) + br(q, br(p, r)).scale(_pow_sign(fld, m * n))
             if lhs != rhs:

@@ -1,4 +1,4 @@
-"""The .lra manifest format.
+"""The .lra manifest format; no other module knows its syntax.
 
 Line-oriented, UTF-8, `#` comments.  A manifest declares a field followed
 by named objects; tensor and map entries are sparse (omitted entries are
@@ -19,33 +19,73 @@ zero) and use 1-based basis tokens e1, e2, ...
     pright P e1 e1 -> 1 e2
     pbracket P e1 e1 -> 1 e2
 
-render() produces a canonical text with entries in lexicographic order;
-parse(render(m)) reproduces m exactly.
-
-A declared dimension n is held in dense n x n x n structure tensors, so
-a declaration with n^3 above MAX_TENSOR_CELLS (n > 100) is refused with
-ResourceLimit before anything is allocated.
+The tables DECLS (declaration patterns) and ENTRIES (what each entry
+directive fills) drive parse, build and render.  render() produces a
+canonical text with entries in lexicographic order; parse(render(m))
+reproduces m exactly.  A declaration is refused with ResourceLimit, before
+anything is allocated, when its dimension n has n^3 > MAX_TENSOR_CELLS
+(n > 100) or when the running total of dense tensor cells (algebra n^3,
+actions 2 n_g n_h^2, post 3 n^3, map n_src n_dst) passes MAX_MANIFEST_CELLS.
 """
 
-from .core import ActionPair, LeibnizAlgebra, LeibnizGRep
+from math import prod
+
+from .core import ActionPair, LeibnizAlgebra, LeibnizGRep, zero_tensor
 from .errors import ManifestError, ResourceLimit
 from .fields import field_from_spec
 from .linalg import Matrix
 from .postleibniz import PostLeibnizAlgebra
 
 MAX_TENSOR_CELLS = 10 ** 6
+MAX_MANIFEST_CELLS = 4 * MAX_TENSOR_CELLS
+
+# Lower-case words are literal.  NAME names the declared object and N is
+# its dimension; G, H, SRC and DST name declared algebras, MAP and MAPS...
+# (zero or more) declared maps, and VALUE is a scalar.
+DECLS = {
+    "algebra": "algebra NAME dim N",
+    "actions": "actions NAME on G H",
+    "map": "map NAME from SRC to DST",
+    "scalar": "scalar NAME VALUE",
+    "deformation": "deformation NAME base MAP coeffs MAPS...",
+    "post": "post NAME dim N",
+}
+
+# directive -> (declaration it fills, that declaration's name in messages,
+# the space of each left-hand basis token and then of the right-hand
+# side's).  A space is a placeholder of the declaration: N is the declared
+# object itself, G, H, SRC or DST the algebra named there.
+ENTRIES = {
+    "bracket": ("algebra", "algebra", ("N", "N", "N")),
+    "left": ("actions", "actions", ("G", "H", "H")),
+    "right": ("actions", "actions", ("H", "G", "H")),
+    "entry": ("map", "map", ("SRC", "DST")),
+    "pleft": ("post", "post structure", ("N", "N", "N")),
+    "pright": ("post", "post structure", ("N", "N", "N")),
+    "pbracket": ("post", "post structure", ("N", "N", "N")),
+}
+
+_PATTERNS = {kind: pattern.split() for kind, pattern in DECLS.items()}
+_FILLS = {kind: [(kw, axes) for kw, (decl, _, axes) in ENTRIES.items()
+                 if decl == kind] for kind in DECLS}
+_REFERS = {"G": "algebra", "H": "algebra", "SRC": "algebra",
+           "DST": "algebra", "MAP": "map", "MAPS...": "map"}
 
 
 class Manifest:
+    """The declared objects: one {name: object} dict per kind in ``objects``.
+
+    The dicts are also the attributes algebras, actions (name -> (g_name,
+    h_name, ActionPair)), maps (name -> (src_name, dst_name, Matrix)),
+    scalars, deformations (name -> (base, [coeffs])) and posts.
+    """
+
     def __init__(self, field, field_spec):
         self.field = field
         self.field_spec = field_spec
-        self.algebras = {}
-        self.actions = {}      # name -> (g_name, h_name, ActionPair)
-        self.maps = {}         # name -> (src_name, dst_name, Matrix)
-        self.scalars = {}
-        self.deformations = {}  # name -> (base_map_name, [coeff_names])
-        self.posts = {}
+        self.objects = {kind: {} for kind in DECLS}
+        (self.algebras, self.actions, self.maps, self.scalars,
+         self.deformations, self.posts) = self.objects.values()
         self._order = []       # (kind, name) in declaration order
 
     def grep(self, name):
@@ -55,15 +95,15 @@ class Manifest:
     def __eq__(self, other):
         return (isinstance(other, Manifest)
                 and self.field_spec == other.field_spec
-                and self.algebras == other.algebras
-                and self.actions == other.actions
-                and self.maps == other.maps
-                and self.scalars == other.scalars
-                and self.deformations == other.deformations
-                and self.posts == other.posts)
+                and self.objects == other.objects)
 
 
-def _basis_index(tok, dim, line_no, what):
+def _tokens(raw):
+    return raw.split("#", 1)[0].split()
+
+
+def _basis_index(tok, space, line_no):
+    what, dim = space
     if not tok.startswith("e"):
         raise ManifestError("expected basis token, got %r" % tok, line_no)
     try:
@@ -76,20 +116,6 @@ def _basis_index(tok, dim, line_no, what):
     return k - 1
 
 
-def _parse_dim(tok, line_no):
-    try:
-        dim = int(tok)
-    except ValueError:
-        raise ManifestError("bad dimension %r" % tok, line_no)
-    if dim < 0:
-        raise ManifestError("negative dimension", line_no)
-    if dim ** 3 > MAX_TENSOR_CELLS:
-        raise ResourceLimit("line %d: dim %d needs %d tensor cells, over the "
-                            "budget of %d" % (line_no, dim, dim ** 3,
-                                              MAX_TENSOR_CELLS))
-    return dim
-
-
 def _parse_scalar(field, tok, line_no):
     try:
         return field.parse(tok)
@@ -97,41 +123,96 @@ def _parse_scalar(field, tok, line_no):
         raise ManifestError("bad scalar %r" % tok, line_no)
 
 
-def _parse_rhs(field, toks, dim, line_no, what):
-    """`c1 e_i c2 e_j ...` pairs into a sparse {index: coeff} dict."""
-    if len(toks) % 2 != 0 or not toks:
+def _declare(field, kind, toks, line_no, decls):
+    """Placeholder values and basis spaces of a declaration line."""
+    pattern = _PATTERNS[kind]
+    if pattern[-1].endswith("..."):
+        toks = toks[:len(pattern) - 1] + [toks[len(pattern) - 1:]]
+    if len(toks) != len(pattern) or any(
+            w.islower() and t != w for w, t in zip(pattern, toks)):
+        raise ManifestError("expected: " + DECLS[kind], line_no)
+    values, spaces = {}, {}
+    for w, tok in zip(pattern[1:], toks[1:]):
+        if w == "NAME":
+            if (kind, tok) in decls:
+                raise ManifestError("duplicate %s %r" % (kind, tok), line_no)
+        elif w == "N":
+            try:
+                tok = int(tok)
+            except ValueError:
+                raise ManifestError("bad dimension %r" % tok, line_no)
+            if tok < 0:
+                raise ManifestError("negative dimension", line_no)
+            if tok ** 3 > MAX_TENSOR_CELLS:
+                raise ResourceLimit(
+                    "dim %d needs %d tensor cells, over the budget of %d"
+                    % (tok, tok ** 3, MAX_TENSOR_CELLS), line_no)
+            spaces[w] = (values["NAME"], tok)
+        elif w == "VALUE":
+            tok = _parse_scalar(field, tok, line_no)
+        elif w in _REFERS:
+            ref = _REFERS[w]
+            for name in tok if w.endswith("...") else [tok]:
+                if (ref, name) not in decls:
+                    raise ManifestError("unknown %s %r" % (ref, name),
+                                        line_no)
+            if ref == "algebra":
+                spaces[w] = decls[ref, tok][1]["N"]
+        values[w] = tok
+    return values, spaces
+
+
+def _parse_entry(field, kw, toks, line_no, decls):
+    """Add one entry line into its declaration's dense tensor."""
+    kind, what, axes = ENTRIES[kw]
+    name = toks[1] if len(toks) > 1 else ""
+    if (kind, name) not in decls:
+        raise ManifestError("unknown %s %r" % (what, name), line_no)
+    _, spaces, tensors = decls[kind, name]
+    if "->" not in toks[2:]:
+        raise ManifestError("missing '->'", line_no)
+    arrow = toks.index("->", 2)
+    lhs, rhs = toks[2:arrow], toks[arrow + 1:]
+    if len(lhs) != len(axes) - 1:
+        count = "one basis token" if len(axes) == 2 else "two basis tokens"
+        raise ManifestError("%s takes %s" % (kw, count), line_no)
+    row = tensors[kw]
+    for t, a in zip(lhs, axes):
+        row = row[_basis_index(t, spaces[a], line_no)]
+    if len(rhs) % 2 != 0 or not rhs:
         raise ManifestError("entry right-hand side must be coefficient/basis "
                             "pairs", line_no)
-    out = {}
-    for c, b in zip(toks[::2], toks[1::2]):
-        k = _basis_index(b, dim, line_no, what)
-        out[k] = out.get(k, field.zero) + _parse_scalar(field, c, line_no)
-    return out
+    for c, b in zip(rhs[::2], rhs[1::2]):
+        k = _basis_index(b, spaces[axes[-1]], line_no)
+        row[k] = row[k] + _parse_scalar(field, c, line_no)
+
+
+def _build(field, kind, values, spaces, tensors):
+    """The manifest object of one declaration."""
+    if kind == "scalar":
+        return values["VALUE"]
+    if kind == "deformation":
+        return values["MAP"], values["MAPS..."]
+    dims = [dim for _, dim in spaces.values()]
+    tensors = list(tensors.values())
+    if kind == "actions":
+        return values["G"], values["H"], ActionPair(field, *dims, *tensors)
+    if kind == "map":
+        return (values["SRC"], values["DST"],
+                Matrix.from_cols(field, tensors[0], dims[1]))
+    cls = LeibnizAlgebra if kind == "algebra" else PostLeibnizAlgebra
+    return cls(field, *dims, *tensors)
 
 
 def parse_manifest(text):
     field = None
     spec = None
-    # staging: entries are accumulated, objects built at the end
-    alg_dims, alg_entries = {}, {}
-    act_decl, act_left, act_right = {}, {}, {}
-    map_decl, map_entries = {}, {}
-    scalars = {}
-    deformations = {}
-    post_dims, post_entries = {}, {}
-    order = []
-
-    def split_arrow(toks, line_no):
-        if "->" not in toks:
-            raise ManifestError("missing '->'", line_no)
-        k = toks.index("->")
-        return toks[:k], toks[k + 1:]
-
+    decls = {}  # (kind, name) -> (values, spaces, tensors), in order
+    cells = 0
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        toks = _tokens(raw)
+        if not toks:
             continue
-        toks = line.split()
         kw = toks[0]
         if kw == "field":
             if field is not None:
@@ -143,185 +224,59 @@ def parse_manifest(text):
                 raise ManifestError(str(exc), line_no)
         elif field is None:
             raise ManifestError("field must be declared first", line_no)
-        elif kw == "algebra":
-            if len(toks) != 4 or toks[2] != "dim":
-                raise ManifestError("expected: algebra NAME dim N", line_no)
-            name = toks[1]
-            if name in alg_dims:
-                raise ManifestError("duplicate algebra %r" % name, line_no)
-            alg_dims[name] = _parse_dim(toks[3], line_no)
-            alg_entries[name] = {}
-            order.append(("algebra", name))
-        elif kw == "bracket":
-            name = toks[1] if len(toks) > 1 else ""
-            if name not in alg_dims:
-                raise ManifestError("unknown algebra %r" % name, line_no)
-            lhs, rhs = split_arrow(toks[2:], line_no)
-            if len(lhs) != 2:
-                raise ManifestError("bracket takes two basis tokens", line_no)
-            dim = alg_dims[name]
-            i = _basis_index(lhs[0], dim, line_no, name)
-            j = _basis_index(lhs[1], dim, line_no, name)
-            for k, c in _parse_rhs(field, rhs, dim, line_no, name).items():
-                alg_entries[name][(i, j, k)] = \
-                    alg_entries[name].get((i, j, k), field.zero) + c
-        elif kw == "actions":
-            if len(toks) != 5 or toks[2] != "on":
-                raise ManifestError("expected: actions NAME on G H", line_no)
-            name = toks[1]
-            if name in act_decl:
-                raise ManifestError("duplicate actions %r" % name, line_no)
-            for nm in toks[3:5]:
-                if nm not in alg_dims:
-                    raise ManifestError("unknown algebra %r" % nm, line_no)
-            act_decl[name] = (toks[3], toks[4])
-            act_left[name], act_right[name] = {}, {}
-            order.append(("actions", name))
-        elif kw in ("left", "right"):
-            name = toks[1] if len(toks) > 1 else ""
-            if name not in act_decl:
-                raise ManifestError("unknown actions %r" % name, line_no)
-            gname, hname = act_decl[name]
-            ng, nh = alg_dims[gname], alg_dims[hname]
-            lhs, rhs = split_arrow(toks[2:], line_no)
-            if len(lhs) != 2:
-                raise ManifestError("%s takes two basis tokens" % kw, line_no)
-            if kw == "left":
-                i = _basis_index(lhs[0], ng, line_no, gname)
-                a = _basis_index(lhs[1], nh, line_no, hname)
-                store, key = act_left[name], (i, a)
-            else:
-                a = _basis_index(lhs[0], nh, line_no, hname)
-                i = _basis_index(lhs[1], ng, line_no, gname)
-                store, key = act_right[name], (a, i)
-            for b, c in _parse_rhs(field, rhs, nh, line_no, hname).items():
-                store[key + (b,)] = store.get(key + (b,), field.zero) + c
-        elif kw == "map":
-            if len(toks) != 6 or toks[2] != "from" or toks[4] != "to":
-                raise ManifestError("expected: map NAME from SRC to DST",
-                                    line_no)
-            name = toks[1]
-            if name in map_decl:
-                raise ManifestError("duplicate map %r" % name, line_no)
-            for nm in (toks[3], toks[5]):
-                if nm not in alg_dims:
-                    raise ManifestError("unknown algebra %r" % nm, line_no)
-            map_decl[name] = (toks[3], toks[5])
-            map_entries[name] = {}
-            order.append(("map", name))
-        elif kw == "entry":
-            name = toks[1] if len(toks) > 1 else ""
-            if name not in map_decl:
-                raise ManifestError("unknown map %r" % name, line_no)
-            src, dst = map_decl[name]
-            lhs, rhs = split_arrow(toks[2:], line_no)
-            if len(lhs) != 1:
-                raise ManifestError("entry takes one basis token", line_no)
-            a = _basis_index(lhs[0], alg_dims[src], line_no, src)
-            for i, c in _parse_rhs(field, rhs, alg_dims[dst], line_no,
-                                   dst).items():
-                map_entries[name][(i, a)] = \
-                    map_entries[name].get((i, a), field.zero) + c
-        elif kw == "scalar":
-            if len(toks) != 3:
-                raise ManifestError("expected: scalar NAME VALUE", line_no)
-            if toks[1] in scalars:
-                raise ManifestError("duplicate scalar %r" % toks[1], line_no)
-            scalars[toks[1]] = _parse_scalar(field, toks[2], line_no)
-            order.append(("scalar", toks[1]))
-        elif kw == "deformation":
-            if len(toks) < 5 or toks[2] != "base" or toks[4] != "coeffs":
-                raise ManifestError(
-                    "expected: deformation NAME base MAP coeffs MAPS...",
-                    line_no)
-            name = toks[1]
-            if name in deformations:
-                raise ManifestError("duplicate deformation %r" % name, line_no)
-            for nm in [toks[3]] + toks[5:]:
-                if nm not in map_decl:
-                    raise ManifestError("unknown map %r" % nm, line_no)
-            deformations[name] = (toks[3], toks[5:])
-            order.append(("deformation", name))
-        elif kw == "post":
-            if len(toks) != 4 or toks[2] != "dim":
-                raise ManifestError("expected: post NAME dim N", line_no)
-            name = toks[1]
-            if name in post_dims:
-                raise ManifestError("duplicate post %r" % name, line_no)
-            post_dims[name] = _parse_dim(toks[3], line_no)
-            post_entries[name] = {"pleft": {}, "pright": {}, "pbracket": {}}
-            order.append(("post", name))
-        elif kw in ("pleft", "pright", "pbracket"):
-            name = toks[1] if len(toks) > 1 else ""
-            if name not in post_dims:
-                raise ManifestError("unknown post structure %r" % name,
-                                    line_no)
-            dim = post_dims[name]
-            lhs, rhs = split_arrow(toks[2:], line_no)
-            if len(lhs) != 2:
-                raise ManifestError("%s takes two basis tokens" % kw, line_no)
-            i = _basis_index(lhs[0], dim, line_no, name)
-            j = _basis_index(lhs[1], dim, line_no, name)
-            store = post_entries[name][kw]
-            for k, c in _parse_rhs(field, rhs, dim, line_no, name).items():
-                store[(i, j, k)] = store.get((i, j, k), field.zero) + c
+        elif kw in ENTRIES:
+            _parse_entry(field, kw, toks, line_no, decls)
+        elif kw in DECLS:
+            values, spaces = _declare(field, kw, toks, line_no, decls)
+            shapes = [(d, [spaces[a][1] for a in axes])
+                      for d, axes in _FILLS[kw]]
+            cells += sum(prod(shape) for _, shape in shapes)
+            if cells > MAX_MANIFEST_CELLS:
+                raise ResourceLimit("the manifest needs %d tensor cells, over "
+                                    "the budget of %d"
+                                    % (cells, MAX_MANIFEST_CELLS), line_no)
+            decls[kw, values["NAME"]] = values, spaces, {
+                d: zero_tensor(field, *shape) for d, shape in shapes}
         else:
             raise ManifestError("unknown directive %r" % kw, line_no)
 
     if field is None:
         raise ManifestError("manifest declares no field", 0)
+    for (kind, name), (values, _, _) in decls.items():
+        if kind == "deformation" and len({
+                tuple(decls["map", nm][1].values())
+                for nm in [values["MAP"]] + values["MAPS..."]}) > 1:
+            raise ManifestError(
+                "deformation %r mixes maps of different shapes" % name, 0)
     m = Manifest(field, spec)
-    m._order = order
-    for name, dim in alg_dims.items():
-        m.algebras[name] = LeibnizAlgebra.from_entries(field, dim,
-                                                       alg_entries[name])
-    for name, (gname, hname) in act_decl.items():
-        ng, nh = alg_dims[gname], alg_dims[hname]
-        left = [[[act_left[name].get((i, a, b), field.zero)
-                  for b in range(nh)] for a in range(nh)] for i in range(ng)]
-        right = [[[act_right[name].get((a, i, b), field.zero)
-                   for b in range(nh)] for i in range(ng)] for a in range(nh)]
-        m.actions[name] = (gname, hname,
-                           ActionPair(field, ng, nh, left, right))
-    for name, (src, dst) in map_decl.items():
-        nr, nc = alg_dims[dst], alg_dims[src]
-        rows = [[map_entries[name].get((i, a), field.zero)
-                 for a in range(nc)] for i in range(nr)]
-        m.maps[name] = (src, dst, Matrix(field, rows))
-    m.scalars = scalars
-    for name, (base, coeffs) in deformations.items():
-        shape0 = map_decl[base]
-        for nm in coeffs:
-            if map_decl[nm] != shape0:
-                raise ManifestError(
-                    "deformation %r mixes maps of different shapes" % name, 0)
-        m.deformations[name] = (base, list(coeffs))
-    for name, dim in post_dims.items():
-        tensors = []
-        for key in ("pleft", "pright", "pbracket"):
-            t = [[[post_entries[name][key].get((i, j, k), field.zero)
-                   for k in range(dim)] for j in range(dim)]
-                 for i in range(dim)]
-            tensors.append(t)
-        m.posts[name] = PostLeibnizAlgebra(field, dim, *tensors)
+    m._order = list(decls)
+    for (kind, name), (values, spaces, tensors) in decls.items():
+        m.objects[kind][name] = _build(field, kind, values, spaces, tensors)
     return m
 
 
-def _rhs_text(field, pairs):
-    return " ".join("%s e%d" % (field.format(c), k + 1) for k, c in pairs)
+def _parts(field, kind, obj):
+    """(placeholder values, entry tensors) of a manifest object."""
+    if kind in ("algebra", "post"):
+        tensors = ([obj.c] if kind == "algebra"
+                   else [obj.left, obj.right, obj.bracket])
+        return {"N": obj.dim}, tensors
+    if kind == "actions":
+        return {"G": obj[0], "H": obj[1]}, [obj[2].left, obj[2].right]
+    if kind == "map":
+        return {"SRC": obj[0], "DST": obj[1]}, [obj[2].transpose().rows]
+    if kind == "scalar":
+        return {"VALUE": field.format(obj)}, []
+    return {"MAP": obj[0], "MAPS...": " ".join(obj[1])}, []
 
 
-def _tensor_lines(field, kw, name, tensor):
-    out = []
-    n = len(tensor)
-    for i in range(n):
-        for j in range(n):
-            pairs = [(k, c) for k, c in enumerate(tensor[i][j]) if c]
-            if pairs:
-                out.append("%s %s e%d e%d -> %s"
-                           % (kw, name, i + 1, j + 1,
-                              _rhs_text(field, pairs)))
-    return out
+def _rows(tensor, depth, lhs=()):
+    """(left-hand indices, right-hand row) pairs in lexicographic order."""
+    if depth == 0:
+        yield lhs, tensor
+        return
+    for i, sub in enumerate(tensor):
+        yield from _rows(sub, depth - 1, lhs + (i,))
 
 
 def render_manifest(m):
@@ -329,53 +284,47 @@ def render_manifest(m):
     fld = m.field
     lines = ["field %s" % m.field_spec]
     for kind, name in m._order:
-        if kind == "algebra":
-            a = m.algebras[name]
-            lines.append("algebra %s dim %d" % (name, a.dim))
-            lines += _tensor_lines(fld, "bracket", name, a.c)
-        elif kind == "actions":
-            gname, hname, pair = m.actions[name]
-            lines.append("actions %s on %s %s" % (name, gname, hname))
-            for i in range(pair.dim_g):
-                for a in range(pair.dim_v):
-                    pairs = [(b, c) for b, c in enumerate(pair.left[i][a])
-                             if c]
-                    if pairs:
-                        lines.append("left %s e%d e%d -> %s"
-                                     % (name, i + 1, a + 1,
-                                        _rhs_text(fld, pairs)))
-            for a in range(pair.dim_v):
-                for i in range(pair.dim_g):
-                    pairs = [(b, c) for b, c in enumerate(pair.right[a][i])
-                             if c]
-                    if pairs:
-                        lines.append("right %s e%d e%d -> %s"
-                                     % (name, a + 1, i + 1,
-                                        _rhs_text(fld, pairs)))
-        elif kind == "map":
-            src, dst, mat = m.maps[name]
-            lines.append("map %s from %s to %s" % (name, src, dst))
-            for a in range(mat.ncols):
-                pairs = [(i, mat.entry(i, a)) for i in range(mat.nrows)
-                         if mat.entry(i, a)]
-                if pairs:
-                    lines.append("entry %s e%d -> %s"
-                                 % (name, a + 1, _rhs_text(fld, pairs)))
-        elif kind == "scalar":
-            lines.append("scalar %s %s" % (name, fld.format(m.scalars[name])))
-        elif kind == "deformation":
-            base, coeffs = m.deformations[name]
-            lines.append("deformation %s base %s coeffs %s"
-                         % (name, base, " ".join(coeffs)))
-        elif kind == "post":
-            p = m.posts[name]
-            lines.append("post %s dim %d" % (name, p.dim))
-            lines += _tensor_lines(fld, "pleft", name, p.left)
-            lines += _tensor_lines(fld, "pright", name, p.right)
-            lines += _tensor_lines(fld, "pbracket", name, p.bracket)
+        values, tensors = _parts(fld, kind, m.objects[kind][name])
+        values["NAME"] = name
+        lines.append(" ".join(str(values.get(w, w))
+                              for w in _PATTERNS[kind]))
+        for (kw, axes), tensor in zip(_FILLS[kind], tensors):
+            for lhs, row in _rows(tensor, len(axes) - 1):
+                rhs = ["%s e%d" % (fld.format(c), k + 1)
+                       for k, c in enumerate(row) if c]
+                if rhs:
+                    lines.append("%s %s %s -> %s"
+                                 % (kw, name,
+                                    " ".join("e%d" % (i + 1) for i in lhs),
+                                    " ".join(rhs)))
     return "\n".join(lines) + "\n"
 
 
-def load_manifest(path):
-    with open(path, encoding="utf-8") as fh:
-        return parse_manifest(fh.read())
+def load_manifest(path, field=None):
+    """Parse the manifest file at ``path``.
+
+    ``field``, a spec such as "gf 5", replaces the file's first `field`
+    line or, when it has none, is declared ahead of it; either way errors
+    name the file's own line numbers.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ManifestError("%s is not UTF-8 text (byte 0x%02x at offset %d)"
+                            % (path, data[exc.start], exc.start)) from None
+    if not field:
+        return parse_manifest(text)
+    lines = text.splitlines()
+    own = [i for i, raw in enumerate(lines) if _tokens(raw)[:1] == ["field"]]
+    if own:
+        lines[own[0]] = "field " + field
+        return parse_manifest("\n".join(lines) + "\n")
+    try:
+        return parse_manifest("field %s\n%s" % (field, text))
+    except (ManifestError, ResourceLimit) as exc:
+        if not exc.line:
+            raise
+        # line 1 is the declared field, which is not in the file
+        raise type(exc)(exc.reason, exc.line - 1 or None) from None

@@ -61,10 +61,6 @@ def check_weighted_rbo(a, lam, t):
     return rep
 
 
-def is_weighted_relative_rbo(d, lam, t):
-    return check_weighted_relative_rbo(d, lam, t).ok
-
-
 class WeightedRBO:
     """An operator T: h -> g of weight lambda on a Leibniz g-representation."""
 

@@ -19,7 +19,7 @@ from typing import Optional
 
 from .core import (ActionPair, LeibnizAlgebra, LeibnizGRep, ValidationReport,
                    _coerce_tensor3, basis_vec, contract,
-                   validate_leibniz, zero_tensor3)
+                   validate_leibniz, zero_tensor)
 from .errors import (InvalidInput, OracleDisagreement, ShapeMismatch,
                      WrongWeight)
 from .linalg import vec_add, vec_scale, vec_sub
@@ -43,7 +43,7 @@ class PostLeibnizAlgebra:
 
     @classmethod
     def zero(cls, field, dim):
-        z = [[[field.zero] * dim for _ in range(dim)] for _ in range(dim)]
+        z = zero_tensor(field, dim, dim, dim)
         return cls(field, dim, z, z, z)
 
     def lt(self, x, y):
@@ -139,7 +139,7 @@ def validate_pre_leibniz(field, dim, left, right):
     verdict; a split raises OracleDisagreement.
     """
     p = PostLeibnizAlgebra(field, dim, left, right,
-                           zero_tensor3(field, dim, dim, dim))
+                           zero_tensor(field, dim, dim, dim))
     rep = ValidationReport("pre-leibniz")
     bv = [basis_vec(field, dim, i) for i in range(dim)]
     for (i, u), (j, v), (k, w) in product(enumerate(bv), repeat=3):

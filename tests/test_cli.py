@@ -135,6 +135,18 @@ def test_field_override():
     assert "status pass" in r.stdout
 
 
+@pytest.mark.parametrize("head", ["field rational\n", "# no field line\n"],
+                         ids=["replaced", "inserted"])
+def test_field_override_keeps_file_line_numbers(head, tmp_path):
+    path = tmp_path / "bad.lra"
+    path.write_text(head + "algebra g dim 2\nbracket g e1 e9 -> 1 e1\n")
+    out, err = io.StringIO(), io.StringIO()
+    assert run_command(["validate", str(path), "--field", "gf 5"],
+                       out=out, err=err) == 2
+    assert err.getvalue() == ("error: line 3: basis index e9 out of range "
+                              "for g (dim 2)\n")
+
+
 def test_wrong_field_is_usage_error():
     r = _run(["rigidity", MANIFEST, "--operator", "id", "--weight", "-1"])
     assert r.returncode == 2

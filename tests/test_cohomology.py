@@ -1,4 +1,3 @@
-import argparse
 import glob
 import os
 from dataclasses import replace
@@ -6,7 +5,6 @@ from dataclasses import replace
 import pytest
 
 from leibniz_rb import cohomology as cohomology_module
-from leibniz_rb.cli import _load
 from leibniz_rb.cohomology import (DegreeData, cochain_basis, cochain_dim,
                                    cohomology, d_T, delta_T, delta_T_0,
                                    delta_matrix, induced_representation)
@@ -15,6 +13,7 @@ from leibniz_rb.core import (adjoint_grep, basis_vec, change_of_basis_grep,
 from leibniz_rb.errors import ContainmentViolated, InvalidOperator, ResourceLimit
 from leibniz_rb.graded import _pow_sign
 from leibniz_rb.linalg import Matrix, span_rank, vec_is_zero
+from leibniz_rb.manifest import load_manifest
 from leibniz_rb.multimap import MultiMap
 from leibniz_rb.operators import WeightedRBO, induced_algebra
 from leibniz_rb.postleibniz import compatible_structure, from_rbo
@@ -217,7 +216,7 @@ def _manifest_operators(field_spec):
     """
     out = []
     for path in sorted(glob.glob(os.path.join(ROOT, "manifests", "*.lra"))):
-        m = _load(argparse.Namespace(manifest=path, field=field_spec))
+        m = load_manifest(path, field=field_spec)
         fld = m.field
         contexts = [(name, name, adjoint_grep(a))
                     for name, a in m.algebras.items()]
