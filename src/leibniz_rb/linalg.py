@@ -1,10 +1,14 @@
-"""Dense exact linear algebra: rref, rank, kernel, solve and span rank.
+"""Exact linear algebra: rref, rank, kernel, solve and span rank.
 
-Each question is answered by one elimination: ``solve`` reads both the
+A ``Matrix`` is stored as dense rows, but elimination runs on sparse
+``{column: value}`` rows.  Columns are taken left to right; within a
+column the pivot is the remaining row with the fewest nonzeros (ties to
+the lowest row index), only the rows holding that column are updated,
+and the back-substitution runs once at the end.  The reduced row echelon
+form is unique, so kernel bases, solutions and inverses do not depend on
+the pivot choice and are reproducible across runs and platforms.  Each
+question is answered by one elimination: ``solve`` reads both the
 particular solution and the kernel off a single rref of [M | b].
-Everything is deterministic.  Elimination always picks the first row
-with a nonzero entry scanning columns left to right, so bases are
-reproducible across runs and platforms.
 """
 
 from .errors import NotInvertible, ShapeMismatch
@@ -40,18 +44,21 @@ def vec_is_zero(v):
 class Matrix:
     """Dense matrix over an exact field; immutable by convention."""
 
-    def __init__(self, field, rows):
+    def __init__(self, field, rows, ncols=None):
+        # ncols is needed only when there are no rows to read it from
         self.field = field
         self.rows = [[field.coerce(x) for x in row] for row in rows]
         self.nrows = len(self.rows)
-        self.ncols = len(self.rows[0]) if self.rows else 0
+        if ncols is None:
+            ncols = len(self.rows[0]) if self.rows else 0
+        self.ncols = ncols
         for row in self.rows:
             if len(row) != self.ncols:
                 raise ShapeMismatch("ragged rows in matrix")
 
     @classmethod
     def zeros(cls, field, nrows, ncols):
-        return cls(field, [[field.zero] * ncols for _ in range(nrows)])
+        return cls(field, [[field.zero] * ncols for _ in range(nrows)], ncols)
 
     @classmethod
     def identity(cls, field, n):
@@ -60,8 +67,8 @@ class Matrix:
 
     @classmethod
     def from_cols(cls, field, cols, nrows):
-        rows = [[cols[j][i] for j in range(len(cols))] for i in range(nrows)]
-        return cls(field, rows) if cols else cls.zeros(field, nrows, 0)
+        return cls(field, [[col[i] for col in cols] for i in range(nrows)],
+                   len(cols))
 
     @property
     def shape(self):
@@ -88,33 +95,35 @@ class Matrix:
                           [[sum((self.rows[i][k] * other.rows[k][j]
                                  for k in range(self.ncols)), self.field.zero)
                             for j in range(other.ncols)]
-                           for i in range(self.nrows)])
+                           for i in range(self.nrows)], other.ncols)
         return NotImplemented
 
     def __add__(self, other):
         if self.shape != other.shape:
             raise ShapeMismatch("matrix addition shape mismatch")
-        return Matrix(self.field, [vec_add(a, b) for a, b in zip(self.rows, other.rows)])
+        return Matrix(self.field, [vec_add(a, b) for a, b in zip(self.rows, other.rows)],
+                      self.ncols)
 
     def __sub__(self, other):
         if self.shape != other.shape:
             raise ShapeMismatch("matrix subtraction shape mismatch")
-        return Matrix(self.field, [vec_sub(a, b) for a, b in zip(self.rows, other.rows)])
+        return Matrix(self.field, [vec_sub(a, b) for a, b in zip(self.rows, other.rows)],
+                      self.ncols)
 
     def __neg__(self):
-        return Matrix(self.field, [[-x for x in row] for row in self.rows])
+        return Matrix(self.field, [[-x for x in row] for row in self.rows], self.ncols)
 
     def scale(self, c):
         c = self.field.coerce(c)
-        return Matrix(self.field, [vec_scale(c, row) for row in self.rows])
+        return Matrix(self.field, [vec_scale(c, row) for row in self.rows], self.ncols)
 
     def transpose(self):
         return Matrix(self.field, [[self.rows[i][j] for i in range(self.nrows)]
-                                   for j in range(self.ncols)])
+                                   for j in range(self.ncols)], self.nrows)
 
     def __eq__(self, other):
         return (isinstance(other, Matrix) and self.field == other.field
-                and self.rows == other.rows)
+                and self.shape == other.shape and self.rows == other.rows)
 
     def __hash__(self):
         return hash((self.field, tuple(tuple(r) for r in self.rows)))
@@ -126,29 +135,47 @@ class Matrix:
         return all(vec_is_zero(row) for row in self.rows)
 
     def rref(self):
-        """Reduced row echelon form; returns (rows, pivot_columns)."""
-        rows = [list(r) for r in self.rows]
-        pivots = []
-        r = 0
+        """Reduced row echelon form; returns (rows, pivot_columns).
+
+        The rows are the nonzero rows of the rref in pivot order followed
+        by the zero rows, nrows in all.  Rows are eliminated as
+        {column: value} dicts; a pivot row is kept as its tail, the
+        entries right of its leading 1.
+        """
+        fld = self.field
+        pending = [r for r in ({c: x for c, x in enumerate(row) if x}
+                               for row in self.rows) if r]
+        done = []  # (pivot column, tail) in column order
         for c in range(self.ncols):
-            pivot_row = None
-            for i in range(r, self.nrows):
-                if rows[i][c]:
-                    pivot_row = i
-                    break
-            if pivot_row is None:
-                continue
-            rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-            inv = self.field.one / rows[r][c]
-            rows[r] = [inv * x for x in rows[r]]
-            for i in range(self.nrows):
-                if i != r and rows[i][c]:
-                    f = rows[i][c]
-                    rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-            pivots.append(c)
-            r += 1
-            if r == self.nrows:
+            if not pending:
                 break
+            holding = [r for r in pending if c in r]
+            if not holding:
+                continue
+            # fewest nonzeros; min keeps the first, i.e. lowest, row
+            prow = min(holding, key=len)
+            inv = fld.one / prow.pop(c)
+            tail = {j: inv * x for j, x in prow.items()}
+            for r in holding:
+                if r is not prow:
+                    _clear(r, c, tail)
+            done.append((c, tail))
+            pending = [r for r in pending if r and r is not prow]
+        for k in reversed(range(len(done))):
+            c, tail = done[k]
+            for _, above in done[:k]:
+                if c in above:
+                    _clear(above, c, tail)
+        rows, pivots = [], []
+        for c, tail in done:
+            row = [fld.zero] * self.ncols
+            row[c] = fld.one
+            for j, x in tail.items():
+                row[j] = x
+            rows.append(row)
+            pivots.append(c)
+        rows.extend([fld.zero] * self.ncols
+                    for _ in range(self.nrows - len(done)))
         return rows, pivots
 
     def rank(self):
@@ -178,7 +205,8 @@ class Matrix:
         """
         if len(b) != self.nrows:
             raise ShapeMismatch("rhs length %d for %d equations" % (len(b), self.nrows))
-        aug = Matrix(self.field, [row + [bx] for row, bx in zip(self.rows, b)])
+        aug = Matrix(self.field, [row + [bx] for row, bx in zip(self.rows, b)],
+                     self.ncols + 1)
         rows, pivots = aug.rref()
         kernel = self._kernel(rows, pivots)
         if self.ncols in pivots:
@@ -202,6 +230,18 @@ class Matrix:
         if pivots != list(range(n)):
             raise NotInvertible("singular matrix")
         return Matrix(self.field, [row[n:] for row in rows[:n]])
+
+
+def _clear(row, c, tail):
+    """row -= row[c] * (e_c + tail) on sparse rows; entries that cancel go."""
+    f = row.pop(c)
+    for j, y in tail.items():
+        x = row.get(j)
+        x = -(f * y) if x is None else x - f * y
+        if x:
+            row[j] = x
+        else:
+            del row[j]
 
 
 def span_rank(field, vectors):

@@ -129,6 +129,20 @@ def test_exit_code_math_failure():
     assert r.returncode == 1
 
 
+@pytest.mark.parametrize("operator", ["zero", "t"])
+def test_operator_into_zero_dim_space(operator, tmp_path):
+    # T: g -> z with dim z = 0 is the 0x2 matrix, not 0x0
+    path = tmp_path / "z0.lra"
+    path.write_text("field rational\nalgebra g dim 2\nalgebra z dim 0\n"
+                    "actions act on z g\nmap t from g to z\n")
+    out, err = io.StringIO(), io.StringIO()
+    code = run_command(["check-rbo", str(path), "--actions", "act",
+                        "--operator", operator, "--weight", "0"],
+                       out=out, err=err)
+    assert (code, err.getvalue()) == (0, "")
+    assert "weighted-relative-rbo: valid" in out.getvalue()
+
+
 def test_field_override():
     r = _run(["validate", MANIFEST, "--field", "gf 7", "--format", "machine"])
     assert r.returncode == 0

@@ -8,8 +8,8 @@ from leibniz_rb import cohomology as cohomology_module
 from leibniz_rb.cohomology import (DegreeData, cochain_basis, cochain_dim,
                                    cohomology, d_T, delta_T, delta_T_0,
                                    delta_matrix, induced_representation)
-from leibniz_rb.core import (adjoint_grep, basis_vec, change_of_basis_grep,
-                             validate_representation)
+from leibniz_rb.core import (adjoint_grep, basis_vec, change_of_basis_algebra,
+                             change_of_basis_grep, validate_representation)
 from leibniz_rb.errors import ContainmentViolated, InvalidOperator, ResourceLimit
 from leibniz_rb.graded import _pow_sign
 from leibniz_rb.linalg import Matrix, span_rank, vec_is_zero
@@ -18,8 +18,8 @@ from leibniz_rb.multimap import MultiMap
 from leibniz_rb.operators import WeightedRBO, induced_algebra
 from leibniz_rb.postleibniz import compatible_structure, from_rbo
 
-from conftest import (dim2_nonlie, random_matrix, random_multimap, seeded,
-                      small_contexts)
+from conftest import (dim2_nonlie, heisenberg, random_matrix, random_multimap,
+                      seeded, small_contexts)
 from golden_cases import ROOT
 
 
@@ -171,6 +171,16 @@ def test_delta_matrix_matches_column_oracle(Q, gf5, n):
             m = delta_matrix(r, n)
             assert m.shape == (cochain_dim(r, n + 1), cochain_dim(r, n))
             assert m == _delta_by_columns(r, n)
+
+
+def test_heisenberg_degree_4_in_a_dense_basis(Q):
+    # all 18 constants [e_i, e_j]_k with i != j are nonzero in this basis
+    # (det 2); delta_4 is 729 x 243, past the default cap
+    s = Matrix(Q, [[2, -1, 0], [-1, -1, -1], [-2, 2, 0]])
+    a = change_of_basis_algebra(heisenberg(Q), s)
+    assert sum(1 for plane in a.c for row in plane for x in row if x) == 18
+    r = WeightedRBO(adjoint_grep(a), Q.coerce(-1), Matrix.identity(Q, 3))
+    assert cohomology(r, 4, cap=200_000).betti() == [3, 6, 15, 30, 66]
 
 
 def test_cap_enforced(Q):

@@ -35,6 +35,141 @@ def systems(draw):
     return m, b
 
 
+# ---------------------------------------------------------------------------
+# Dense oracle: the elimination the sparse rref replaced
+
+
+def dense_rref(m):
+    """First nonzero row as pivot, every row updated at every pivot."""
+    rows = [list(r) for r in m.rows]
+    pivots = []
+    r = 0
+    for c in range(m.ncols):
+        pivot_row = None
+        for i in range(r, m.nrows):
+            if rows[i][c]:
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        inv = m.field.one / rows[r][c]
+        rows[r] = [inv * x for x in rows[r]]
+        for i in range(m.nrows):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == m.nrows:
+            break
+    return rows, pivots
+
+
+def dense_kernel(m):
+    rows, pivots = dense_rref(m)
+    basis = []
+    for f in range(m.ncols):
+        if f in pivots:
+            continue
+        v = [m.field.zero] * m.ncols
+        v[f] = m.field.one
+        for r, c in enumerate(pivots):
+            v[c] = -rows[r][f]
+        basis.append(v)
+    return basis
+
+
+def dense_solve(m, b):
+    aug = Matrix(m.field, [row + [x] for row, x in zip(m.rows, b)], m.ncols + 1)
+    rows, pivots = dense_rref(aug)
+    if m.ncols in pivots:
+        return None
+    x = [m.field.zero] * m.ncols
+    for r, c in enumerate(pivots):
+        x[c] = rows[r][m.ncols]
+    return x
+
+
+def dense_inverse(m):
+    n = m.nrows
+    aug = Matrix(m.field, [row + [m.field.one if i == j else m.field.zero
+                                  for j in range(n)]
+                           for i, row in enumerate(m.rows)], 2 * n)
+    rows, pivots = dense_rref(aug)
+    if pivots != list(range(n)):
+        return None
+    return Matrix(m.field, [row[n:] for row in rows[:n]], n)
+
+
+@st.composite
+def sparse_matrices(draw, square=False):
+    """Mostly-zero matrices up to 10x10, 0 rows and 0 columns included,
+    with forced zero rows, zero columns and duplicate rows."""
+    field = draw(FIELDS)
+    ncols = draw(st.integers(0, 10))
+    nrows = ncols if square else draw(st.integers(0, 10))
+    rows = [[draw(SCALARS) for _ in range(ncols)] for _ in range(nrows)]
+    if square and draw(st.booleans()):
+        # a nonzero diagonal makes invertible matrices common
+        for i in range(nrows):
+            rows[i][i] += draw(st.sampled_from([1, -1, 2]))
+    if rows and ncols:
+        for c in draw(st.sets(st.integers(0, ncols - 1), max_size=2)):
+            for row in rows:
+                row[c] = 0
+        for k in draw(st.sets(st.integers(0, nrows - 1), max_size=2)):
+            if draw(st.booleans()):
+                rows[k] = [0] * ncols
+            else:
+                rows[k] = list(rows[draw(st.integers(0, nrows - 1))])
+    return Matrix(field, rows, ncols)
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_matrices())
+def test_rref_matches_dense_oracle(m):
+    assert m.rref() == dense_rref(m)
+    assert m.rank() == len(dense_rref(m)[1])
+    assert m.kernel_basis() == dense_kernel(m)
+
+
+@PROPERTY
+@given(sparse_matrices(), st.data())
+def test_solve_matches_dense_oracle(m, data):
+    b = [m.field.coerce(data.draw(SCALARS)) for _ in range(m.nrows)]
+    if m.ncols and data.draw(st.booleans()):
+        b = m.mul_vec([m.field.coerce(data.draw(SCALARS))
+                       for _ in range(m.ncols)])
+    x, ker = m.solve(b)
+    assert x == dense_solve(m, b)
+    assert ker == dense_kernel(m)
+
+
+@PROPERTY
+@given(sparse_matrices(square=True))
+def test_inverse_matches_dense_oracle(m):
+    want = dense_inverse(m)
+    if want is None:
+        with pytest.raises(NotInvertible):
+            m.inverse()
+    else:
+        assert m.inverse() == want
+
+
+def test_zero_row_and_zero_column_shapes(Q):
+    assert Matrix.zeros(Q, 0, 2).shape == (0, 2)
+    assert Matrix.from_cols(Q, [[], []], 0).shape == (0, 2)
+    assert Matrix.from_cols(Q, [], 3).shape == (3, 0)
+    assert Matrix.zeros(Q, 2, 0).transpose().shape == (0, 2)
+    assert Matrix.zeros(Q, 0, 2) != Matrix.zeros(Q, 0, 3)
+    m = Matrix.zeros(Q, 0, 2)
+    assert m.rref() == ([], [])
+    assert m.kernel_basis() == [[Q.one, Q.zero], [Q.zero, Q.one]]
+    assert Matrix.zeros(Q, 2, 0).rref() == ([[], []], [])
+    assert Matrix.zeros(Q, 2, 0).solve([Q.one, Q.zero]) == (None, [])
+
+
 def test_rref_is_reduced_and_deterministic(Q):
     m = Matrix(Q, [[2, 4, 6], [1, 2, 4], [0, 0, 1]])
     rows1, piv1 = m.rref()

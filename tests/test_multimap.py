@@ -319,7 +319,19 @@ def test_leibniz_differential_matches_old_loop(data):
                           for _ in range(a)]
     g = LeibnizAlgebra(field, ng, t3(ng, ng, ng))
     act = ActionPair(field, ng, nv, t3(ng, nv, nv), t3(nv, ng, nv))
-    f = data.draw(maps(field, data.draw(st.integers(1, 3)), ng, nv))
+    arity = data.draw(st.integers(1, 3))
+    if data.draw(st.booleans()):
+        f = data.draw(maps(field, arity, ng, nv))
+    else:
+        # 0, 1 or 2 nonzero rows, like the unit cochains of delta assembly,
+        # so that most bracket terms are pruned
+        f = MultiMap(field, arity, ng, nv)
+        tuples = list(product(range(ng), repeat=arity))
+        for idx in data.draw(st.lists(st.sampled_from(tuples), max_size=2,
+                                      unique=True)):
+            row = _vec(data.draw, field, nv)
+            row[data.draw(st.integers(0, nv - 1))] = field.one
+            f.set_(idx, row)
     assert leibniz_differential(g, act, f) == \
         old_leibniz_differential(g, act, f)
 
