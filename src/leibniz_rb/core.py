@@ -356,8 +356,10 @@ def leibniz_differential(g, actions, f):
     # combinations(idx, m) yields the sub-tuples of idx in the order of
     # combinations(range(n + 1), m); dropped(m) lists the positions that
     # each of them leaves out.
-    dropped = lambda m: [sorted(set(range(n + 1)).difference(kept))
-                         for kept in combinations(range(n + 1), m)]
+    def dropped(m):
+        return [sorted(set(range(n + 1)).difference(kept))
+                for kept in combinations(range(n + 1), m)]
+
     # Leaving out p < n gives the rho^L term of e_idx[p], with left[a][k] =
     # rho^L(e_a, e_k); leaving out n gives the rho^R term, with right[a][k]
     # = rho^R(e_k, e_a).
