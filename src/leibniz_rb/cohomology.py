@@ -127,18 +127,30 @@ class CohomologyReport:
         return [self.degrees[n].dim_h for n in range(self.max_degree + 1)]
 
 
+def _sparse_cols(m):
+    """Each column of m as the list of its nonzero (row, value) pairs."""
+    cols = [[] for _ in range(m.ncols)]
+    for i, row in enumerate(m.rows):
+        for k, x in enumerate(row):
+            if x:
+                cols[k].append((i, x))
+    return cols
+
+
 def _require_square_zero(n, dn, dprev):
     """Raise ContainmentViolated unless delta_n . delta_{n-1} = 0 exactly.
 
     Each column of delta_{n-1} is pushed through delta_n as a combination
-    of the columns of delta_n, skipping zero coefficients and entries.
+    of the columns of delta_n; only nonzero coefficients and the nonzero
+    entries of each column are visited.
     """
-    fld = dn.field
-    cols = [dn.col(k) for k in range(dn.ncols)]
-    for j in range(dprev.ncols):
-        image = zero_vec(fld, dn.nrows)
-        add_combination(image, fld.one, dprev.col(j), cols)
-        if any(image):
+    cols = _sparse_cols(dn)
+    for j, coeffs in enumerate(_sparse_cols(dprev)):
+        image = {}
+        for k, c in coeffs:
+            for i, x in cols[k]:
+                image[i] = image.get(i, 0) + c * x
+        if any(image.values()):
             raise ContainmentViolated("delta_%d . delta_%d is nonzero on "
                                       "column %d" % (n, n - 1, j))
 

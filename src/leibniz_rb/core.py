@@ -61,26 +61,47 @@ def _coerce_tensor3(field, dims, tensor):
     return tuple(out)
 
 
+def residue_view(field, tensor):
+    """The rows of a coerced 3-tensor through field.to_raw, built once.
+
+    This is the form ``contract`` reads.  Over Q to_raw returns its
+    argument, so every row comes back as itself and the view is the
+    tensor itself.
+    """
+    view = tuple(tuple(field.to_raw(row) for row in plane) for plane in tensor)
+    if all(v is row for vp, plane in zip(view, tensor)
+           for v, row in zip(vp, plane)):
+        return tensor
+    return view
+
+
 def contract(field, tensor, x, y, n):
     """sum_{i,j} x_i y_j tensor[i][j], a vector of length n.
 
     The one bilinear kernel behind brackets, actions and post-Leibniz
-    products; zero coordinates and zero tensor entries are skipped and
-    the result is accumulated in place.
+    products.  tensor is a residue view (``residue_view``); x and y are
+    read through field.to_raw, zero coordinates, zero tensor rows and
+    zero entries are skipped, and the raw sums become field elements once
+    per entry.  When no term is reached the result is n zeros.
     """
-    out = [field.zero] * n
-    for i, xi in enumerate(x):
+    out = None
+    y = field.to_raw(y)
+    for i, xi in enumerate(field.to_raw(x)):
         if not xi:
             continue
         plane = tensor[i]
         for j, yj in enumerate(y):
-            if not yj:
+            row = plane[j]
+            if not yj or not any(row):
                 continue
+            if out is None:
+                # raw zeros: Fraction(0) over Q, so that results stay Fractions
+                out = field.to_raw([field.zero] * n)
             c = xi * yj
-            for k, t in enumerate(plane[j]):
+            for k, t in enumerate(row):
                 if t:
-                    out[k] = out[k] + c * t
-    return out
+                    out[k] += c * t
+    return [field.zero] * n if out is None else field.from_raw(out)
 
 
 def zero_tensor(field, *shape):
@@ -97,6 +118,7 @@ class LeibnizAlgebra:
         self.field = field
         self.dim = dim
         self.c = _coerce_tensor3(field, (dim, dim, dim), bracket)
+        self.c_raw = residue_view(field, self.c)
 
     @classmethod
     def zero(cls, field, dim):
@@ -116,7 +138,7 @@ class LeibnizAlgebra:
         return list(self.c[i][j])
 
     def bracket(self, x, y):
-        return contract(self.field, self.c, x, y, self.dim)
+        return contract(self.field, self.c_raw, x, y, self.dim)
 
     def __eq__(self, other):
         return (isinstance(other, LeibnizAlgebra) and self.field == other.field
@@ -139,6 +161,8 @@ class ActionPair:
         self.dim_v = dim_v
         self.left = _coerce_tensor3(field, (dim_g, dim_v, dim_v), left)
         self.right = _coerce_tensor3(field, (dim_v, dim_g, dim_v), right)
+        self.left_raw = residue_view(field, self.left)
+        self.right_raw = residue_view(field, self.right)
 
     @classmethod
     def zero(cls, field, dim_g, dim_v):
@@ -153,10 +177,10 @@ class ActionPair:
         return list(self.right[a][i])
 
     def left_act(self, x, v):
-        return contract(self.field, self.left, x, v, self.dim_v)
+        return contract(self.field, self.left_raw, x, v, self.dim_v)
 
     def right_act(self, v, x):
-        return contract(self.field, self.right, v, x, self.dim_v)
+        return contract(self.field, self.right_raw, v, x, self.dim_v)
 
     def __eq__(self, other):
         return (isinstance(other, ActionPair) and self.field == other.field

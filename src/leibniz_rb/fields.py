@@ -3,6 +3,11 @@
 Rational scalars are plain :class:`fractions.Fraction` values; GF(p)
 scalars are :class:`GFElement` instances.  Both support ordinary
 arithmetic operators, so all higher layers are field-agnostic.
+
+The accumulating kernels (``core.contract``, ``Matrix.mul_vec`` and
+``Matrix.__mul__``) work on raw values instead: ``to_raw`` turns a vector
+into plain int residues over GF(p), ``from_raw`` reduces the sums once per
+result entry.  Over Q both return their argument.
 """
 
 from fractions import Fraction
@@ -128,6 +133,14 @@ class Field:
     def half(self):
         return self.one / self.coerce(2)
 
+    def to_raw(self, vec):
+        """The entries of vec as values the kernels add and multiply."""
+        raise NotImplementedError
+
+    def from_raw(self, sums):
+        """Field elements from sums of products of raw values."""
+        raise NotImplementedError
+
 
 class RationalField(Field):
     kind = "rational"
@@ -148,6 +161,12 @@ class RationalField(Field):
         if isinstance(value, GFElement):
             raise WrongField("cannot coerce a GF(p) element into Q")
         raise TypeError("cannot coerce %r into Q" % (value,))
+
+    def to_raw(self, vec):
+        return vec
+
+    def from_raw(self, sums):
+        return sums
 
     def format(self, x):
         if x.denominator == 1:
@@ -190,6 +209,18 @@ class PrimeField(Field):
                 raise ZeroDivisionError("denominator vanishes in GF(%d)" % self.p)
             return GFElement(value.numerator, self.p) / GFElement(value.denominator, self.p)
         raise TypeError("cannot coerce %r into GF(%d)" % (value, self.p))
+
+    def to_raw(self, vec):
+        p = self.p
+        raw = [x.v for x in vec if x.p == p]
+        if len(raw) != len(vec):
+            raise WrongField("element of another prime field used in "
+                             "GF(%d)" % p)
+        return raw
+
+    def from_raw(self, sums):
+        p, zero = self.p, self.zero
+        return [GFElement(s, p) if s else zero for s in sums]
 
     def elements(self):
         """All field elements in canonical order 0, 1, ..., p-1."""

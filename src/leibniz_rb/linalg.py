@@ -1,7 +1,9 @@
 """Exact linear algebra: rref, rank, kernel, solve and span rank.
 
-A ``Matrix`` is stored as dense rows, but elimination runs on sparse
-``{column: value}`` rows.  Columns are taken left to right; within a
+A ``Matrix`` is stored as dense rows, and once more as raw rows
+(``Field.to_raw``) for the products, which accumulate raw values and
+build at most one field element per result entry.  Elimination runs on
+sparse ``{column: value}`` rows.  Columns are taken left to right; within a
 column the pivot is the remaining row with the fewest nonzeros (ties to
 the lowest row index), only the rows holding that column are updated,
 and the back-substitution runs once at the end.  The reduced row echelon
@@ -55,6 +57,8 @@ class Matrix:
         for row in self.rows:
             if len(row) != self.ncols:
                 raise ShapeMismatch("ragged rows in matrix")
+        # the rows as the products read them (field.to_raw)
+        self.raw = [field.to_raw(row) for row in self.rows]
 
     @classmethod
     def zeros(cls, field, nrows, ncols):
@@ -84,18 +88,32 @@ class Matrix:
         if len(v) != self.ncols:
             raise ShapeMismatch("matrix %dx%d applied to vector of length %d"
                                 % (self.nrows, self.ncols, len(v)))
-        return [sum((row[j] * v[j] for j in range(self.ncols)), self.field.zero)
-                for row in self.rows]
+        fld = self.field
+        v = [(j, x) for j, x in enumerate(fld.to_raw(v)) if x]
+        out = fld.to_raw([fld.zero] * self.nrows)
+        for i, row in enumerate(self.raw):
+            for j, x in v:
+                t = row[j]
+                if t:
+                    out[i] += t * x
+        return fld.from_raw(out)
 
     def __mul__(self, other):
         if isinstance(other, Matrix):
             if self.ncols != other.nrows:
                 raise ShapeMismatch("matmul shape mismatch")
-            return Matrix(self.field,
-                          [[sum((self.rows[i][k] * other.rows[k][j]
-                                 for k in range(self.ncols)), self.field.zero)
-                            for j in range(other.ncols)]
-                           for i in range(self.nrows)], other.ncols)
+            fld = self.field
+            zeros = fld.to_raw([fld.zero] * other.ncols)
+            rows = []
+            for row in self.raw:
+                acc = list(zeros)
+                for a, brow in zip(row, other.raw):
+                    if a:
+                        for j, b in enumerate(brow):
+                            if b:
+                                acc[j] += a * b
+                rows.append(fld.from_raw(acc))
+            return Matrix(fld, rows, other.ncols)
         return NotImplemented
 
     def __add__(self, other):

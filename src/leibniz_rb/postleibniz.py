@@ -18,7 +18,7 @@ from itertools import product
 from typing import Optional
 
 from .core import (ActionPair, LeibnizAlgebra, LeibnizGRep, ValidationReport,
-                   _coerce_tensor3, basis_vec, contract,
+                   _coerce_tensor3, basis_vec, contract, residue_view,
                    validate_leibniz, zero_tensor)
 from .errors import (InvalidInput, OracleDisagreement, ShapeMismatch,
                      WrongWeight)
@@ -40,6 +40,9 @@ class PostLeibnizAlgebra:
         self.left = _coerce_tensor3(field, (dim, dim, dim), left)
         self.right = _coerce_tensor3(field, (dim, dim, dim), right)
         self.bracket = _coerce_tensor3(field, (dim, dim, dim), bracket)
+        self.left_raw = residue_view(field, self.left)
+        self.right_raw = residue_view(field, self.right)
+        self.bracket_raw = residue_view(field, self.bracket)
 
     @classmethod
     def zero(cls, field, dim):
@@ -47,13 +50,13 @@ class PostLeibnizAlgebra:
         return cls(field, dim, z, z, z)
 
     def lt(self, x, y):
-        return contract(self.field, self.left, x, y, self.dim)
+        return contract(self.field, self.left_raw, x, y, self.dim)
 
     def rt(self, x, y):
-        return contract(self.field, self.right, x, y, self.dim)
+        return contract(self.field, self.right_raw, x, y, self.dim)
 
     def br(self, x, y):
-        return contract(self.field, self.bracket, x, y, self.dim)
+        return contract(self.field, self.bracket_raw, x, y, self.dim)
 
     def star(self, x, y):
         return vec_add(vec_add(self.lt(x, y), self.rt(x, y)), self.br(x, y))

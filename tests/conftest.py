@@ -1,12 +1,13 @@
 """Shared construction helpers for the test suite."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
 from leibniz_rb.core import (ActionPair, LeibnizAlgebra, LeibnizGRep,
                              adjoint_grep, validate_leibniz_g_rep)
-from leibniz_rb.fields import PrimeField, RationalField
+from leibniz_rb.fields import GFElement, PrimeField, RationalField
 from leibniz_rb.linalg import Matrix
 from leibniz_rb.multimap import MultiMap
 
@@ -138,3 +139,40 @@ def random_matrix(field, nrows, ncols, rng, lo=-3, hi=4):
 
 def seeded(n=0):
     return random.Random(n)
+
+
+# The fields the GF(p) kernels are checked over, and the scalars they see:
+# mostly zeros, negative ints and fractions.
+KERNEL_FIELDS = (RationalField(), PrimeField(2), PrimeField(3), PrimeField(5),
+                 PrimeField(7))
+_KERNEL_SCALARS = (0, 0, 0, 0, 1, -1, 2, -3, -8, 11, Fraction(1, 2),
+                   Fraction(-2, 3), Fraction(5, 7), Fraction(-9, 4))
+
+
+def kernel_scalars(field):
+    """The scalars above that exist in field: no denominator divisible by p."""
+    p = field.characteristic
+    return [x for x in _KERNEL_SCALARS
+            if not p or Fraction(x).denominator % p]
+
+
+def is_canonical(field, vec):
+    """Fractions over Q, never bare ints; reduced GFElements of GF(p)."""
+    if not field.characteristic:
+        return all(type(x) is Fraction for x in vec)
+    return all(type(x) is GFElement and x.p == field.p and 0 <= x.v < field.p
+               for x in vec)
+
+
+@pytest.fixture
+def gf_news(monkeypatch):
+    """A list that grows by one for every GFElement built."""
+    built = []
+    init = GFElement.__init__
+
+    def counted(self, v, p):
+        built.append(v)
+        init(self, v, p)
+
+    monkeypatch.setattr(GFElement, "__init__", counted)
+    return built

@@ -11,6 +11,7 @@ from leibniz_rb.cohomology import (DegreeData, cochain_basis, cochain_dim,
 from leibniz_rb.core import (adjoint_grep, basis_vec, change_of_basis_algebra,
                              change_of_basis_grep, validate_representation)
 from leibniz_rb.errors import ContainmentViolated, InvalidOperator, ResourceLimit
+from leibniz_rb.fields import PrimeField, RationalField
 from leibniz_rb.graded import _pow_sign
 from leibniz_rb.linalg import Matrix, span_rank, vec_is_zero
 from leibniz_rb.manifest import load_manifest
@@ -281,6 +282,19 @@ def test_corrupted_delta_raises_containment_violated(Q, monkeypatch):
     monkeypatch.setattr(cohomology_module, "delta_matrix", corrupted)
     with pytest.raises(ContainmentViolated):
         cohomology(r, n)
+
+
+@pytest.mark.parametrize("p", [0, 5])
+def test_square_zero_trap_is_exact_and_names_the_first_column(p):
+    fld = PrimeField(p) if p else RationalField()
+    half = fld.half()
+    dn = Matrix(fld, [[1, 2, 0], [0, 0, 0], [half, 1, 3]])
+    # column 0 cancels exactly (2 e_0 - e_1), columns 2 and 3 do not
+    dprev = Matrix(fld, [[2, 0, 1, 1], [-1, 0, 0, 1], [0, 0, 0, 0]])
+    square_zero = cohomology_module._require_square_zero
+    square_zero(1, dn, Matrix.from_cols(fld, [dprev.col(0), dprev.col(1)], 3))
+    with pytest.raises(ContainmentViolated, match="column 2$"):
+        square_zero(1, dn, dprev)
 
 
 @pytest.mark.parametrize("representatives", [False, True])

@@ -7,7 +7,8 @@ from leibniz_rb.errors import NotInvertible
 from leibniz_rb.fields import PrimeField, RationalField
 from leibniz_rb.linalg import Matrix, span_rank
 
-from conftest import random_matrix, seeded
+from conftest import (KERNEL_FIELDS, is_canonical, kernel_scalars,
+                      random_matrix, seeded)
 
 FIELDS = st.sampled_from([RationalField(), PrimeField(5)])
 # mostly zeros, so that elimination meets zero columns and dependent rows
@@ -102,6 +103,18 @@ def dense_inverse(m):
     return Matrix(m.field, [row[n:] for row in rows[:n]], n)
 
 
+def dense_mul_vec(m, v):
+    """Element-wise: every row times v, summed from field.zero."""
+    return [sum((row[j] * v[j] for j in range(m.ncols)), m.field.zero)
+            for row in m.rows]
+
+
+def dense_matmul(a, b):
+    return [[sum((a.rows[i][k] * b.rows[k][j] for k in range(a.ncols)),
+                 a.field.zero) for j in range(b.ncols)]
+            for i in range(a.nrows)]
+
+
 @st.composite
 def sparse_matrices(draw, square=False):
     """Mostly-zero matrices up to 10x10, 0 rows and 0 columns included,
@@ -155,6 +168,40 @@ def test_inverse_matches_dense_oracle(m):
             m.inverse()
     else:
         assert m.inverse() == want
+
+
+@PROPERTY
+@given(st.data())
+def test_products_match_dense_over_every_field(data):
+    field = data.draw(st.sampled_from(KERNEL_FIELDS))
+    scalars = st.sampled_from(kernel_scalars(field))
+
+    def mat(nrows, ncols):
+        return Matrix(field, [[data.draw(scalars) for _ in range(ncols)]
+                              for _ in range(nrows)], ncols)
+
+    n, k, m = (data.draw(st.integers(0, 4)) for _ in range(3))
+    a, b = mat(n, k), mat(k, m)
+    v = [field.coerce(data.draw(scalars)) for _ in range(k)]
+    got = a.mul_vec(v)
+    assert got == dense_mul_vec(a, v)
+    assert is_canonical(field, got)
+    prod = a * b
+    assert prod.shape == (n, m)
+    assert prod.rows == dense_matmul(a, b)
+    assert all(is_canonical(field, row) for row in prod.rows)
+
+
+def test_mul_vec_builds_one_gf_element_per_entry(gf_news):
+    for p in (2, 3, 5, 7):
+        field = PrimeField(p)
+        m = Matrix(field, [[3 * i + j - 4 for j in range(3)]
+                           for i in range(4)])
+        v = [field.coerce(x) for x in (2, -1, 5)]
+        gf_news.clear()
+        out = m.mul_vec(v)
+        assert len(gf_news) <= m.nrows
+        assert out == dense_mul_vec(m, v)
 
 
 def test_zero_row_and_zero_column_shapes(Q):

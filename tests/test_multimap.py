@@ -13,15 +13,21 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations, product
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from leibniz_rb.core import (ActionPair, LeibnizAlgebra, LeibnizGRep,
-                             basis_vec, contract, leibniz_differential)
+                             basis_vec, contract, leibniz_differential,
+                             residue_view)
+from leibniz_rb.errors import WrongField
 from leibniz_rb.fields import PrimeField, RationalField
 from leibniz_rb.graded import circ_i, derived_bracket_explicit
-from leibniz_rb.linalg import axpy, vec_add, vec_is_zero, vec_scale, zero_vec
+from leibniz_rb.linalg import (Matrix, axpy, vec_add, vec_is_zero, vec_scale,
+                               zero_vec)
 from leibniz_rb.multimap import MultiMap
 from leibniz_rb.postleibniz import PostLeibnizAlgebra
+
+from conftest import KERNEL_FIELDS, is_canonical, kernel_scalars
 
 Q = RationalField()
 GF5 = PrimeField(5)
@@ -209,18 +215,54 @@ def test_zero_rows_are_never_stored():
 
 @st.composite
 def contraction_case(draw):
-    field = draw(FIELDS)
-    d0, d1, n = (draw(st.integers(1, 3)) for _ in range(3))
-    tensor = [[_vec(draw, field, n) for _ in range(d1)] for _ in range(d0)]
-    return field, tensor, _vec(draw, field, d0), _vec(draw, field, d1), n
+    field = draw(st.sampled_from(KERNEL_FIELDS))
+    scalars = st.sampled_from(kernel_scalars(field))
+    vec = lambda k: [field.coerce(draw(scalars)) for _ in range(k)]
+    d0, d1, n = (draw(st.integers(0, 3)) for _ in range(3))
+    tensor = [[vec(n) for _ in range(d1)] for _ in range(d0)]
+    return field, tensor, vec(d0), vec(d1), n
 
 
 @PROPERTY
 @given(contraction_case())
 def test_contract_matches_dense(case):
     field, tensor, x, y, n = case
-    assert contract(field, tensor, x, y, n) == \
-        dense_contract(field, tensor, x, y, n)
+    got = contract(field, residue_view(field, tensor), x, y, n)
+    assert got == dense_contract(field, tensor, x, y, n)
+    assert is_canonical(field, got)
+
+
+def test_residue_view_is_the_tensor_over_q():
+    t = ((tuple(Q.coerce(x) for x in (1, 0, -2)),),)
+    assert residue_view(Q, t) is t
+    a = LeibnizAlgebra(Q, 1, [[[2]]])
+    assert a.c_raw is a.c
+    g = ((tuple(GF5.coerce(x) for x in (1, 0, -2)),),)
+    assert residue_view(GF5, g) == (([1, 0, 3],),)
+
+
+def test_contract_builds_one_gf_element_per_entry(gf_news):
+    for p in (2, 3, 5, 7):
+        field = PrimeField(p)
+        n = 3
+        tensor = [[[field.coerce(i + 2 * j + k + 1) for k in range(n)]
+                   for j in range(n)] for i in range(n)]
+        view = residue_view(field, tensor)
+        x = [field.coerce(v) for v in (1, -1, 2)]
+        gf_news.clear()
+        out = contract(field, view, x, x, n)
+        assert len(gf_news) <= n
+        assert out == dense_contract(field, tensor, x, x, n)
+
+
+def test_kernels_reject_another_prime_field():
+    # residues of GF(3) read as residues mod 5 would be silently wrong
+    x = [PrimeField(3).coerce(v) for v in (1, 2)]
+    a = LeibnizAlgebra.from_entries(GF5, 2, {(0, 1, 1): 1})
+    with pytest.raises(WrongField):
+        a.bracket(x, x)
+    with pytest.raises(WrongField):
+        Matrix(GF5, [[1, 2], [3, 4]]).mul_vec(x)
 
 
 @PROPERTY

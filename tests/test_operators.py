@@ -193,6 +193,14 @@ def test_search_raises_when_direct_check_disagrees(gf5, monkeypatch):
         list(search_rbos(rho_l_context(gf5), gf5.zero))
 
 
+def test_search_recheck_is_independent_of_the_screen(gf5, monkeypatch):
+    # a screen that accepts every candidate: the direct check alone must
+    # reject the non-operators, and the search reports the disagreement
+    monkeypatch.setattr(operators, "_compile_identity", lambda d, lam: [])
+    with pytest.raises(OracleDisagreement):
+        list(search_rbos(rho_l_context(gf5), gf5.zero))
+
+
 def test_search_deterministic_order(gf5):
     d = rho_l_context(gf5)
     a = [t.rows for t in search_rbos(d, gf5.zero)]
