@@ -75,32 +75,34 @@ def residue_view(field, tensor):
     return view
 
 
-def contract(field, tensor, x, y, n):
-    """sum_{i,j} x_i y_j tensor[i][j], a vector of length n.
+def contract(field, terms, n):
+    """sum over terms (tensor, x, y) of sum_{i,j} x_i y_j tensor[i][j].
 
-    The one bilinear kernel behind brackets, actions and post-Leibniz
-    products.  tensor is a residue view (``residue_view``); x and y are
-    read through field.to_raw, zero coordinates, zero tensor rows and
-    zero entries are skipped, and the raw sums become field elements once
-    per entry.  When no term is reached the result is n zeros.
+    The one bilinear kernel behind brackets, actions, post-Leibniz
+    products and the right-hand side of the operator identity, a vector
+    of length n.  Each tensor is a residue view (``residue_view``); x and
+    y are read through field.to_raw, zero coordinates, zero tensor rows
+    and zero entries are skipped, all terms add into one raw accumulator,
+    and the sums become field elements once per entry.  When no term is
+    reached the result is n zeros.
     """
     out = None
-    y = field.to_raw(y)
-    for i, xi in enumerate(field.to_raw(x)):
-        if not xi:
-            continue
-        plane = tensor[i]
-        for j, yj in enumerate(y):
-            row = plane[j]
-            if not yj or not any(row):
+    for tensor, x, y in terms:
+        y = field.to_raw(y)
+        for i, xi in enumerate(field.to_raw(x)):
+            if not xi:
                 continue
-            if out is None:
-                # raw zeros: Fraction(0) over Q, so that results stay Fractions
-                out = field.to_raw([field.zero] * n)
-            c = xi * yj
-            for k, t in enumerate(row):
-                if t:
-                    out[k] += c * t
+            plane = tensor[i]
+            for j, yj in enumerate(y):
+                row = plane[j]
+                if not yj or not any(row):
+                    continue
+                if out is None:
+                    out = [field.raw_zero] * n
+                c = xi * yj
+                for k, t in enumerate(row):
+                    if t:
+                        out[k] += c * t
     return [field.zero] * n if out is None else field.from_raw(out)
 
 
@@ -138,7 +140,7 @@ class LeibnizAlgebra:
         return list(self.c[i][j])
 
     def bracket(self, x, y):
-        return contract(self.field, self.c_raw, x, y, self.dim)
+        return contract(self.field, ((self.c_raw, x, y),), self.dim)
 
     def __eq__(self, other):
         return (isinstance(other, LeibnizAlgebra) and self.field == other.field
@@ -177,10 +179,10 @@ class ActionPair:
         return list(self.right[a][i])
 
     def left_act(self, x, v):
-        return contract(self.field, self.left_raw, x, v, self.dim_v)
+        return contract(self.field, ((self.left_raw, x, v),), self.dim_v)
 
     def right_act(self, v, x):
-        return contract(self.field, self.right_raw, v, x, self.dim_v)
+        return contract(self.field, ((self.right_raw, v, x),), self.dim_v)
 
     def __eq__(self, other):
         return (isinstance(other, ActionPair) and self.field == other.field

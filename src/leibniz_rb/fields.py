@@ -7,7 +7,9 @@ arithmetic operators, so all higher layers are field-agnostic.
 The accumulating kernels (``core.contract``, ``Matrix.mul_vec`` and
 ``Matrix.__mul__``) work on raw values instead: ``to_raw`` turns a vector
 into plain int residues over GF(p), ``from_raw`` reduces the sums once per
-result entry.  Over Q both return their argument.
+result entry.  Over Q both return their argument.  The sums start from
+``raw_zero``, built once per field: ``Fraction(0)`` over Q, so that results
+stay Fractions, and the int 0 over GF(p).
 """
 
 from fractions import Fraction
@@ -148,6 +150,7 @@ class RationalField(Field):
     def __init__(self):
         self.zero = Fraction(0)
         self.one = Fraction(1)
+        self.raw_zero = self.zero
 
     @property
     def characteristic(self):
@@ -192,6 +195,7 @@ class PrimeField(Field):
         self.p = p
         self.zero = GFElement(0, p)
         self.one = GFElement(1, p)
+        self.raw_zero = 0
 
     @property
     def characteristic(self):

@@ -90,7 +90,7 @@ class Matrix:
                                 % (self.nrows, self.ncols, len(v)))
         fld = self.field
         v = [(j, x) for j, x in enumerate(fld.to_raw(v)) if x]
-        out = fld.to_raw([fld.zero] * self.nrows)
+        out = [fld.raw_zero] * self.nrows
         for i, row in enumerate(self.raw):
             for j, x in v:
                 t = row[j]
@@ -103,7 +103,7 @@ class Matrix:
             if self.ncols != other.nrows:
                 raise ShapeMismatch("matmul shape mismatch")
             fld = self.field
-            zeros = fld.to_raw([fld.zero] * other.ncols)
+            zeros = [fld.raw_zero] * other.ncols
             rows = []
             for row in self.raw:
                 acc = list(zeros)

@@ -12,7 +12,7 @@ adjoint context, so all verification code has a single code path.
 from itertools import product
 
 from .core import (ActionPair, LeibnizAlgebra, LeibnizGRep, ValidationReport,
-                   adjoint_grep, basis_vec, is_adjoint_grep,
+                   adjoint_grep, basis_vec, contract, is_adjoint_grep,
                    is_algebra_morphism)
 from .errors import (InvalidInput, InvalidOperator, NotAdjointContext,
                      OracleDisagreement, ResourceLimit, ShapeMismatch,
@@ -30,11 +30,14 @@ def _check_operator_shape(d, t):
 def operator_rhs(d, lam, u, tu, v, tv):
     """rho^L(Tu,v) + rho^R(u,Tv) + lambda [u,v]_h as a vector of h.
 
-    tu and tv are the images Tu and Tv.
+    tu and tv are the images Tu and Tv.  One contraction sums the three
+    terms, the last as [lambda u, v]_h, so over GF(p) each entry becomes
+    a field element once.  Zero entries of u are passed on unscaled.
     """
     act = d.actions
-    out = vec_add(act.left_act(tu, v), act.right_act(u, tv))
-    return vec_add(out, vec_scale(lam, d.h.bracket(u, v)))
+    lu = [lam * x if x else x for x in u]
+    return contract(d.field, ((act.left_raw, tu, v), (act.right_raw, u, tv),
+                              (d.h.c_raw, lu, v)), d.h.dim)
 
 
 def check_weighted_relative_rbo(d, lam, t):
@@ -289,6 +292,51 @@ def _compile_identity(d, lam):
     return polys
 
 
+def _screen(polys, p, cells):
+    """The int tuples of length cells on which every polynomial vanishes.
+
+    Lexicographic order.  The last cell y changes fastest, so each
+    polynomial is split once into c0 + c1 y + c2 y^2, where c0 and c1 depend
+    on the earlier cells and c2 is a constant.  Each prefix evaluates c0 and
+    c1 of every polynomial once and reads the passing y off a bitmask (bit y
+    set iff c0 + c1 y + c2 y^2 is 0 mod p), cached by the residues (c0, c1,
+    c2).  The masks are ANDed over the polynomials, stopping at the first
+    empty one.
+    """
+    if not cells:
+        yield ()
+        return
+    last = cells - 1
+    # per polynomial: quadratic and linear terms of c0, terms of c1 and
+    # the constants in c1 and c2
+    split = [([(c, u, v) for c, u, v in quad if v != last],
+              [(c, u) for c, u in lin if u != last],
+              [(c, u) for c, u, v in quad if u != v == last],
+              sum(c for c, u in lin if u == last),
+              sum(c for c, u, v in quad if u == v == last))
+             for quad, lin in polys]
+    full = (1 << p) - 1
+    masks = {}
+    for x in product(range(p), repeat=last):
+        passing = full
+        for q0, l0, q1, k1, c2 in split:
+            c0 = (sum([c * x[u] * x[v] for c, u, v in q0])
+                  + sum([c * x[u] for c, u in l0])) % p
+            c1 = (k1 + sum([c * x[u] for c, u in q1])) % p
+            key = (c0, c1, c2)
+            mask = masks.get(key)
+            if mask is None:
+                mask = masks[key] = sum(1 << y for y in range(p)
+                                        if (c0 + c1 * y + c2 * y * y) % p == 0)
+            passing &= mask
+            if not passing:
+                break
+        while passing:
+            low = passing & -passing
+            yield x + (low.bit_length() - 1,)
+            passing ^= low
+
+
 def search_rbos(d, lam, cap=10 ** 6):
     """All operators T over GF(p) satisfying the weighted identity.
 
@@ -297,9 +345,11 @@ def search_rbos(d, lam, cap=10 ** 6):
     satisfying the weighted identity.  The order is deterministic.
 
     Candidates are screened with int arithmetic by the identity compiled
-    to polynomials mod p (``_compile_identity``); every candidate that
-    passes is re-verified by check_weighted_relative_rbo, and a rejection
-    there raises OracleDisagreement.
+    to polynomials mod p (``_compile_identity``), once per prefix of all
+    cells but the last (``_screen``); every candidate that passes is
+    re-verified by check_weighted_relative_rbo, whose right-hand side
+    (``operator_rhs``) sums its three terms in one contraction, and a
+    rejection there raises OracleDisagreement.
     """
     fld = d.field
     if not isinstance(fld, PrimeField):
@@ -311,18 +361,12 @@ def search_rbos(d, lam, cap=10 ** 6):
     if total > cap:
         raise ResourceLimit("search space %d exceeds cap %d" % (total, cap))
     lam = fld.coerce(lam)
-    polys = _compile_identity(d, lam)
     els = fld.elements()
-    for x in product(range(p), repeat=cells):
-        for quad, lin in polys:
-            if (sum(c * x[u] * x[v] for c, u, v in quad)
-                    + sum(c * x[u] for c, u in lin)) % p:
-                break
-        else:
-            t = Matrix(fld, [[els[x[i * nh + j]] for j in range(nh)]
-                             for i in range(ng)])
-            if not check_weighted_relative_rbo(d, lam, t).ok:
-                raise OracleDisagreement(
-                    "compiled identity accepts %r, the direct check rejects "
-                    "it" % (list(x),))
-            yield t
+    for x in _screen(_compile_identity(d, lam), p, cells):
+        t = Matrix(fld, [[els[x[i * nh + j]] for j in range(nh)]
+                         for i in range(ng)], nh)
+        if not check_weighted_relative_rbo(d, lam, t).ok:
+            raise OracleDisagreement(
+                "compiled identity accepts %r, the direct check rejects "
+                "it" % (list(x),))
+        yield t

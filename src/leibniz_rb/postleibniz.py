@@ -50,16 +50,18 @@ class PostLeibnizAlgebra:
         return cls(field, dim, z, z, z)
 
     def lt(self, x, y):
-        return contract(self.field, self.left_raw, x, y, self.dim)
+        return contract(self.field, ((self.left_raw, x, y),), self.dim)
 
     def rt(self, x, y):
-        return contract(self.field, self.right_raw, x, y, self.dim)
+        return contract(self.field, ((self.right_raw, x, y),), self.dim)
 
     def br(self, x, y):
-        return contract(self.field, self.bracket_raw, x, y, self.dim)
+        return contract(self.field, ((self.bracket_raw, x, y),), self.dim)
 
     def star(self, x, y):
-        return vec_add(vec_add(self.lt(x, y), self.rt(x, y)), self.br(x, y))
+        return contract(self.field, ((self.left_raw, x, y),
+                                     (self.right_raw, x, y),
+                                     (self.bracket_raw, x, y)), self.dim)
 
     def star_tensor(self):
         return _add_tensors(self.field, self.dim,

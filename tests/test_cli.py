@@ -143,6 +143,23 @@ def test_operator_into_zero_dim_space(operator, tmp_path):
     assert "weighted-relative-rbo: valid" in out.getvalue()
 
 
+@pytest.mark.parametrize("head", [
+    "algebra g dim 0\n",
+    "algebra g dim 0\nalgebra h dim 2\nactions act on g h\n",
+    "algebra g dim 2\nalgebra h dim 0\nactions act on g h\n",
+], ids=["adjoint", "relative-g0", "relative-h0"])
+def test_search_with_no_cells_yields_the_empty_operator(head, tmp_path):
+    # dim g * dim h = 0 cells: exactly one candidate, the empty operator
+    path = tmp_path / "zero.lra"
+    path.write_text("field gf 3\n" + head + "scalar lambda 0\n")
+    argv = ["search", str(path)] + (["--actions", "act"] if "act" in head
+                                    else [])
+    out, err = io.StringIO(), io.StringIO()
+    code = run_command(argv, out=out, err=err)
+    assert (code, err.getvalue()) == (0, "")
+    assert out.getvalue() == "operator: \ncount: 1\nstatus: pass\n"
+
+
 def test_field_override():
     r = _run(["validate", MANIFEST, "--field", "gf 7", "--format", "machine"])
     assert r.returncode == 0

@@ -215,20 +215,34 @@ def test_zero_rows_are_never_stored():
 
 @st.composite
 def contraction_case(draw):
+    # one to three terms (tensor, x, y) with their own d0 x d1, one n
     field = draw(st.sampled_from(KERNEL_FIELDS))
     scalars = st.sampled_from(kernel_scalars(field))
     vec = lambda k: [field.coerce(draw(scalars)) for _ in range(k)]
-    d0, d1, n = (draw(st.integers(0, 3)) for _ in range(3))
-    tensor = [[vec(n) for _ in range(d1)] for _ in range(d0)]
-    return field, tensor, vec(d0), vec(d1), n
+    n = draw(st.integers(0, 3))
+    terms = []
+    for _ in range(draw(st.integers(1, 3))):
+        d0, d1 = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+        terms.append(([[vec(n) for _ in range(d1)] for _ in range(d0)],
+                      vec(d0), vec(d1)))
+    return field, terms, n
+
+
+def dense_sum(field, terms, n):
+    """The dense oracle summed over terms (tensor, x, y)."""
+    out = [field.zero] * n
+    for tensor, x, y in terms:
+        out = vec_add(out, dense_contract(field, tensor, x, y, n))
+    return out
 
 
 @PROPERTY
 @given(contraction_case())
 def test_contract_matches_dense(case):
-    field, tensor, x, y, n = case
-    got = contract(field, residue_view(field, tensor), x, y, n)
-    assert got == dense_contract(field, tensor, x, y, n)
+    field, terms, n = case
+    got = contract(field, [(residue_view(field, t), x, y)
+                           for t, x, y in terms], n)
+    assert got == dense_sum(field, terms, n)
     assert is_canonical(field, got)
 
 
@@ -242,17 +256,22 @@ def test_residue_view_is_the_tensor_over_q():
 
 
 def test_contract_builds_one_gf_element_per_entry(gf_news):
+    # one term or three: the terms share one accumulator
     for p in (2, 3, 5, 7):
         field = PrimeField(p)
         n = 3
-        tensor = [[[field.coerce(i + 2 * j + k + 1) for k in range(n)]
-                   for j in range(n)] for i in range(n)]
-        view = residue_view(field, tensor)
+        tensors = [[[[field.coerce(i + 2 * j + k + s) for k in range(n)]
+                     for j in range(n)] for i in range(n)] for s in (1, 2, 4)]
         x = [field.coerce(v) for v in (1, -1, 2)]
-        gf_news.clear()
-        out = contract(field, view, x, x, n)
-        assert len(gf_news) <= n
-        assert out == dense_contract(field, tensor, x, x, n)
+        y = [field.coerce(v) for v in (2, 0, 1)]
+        for terms in ([(tensors[0], x, x)],
+                      [(tensors[0], x, x), (tensors[1], x, y),
+                       (tensors[2], y, x)]):
+            views = [(residue_view(field, t), a, b) for t, a, b in terms]
+            gf_news.clear()
+            out = contract(field, views, n)
+            assert len(gf_news) <= n
+            assert out == dense_sum(field, terms, n)
 
 
 def test_kernels_reject_another_prime_field():
@@ -283,6 +302,7 @@ def test_structure_products_use_the_kernel(data):
     p = PostLeibnizAlgebra(field, ng, c, c, c)
     assert p.lt(x, x2) == p.rt(x, x2) == p.br(x, x2) == \
         dense_contract(field, c, x, x2, ng)
+    assert p.star(x, x2) == dense_sum(field, [(c, x, x2)] * 3, ng)
 
 
 # ---------------------------------------------------------------------------

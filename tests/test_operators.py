@@ -1,4 +1,6 @@
+import glob
 import os
+import random
 from itertools import product
 
 import pytest
@@ -9,7 +11,7 @@ from leibniz_rb.errors import (InvalidInput, InvalidOperator,
                                NotAdjointContext, OracleDisagreement,
                                ResourceLimit, WrongField)
 from leibniz_rb.fields import PrimeField
-from leibniz_rb.linalg import Matrix
+from leibniz_rb.linalg import Matrix, vec_add, vec_scale
 from leibniz_rb.operators import (WeightedRBO, OperatorMorphism,
                                   check_crossed_homomorphism,
                                   check_operator_morphism,
@@ -21,7 +23,8 @@ from leibniz_rb.operators import (WeightedRBO, OperatorMorphism,
 from leibniz_rb.core import validate_leibniz
 from leibniz_rb.manifest import load_manifest
 
-from conftest import dim2_nonlie, heisenberg, rho_l_context, small_contexts
+from conftest import (dim2_nonlie, heisenberg, is_canonical, rho_l_context,
+                      small_contexts)
 from golden_cases import ROOT
 
 
@@ -165,21 +168,46 @@ def test_ideal_context_rejects_non_ideal(Q):
         ideal_context(a, [0])
 
 
-def test_search_matches_brute_force(gf5):
+def _last_cell_degree(d, lam):
+    """The highest power of the last cell in the compiled identity.
+
+    2 if it enters squared, 1 if only linearly or times another cell, 0
+    if not at all; None when there are no polynomials.
+    """
+    polys = operators._compile_identity(d, lam)
+    if not polys:
+        return None
+    last = d.g.dim * d.h.dim - 1
+    quad = [(u, v) for q, _ in polys for _, u, v in q]
+    lin = [u for _, l in polys for _, u in l]
+    if (last, last) in quad:
+        return 2
+    return int(any(last in uv for uv in quad) or last in lin)
+
+
+def test_search_matches_brute_force(gf5, gf7):
     # the same hits in the same (lexicographic) order as filtering every
-    # matrix with the direct check, so no operator is missed or reordered
+    # matrix with the direct check, so no operator is missed or reordered;
+    # the contexts cover the last cell entering squared, only linearly and
+    # not at all, 1 x 1 operators and a prime larger than 5
     gf2, gf3 = PrimeField(2), PrimeField(3)
     pair = load_manifest(os.path.join(ROOT, "manifests",
                                       "gf5-abelian-pair.lra")).grep("act")
     contexts = ([rho_l_context(gf5), pair] + small_contexts(gf2, (2, 2))
-                + small_contexts(gf3, (2, 2)))
+                + small_contexts(gf3, (2, 2)) + small_contexts(gf5, (1, 1))
+                + small_contexts(gf3, (1, 2)) + small_contexts(gf3, (2, 1))
+                + small_contexts(gf7, (1, 1)) + small_contexts(gf7, (2, 1))
+                + [adjoint_grep(dim2_nonlie(gf7))])
+    degrees = set()
     for d in contexts:
         fld = d.field
         for lam in (fld.zero, fld.one, -fld.one):
+            degrees.add(_last_cell_degree(d, lam))
             found = [t.rows for t in search_rbos(d, lam)]
             brute = [t.rows for t in _all_matrices(fld, d.g.dim, d.h.dim)
                      if check_weighted_relative_rbo(d, lam, t).ok]
             assert found == brute
+    assert degrees == {None, 0, 1, 2}
 
 
 def test_search_raises_when_direct_check_disagrees(gf5, monkeypatch):
@@ -199,6 +227,66 @@ def test_search_recheck_is_independent_of_the_screen(gf5, monkeypatch):
     monkeypatch.setattr(operators, "_compile_identity", lambda d, lam: [])
     with pytest.raises(OracleDisagreement):
         list(search_rbos(rho_l_context(gf5), gf5.zero))
+
+
+def test_search_without_polynomials_rechecks_every_candidate(monkeypatch):
+    # no polynomials: every candidate, in lexicographic order, reaches the
+    # re-check, which alone decides
+    gf3 = PrimeField(3)
+    seen = []
+
+    def accept(d, lam, t):
+        seen.append(t.rows)
+        return ValidationReport("weighted-relative-rbo")
+
+    monkeypatch.setattr(operators, "_compile_identity", lambda d, lam: [])
+    monkeypatch.setattr(operators, "check_weighted_relative_rbo", accept)
+    d = adjoint_grep(dim2_nonlie(gf3))
+    found = [t.rows for t in search_rbos(d, gf3.zero)]
+    assert found == seen == [t.rows for t in _all_matrices(gf3, 2, 2)]
+
+
+def test_search_rechecks_each_operator_once(monkeypatch):
+    # the per-prefix screen neither skips nor repeats the direct check
+    gf3 = PrimeField(3)
+    calls = []
+    real = operators.check_weighted_relative_rbo
+
+    def counted(d, lam, t):
+        calls.append(t.rows)
+        return real(d, lam, t)
+
+    monkeypatch.setattr(operators, "check_weighted_relative_rbo", counted)
+    d = adjoint_grep(heisenberg(gf3))
+    found = [t.rows for t in search_rbos(d, -gf3.one)]
+    assert found and calls == found
+
+
+def test_operator_rhs_matches_three_products():
+    # the one-pass right-hand side against its three separate products,
+    # on random vectors of every manifest context over Q and GF(5)
+    rng = random.Random(11)
+    for spec in ("rational", "gf 5"):
+        for path in sorted(glob.glob(os.path.join(ROOT, "manifests",
+                                                  "*.lra"))):
+            m = load_manifest(path, field=spec)
+            fld = m.field
+            contexts = [adjoint_grep(a) for a in m.algebras.values()]
+            contexts += [m.grep(name) for name in m.actions]
+            for d in contexts:
+                act = d.actions
+                vec = lambda n: [fld.coerce(rng.randrange(-3, 4))
+                                 for _ in range(n)]
+                for _ in range(10):
+                    lam = fld.coerce(rng.randrange(-3, 4))
+                    u, v = vec(d.h.dim), vec(d.h.dim)
+                    tu, tv = vec(d.g.dim), vec(d.g.dim)
+                    want = vec_add(vec_add(act.left_act(tu, v),
+                                           act.right_act(u, tv)),
+                                   vec_scale(lam, d.h.bracket(u, v)))
+                    got = operators.operator_rhs(d, lam, u, tu, v, tv)
+                    assert got == want
+                    assert is_canonical(fld, got)
 
 
 def test_search_deterministic_order(gf5):
