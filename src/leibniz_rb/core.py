@@ -7,7 +7,7 @@ negative tests.
 """
 
 from dataclasses import dataclass, field as dc_field
-from itertools import combinations, product
+from itertools import product
 
 from .errors import InvalidInput, ShapeMismatch
 from .linalg import axpy, vec_add, zero_vec
@@ -363,56 +363,34 @@ def is_algebra_morphism(src, dst, phi):
 
 
 def leibniz_differential(g, actions, f):
-    """General Leibniz cochain differential, arity n >= 1.
+    """General Leibniz cochain differential, arity n >= 1, as a plain gather.
 
     f is a MultiMap g^{x n} -> V; actions is the (rho^L, rho^R) pair of
-    g on V.  Degree 0 is deliberately not exposed here; the specialized
-    operator complex pins its own degree-0 formula.  rho^L(e_i, .),
-    rho^R(., e_j) and [e_i, e_j] are read as slices of the tensors, and
-    only the bracket terms the support of f reaches are evaluated.
+    g on V.  rho^L(e_i, .), rho^R(., e_j) and [e_i, e_j] are read as slices
+    of the tensors.  It is the second route for the assembled delta matrices.
     """
     if f.src_dim != g.dim or f.tgt_dim != actions.dim_v:
         raise ShapeMismatch("cochain does not match algebra/carrier dims")
     if actions.dim_g != g.dim:
         raise ShapeMismatch("actions do not match algebra dim")
-    fld = g.field
-    n = f.arity
-    nz = f.nz
-    sign = [_pow_sign(fld, k) for k in range(n + 2)]
-    # combinations(idx, m) yields the sub-tuples of idx in the order of
-    # combinations(range(n + 1), m); dropped(m) lists the positions that
-    # each of them leaves out.
-    def dropped(m):
-        return [sorted(set(range(n + 1)).difference(kept))
-                for kept in combinations(range(n + 1), m)]
-
-    # Leaving out p < n gives the rho^L term of e_idx[p], with left[a][k] =
-    # rho^L(e_a, e_k); leaving out n gives the rho^R term, with right[a][k]
-    # = rho^R(e_k, e_a).
-    right = [[plane[a] for plane in actions.right] for a in range(g.dim)]
-    singles = [(p, sign[p + 2] if p < n else sign[n + 1],
-                actions.left if p < n else right) for (p,) in dropped(n)]
-    # Leaving out p < q gives the bracket term (p + 1, q + 1), which feeds
-    # [e_idx[p], e_idx[q]] to f at position q - 1; it is zero unless the
-    # rest is a support tuple of f with position q - 1 left out.
-    drop = [{s[:k] + s[k + 1:] for s in nz} for k in range(n)]
-    pairs = [(p, q, sign[p + 1], drop[q - 1]) for p, q in dropped(n - 1)]
+    fld, n = g.field, f.arity
+    # right[j][a] = rho^R(f_a, e_j)
+    right = [[plane[j] for plane in actions.right] for j in range(g.dim)]
     out = MultiMap(fld, n + 1, g.dim, actions.dim_v)
     for idx in out.tuples():
         acc = zero_vec(fld, actions.dim_v)
-        hit = False
-        for (p, c, act), rest in zip(singles, combinations(idx, n)):
-            row = nz.get(rest)
-            if row:
-                add_combination(acc, c, row, act[idx[p]])
-                hit = True
-        for (p, q, c, reached), rest in zip(pairs, combinations(idx, n - 1)):
-            if rest in reached:
-                args = rest[:q - 1] + (g.c[idx[p]][idx[q]],) + rest[q - 1:]
-                axpy(acc, c, f.apply(args))
-                hit = True
-        if hit:
-            out.set_(idx, acc)
+        for i in range(1, n + 1):
+            add_combination(acc, _pow_sign(fld, i + 1),
+                            f.nz.get(idx[:i - 1] + idx[i:], ()),
+                            actions.left[idx[i - 1]])
+        add_combination(acc, _pow_sign(fld, n + 1), f.nz.get(idx[:n], ()),
+                        right[idx[n]])
+        for i in range(1, n + 1):
+            for j in range(i + 1, n + 2):
+                args = (idx[:i - 1] + idx[i:j - 1]
+                        + (g.c[idx[i - 1]][idx[j - 1]],) + idx[j:])
+                axpy(acc, _pow_sign(fld, i), f.apply(args))
+        out.set_(idx, acc)
     return out
 
 

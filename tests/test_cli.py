@@ -160,6 +160,52 @@ def test_search_with_no_cells_yields_the_empty_operator(head, tmp_path):
     assert out.getvalue() == "operator: \ncount: 1\nstatus: pass\n"
 
 
+@pytest.mark.parametrize("head,rows", [
+    ("algebra g dim 0\n", ["c 0 z 0 b 0 h 0"] * 4),
+    ("algebra g dim 0\nalgebra h dim 2\nactions act on g h\n",
+     ["c 0 z 0 b 0 h 0"] * 4),
+    ("algebra g dim 2\nalgebra h dim 0\nactions act on g h\n",
+     ["c 2 z 2 b 0 h 2"] + ["c 0 z 0 b 0 h 0"] * 3),
+], ids=["adjoint", "relative-g0", "relative-h0"])
+def test_cohomology_of_zero_dimensional_contexts(head, rows, tmp_path):
+    # every delta has an empty side: no rows, no columns or both
+    path = tmp_path / "zero.lra"
+    path.write_text("field rational\n" + head + "scalar lambda 0\n")
+    argv = ["cohomology", str(path), "--operator", "zero", "--max-degree",
+            "3", "--format", "machine"]
+    argv += ["--actions", "act"] if "act" in head else []
+    out, err = io.StringIO(), io.StringIO()
+    assert (run_command(argv, out=out, err=err), err.getvalue()) == (0, "")
+    want = ["degree %d %s" % (n, row) for n, row in enumerate(rows)]
+    assert out.getvalue().splitlines()[2:] == want + ["status pass"]
+
+
+DEFORMATION = ("algebra g dim 2\nbracket g e1 e1 -> 1 e2\n"
+               "map t0 from g to g\nmap t1 from g to g\n"
+               "entry t1 e1 -> 1 e1\n%s"
+               "deformation d base t0 coeffs t1\nscalar lambda 1\n")
+
+
+@pytest.mark.parametrize("field", ["gf 2", "gf 3", "gf 5", "rational"])
+@pytest.mark.parametrize("valid", [True, False], ids=["valid", "failing"])
+def test_deform_check_in_every_characteristic(field, valid, tmp_path):
+    # T_1 = id breaks the order-1 equation at (e1, e1); T_1 = e1 e1^* keeps
+    # it, since T_1 e2 = 0.  Over GF(2) the dgLa form, which needs 1/2, is
+    # not a cross-check, and the direct verdict stands alone.
+    path = tmp_path / "defm.lra"
+    path.write_text("field gf 2\n" + DEFORMATION
+                    % ("" if valid else "entry t1 e2 -> 1 e2\n"))
+    out, err = io.StringIO(), io.StringIO()
+    code = run_command(["deform-check", str(path), "--field", field],
+                       out=out, err=err)
+    assert err.getvalue() == ""
+    if valid:
+        assert code == 0 and "deformation: valid" in out.getvalue()
+    else:
+        assert code == 1
+        assert "  deformation-equation at (1, 0, 0)\n" in out.getvalue()
+
+
 def test_field_override():
     r = _run(["validate", MANIFEST, "--field", "gf 7", "--format", "machine"])
     assert r.returncode == 0

@@ -1,16 +1,22 @@
 import glob
+import io
 import os
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from leibniz_rb import cohomology as cohomology_module
-from leibniz_rb.cohomology import (DegreeData, cochain_basis, cochain_dim,
-                                   cohomology, d_T, delta_T, delta_T_0,
-                                   delta_matrix, induced_representation)
-from leibniz_rb.core import (adjoint_grep, basis_vec, change_of_basis_algebra,
-                             change_of_basis_grep, validate_representation)
-from leibniz_rb.errors import ContainmentViolated, InvalidOperator, ResourceLimit
+from leibniz_rb.cli import run_command
+from leibniz_rb.cohomology import (DegreeData, cochain_dim, cohomology, d_T,
+                                   delta_T, delta_T_0, delta_matrix,
+                                   delta_rows, induced_representation)
+from leibniz_rb.core import (ActionPair, LeibnizAlgebra, adjoint_grep,
+                             basis_vec, change_of_basis_algebra,
+                             change_of_basis_grep, leibniz_differential,
+                             validate_representation)
+from leibniz_rb.errors import (ContainmentViolated, InvalidOperator,
+                               OracleDisagreement, ResourceLimit)
 from leibniz_rb.fields import PrimeField, RationalField
 from leibniz_rb.graded import _pow_sign
 from leibniz_rb.linalg import Matrix, span_rank, vec_is_zero
@@ -24,9 +30,19 @@ from conftest import (dim2_nonlie, heisenberg, random_matrix, random_multimap,
 from golden_cases import ROOT
 
 
-def _rbo_id(Q):
-    return WeightedRBO.on_algebra(dim2_nonlie(Q), Q.coerce(-1),
-                                  Matrix.identity(Q, 2))
+def cochain_basis(r, n):
+    """Unit cochains of C^n in the pinned flattening order."""
+    d, fld = r.context, r.field
+    if n == 0:
+        return [basis_vec(fld, d.g.dim, i) for i in range(d.g.dim)]
+    dim = cochain_dim(r, n)
+    return [MultiMap.from_flat(fld, n, d.h.dim, d.g.dim,
+                               basis_vec(fld, dim, k)) for k in range(dim)]
+
+
+def _rbo_id(fld):
+    return WeightedRBO.on_algebra(dim2_nonlie(fld), fld.coerce(-1),
+                                  Matrix.identity(fld, 2))
 
 
 def test_induced_representation_is_valid(Q):
@@ -152,26 +168,94 @@ def test_representatives_are_cocycles(Q):
 
 
 def _delta_by_columns(r, n):
-    """Oracle: one delta_T call per unit cochain of C^n."""
-    cols = [delta_T(r, f).flatten() for f in cochain_basis(r, n)]
+    """Oracle: delta_T_0 or one delta_T call per unit cochain of C^n."""
+    if n == 0:
+        cols = [MultiMap.from_matrix(delta_T_0(r, x)).flatten()
+                for x in cochain_basis(r, 0)]
+    else:
+        cols = [delta_T(r, f).flatten() for f in cochain_basis(r, n)]
     return Matrix.from_cols(r.field, cols, cochain_dim(r, n + 1))
 
 
-@pytest.mark.parametrize("n", [1, 2])
-def test_delta_matrix_matches_column_oracle(Q, gf5, n):
-    for fld in (Q, gf5):
-        nonsquare = small_contexts(fld, (2, 1))
-        cases = [WeightedRBO.on_algebra(dim2_nonlie(fld), fld.coerce(-1),
-                                        Matrix.identity(fld, 2)),
-                 WeightedRBO(nonsquare[1], fld.one, Matrix(fld, [[0], [1]])),
-                 WeightedRBO(nonsquare[2], fld.zero, Matrix(fld, [[0], [1]])),
-                 WeightedRBO.on_algebra(dim2_nonlie(fld), fld.zero,
-                                        Matrix(fld, [[0, 0], [0, 1]]))]
-        for r in cases:
-            assert r.is_valid
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_delta_matrix_matches_column_oracle(n):
+    for field_spec in ("rational", "gf 5"):
+        for name, label, r in _manifest_operators(field_spec):
             m = delta_matrix(r, n)
             assert m.shape == (cochain_dim(r, n + 1), cochain_dim(r, n))
-            assert m == _delta_by_columns(r, n)
+            assert m == _delta_by_columns(r, n), (name, label, r.weight)
+
+
+def _dense(rows, ncols, fld):
+    out = []
+    for row in rows:
+        out.append([fld.zero] * ncols)
+        for j, x in row.items():
+            out[-1][j] = x
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_delta_rows_match_the_column_oracle(data):
+    # arbitrary tensors: the assembly, like the Leibniz differential,
+    # needs no axiom; dim V and dim h vary independently and may be 0
+    fld = data.draw(st.sampled_from([RationalField(), PrimeField(2),
+                                     PrimeField(3), PrimeField(5)]))
+    nh, nv = data.draw(st.integers(0, 3)), data.draw(st.integers(0, 3))
+    n = data.draw(st.integers(0, 3 if nh < 3 else 2))
+    scalar = st.sampled_from([0, 0, 0, 1, -1, 2, -3]).map(fld.coerce)
+
+    def tensor(a, b, c):
+        return [[data.draw(st.lists(scalar, min_size=c, max_size=c))
+                 for _ in range(b)] for _ in range(a)]
+
+    h = LeibnizAlgebra(fld, nh, tensor(nh, nh, nh))
+    rho = ActionPair(fld, nh, nv, tensor(nh, nv, nv), tensor(nv, nh, nv))
+    ncols = nv * nh ** n
+    if n == 0:
+        # delta_0 x = -rho^R(x, .)
+        cols = [[-y for a in range(nh)
+                 for y in rho.right_act(basis_vec(fld, nv, k),
+                                        basis_vec(fld, nh, a))]
+                for k in range(nv)]
+    else:
+        cols = [leibniz_differential(h, rho, MultiMap.from_flat(
+            fld, n, nh, nv, basis_vec(fld, ncols, k))).flatten()
+            for k in range(ncols)]
+    rows = delta_rows(h, rho, n)
+    assert len(rows) == nv * nh ** (n + 1)
+    assert all(x and 0 <= j < ncols for row in rows for j, x in row.items())
+    assert _dense(rows, ncols, fld) == \
+        Matrix.from_cols(fld, cols, len(rows)).rows
+
+
+@pytest.mark.parametrize("p", [0, 2, 5])
+def test_wrong_assembly_is_caught(p, monkeypatch):
+    fld = PrimeField(p) if p else RationalField()
+    r = _rbo_id(fld)
+    assert r.is_valid
+    real = cohomology_module.delta_rows
+
+    def corrupted(h, rho, n):
+        # one entry changes: the last column of the last row
+        rows = real(h, rho, n)
+        j = rho.dim_v * h.dim ** n - 1
+        rows[-1][j] = rows[-1].get(j, fld.zero) + 1
+        return rows
+
+    monkeypatch.setattr(cohomology_module, "delta_rows", corrupted)
+    for n in range(3):
+        with pytest.raises(OracleDisagreement, match="^delta_%d " % n):
+            delta_matrix(r, n)
+    out, err = io.StringIO(), io.StringIO()
+    code = run_command(["cohomology", os.path.join(ROOT, "manifests",
+                                                   "dim2-nonlie.lra"),
+                        "--operator", "id", "--field",
+                        "gf %d" % p if p else "rational"], out=out, err=err)
+    assert (code, out.getvalue()) == (2, "")
+    lines = err.getvalue().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("internal error: delta_")
 
 
 def test_heisenberg_degree_4_in_a_dense_basis(Q):

@@ -9,6 +9,7 @@ from leibniz_rb.deformations import (Deformation, check_deformation,
 from leibniz_rb.errors import (BaseMismatch, InvalidDeformation,
                                OracleDisagreement, ResourceLimit,
                                ShapeMismatch, WrongField)
+from leibniz_rb.fields import PrimeField, RationalField
 from leibniz_rb.linalg import Matrix
 from leibniz_rb.operators import WeightedRBO
 
@@ -48,6 +49,27 @@ def test_invalid_deformation_reported(Q):
     rep = check_deformation(defm)
     assert not rep.ok
     assert rep.laws_violated() == ["deformation-equation"]
+
+
+@pytest.mark.parametrize("p", [0, 2, 3, 5, 7])
+@pytest.mark.parametrize("t1", [[[1, 0], [0, 1]], [[1, 0], [0, 0]]],
+                         ids=["failing", "valid"])
+def test_dgla_cross_check_runs_where_2_is_invertible(p, t1, monkeypatch):
+    fld = PrimeField(p) if p else RationalField()
+    r = WeightedRBO.on_algebra(dim2_nonlie(fld), fld.one,
+                               Matrix.zeros(fld, 2, 2))
+    defm = Deformation(r, [r.t, Matrix(fld, t1)])
+    calls = []
+    real = deformations.d_T
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(deformations, "d_T", counted)
+    rep = check_deformation(defm)
+    assert rep.ok == (t1[1][1] == 0)
+    assert len(calls) == (0 if p == 2 else 1)
 
 
 def test_infinitesimal_is_cocycle(gf5):

@@ -385,8 +385,7 @@ def test_leibniz_differential_matches_old_loop(data):
     if data.draw(st.booleans()):
         f = data.draw(maps(field, arity, ng, nv))
     else:
-        # 0, 1 or 2 nonzero rows, like the unit cochains of delta assembly,
-        # so that most bracket terms are pruned
+        # 0, 1 or 2 nonzero rows, so that most terms read absent rows
         f = MultiMap(field, arity, ng, nv)
         tuples = list(product(range(ng), repeat=arity))
         for idx in data.draw(st.lists(st.sampled_from(tuples), max_size=2,
