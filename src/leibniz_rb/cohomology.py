@@ -7,14 +7,17 @@ in g, C^0 = g and C^n = Hom(h^{x n}, g), where h_T acts on g by
     rhoR_T(x, u) = [x, Tu]_g - T rho^L(x, u)
 
 One formula builds delta in every degree; delta_0 x = -rhoR_T(x, .) is the
-map u -> T rho^L(x, u) - [x, Tu]_g.  The twisted differential d_T = d +
-[[T, -]] gives the same cohomology up to the sign d_T f = (-1)^n delta f,
-which the test-suite uses as an oracle.
+map u -> T rho^L(x, u) - [x, Tu]_g.  Its checks run on the int rows of
+D delta (``IntegerView``).  The twisted differential d_T = d + [[T, -]]
+gives the same cohomology up to the sign d_T f = (-1)^n delta f, which the
+test-suite uses as an oracle.
 """
 
 from collections import Counter
 from dataclasses import dataclass, field as dc_field
+from functools import cache
 from itertools import combinations, product
+from math import lcm
 
 from .core import ActionPair, add_combination, leibniz_differential
 from .errors import ContainmentViolated, OracleDisagreement, ResourceLimit
@@ -69,19 +72,19 @@ def d_T(r, f, cross_check=True):
 
     d = r.context
     tm = MultiMap.from_matrix(r.t)
-    out = differential_d(d, r.weight, f, cross_check=cross_check) \
+    return differential_d(d, r.weight, f, cross_check=cross_check) \
         + derived_bracket(d, tm, f, cross_check=cross_check)
-    return out
 
 
 def cochain_dim(r, n):
     return r.context.g.dim * r.context.h.dim ** n
 
 
-def delta_rows(h, rho, n):
+def delta_rows(c, left, right, n):
     """The rows of delta_n: C^n -> C^{n+1} as {column: value} dicts.
 
-    h acts on V by rho; no axiom is assumed.  Cochains flatten
+    h (bracket tensor c) acts on V by the ActionPair tensors left, right,
+    of field elements or ints; no axiom is assumed.  Cochains flatten
     lexicographically by (source index tuple, target index).  Output tuple
     idx takes one Loday-Pirashvili term per left-out position (from 0):
     p < n gives (-1)^p rho^L(e_idx[p], f(rest)), n gives (-1)^(n+1)
@@ -89,7 +92,7 @@ def delta_rows(h, rho, n):
     [e_idx[p], e_idx[q]] put in at q - 1).  In degree 0 the rest is empty:
     delta_0 x = -rho^R(x, .).
     """
-    nh, nv = h.dim, rho.dim_v
+    nh, nv = len(c), len(right)
     # the column step of each position of a source n-tuple
     stride = [nv * nh ** (n - 1 - i) for i in range(n)]
 
@@ -98,53 +101,95 @@ def delta_rows(h, rho, n):
         return [(k, t, -x if odd else x) for k, vec in enumerate(slab)
                 for t, x in enumerate(vec) if x]
 
-    left = [[terms(slab, odd) for slab in rho.left] for odd in (False, True)]
-    right = [terms([plane[a] for plane in rho.right], n % 2 == 0)
-             for a in range(nh)]
+    lterms = [[terms(slab, odd) for slab in left] for odd in (False, True)]
+    rterms = [terms([plane[a] for plane in right], n % 2 == 0)
+              for a in range(nh)]
     rows = []
     for idx in product(range(nh), repeat=n + 1):
         out = [Counter() for _ in range(nv)]  # an absent column reads 0
         for p in range(n + 1):
             base = sum(s * w for s, w in zip(idx[:p] + idx[p + 1:], stride))
-            for k, t, x in left[p % 2][idx[p]] if p < n else right[idx[n]]:
+            for k, t, x in lterms[p % 2][idx[p]] if p < n else rterms[idx[n]]:
                 out[t][base + k] += x
         for p, q in combinations(range(n + 1), 2):
             rest = idx[:p] + idx[p + 1:q] + (0,) + idx[q + 1:]
             base = sum(s * w for s, w in zip(rest, stride))
-            for s, c in enumerate(h.c[idx[p]][idx[q]]):
-                if c:
-                    j, x = base + s * stride[q - 1], c if p % 2 else -c
+            for s, x in enumerate(c[idx[p]][idx[q]]):
+                if x:
+                    j, x = base + s * stride[q - 1], x if p % 2 else -x
                     for t, row in enumerate(out):
                         row[j + t] += x
         rows.extend({j: x for j, x in row.items() if x} for row in out)
     return rows
 
 
-def delta_matrix(r, n, cap=20000):
+class IntegerView:
+    """h acting on V by rho, with the int rows of D delta_n (``rows(n)``).
+
+    The rows are built once per degree from D c, D rho^L and D rho^R as
+    ints.  D is the lcm of the denominators over Q; over GF(p), D = 1 and
+    the ints are the residues.
+    """
+
+    def __init__(self, h, rho):
+        self.h, self.rho, self.den = h, rho, 1
+        ints = (h.c_raw, rho.left_raw, rho.right_raw)
+        if not h.field.characteristic:  # the raw views are the tensors
+            self.den = lcm(*(x.denominator for t in ints for pl in t
+                             for row in pl for x in row))
+            ints = [[[[x.numerator * (self.den // x.denominator) for x in row]
+                      for row in pl] for pl in t] for t in ints]
+        self.rows = cache(lambda n: delta_rows(*ints, n))
+
+
+def _require_square_zero(n, rows, prev, p):
+    """Raise ContainmentViolated unless delta_n . delta_{n-1} = 0 exactly.
+
+    rows and prev are int rows of multiples of both (residues over GF(p),
+    p the characteristic); the message names the first column hit.
+    """
+    bad = []
+    for row in rows:
+        image = Counter()
+        for k, a in row.items():
+            for j, b in prev[k].items():
+                image[j] += a * b
+        bad.extend(j for j, s in image.items() if (s % p if p else s))
+    if bad:
+        raise ContainmentViolated("delta_%d . delta_%d is nonzero on "
+                                  "column %d" % (n, n - 1, min(bad)))
+
+
+def delta_matrix(r, n, cap=20000, view=None):
     """Matrix of delta: C^n -> C^{n+1} in the flattening order.
 
-    h_T and rho_T are built once, the rows come from ``delta_rows`` and
-    cap bounds the cells.  The matrix is probed on one fixed cochain with
-    no zero entry, so that any single wrong entry shows: the image must be
-    the cochain's Leibniz differential (delta_T_0 in degree 0), or
-    OracleDisagreement is raised.
+    cap bounds the cells; ``cohomology`` passes one view for all degrees.
+    The int rows of D delta_n are applied to one fixed cochain with no zero
+    entry, so that any single wrong entry shows: the image must be D times
+    its Leibniz differential (delta_T_0 in degree 0), or
+    OracleDisagreement.  For n >= 1 delta_n . delta_{n-1} = 0 is checked.
     """
     nrows, ncols = cochain_dim(r, n + 1), cochain_dim(r, n)
     if nrows * ncols > cap:
         raise ResourceLimit("delta_%d has %d x %d cells, beyond the "
                             "configured cap %d" % (n, nrows, ncols, cap))
-    fld, h, rho = r.field, induced_algebra(r), induced_representation(r)
-    m = Matrix(fld, [[row.get(j, fld.zero) for j in range(ncols)]
-                     for row in delta_rows(h, rho, n)], ncols)
+    view = view or IntegerView(induced_algebra(r), induced_representation(r))
+    fld, h, rho, rows = r.field, view.h, view.rho, view.rows(n)
     p = fld.characteristic
-    x = [fld.coerce(1 + (j % (p - 1) if p else j)) for j in range(ncols)]
+    probe = [1 + (j % (p - 1) if p else j) for j in range(ncols)]
+    got = [sum(a * probe[j] for j, a in row.items()) for row in rows]
+    x = [fld.coerce(v) for v in probe]
     want = leibniz_differential(h, rho, MultiMap.from_flat(
         fld, n, h.dim, rho.dim_v, x)) if n else \
         MultiMap.from_matrix(delta_T_0(r, x))
-    if m.mul_vec(x) != want.flatten():
+    if fld.from_raw(got) != [view.den * w for w in want.flatten()]:
         raise OracleDisagreement("delta_%d disagrees with the Leibniz "
                                  "differential on the probe cochain" % n)
-    return m
+    if n:
+        _require_square_zero(n, rows, view.rows(n - 1), p)
+    inv = fld.one / view.den  # the entries of delta_n itself
+    return Matrix(fld, [[row[j] * inv if j in row else fld.zero
+                         for j in range(ncols)] for row in rows], ncols)
 
 
 @dataclass
@@ -165,60 +210,29 @@ class CohomologyReport:
         return [self.degrees[n].dim_h for n in range(self.max_degree + 1)]
 
 
-def _sparse_cols(m):
-    """Each column of m as the list of its nonzero (row, value) pairs."""
-    cols = [[] for _ in range(m.ncols)]
-    for i, row in enumerate(m.rows):
-        for k, x in enumerate(row):
-            if x:
-                cols[k].append((i, x))
-    return cols
-
-
-def _require_square_zero(n, dn, dprev):
-    """Raise ContainmentViolated unless delta_n . delta_{n-1} = 0 exactly.
-
-    Each column of delta_{n-1} is pushed through delta_n as a combination
-    of the columns of delta_n; only nonzero coefficients and the nonzero
-    entries of each column are visited.
-    """
-    cols = _sparse_cols(dn)
-    for j, coeffs in enumerate(_sparse_cols(dprev)):
-        image = {}
-        for k, c in coeffs:
-            for i, x in cols[k]:
-                image[i] = image.get(i, 0) + c * x
-        if any(image.values()):
-            raise ContainmentViolated("delta_%d . delta_%d is nonzero on "
-                                      "column %d" % (n, n - 1, j))
-
-
 def cohomology(r, max_degree, cap=20000, representatives=False):
     """Cocycle/coboundary dimensions and Betti numbers in degrees 0..max_degree.
 
-    Each delta matrix is eliminated once.  By rank-nullity
+    One IntegerView of h_T and rho_T serves every delta matrix, and each
+    is eliminated once, before the next is built.  By rank-nullity
     dim Z^n = dim C^n - rank delta_n and dim B^n = rank delta_{n-1}.
-    B^n inside Z^n is verified exactly as delta_n . delta_{n-1} = 0
-    (ContainmentViolated on failure, which would indicate a differential
-    bug rather than bad input).  With representatives, the cocycle basis
-    comes from the same elimination as the rank.
+    ``delta_matrix`` verifies B^n inside Z^n as delta_n . delta_{n-1} = 0
+    (ContainmentViolated on failure: a differential bug, not bad input).
+    With representatives, the cocycle basis comes from the same
+    elimination as the rank.
     """
-    r.require_valid()
+    # h_T validates r before any cap is checked
+    view = IntegerView(induced_algebra(r), induced_representation(r))
+    rank, z_basis = {-1: 0}, {}
     # largest first, so that the cap refuses before any row is built
-    mats = {n: delta_matrix(r, n, cap=cap)
-            for n in reversed(range(max_degree + 1))}
-    for n in range(1, max_degree + 1):
-        _require_square_zero(n, mats[n], mats[n - 1])
+    for n in reversed(range(max_degree + 1)):
+        m = delta_matrix(r, n, cap=cap, view=view)
+        z_basis[n] = m.kernel_basis() if representatives else []
+        rank[n] = m.ncols - len(z_basis[n]) if representatives else m.rank()
     out = CohomologyReport(max_degree)
-    dim_b = 0
     for n in range(max_degree + 1):
-        dim_c = cochain_dim(r, n)
-        if representatives:
-            z_basis = mats[n].kernel_basis()
-            rank = dim_c - len(z_basis)
-        else:
-            z_basis, rank = [], mats[n].rank()
-        dim_z = dim_c - rank
-        out.degrees[n] = DegreeData(dim_c, dim_z, dim_b, dim_z - dim_b, z_basis)
-        dim_b = rank
+        dim_c, dim_b = cochain_dim(r, n), rank[n - 1]
+        dim_z = dim_c - rank[n]
+        out.degrees[n] = DegreeData(dim_c, dim_z, dim_b, dim_z - dim_b,
+                                    z_basis[n])
     return out

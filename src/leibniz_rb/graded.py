@@ -24,39 +24,25 @@ from .multimap import MultiMap
 
 
 def _parity_sign(field, perm):
-    inv = 0
-    n = len(perm)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if perm[i] > perm[j]:
-                inv += 1
-    return _pow_sign(field, inv)
+    return _pow_sign(field, sum(a > b for a, b in combinations(perm, 2)))
 
 
 @lru_cache(maxsize=None)
 def shuffles2(field, p, q):
     """(p,q)-shuffles of {0..p+q-1}: increasing on each block, with parity."""
-    n = p + q
-    all_idx = range(n)
-    out = []
-    for first in combinations(all_idx, p):
-        rest = [i for i in all_idx if i not in first]
-        perm = list(first) + rest
-        out.append((perm, _parity_sign(field, perm)))
-    return out
+    perms = [list(first) + [i for i in range(p + q) if i not in first]
+             for first in combinations(range(p + q), p)]
+    return [(perm, _parity_sign(field, perm)) for perm in perms]
 
 
 @lru_cache(maxsize=None)
 def shuffles3(field, p, q):
     """(p,1,q)-shuffles of {0..p+q}: blocks of sizes p, 1, q, with parity."""
-    n = p + 1 + q
-    all_idx = range(n)
     out = []
-    for first in combinations(all_idx, p):
-        remaining = [i for i in all_idx if i not in first]
+    for first in combinations(range(p + 1 + q), p):
+        remaining = [i for i in range(p + 1 + q) if i not in first]
         for mid in remaining:
-            rest = [i for i in remaining if i != mid]
-            perm = list(first) + [mid] + rest
+            perm = list(first) + [mid] + [i for i in remaining if i != mid]
             out.append((perm, _parity_sign(field, perm)))
     return out
 

@@ -2,15 +2,17 @@ import glob
 import io
 import os
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from leibniz_rb import cohomology as cohomology_module
 from leibniz_rb.cli import run_command
-from leibniz_rb.cohomology import (DegreeData, cochain_dim, cohomology, d_T,
-                                   delta_T, delta_T_0, delta_matrix,
-                                   delta_rows, induced_representation)
+from leibniz_rb.cohomology import (DegreeData, IntegerView, cochain_dim,
+                                   cohomology, d_T, delta_T, delta_T_0,
+                                   delta_matrix, delta_rows,
+                                   induced_representation)
 from leibniz_rb.core import (ActionPair, LeibnizAlgebra, adjoint_grep,
                              basis_vec, change_of_basis_algebra,
                              change_of_basis_grep, leibniz_differential,
@@ -186,6 +188,21 @@ def test_delta_matrix_matches_column_oracle(n):
             assert m == _delta_by_columns(r, n), (name, label, r.weight)
 
 
+def test_delta_matrix_is_delta_itself_when_d_exceeds_1(Q):
+    # the dense Heisenberg basis (det 2) gives h_T and rho_T halves, D = 2;
+    # the int rows are 2 delta, the matrix must be delta
+    s = Matrix(Q, [[2, -1, 0], [-1, -1, -1], [-2, 2, 0]])
+    a = change_of_basis_algebra(heisenberg(Q), s)
+    for t in (Matrix.identity(Q, 3), Matrix.zeros(Q, 3, 3)):
+        r = WeightedRBO(adjoint_grep(a), Q.coerce(-1), t)
+        view = IntegerView(induced_algebra(r), induced_representation(r))
+        assert view.den == 2
+        for n in range(3):
+            assert delta_matrix(r, n, cap=10 ** 5) == _delta_by_columns(r, n)
+            assert delta_matrix(r, n, cap=10 ** 5, view=view) == \
+                _delta_by_columns(r, n)
+
+
 def _dense(rows, ncols, fld):
     out = []
     for row in rows:
@@ -223,11 +240,46 @@ def test_delta_rows_match_the_column_oracle(data):
         cols = [leibniz_differential(h, rho, MultiMap.from_flat(
             fld, n, nh, nv, basis_vec(fld, ncols, k))).flatten()
             for k in range(ncols)]
-    rows = delta_rows(h, rho, n)
+    rows = delta_rows(h.c, rho.left, rho.right, n)
     assert len(rows) == nv * nh ** (n + 1)
     assert all(x and 0 <= j < ncols for row in rows for j, x in row.items())
     assert _dense(rows, ncols, fld) == \
         Matrix.from_cols(fld, cols, len(rows)).rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_integer_rows_are_exactly_scaled(data):
+    # over Q the int rows are D times the Fraction rows, entry for entry;
+    # over GF(p) the residue rows reduce to the element rows
+    fld = data.draw(st.sampled_from([RationalField(), PrimeField(2),
+                                     PrimeField(3), PrimeField(5)]))
+    nh, nv = data.draw(st.integers(0, 3)), data.draw(st.integers(0, 3))
+    n = data.draw(st.integers(0, 3 if nh < 3 else 2))
+    dens = [1] if fld.characteristic else [1, 2, 3, 6]
+    scalar = st.builds(Fraction, st.sampled_from([0, 0, 1, -1, 2, -5]),
+                       st.sampled_from(dens)).map(fld.coerce)
+
+    def tensor(a, b, c):
+        return [[data.draw(st.lists(scalar, min_size=c, max_size=c))
+                 for _ in range(b)] for _ in range(a)]
+
+    h = LeibnizAlgebra(fld, nh, tensor(nh, nh, nh))
+    rho = ActionPair(fld, nh, nv, tensor(nh, nv, nv), tensor(nv, nh, nv))
+    view = IntegerView(h, rho)
+    rows, den = view.rows(n), view.den
+    assert all(type(x) is int for row in rows for x in row.values())
+    want = delta_rows(h.c, rho.left, rho.right, n)
+    p = fld.characteristic
+    if p:
+        assert den == 1
+        assert [{j: x % p for j, x in row.items() if x % p}
+                for row in rows] == [{j: x.v for j, x in row.items()}
+                                     for row in want]
+    else:
+        assert 6 % den == 0
+        assert rows == [{j: den * x for j, x in row.items()}
+                        for row in want]
 
 
 @pytest.mark.parametrize("p", [0, 2, 5])
@@ -237,11 +289,11 @@ def test_wrong_assembly_is_caught(p, monkeypatch):
     assert r.is_valid
     real = cohomology_module.delta_rows
 
-    def corrupted(h, rho, n):
-        # one entry changes: the last column of the last row
-        rows = real(h, rho, n)
-        j = rho.dim_v * h.dim ** n - 1
-        rows[-1][j] = rows[-1].get(j, fld.zero) + 1
+    def corrupted(c, left, right, n):
+        # one int entry changes: the last column of the last row
+        rows = real(c, left, right, n)
+        j = len(right) * len(c) ** n - 1
+        rows[-1][j] = rows[-1].get(j, 0) + 1
         return rows
 
     monkeypatch.setattr(cohomology_module, "delta_rows", corrupted)
@@ -350,22 +402,33 @@ def test_cohomology_matches_kernel_quotient_oracle(field_spec):
 def test_corrupted_delta_raises_containment_violated(Q, monkeypatch):
     r = _rbo_id(Q)
     n = 2
-    dn = delta_matrix(r, n)
+    dn, dprev = delta_matrix(r, n), delta_matrix(r, n - 1)
     # a row of delta_{n-1} whose delta_n column is nonzero
     i = next(k for k in range(dn.ncols) if not vec_is_zero(dn.col(k)))
-    real = cohomology_module.delta_matrix
+    # x_k at column j and -x_j at column k leave the image of the probe
+    # cochain x (x_j = 1 + j over Q) unchanged, so only the trap can see it
+    j, k = 0, dprev.ncols - 1
+    real = cohomology_module.delta_rows
 
-    def corrupted(r, m, cap=20000):
-        mat = real(r, m, cap=cap)
-        if m != n - 1:
-            return mat
-        rows = [list(row) for row in mat.rows]
-        rows[i][0] = rows[i][0] + 1
-        return Matrix(mat.field, rows)
+    def corrupted(c, left, right, m):
+        rows = real(c, left, right, m)
+        if m == n - 1:
+            rows[i][j] = rows[i].get(j, 0) + (1 + k)
+            rows[i][k] = rows[i].get(k, 0) - (1 + j)
+        return rows
 
-    monkeypatch.setattr(cohomology_module, "delta_matrix", corrupted)
-    with pytest.raises(ContainmentViolated):
+    monkeypatch.setattr(cohomology_module, "delta_rows", corrupted)
+    assert delta_matrix(r, n - 1) != dprev
+    with pytest.raises(ContainmentViolated,
+                       match="^delta_2 . delta_1 is nonzero on column"):
         cohomology(r, n)
+
+
+def _int_rows(m, den):
+    """The int rows of den * m: numerators over Q, residues over GF(p)."""
+    raw = (lambda x: x.v) if m.field.characteristic else \
+        (lambda x: int(x * den))
+    return [{j: raw(x) for j, x in enumerate(row) if x} for row in m.rows]
 
 
 @pytest.mark.parametrize("p", [0, 5])
@@ -375,10 +438,14 @@ def test_square_zero_trap_is_exact_and_names_the_first_column(p):
     dn = Matrix(fld, [[1, 2, 0], [0, 0, 0], [half, 1, 3]])
     # column 0 cancels exactly (2 e_0 - e_1), columns 2 and 3 do not
     dprev = Matrix(fld, [[2, 0, 1, 1], [-1, 0, 0, 1], [0, 0, 0, 0]])
+    # over Q the rows are scaled by D = 2, so the 1/2 entry is the int 1
+    rows = _int_rows(dn, 2)
+    assert rows[2][0] == (1 if not p else 3)
     square_zero = cohomology_module._require_square_zero
-    square_zero(1, dn, Matrix.from_cols(fld, [dprev.col(0), dprev.col(1)], 3))
+    first = Matrix.from_cols(fld, [dprev.col(0), dprev.col(1)], 3)
+    square_zero(1, rows, _int_rows(first, 2), p)
     with pytest.raises(ContainmentViolated, match="column 2$"):
-        square_zero(1, dn, dprev)
+        square_zero(1, rows, _int_rows(dprev, 2), p)
 
 
 @pytest.mark.parametrize("representatives", [False, True])
@@ -388,3 +455,35 @@ def test_cohomology_eliminates_each_delta_once(Q, rref_calls, representatives):
         rref_calls.clear()
         cohomology(r, k, representatives=representatives)
         assert len(rref_calls) == k + 1
+
+
+def test_cohomology_builds_the_induced_structure_once(Q, monkeypatch):
+    r = _rbo_id(Q)
+    validations, builds = [], []
+    real_validate = WeightedRBO.validate
+    real_rep = cohomology_module.induced_representation
+
+    def validate(self):
+        validations.append(self)
+        return real_validate(self)
+
+    def rep(r):
+        builds.append(r)
+        return real_rep(r)
+
+    monkeypatch.setattr(WeightedRBO, "validate", validate)
+    monkeypatch.setattr(cohomology_module, "induced_representation", rep)
+    for k in range(4):
+        validations.clear()
+        builds.clear()
+        cohomology(r, k)
+        # once in induced_algebra, once in induced_representation
+        assert (len(validations), len(builds)) == (2, 1)
+
+
+def test_invalid_operator_is_refused_before_the_cap(Q):
+    r = WeightedRBO.on_algebra(dim2_nonlie(Q), Q.one, Matrix.identity(Q, 2))
+    with pytest.raises(InvalidOperator):
+        cohomology(r, 3, cap=1)
+    with pytest.raises(ResourceLimit):
+        cohomology(_rbo_id(Q), 3, cap=1)
