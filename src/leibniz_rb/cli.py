@@ -10,6 +10,7 @@ criterion unsatisfied), 2 usage or resource errors.
 import argparse
 import sys
 from contextlib import redirect_stdout
+from functools import cache
 
 from .cohomology import cohomology
 from .core import (adjoint_grep, validate_leibniz, validate_leibniz_g_rep)
@@ -364,7 +365,12 @@ class _Parser(argparse.ArgumentParser):
         raise argparse.ArgumentError(None, message)
 
 
+@cache
 def build_parser():
+    """The parser of the process, built on first use and then reused.
+
+    Sharing it is safe because parse_args does not change a parser.
+    """
     ap = _Parser(
         prog="leibniz-rb",
         description="Exact computations with Leibniz algebras and weighted "

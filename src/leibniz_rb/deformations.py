@@ -18,14 +18,16 @@ from dataclasses import dataclass
 from itertools import product as iproduct
 from typing import Optional
 
-from .cohomology import d_T, delta_T, delta_T_0, delta_matrix
-from .core import ValidationReport, basis_vec
+from .cohomology import (IntegerView, d_T, delta_T, delta_T_0, delta_matrix,
+                         induced_representation)
+from .core import ValidationReport, basis_vec, leibniz_differential
 from .errors import (BaseMismatch, InvalidDeformation, OracleDisagreement,
                      ResourceLimit, ShapeMismatch, WrongField)
 from .fields import PrimeField
 from .graded import derived_bracket, derived_bracket_explicit
 from .linalg import Matrix, axpy, vec_add, vec_scale
 from .multimap import MultiMap
+from .operators import induced_algebra
 
 
 class Deformation:
@@ -315,7 +317,8 @@ def obstruction(defm):
     """Ob = -1/2 sum_{i+j=N+1, i,j>=1} [[T_i, T_j]], with coboundary verdict.
 
     The coboundary test solves delta(x) = Ob over x in Hom(h, g); the
-    2-cocycle identity delta(Ob) = 0 is re-asserted on every call.
+    2-cocycle identity delta(Ob) = 0 is re-asserted on every call.  One
+    IntegerView of h_T and rho_T serves both.
     """
     r, fld = defm.base, defm.field
     d, n = r.context, defm.order
@@ -327,9 +330,10 @@ def obstruction(defm):
         acc = acc + derived_bracket(d, MultiMap.from_matrix(defm.coeffs[i]),
                                     MultiMap.from_matrix(defm.coeffs[j]))
     ob = acc.scale(-fld.half())
-    if not delta_T(r, ob).is_zero():
+    view = IntegerView(induced_algebra(r), induced_representation(r))
+    if not leibniz_differential(view.h, view.rho, ob).is_zero():
         raise OracleDisagreement("obstruction cochain is not a 2-cocycle")
-    m1 = delta_matrix(r, 1)
+    m1 = delta_matrix(r, 1, view=view)
     sol, _ = m1.solve(ob.flatten())
     if sol is None:
         return ObstructionClass(ob, False)

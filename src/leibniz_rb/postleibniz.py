@@ -18,17 +18,11 @@ from itertools import product
 from typing import Optional
 
 from .core import (ActionPair, LeibnizAlgebra, LeibnizGRep, ValidationReport,
-                   _coerce_tensor3, basis_vec, contract, residue_view,
-                   validate_leibniz, zero_tensor)
+                   _coerce_tensor3, basis_vec, check_triples, contract,
+                   residue_view, validate_leibniz, zero_tensor)
 from .errors import (InvalidInput, OracleDisagreement, ShapeMismatch,
                      WrongWeight)
 from .linalg import vec_add, vec_scale, vec_sub
-
-
-def _add_tensors(field, n, *tensors):
-    return tuple(tuple(tuple(sum((t[i][j][k] for t in tensors), field.zero)
-                             for k in range(n))
-                       for j in range(n)) for i in range(n))
 
 
 class PostLeibnizAlgebra:
@@ -64,8 +58,9 @@ class PostLeibnizAlgebra:
                                      (self.bracket_raw, x, y)), self.dim)
 
     def star_tensor(self):
-        return _add_tensors(self.field, self.dim,
-                            self.left, self.right, self.bracket)
+        return tuple(tuple(tuple(a + b + c for a, b, c in zip(*rows))
+                           for rows in zip(*planes))
+                     for planes in zip(self.left, self.right, self.bracket))
 
     def __eq__(self, other):
         return (isinstance(other, PostLeibnizAlgebra)
@@ -77,40 +72,36 @@ class PostLeibnizAlgebra:
         return "PostLeibnizAlgebra(dim=%d)" % self.dim
 
 
-def validate_post_leibniz(p):
-    """Check identities post-l1..post-l7 on all basis triples."""
-    fld, n = p.field, p.dim
-    rep = ValidationReport("post-leibniz")
-    bv = [basis_vec(fld, n, i) for i in range(n)]
-    for (i, u), (j, v), (k, w) in product(enumerate(bv), repeat=3):
-        checks = [
-            ("post-l1", p.lt(u, p.star(v, w)),
-             vec_add(p.lt(p.lt(u, v), w), p.rt(v, p.lt(u, w)))),
-            ("post-l2", p.rt(u, p.lt(v, w)),
-             vec_add(p.lt(p.rt(u, v), w), p.lt(v, p.star(u, w)))),
-            ("post-l3", p.rt(u, p.rt(v, w)),
-             vec_add(p.rt(p.star(u, v), w), p.rt(v, p.rt(u, w)))),
-            ("post-l4", p.rt(u, p.br(v, w)),
-             vec_add(p.br(p.rt(u, v), w), p.br(v, p.rt(u, w)))),
-            ("post-l5", p.br(u, p.rt(v, w)),
-             vec_add(p.br(p.lt(u, v), w), p.rt(v, p.br(u, w)))),
-            ("post-l6", p.br(u, p.lt(v, w)),
-             vec_add(p.lt(p.br(u, v), w), p.br(v, p.lt(u, w)))),
-            ("post-l7", p.br(u, p.br(v, w)),
-             vec_add(p.br(p.br(u, v), w), p.br(v, p.br(u, w)))),
-        ]
-        for law, lhs, rhs in checks:
-            if lhs != rhs:
-                rep.add(law, (i, j, k), lhs, rhs)
-    return rep
+def _post_laws(p, star):
+    """post-l1..post-l7 as ``check_triples`` laws; star is p.star_tensor()."""
+    lt, rt, br = p.left, p.right, p.bracket
+    lr, rr, bb = p.left_raw, p.right_raw, p.bracket_raw
+    return [("post-l1", (lr, star), (lr, lt), (rr, lt)),
+            ("post-l2", (rr, lt), (lr, rt), (lr, star)),
+            ("post-l3", (rr, rt), (rr, star), (rr, rt)),
+            ("post-l4", (rr, br), (bb, rt), (bb, rt)),
+            ("post-l5", (bb, rt), (bb, lt), (rr, br)),
+            ("post-l6", (bb, lt), (lr, br), (bb, lt)),
+            ("post-l7", (bb, br), (bb, br), (bb, br))]
+
+
+def validate_post_leibniz(p, star=None):
+    """Check identities post-l1..post-l7 on all basis triples.
+
+    star, the tensor of [.,.]_star, is built here unless given.
+    """
+    star = p.star_tensor() if star is None else star
+    return check_triples(ValidationReport("post-leibniz"), p.field, p.dim,
+                         _post_laws(p, star))
 
 
 def total_algebra(p):
     """The total Leibniz algebra (a, [.,.]_star) of a valid structure."""
-    rep = validate_post_leibniz(p)
+    star = p.star_tensor()
+    rep = validate_post_leibniz(p, star)
     if not rep.ok:
         raise InvalidInput("not a post-Leibniz algebra: %s" % rep.summary())
-    total = LeibnizAlgebra(p.field, p.dim, p.star_tensor())
+    total = LeibnizAlgebra(p.field, p.dim, star)
     check = validate_leibniz(total)
     if not check.ok:
         raise OracleDisagreement("total bracket fails the Leibniz identity "
@@ -145,22 +136,12 @@ def validate_pre_leibniz(field, dim, left, right):
     """
     p = PostLeibnizAlgebra(field, dim, left, right,
                            zero_tensor(field, dim, dim, dim))
-    rep = ValidationReport("pre-leibniz")
-    bv = [basis_vec(field, dim, i) for i in range(dim)]
-    for (i, u), (j, v), (k, w) in product(enumerate(bv), repeat=3):
-        both = lambda x, y: vec_add(p.lt(x, y), p.rt(x, y))
-        checks = [
-            ("pre-l1", p.lt(u, both(v, w)),
-             vec_add(p.lt(p.lt(u, v), w), p.rt(v, p.lt(u, w)))),
-            ("pre-l2", p.rt(u, p.lt(v, w)),
-             vec_add(p.lt(p.rt(u, v), w), p.lt(v, both(u, w)))),
-            ("pre-l3", p.rt(u, p.rt(v, w)),
-             vec_add(p.rt(both(u, v), w), p.rt(v, p.rt(u, w)))),
-        ]
-        for law, lhs, rhs in checks:
-            if lhs != rhs:
-                rep.add(law, (i, j, k), lhs, rhs)
-    if rep.ok != validate_post_leibniz(p).ok:
+    star = p.star_tensor()  # u<v + u>v, the bracket being zero
+    # with this star, post-l1..l3 are the three pre-Leibniz identities
+    laws = [("pre" + law[4:], *rest)
+            for law, *rest in _post_laws(p, star)[:3]]
+    rep = check_triples(ValidationReport("pre-leibniz"), field, dim, laws)
+    if rep.ok != validate_post_leibniz(p, star).ok:
         raise OracleDisagreement("pre-Leibniz and zero-bracket post-Leibniz "
                                  "validators disagree")
     return rep
@@ -251,10 +232,11 @@ def compatible_structure(a, r):
     bracket = [[t.mul_vec(d.h.bracket(tinv.col(i), tinv.col(j)))
                 for j in range(n)] for i in range(n)]
     p = PostLeibnizAlgebra(fld, n, left, right, bracket)
-    if p.star_tensor() != a.c:
+    star = p.star_tensor()
+    if star != a.c:
         raise OracleDisagreement("compatible structure does not sum to the "
                                  "original bracket")
-    check = validate_post_leibniz(p)
+    check = validate_post_leibniz(p, star)
     if not check.ok:
         raise OracleDisagreement("compatible structure fails validation: %s"
                                  % check.summary())

@@ -8,7 +8,7 @@ import time
 import pytest
 
 import leibniz_rb
-from leibniz_rb.cli import run_command
+from leibniz_rb.cli import build_parser, run_command
 from golden_cases import CASES, GOLDEN_DIR, ROOT, run_case
 
 MANIFEST = os.path.join(ROOT, "manifests", "dim2-nonlie.lra")
@@ -102,6 +102,45 @@ def test_help_goes_to_stdout_with_exit_0():
     r = _run(["--help"])
     assert r.returncode == 0 and r.stderr == ""
     assert r.stdout.startswith("usage: leibniz-rb")
+
+
+def _in_process(argv):
+    out, err = io.StringIO(), io.StringIO()
+    code = run_command(list(argv), out=out, err=err)
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_goldens_in_one_process_share_one_parser(monkeypatch):
+    monkeypatch.chdir(ROOT)
+    assert build_parser() is build_parser()
+    for name, argv in CASES + CASES[::-1]:
+        code, out, _ = _in_process(argv)
+        with open(os.path.join(GOLDEN_DIR, name + ".rpt"), "rb") as fh:
+            want = fh.read()
+        assert ("exit %d\n" % code + out).encode("utf-8") == want, name
+
+
+def test_nothing_leaks_from_one_call_to_the_next(monkeypatch):
+    monkeypatch.chdir(ROOT)
+    cases = dict(CASES)
+    want = _golden("cohomology-id") + ("",)
+    bad = _in_process(["validate", MANIFEST, "--no-such-flag"])
+    assert bad[:2] == (2, "") and len(bad[2].splitlines()) == 1
+    assert bad[2].startswith("leibniz-rb: error: ")
+    # a non-default --max-degree must not become the next call's default
+    assert _in_process(cases["cohomology-id"] + ["--max-degree", "3"])[0] == 0
+    assert _in_process(cases["cohomology-id"]) == want
+    code, out, err = _in_process(["-h"])
+    assert (code, err) == (0, "") and out.startswith("usage: leibniz-rb")
+    assert _in_process(cases["cohomology-id"]) == want
+
+
+def test_parser_is_not_built_at_import():
+    r = subprocess.run(
+        [sys.executable, "-c", "import leibniz_rb.cli as c; "
+         "print(c.build_parser.cache_info().currsize)"],
+        cwd=ROOT, capture_output=True, text=True)
+    assert (r.returncode, r.stdout) == (0, "0\n")
 
 
 def test_characteristic_two_is_usage_error():

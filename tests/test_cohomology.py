@@ -29,7 +29,7 @@ from leibniz_rb.postleibniz import compatible_structure, from_rbo
 
 from conftest import (dim2_nonlie, heisenberg, random_matrix, random_multimap,
                       seeded, small_contexts)
-from golden_cases import ROOT
+from golden_cases import CASES, ROOT
 
 
 def cochain_basis(r, n):
@@ -479,6 +479,24 @@ def test_cohomology_builds_the_induced_structure_once(Q, monkeypatch):
         cohomology(r, k)
         # once in induced_algebra, once in induced_representation
         assert (len(validations), len(builds)) == (2, 1)
+
+
+@pytest.mark.parametrize("name", ["obstruct-frozen", "extend-frozen"])
+def test_obstruction_builds_the_induced_structure_once(name, monkeypatch):
+    validations = []
+    real_validate = WeightedRBO.validate
+
+    def validate(self):
+        validations.append(self)
+        return real_validate(self)
+
+    monkeypatch.setattr(WeightedRBO, "validate", validate)
+    monkeypatch.chdir(ROOT)
+    out, err = io.StringIO(), io.StringIO()
+    run_command(dict(CASES)[name], out=out, err=err)
+    assert err.getvalue() == ""
+    # one IntegerView serves the 2-cocycle check and delta_1
+    assert len(validations) == 2
 
 
 def test_invalid_operator_is_refused_before_the_cap(Q):
