@@ -40,7 +40,7 @@ def induced_representation(r):
     def entry(ta, bracket_rows, acted):
         # sum_j (Te_a)_j bracket_rows[j] - T(acted)
         out = [-x for x in t.mul_vec(acted)]
-        add_combination(out, fld.one, ta, bracket_rows)
+        add_combination(out, ta, bracket_rows)
         return out
 
     left = [[entry(cols[a], [plane[i] for plane in c], act.right[a][i])
@@ -56,7 +56,7 @@ def delta_T_0(r, x):
     cols = []
     for a in range(d.h.dim):
         lx = zero_vec(fld, d.h.dim)  # rho^L(x, e_a)
-        add_combination(lx, fld.one, x, [plane[a] for plane in d.actions.left])
+        add_combination(lx, x, [plane[a] for plane in d.actions.left])
         cols.append(vec_sub(t.mul_vec(lx), d.g.bracket(x, t.col(a))))
     return Matrix.from_cols(fld, cols, d.g.dim)
 
@@ -219,10 +219,18 @@ def cohomology(r, max_degree, cap=20000, representatives=False):
     ``delta_matrix`` verifies B^n inside Z^n as delta_n . delta_{n-1} = 0
     (ContainmentViolated on failure: a differential bug, not bad input).
     With representatives, the cocycle basis comes from the same
-    elimination as the rank.
+    elimination as the rank.  cap bounds the cells of each delta and (they
+    do not grow when dim h <= 1) rows x terms x arity of the top one.
     """
     # h_T validates r before any cap is checked
     view = IntegerView(induced_algebra(r), induced_representation(r))
+    # rows of the top delta (dim h^k clipped past the cap), +1 for setup
+    k, nh = max_degree + 1, r.context.h.dim
+    rows = r.context.g.dim * nh ** min(k, cap.bit_length() + 1)
+    if (rows + 1) * k * (k + 1) // 2 * k > cap:
+        raise ResourceLimit("delta_%d: rows x Loday-Pirashvili terms x "
+                            "arity exceed the configured cap %d"
+                            % (max_degree, cap))
     rank, z_basis = {-1: 0}, {}
     # largest first, so that the cap refuses before any row is built
     for n in reversed(range(max_degree + 1)):

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field as dc_field
 from itertools import product
 
 from .errors import InvalidInput, ShapeMismatch
-from .linalg import axpy, zero_vec
+from .linalg import axpy, vec_add, vec_sub, zero_vec
 from .multimap import MultiMap
 
 
@@ -383,25 +383,24 @@ def leibniz_differential(g, actions, f):
     for idx in out.tuples():
         acc = zero_vec(fld, actions.dim_v)
         for i in range(1, n + 1):
-            add_combination(acc, _pow_sign(fld, i + 1),
-                            f.nz.get(idx[:i - 1] + idx[i:], ()),
-                            actions.left[idx[i - 1]])
-        add_combination(acc, _pow_sign(fld, n + 1), f.nz.get(idx[:n], ()),
-                        right[idx[n]])
+            add_combination(acc, f.nz.get(idx[:i - 1] + idx[i:], ()),
+                            actions.left[idx[i - 1]], negate=i % 2 == 0)
+        add_combination(acc, f.nz.get(idx[:n], ()), right[idx[n]],
+                        negate=n % 2 == 0)
         for i in range(1, n + 1):
             for j in range(i + 1, n + 2):
                 args = (idx[:i - 1] + idx[i:j - 1]
                         + (g.c[idx[i - 1]][idx[j - 1]],) + idx[j:])
-                axpy(acc, _pow_sign(fld, i), f.apply(args))
+                acc = (vec_sub if i % 2 else vec_add)(acc, f.apply(args))
         out.set_(idx, acc)
     return out
 
 
-def add_combination(acc, c, coeffs, rows):
-    """acc += c * sum_k coeffs[k] rows[k] in place; zero coeffs are skipped."""
+def add_combination(acc, coeffs, rows, negate=False):
+    """acc +-= sum_k coeffs[k] rows[k] in place; zero coeffs are skipped."""
     for x, row in zip(coeffs, rows):
         if x:
-            axpy(acc, c * x, row)
+            axpy(acc, -x if negate else x, row)
 
 
 def _pow_sign(field, k):

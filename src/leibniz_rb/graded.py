@@ -237,8 +237,8 @@ def _scatter_half(d, p, q, half, rows):
     for qt, qv in q.nz.items():
         for x in range(nh):
             lv, rv = zero_vec(fld, nh), zero_vec(fld, nh)
-            add_combination(lv, fld.one, qv, [plane[x] for plane in act.left])
-            add_combination(rv, fld.one, qv, act.right[x])
+            add_combination(lv, qv, [plane[x] for plane in act.left])
+            add_combination(rv, qv, act.right[x])
             for shuffled, fixed, left, full in ((qt, (x,), True, lv),
                                                 ((x,) + qt[:-1], qt[-1:],
                                                  False, rv)):

@@ -2,16 +2,22 @@
 
 A ``Matrix`` is stored as dense rows, and once more as raw rows
 (``Field.to_raw``) for the products, which accumulate raw values and
-build at most one field element per result entry.  Elimination runs on
-sparse ``{column: value}`` rows.  Columns are taken left to right; within a
-column the pivot is the remaining row with the fewest nonzeros (ties to
-the lowest row index), only the rows holding that column are updated,
-and the back-substitution runs once at the end.  The reduced row echelon
+build at most one field element per result entry.  One fraction-free
+elimination (Bareiss, Math. Comp. 1968) on sparse ``{column: int}`` rows
+serves both fields: over Q each row is scaled by the lcm of its
+denominators and each updated row is divided by its content gcd; over
+GF(p) the rows are residues and each pivot row is scaled to a leading 1.
+Columns are taken left to right; the pivot is the remaining row with the
+fewest nonzeros (ties to the lowest index), only the rows holding that
+column are updated, the back-substitution runs once at the end, and field
+elements are built only for the returned rows.  The reduced row echelon
 form is unique, so kernel bases, solutions and inverses do not depend on
-the pivot choice and are reproducible across runs and platforms.  Each
-question is answered by one elimination: ``solve`` reads both the
-particular solution and the kernel off a single rref of [M | b].
+the pivot choice.  ``solve`` reads both the particular solution and the
+kernel off a single rref of [M | b].
 """
+
+from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import NotInvertible, ShapeMismatch
 
@@ -157,13 +163,13 @@ class Matrix:
 
         The rows are the nonzero rows of the rref in pivot order followed
         by the zero rows, nrows in all.  Rows are eliminated as
-        {column: value} dicts; a pivot row is kept as its tail, the
-        entries right of its leading 1.
+        {column: int} dicts (``_int_row``); a pivot row keeps its pivot
+        value, and field elements are built only for the returned rows.
         """
-        fld = self.field
-        pending = [r for r in ({c: x for c, x in enumerate(row) if x}
-                               for row in self.rows) if r]
-        done = []  # (pivot column, tail) in column order
+        fld, p = self.field, self.field.characteristic
+        pending = [_int_row(raw, fld.raw_zero, p) for raw in self.raw]
+        pending = [r for r in pending if r]
+        done = []  # (pivot column, pivot row) in column order
         for c in range(self.ncols):
             if not pending:
                 break
@@ -172,29 +178,32 @@ class Matrix:
                 continue
             # fewest nonzeros; min keeps the first, i.e. lowest, row
             prow = min(holding, key=len)
-            inv = fld.one / prow.pop(c)
-            tail = {j: inv * x for j, x in prow.items()}
+            if p:  # a leading 1 over GF(p)
+                inv = pow(prow[c], -1, p)
+                for j, x in prow.items():
+                    prow[j] = x * inv % p
             for r in holding:
                 if r is not prow:
-                    _clear(r, c, tail)
-            done.append((c, tail))
+                    _clear(r, c, prow, p)
+            done.append((c, prow))
             pending = [r for r in pending if r and r is not prow]
         for k in reversed(range(len(done))):
-            c, tail = done[k]
+            c, prow = done[k]
             for _, above in done[:k]:
                 if c in above:
-                    _clear(above, c, tail)
-        rows, pivots = [], []
-        for c, tail in done:
-            row = [fld.zero] * self.ncols
+                    _clear(above, c, prow, p)
+        rows = []
+        for c, prow in done:
+            pv, row = prow.pop(c), [fld.zero] * self.ncols
             row[c] = fld.one
-            for j, x in tail.items():
+            for j, x in zip(prow, fld.from_raw(
+                    [Fraction(x, pv) for x in prow.values()] if not p
+                    else prow.values())):
                 row[j] = x
             rows.append(row)
-            pivots.append(c)
         rows.extend([fld.zero] * self.ncols
                     for _ in range(self.nrows - len(done)))
-        return rows, pivots
+        return rows, [c for c, _ in done]
 
     def rank(self):
         return len(self.rref()[1])
@@ -250,16 +259,40 @@ class Matrix:
         return Matrix(self.field, [row[n:] for row in rows[:n]])
 
 
-def _clear(row, c, tail):
-    """row -= row[c] * (e_c + tail) on sparse rows; entries that cancel go."""
-    f = row.pop(c)
-    for j, y in tail.items():
-        x = row.get(j)
-        x = -(f * y) if x is None else x - f * y
+def _int_row(raw, zero, p):
+    """A raw row as {column: int}: the residues over GF(p), or over Q the
+    row times the lcm of its denominators."""
+    # the shared zero is skipped by identity, before Fraction.__bool__
+    row = {j: x for j, x in enumerate(raw) if x is not zero and x}
+    if not p and row:
+        d = lcm(*[x.denominator for x in row.values()])
+        row = {j: x.numerator * (d // x.denominator) for j, x in row.items()}
+    return row
+
+
+def _clear(row, c, prow, p):
+    """row -= row[c] / prow[c] * prow exactly, on int rows; row[c] goes.
+
+    Over GF(p) prow[c] = 1; over Q the row becomes pv row - f prow (pv, f =
+    prow[c], row[c] over their gcd), divided by its content gcd."""
+    f, pv = row[c], prow[c]
+    g = gcd(f, pv)
+    f, pv = f // g, pv // g
+    if pv != 1:
+        for j in row:
+            row[j] *= pv
+    for j, y in prow.items():
+        x = row.get(j, 0) - f * y
+        if p:
+            x %= p
         if x:
             row[j] = x
         else:
             del row[j]
+    g = 1 if p else gcd(*row.values())
+    if g > 1:
+        for j in row:
+            row[j] //= g
 
 
 def span_rank(field, vectors):

@@ -82,13 +82,13 @@ class MultiMap:
             row = self.nz.get(tuple(j for j, _ in choice))
             if row is None:
                 continue
-            c = self.field.one
+            c = None  # the product of the chosen vector entries, if any
             for _, x in choice:
                 if x is not None:
-                    c = c * x
+                    c = x if c is None else c * x
             for t, y in enumerate(row):
                 if y:
-                    out[t] = out[t] + c * y
+                    out[t] = out[t] + (y if c is None else c * y)
         return out
 
     def same_shape(self, other):

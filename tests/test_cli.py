@@ -163,6 +163,30 @@ def test_cohomology_cap_refuses_before_work():
     assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
+@pytest.mark.parametrize("manifest,select", [
+    (os.path.join(ROOT, "manifests", "heisenberg-ideal.lra"),
+     ["--actions", "ideal", "--operator", "incl"]),
+    ("algebra g dim 2\nalgebra h dim 0\nactions act on g h\n",
+     ["--actions", "act", "--operator", "zero", "--weight", "0"]),
+    (MANIFEST, ["--operator", "id"]),
+], ids=["dim-h-1", "dim-h-0", "dim-h-2"])
+def test_cohomology_cap_bounds_the_degree(manifest, select, tmp_path):
+    # with dim h <= 1 every delta has at most dim g x dim g cells, so the
+    # refusal must come from rows x terms x arity, before any row is built
+    if not manifest.endswith(".lra"):
+        path = tmp_path / "h0.lra"
+        path.write_text("field rational\n" + manifest)
+        manifest = str(path)
+    out, err = io.StringIO(), io.StringIO()
+    t0 = time.perf_counter()
+    code = run_command(["cohomology", manifest, "--max-degree", "99999999"]
+                       + select, out=out, err=err)
+    assert time.perf_counter() - t0 < 0.5
+    assert code == 2 and out.getvalue() == ""
+    assert err.getvalue().startswith("error: delta_99999999: ")
+    assert len(err.getvalue().splitlines()) == 1
+
+
 def test_exit_code_math_failure():
     r = _run(["check-rbo", MANIFEST, "--operator", "id", "--weight", "1"])
     assert r.returncode == 1

@@ -29,6 +29,7 @@ from leibniz_rb.postleibniz import compatible_structure, from_rbo
 
 from conftest import (dim2_nonlie, heisenberg, random_matrix, random_multimap,
                       seeded, small_contexts)
+from fraction_rref import fraction_rref
 from golden_cases import CASES, ROOT
 
 
@@ -310,14 +311,41 @@ def test_wrong_assembly_is_caught(p, monkeypatch):
     assert len(lines) == 1 and lines[0].startswith("internal error: delta_")
 
 
-def test_heisenberg_degree_4_in_a_dense_basis(Q):
-    # all 18 constants [e_i, e_j]_k with i != j are nonzero in this basis
-    # (det 2); delta_4 is 729 x 243, past the default cap
-    s = Matrix(Q, [[2, -1, 0], [-1, -1, -1], [-2, 2, 0]])
-    a = change_of_basis_algebra(heisenberg(Q), s)
+def _dense_heisenberg(fld, t="id"):
+    """T = id or T = 0 of weight -1 on Heisenberg in a dense basis.
+
+    All 18 constants [e_i, e_j]_k with i != j are nonzero in this basis
+    (det 2).
+    """
+    s = Matrix(fld, [[2, -1, 0], [-1, -1, -1], [-2, 2, 0]])
+    a = change_of_basis_algebra(heisenberg(fld), s)
     assert sum(1 for plane in a.c for row in plane for x in row if x) == 18
-    r = WeightedRBO(adjoint_grep(a), Q.coerce(-1), Matrix.identity(Q, 3))
+    op = Matrix.identity(fld, 3) if t == "id" else Matrix.zeros(fld, 3, 3)
+    return WeightedRBO(adjoint_grep(a), fld.coerce(-1), op)
+
+
+def test_heisenberg_degree_4_in_a_dense_basis(Q):
+    # delta_4 is 729 x 243, past the default cap
+    r = _dense_heisenberg(Q)
     assert cohomology(r, 4, cap=200_000).betti() == [3, 6, 15, 30, 66]
+
+
+@pytest.mark.slow
+def test_heisenberg_degree_5_in_a_dense_basis(Q):
+    # delta_5 is 2,187 x 729 cells
+    r = _dense_heisenberg(Q)
+    assert cohomology(r, 5, cap=1_600_000).betti() == \
+        [3, 6, 15, 30, 66, 141]
+
+
+@pytest.mark.parametrize("p", [0, 5])
+@pytest.mark.parametrize("t", ["id", "zero"])
+def test_rref_of_dense_deltas_matches_field_rows(p, t):
+    # the integer-row elimination against the one on Fraction/GFElement rows
+    r = _dense_heisenberg(PrimeField(p) if p else RationalField(), t)
+    for n in range(4):
+        m = delta_matrix(r, n)
+        assert m.rref() == fraction_rref(m)
 
 
 def test_cap_enforced(Q):

@@ -9,11 +9,19 @@ from leibniz_rb.linalg import Matrix, span_rank
 
 from conftest import (KERNEL_FIELDS, is_canonical, kernel_scalars,
                       random_matrix, seeded)
+from fraction_rref import fraction_rref
 
 FIELDS = st.sampled_from([RationalField(), PrimeField(5)])
 # mostly zeros, so that elimination meets zero columns and dependent rows
-SCALARS = st.sampled_from([0, 0, 0, 0, 1, -1, 2, -3, Fraction(1, 2)])
+SCALAR_VALUES = [0, 0, 0, 0, 1, -1, 2, -3, Fraction(1, 2)]
+SCALARS = st.sampled_from(SCALAR_VALUES)
 PROPERTY = settings(max_examples=80, deadline=None)
+# the rref oracle also runs in characteristic 2 and 3; 1/3, 7/6 and +-5
+# give the integer rows content gcds and growing entries
+RREF_FIELDS = st.sampled_from([RationalField(), PrimeField(2), PrimeField(3),
+                               PrimeField(5)])
+RREF_SCALARS = [0, 0, 0, 0, 1, -1, 2, -3, 5, -5, Fraction(1, 2),
+                Fraction(1, 3), Fraction(7, 6)]
 
 
 @st.composite
@@ -116,13 +124,18 @@ def dense_matmul(a, b):
 
 
 @st.composite
-def sparse_matrices(draw, square=False):
+def sparse_matrices(draw, square=False, fields=FIELDS,
+                    scalars=SCALAR_VALUES):
     """Mostly-zero matrices up to 10x10, 0 rows and 0 columns included,
-    with forced zero rows, zero columns and duplicate rows."""
-    field = draw(FIELDS)
+    with forced zero rows, zero columns and duplicate rows.  Only the
+    scalars that exist in the drawn field are used."""
+    field = draw(fields)
+    p = field.characteristic
+    entries = st.sampled_from([x for x in scalars
+                               if not p or Fraction(x).denominator % p])
     ncols = draw(st.integers(0, 10))
     nrows = ncols if square else draw(st.integers(0, 10))
-    rows = [[draw(SCALARS) for _ in range(ncols)] for _ in range(nrows)]
+    rows = [[draw(entries) for _ in range(ncols)] for _ in range(nrows)]
     if square and draw(st.booleans()):
         # a nonzero diagonal makes invertible matrices common
         for i in range(nrows):
@@ -140,11 +153,47 @@ def sparse_matrices(draw, square=False):
 
 
 @settings(max_examples=150, deadline=None)
-@given(sparse_matrices())
+@given(sparse_matrices(fields=RREF_FIELDS, scalars=RREF_SCALARS))
 def test_rref_matches_dense_oracle(m):
-    assert m.rref() == dense_rref(m)
-    assert m.rank() == len(dense_rref(m)[1])
+    want = dense_rref(m)
+    assert m.rref() == want
+    # and the reference elimination on sparse rows of field elements
+    assert fraction_rref(m) == want
+    assert m.rank() == len(want[1])
     assert m.kernel_basis() == dense_kernel(m)
+
+
+def test_rref_matches_field_rows_on_growing_entries():
+    # dense rows of mixed denominators: the integer rows grow and shrink
+    rng = seeded(11)
+    pool = [Fraction(n, d) for n in range(-7, 8) for d in (1, 2, 3, 6, 35)]
+    for field in (RationalField(), PrimeField(2), PrimeField(3),
+                  PrimeField(7)):
+        p = field.characteristic
+        entries = [x for x in pool if not p or x.denominator % p]
+        for _ in range(6):
+            nrows, ncols = rng.randint(5, 14), rng.randint(5, 14)
+            rank = rng.randint(1, min(nrows, ncols))
+            a = Matrix(field, [[rng.choice(entries) for _ in range(rank)]
+                               for _ in range(nrows)])
+            b = Matrix(field, [[rng.choice(entries) for _ in range(ncols)]
+                               for _ in range(rank)])
+            m = a * b
+            assert m.rref() == fraction_rref(m) == dense_rref(m)
+
+
+def test_rref_builds_one_gf_element_per_output_entry(gf_news):
+    rng = seeded(5)
+    for p in (2, 3, 5, 7):
+        field = PrimeField(p)
+        for nrows, ncols in ((1, 2), (2, 2), (6, 4), (9, 3), (8, 12)):
+            m = random_matrix(field, nrows, ncols, rng)
+            gf_news.clear()
+            rows, pivots = m.rref()
+            # the zeros and the leading 1s are the field's shared elements
+            assert len(gf_news) <= sum(1 for row in rows for x in row
+                                       if x) - len(pivots)
+            assert (rows, pivots) == fraction_rref(m)
 
 
 @PROPERTY
