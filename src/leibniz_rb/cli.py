@@ -51,21 +51,26 @@ class Report:
                 out.write(line + "\n")
 
 
+def _named(table, name, what, flags):
+    """table[name], or the only entry of table when name is None."""
+    if name is None:
+        if len(table) != 1:
+            raise InvalidInput("manifest has %d %ss; pick one with %s"
+                               % (len(table), what, flags))
+        name = next(iter(table))
+    if name not in table:
+        raise InvalidInput("no %s named %r in manifest" % (what, name))
+    return table[name]
+
+
 def _context(m, args):
     """The Leibniz g-representation selected by --actions / --algebra."""
     if getattr(args, "actions", None):
         if args.actions not in m.actions:
             raise InvalidInput("no actions named %r in manifest" % args.actions)
         return m.grep(args.actions)
-    name = getattr(args, "algebra", None)
-    if name is None:
-        if len(m.algebras) != 1:
-            raise InvalidInput("manifest has %d algebras; pick one with "
-                               "--algebra or --actions" % len(m.algebras))
-        name = next(iter(m.algebras))
-    if name not in m.algebras:
-        raise InvalidInput("no algebra named %r in manifest" % name)
-    return adjoint_grep(m.algebras[name])
+    return adjoint_grep(_named(m.algebras, getattr(args, "algebra", None),
+                               "algebra", "--algebra or --actions"))
 
 
 def _operator(m, d, args):
@@ -104,14 +109,9 @@ def _rbo(m, args):
 
 
 def _deformation(m, args):
-    name = getattr(args, "deformation", None)
-    if name is None:
-        if len(m.deformations) != 1:
-            raise InvalidInput("pick a deformation with --deformation")
-        name = next(iter(m.deformations))
-    if name not in m.deformations:
-        raise InvalidInput("no deformation named %r in manifest" % name)
-    base_name, coeff_names = m.deformations[name]
+    base_name, coeff_names = _named(m.deformations,
+                                    getattr(args, "deformation", None),
+                                    "deformation", "--deformation")
     d = _context(m, args)
     base = WeightedRBO(d, _weight(m, args), m.maps[base_name][2])
     coeffs = [base.t] + [m.maps[nm][2] for nm in coeff_names]
@@ -119,14 +119,8 @@ def _deformation(m, args):
 
 
 def _post(m, args):
-    name = getattr(args, "post", None)
-    if name is None:
-        if len(m.posts) != 1:
-            raise InvalidInput("pick a structure with --post")
-        name = next(iter(m.posts))
-    if name not in m.posts:
-        raise InvalidInput("no post structure named %r in manifest" % name)
-    return m.posts[name]
+    return _named(m.posts, getattr(args, "post", None), "post structure",
+                  "--post")
 
 
 def _report_violations(rep, vrep):

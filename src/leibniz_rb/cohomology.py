@@ -21,7 +21,7 @@ from math import lcm
 
 from .core import ActionPair, add_combination, leibniz_differential
 from .errors import ContainmentViolated, OracleDisagreement, ResourceLimit
-from .linalg import Matrix, vec_sub, zero_vec
+from .linalg import Matrix, vec_sub
 from .multimap import MultiMap
 from .operators import induced_algebra
 
@@ -53,11 +53,9 @@ def induced_representation(r):
 def delta_T_0(r, x):
     """Degree-0 differential: x in g goes to the map u -> T rho^L(x,u) - [x,Tu]."""
     d, fld, t = r.context, r.field, r.t
-    cols = []
-    for a in range(d.h.dim):
-        lx = zero_vec(fld, d.h.dim)  # rho^L(x, e_a)
-        add_combination(lx, x, [plane[a] for plane in d.actions.left])
-        cols.append(vec_sub(t.mul_vec(lx), d.g.bracket(x, t.col(a))))
+    basis = Matrix.identity(fld, d.h.dim).rows
+    cols = [vec_sub(t.mul_vec(d.actions.left_act(x, e)),
+                    d.g.bracket(x, t.col(a))) for a, e in enumerate(basis)]
     return Matrix.from_cols(fld, cols, d.g.dim)
 
 
@@ -163,16 +161,18 @@ def _require_square_zero(n, rows, prev, p):
 def delta_matrix(r, n, cap=20000, view=None):
     """Matrix of delta: C^n -> C^{n+1} in the flattening order.
 
-    cap bounds the cells; ``cohomology`` passes one view for all degrees.
+    cap bounds the cells (dim h^n clipped past the cap, so that a large n
+    is refused at once); ``cohomology`` passes one view for all degrees.
     The int rows of D delta_n are applied to one fixed cochain with no zero
     entry, so that any single wrong entry shows: the image must be D times
     its Leibniz differential (delta_T_0 in degree 0), or
     OracleDisagreement.  For n >= 1 delta_n . delta_{n-1} = 0 is checked.
     """
-    nrows, ncols = cochain_dim(r, n + 1), cochain_dim(r, n)
-    if nrows * ncols > cap:
-        raise ResourceLimit("delta_%d has %d x %d cells, beyond the "
-                            "configured cap %d" % (n, nrows, ncols, cap))
+    ng, nh, clip = r.context.g.dim, r.context.h.dim, cap.bit_length() + 1
+    if ng * nh ** min(n + 1, clip) * ng * nh ** min(n, clip) > cap:
+        raise ResourceLimit("delta_%d has more cells than the configured "
+                            "cap %d" % (n, cap))
+    ncols = cochain_dim(r, n)
     view = view or IntegerView(induced_algebra(r), induced_representation(r))
     fld, h, rho, rows = r.field, view.h, view.rho, view.rows(n)
     p = fld.characteristic

@@ -6,10 +6,12 @@ arbitrary tensors so that deliberately broken structures can be used in
 negative tests.
 """
 
+import re
 from dataclasses import dataclass, field as dc_field
 from itertools import product
+from operator import itemgetter
 
-from .errors import InvalidInput, ShapeMismatch
+from .errors import InvalidInput, ResourceLimit, ShapeMismatch
 from .linalg import axpy, vec_add, vec_sub, zero_vec
 from .multimap import MultiMap
 
@@ -34,12 +36,6 @@ class ValidationReport:
     def add(self, law, where, lhs, rhs):
         self.violations.append(Violation(law, where, lhs, rhs))
 
-    def compare(self, law, where, field, n, lhs, rhs):
-        """Add law at where unless two sums of ``contract`` terms agree."""
-        lhs, rhs = contract(field, lhs, n), contract(field, rhs, n)
-        if lhs != rhs:
-            self.add(law, where, lhs, rhs)
-
     def laws_violated(self):
         return sorted({v.law for v in self.violations})
 
@@ -62,7 +58,7 @@ def _coerce_tensor3(field, dims, tensor):
         for row in plane:
             if len(row) != d2:
                 raise ShapeMismatch("tensor third axis mismatch")
-            rows.append(tuple(field.coerce(x) for x in row))
+            rows.append(tuple(map(field.coerce, row)))
         out.append(tuple(rows))
     return tuple(out)
 
@@ -228,9 +224,7 @@ def basis_vec(field, n, i):
 
 def adjoint_pair(a):
     """Both actions given by the bracket of a itself."""
-    left = a.c
-    right = a.c
-    return ActionPair(a.field, a.dim, a.dim, left, right)
+    return ActionPair(a.field, a.dim, a.dim, a.c, a.c)
 
 
 def adjoint_grep(a):
@@ -241,56 +235,150 @@ def is_adjoint_grep(d):
     return d.g == d.h and d.actions == adjoint_pair(d.g)
 
 
-def check_triples(rep, field, n, laws):
-    """Check laws u.(v.w) = (u.v).w + v.(u.w) on all basis triples of F^n.
+# The most scalar multiply-adds ``check_laws`` spends on one law
+MAX_LAW_WORK = 10 ** 5
 
-    A law is (name, lhs, first, second); each of the three is a pair of
-    an outer operation, as a residue view, and an inner one, as a coerced
-    tensor.  On (e_i, e_j, e_k) the pair (s, t) reads s(e_i, t[j][k]) as
-    lhs, s(t[i][j], e_k) as first and s(e_j, t[i][k]) as second.
+
+def parse_laws(*identities):
+    """The laws of (name, 'lhs = rhs') identities, for ``check_laws``.
+
+    Each side is a signed sum of terms x O (y I z) or (x I y) O z: x, y, z
+    are the slots i, j, k of the basis triple, O and I one-character names
+    of the outer and inner tensors.  A law is (name, lhs terms, rhs terms),
+    a term (sign, O, I, slots) with slots 'x(yz)' or '(xy)z'.
     """
-    e = [basis_vec(field, n, i) for i in range(n)]
-    for i, j, k in product(range(n), repeat=3):
-        for law, (s, t), (s1, t1), (s2, t2) in laws:
-            rep.compare(law, (i, j, k), field, n, [(s, e[i], t[j][k])],
-                        [(s1, t1[i][j], e[k]), (s2, e[j], t2[i][k])])
+    def term(sign, t):
+        sign = -1 if sign == "-" else 1
+        if t[0] == "(":  # (x I y) O z
+            return sign, t[5], t[2], "(%s%s)%s" % (t[1], t[3], t[6])
+        return sign, t[1], t[4], "%s(%s%s)" % (t[0], t[3], t[5])
+
+    laws = []
+    for name, text in identities:
+        lhs, rhs = ([term(*t) for t in re.findall(r"([+-]?)([^+-]+)", side)]
+                    for side in text.replace(" ", "").split("="))
+        laws.append((name, lhs, rhs))
+    return tuple(laws)
+
+
+class _Nonzeros:
+    """The nonzero rows of a raw 3-tensor, each as its nonzero (k, t) pairs.
+
+    entries lists (a, b, row) for every nonzero tensor[a][b]; by_first[a]
+    and by_second[b] list (b, row) and (a, row).  width is the row length.
+    Entries that are the raw zero object itself skip the truth test.
+    """
+
+    def __init__(self, tensor, zero):
+        self.entries, self.by_first, self.by_second, self.width = [], {}, {}, 0
+        for a, plane in enumerate(tensor):
+            for b, row in enumerate(plane):
+                self.width = len(row)
+                nz = [(k, t) for k, t in enumerate(row) if t is not zero and t]
+                if nz:
+                    self.entries.append((a, b, nz))
+                    self.by_first.setdefault(a, []).append((b, nz))
+                    self.by_second.setdefault(b, []).append((a, nz))
+
+
+def _terms(terms, nonzeros):
+    """(sign, place, outer rows by contracted index, inner entries) per term.
+
+    place maps (basis index, inner a, inner b) to the basis triple.
+    """
+    for sign, outer, inner, slots in terms:
+        letters = slots.replace("(", "").replace(")", "")
+        rows = nonzeros[outer].by_second
+        if slots[0] == "(":  # the inner row is the outer's left argument
+            letters, rows = letters[2] + letters[:2], nonzeros[outer].by_first
+        yield (sign, itemgetter(*map(letters.index, "ijk")), rows,
+               nonzeros[inner].entries)
+
+
+def _work(terms, nonzeros):
+    """The scalar multiply-adds ``_scatter`` makes for terms."""
+    total = 0
+    for _, _, rows, entries in _terms(terms, nonzeros):
+        weight = {m: sum(len(row) for _, row in r) for m, r in rows.items()}
+        total += sum(weight.get(m, 0) for _, _, vec in entries for m, _ in vec)
+    return total
+
+
+def _scatter(terms, nonzeros, zero):
+    """{w: {k: raw sum}} of one law side on every basis triple it reaches."""
+    side = {}
+    for sign, place, rows, entries in _terms(terms, nonzeros):
+        for a, b, vec in entries:
+            for m, t in vec:
+                t = t if sign > 0 else -t
+                for p, row in rows.get(m, ()):
+                    acc = side.setdefault(place((p, a, b)), {})
+                    for k, s in row:
+                        acc[k] = acc.get(k, zero) + t * s
+    return side
+
+
+def check_laws(rep, field, laws, tensors):
+    """Add to rep every violation of laws (``parse_laws``) on basis triples.
+
+    tensors maps the names in the laws to raw 3-tensors (residue views).
+    Each side is scattered from the nonzero tensor rows into raw sums per
+    basis triple, so triples that no nonzero reaches cost nothing.  The
+    multiply-adds of every law are counted from the nonzero counts first:
+    past MAX_LAW_WORK, ResourceLimit names the law.  Violations come by
+    triple in lexicographic order, then by law in table order.
+    """
+    zero = field.raw_zero
+    nonzeros = {x: _Nonzeros(t, zero) for x, t in tensors.items()}
+    for law, lhs, rhs in laws:
+        work = _work(lhs + rhs, nonzeros)
+        if work > MAX_LAW_WORK:
+            raise ResourceLimit("%s needs %d scalar multiply-adds, beyond the "
+                                "limit %d" % (law, work, MAX_LAW_WORK))
+    found = []
+    for pos, (law, lhs, rhs) in enumerate(laws):
+        n = max(nonzeros[outer].width for _, outer, _, _ in lhs + rhs)
+        sides = _scatter(lhs, nonzeros, zero), _scatter(rhs, nonzeros, zero)
+        for w in sides[0].keys() | sides[1].keys():
+            lv, rv = (field.from_raw([side.get(w, {}).get(k, zero)
+                                      for k in range(n)]) for side in sides)
+            if lv != rv:
+                found.append((w, pos, law, lv, rv))
+    for w, _, law, lv, rv in sorted(found, key=itemgetter(0, 1)):
+        rep.add(law, w, lv, rv)
     return rep
+
+
+# . is the bracket; on a representation x > v = rho^L(x, v) and
+# v < x = rho^R(v, x), the identities of Loday-Pirashvili
+LEIBNIZ_LAWS = parse_laws(
+    ("leibniz-identity", "i.(j.k) = (i.j).k + j.(i.k)"))
+# on the triple (e_i, e_j, f_k)
+REPRESENTATION_LAWS = parse_laws(
+    ("rep-axiom-2", "i>(j>k) = (i.j)>k + j>(i>k)"),
+    ("rep-axiom-3", "i>(k<j) = (i>k)<j + k<(i.j)"),
+    ("rep-axiom-4", "k<(i.j) = (k<i)<j + i>(k<j)"))
+# on the triple (f_i, f_j, e_k), . the bracket of h
+COUPLING_LAWS = parse_laws(
+    ("lrep-axiom-5", "i.(j<k) = (i.j)<k + j.(i<k)"),
+    ("lrep-axiom-6", "i.(k>j) = (i<k).j + k>(i.j)"),
+    ("lrep-axiom-7", "k>(i.j) = (k>i).j + i.(k>j)"))
 
 
 def validate_leibniz(a):
     """Check [x,[y,z]] = [[x,y],z] + [y,[x,z]] on all basis triples."""
-    c = (a.c_raw, a.c)
-    return check_triples(ValidationReport("leibniz"), a.field, a.dim,
-                         [("leibniz-identity", c, c, c)])
+    return check_laws(ValidationReport("leibniz"), a.field, LEIBNIZ_LAWS,
+                      {".": a.c_raw})
 
 
 def validate_representation(g, actions):
-    """Check the three representation axioms on all basis triples.
-
-    On basis vectors every inner product is a tensor row, so each side is
-    one ``contract`` of one or two terms.
-    """
+    """Check the three representation axioms (2)-(4) on all basis triples."""
     if actions.dim_g != g.dim:
         raise ShapeMismatch("action tensor dim_g != algebra dim")
-    rep = ValidationReport("representation")
-    f, dv, c = g.field, actions.dim_v, g.c
-    lt, rt = actions.left, actions.right
-    lr, rr = actions.left_raw, actions.right_raw
-    e = [basis_vec(f, g.dim, i) for i in range(g.dim)]
-    fv = [basis_vec(f, dv, a) for a in range(dv)]
-    for i, j in product(range(g.dim), repeat=2):
-        for a in range(dv):
-            w = (i, j, a)
-            # (2): rhoL(x, rhoL(y,v)) = rhoL([x,y],v) + rhoL(y, rhoL(x,v))
-            rep.compare("rep-axiom-2", w, f, dv, [(lr, e[i], lt[j][a])],
-                        [(lr, c[i][j], fv[a]), (lr, e[j], lt[i][a])])
-            # (3): rhoL(x, rhoR(v,y)) = rhoR(rhoL(x,v), y) + rhoR(v, [x,y])
-            rep.compare("rep-axiom-3", w, f, dv, [(lr, e[i], rt[a][j])],
-                        [(rr, lt[i][a], e[j]), (rr, fv[a], c[i][j])])
-            # (4): rhoR(v, [x,y]) = rhoR(rhoR(v,x), y) + rhoL(x, rhoR(v,y))
-            rep.compare("rep-axiom-4", w, f, dv, [(rr, fv[a], c[i][j])],
-                        [(rr, rt[a][i], e[j]), (lr, e[i], rt[a][j])])
-    return rep
+    return check_laws(ValidationReport("representation"), g.field,
+                      REPRESENTATION_LAWS,
+                      {".": g.c_raw, ">": actions.left_raw,
+                       "<": actions.right_raw})
 
 
 def validate_leibniz_g_rep(d):
@@ -299,24 +387,9 @@ def validate_leibniz_g_rep(d):
     rep.violations.extend(validate_leibniz(d.g).violations)
     rep.violations.extend(validate_leibniz(d.h).violations)
     rep.violations.extend(validate_representation(d.g, d.actions).violations)
-    f, nh, act = d.field, d.h.dim, d.actions
-    hc, hr, lt, rt = d.h.c, d.h.c_raw, act.left, act.right
-    lr, rr = act.left_raw, act.right_raw
-    e = [basis_vec(f, d.g.dim, i) for i in range(d.g.dim)]
-    fv = [basis_vec(f, nh, a) for a in range(nh)]
-    for a, b in product(range(nh), repeat=2):
-        for i in range(d.g.dim):
-            w = (a, b, i)
-            # (5): [u, rhoR(v,x)]_h = rhoR([u,v]_h, x) + [v, rhoR(u,x)]_h
-            rep.compare("lrep-axiom-5", w, f, nh, [(hr, fv[a], rt[b][i])],
-                        [(rr, hc[a][b], e[i]), (hr, fv[b], rt[a][i])])
-            # (6): [u, rhoL(x,v)]_h = [rhoR(u,x), v]_h + rhoL(x, [u,v]_h)
-            rep.compare("lrep-axiom-6", w, f, nh, [(hr, fv[a], lt[i][b])],
-                        [(hr, rt[a][i], fv[b]), (lr, e[i], hc[a][b])])
-            # (7): rhoL(x, [u,v]_h) = [rhoL(x,u), v]_h + [u, rhoL(x,v)]_h
-            rep.compare("lrep-axiom-7", w, f, nh, [(lr, e[i], hc[a][b])],
-                        [(hr, lt[i][a], fv[b]), (hr, fv[a], lt[i][b])])
-    return rep
+    return check_laws(rep, d.field, COUPLING_LAWS,
+                      {".": d.h.c_raw, ">": d.actions.left_raw,
+                       "<": d.actions.right_raw})
 
 
 def semidirect_product(d, lam):
@@ -328,41 +401,33 @@ def semidirect_product(d, lam):
 
 
 def semidirect_product_unchecked(d, lam):
-    f = d.field
-    lam = f.coerce(lam)
-    ng, nh = d.g.dim, d.h.dim
-    n = ng + nh
-    c = zero_tensor(f, n, n, n)
-    for i, j in product(range(ng), repeat=2):
-        for k, v in enumerate(d.g.c[i][j]):
-            c[i][j][k] = v
-    for i in range(ng):
-        for b in range(nh):
-            # [(x,0),(0,v)] = (0, rhoL(x,v))
-            for k, v in enumerate(d.actions.left[i][b]):
-                c[i][ng + b][ng + k] = v
-    for a in range(nh):
-        for j in range(ng):
-            # [(0,u),(y,0)] = (0, rhoR(u,y))
-            for k, v in enumerate(d.actions.right[a][j]):
-                c[ng + a][j][ng + k] = v
-    for a, b in product(range(nh), repeat=2):
-        for k, v in enumerate(d.h.c[a][b]):
-            c[ng + a][ng + b][ng + k] = lam * v
-    return LeibnizAlgebra(f, n, c)
+    """[(x,u),(y,v)] = ([x,y], rho^L(x,v) + rho^R(u,y) + lam [u,v]_h)."""
+    c = block_tensor(d, d.field.one, d.field.coerce(lam))
+    return LeibnizAlgebra(d.field, d.g.dim + d.h.dim, c)
+
+
+def block_tensor(d, mu, lam):
+    """mu ([x,y]_g + rho^L(x,v) + rho^R(u,y)) + lam [u,v]_h, block by block."""
+    ng, n = d.g.dim, d.g.dim + d.h.dim
+    c = zero_tensor(d.field, n, n, n)
+    blocks = ((d.g.c, 0, 0, 0, mu), (d.actions.left, 0, ng, ng, mu),
+              (d.actions.right, ng, 0, ng, mu), (d.h.c, ng, ng, ng, lam))
+    for t, i0, j0, k0, s in blocks:
+        if s:  # a zero scale leaves its block zero
+            for i, plane in enumerate(t):
+                for j, row in enumerate(plane):
+                    c[i0 + i][j0 + j][k0:k0 + len(row)] = \
+                        row if s == 1 else [s * x for x in row]
+    return c
 
 
 def is_algebra_morphism(src, dst, phi):
     """phi: Matrix src -> dst with phi([x,y]) = [phi x, phi y]."""
     if phi.ncols != src.dim or phi.nrows != dst.dim:
         raise ShapeMismatch("morphism matrix has wrong shape")
-    f = src.field
-    for i, j in product(range(src.dim), repeat=2):
-        lhs = phi.mul_vec(src.bracket_basis(i, j))
-        rhs = dst.bracket(phi.col(i), phi.col(j))
-        if lhs != rhs:
-            return False
-    return True
+    return all(phi.mul_vec(src.bracket_basis(i, j))
+               == dst.bracket(phi.col(i), phi.col(j))
+               for i, j in product(range(src.dim), repeat=2))
 
 
 def leibniz_differential(g, actions, f):
@@ -408,31 +473,23 @@ def _pow_sign(field, k):
     return field.one if k % 2 == 0 else -field.one
 
 
+def transport(op, s, t, out):
+    """The tensor out(op(s e_i, t e_j)) of a bilinear op, indexed [i][j]."""
+    return [[out.mul_vec(op(s.col(i), t.col(j))) for j in range(t.ncols)]
+            for i in range(s.ncols)]
+
+
 def change_of_basis_algebra(a, s):
     """Structure constants of a in the basis e'_i = sum_j s[j][i] e_j."""
-    si = s.inverse()
-    c = zero_tensor(a.field, a.dim, a.dim, a.dim)
-    for i, j in product(range(a.dim), repeat=2):
-        v = si.mul_vec(a.bracket(s.col(i), s.col(j)))
-        for k in range(a.dim):
-            c[i][j][k] = v[k]
-    return LeibnizAlgebra(a.field, a.dim, c)
+    return LeibnizAlgebra(a.field, a.dim,
+                          transport(a.bracket, s, s, s.inverse()))
 
 
 def change_of_basis_grep(d, sg, sh):
     """Transport a LeibnizGRep along basis changes of g and h."""
-    f = d.field
-    g2 = change_of_basis_algebra(d.g, sg)
-    h2 = change_of_basis_algebra(d.h, sh)
     shi = sh.inverse()
-    left = zero_tensor(f, d.g.dim, d.h.dim, d.h.dim)
-    right = zero_tensor(f, d.h.dim, d.g.dim, d.h.dim)
-    for i in range(d.g.dim):
-        for a in range(d.h.dim):
-            v = shi.mul_vec(d.actions.left_act(sg.col(i), sh.col(a)))
-            for b in range(d.h.dim):
-                left[i][a][b] = v[b]
-            v = shi.mul_vec(d.actions.right_act(sh.col(a), sg.col(i)))
-            for b in range(d.h.dim):
-                right[a][i][b] = v[b]
-    return LeibnizGRep(g2, h2, ActionPair(f, d.g.dim, d.h.dim, left, right))
+    left = transport(d.actions.left_act, sg, sh, shi)
+    right = transport(d.actions.right_act, sh, sg, shi)
+    return LeibnizGRep(change_of_basis_algebra(d.g, sg),
+                       change_of_basis_algebra(d.h, sh),
+                       ActionPair(d.field, d.g.dim, d.h.dim, left, right))

@@ -74,22 +74,20 @@ def check_deformation(defm, cross_check=True):
     act, ts = d.actions, defm.coeffs
     rep = ValidationReport("deformation")
     direct_bad = set()
-    for n in range(defm.order + 1):
-        for a in range(d.h.dim):
-            ea = basis_vec(fld, d.h.dim, a)
-            for b in range(d.h.dim):
-                eb = basis_vec(fld, d.h.dim, b)
-                lhs = [fld.zero] * d.g.dim
-                rhs = vec_scale(lam, ts[n].mul_vec(d.h.bracket_basis(a, b)))
-                for i in range(n + 1):
-                    j = n - i
-                    lhs = vec_add(lhs, d.g.bracket(ts[i].col(a), ts[j].col(b)))
-                    inner = vec_add(act.left_act(ts[j].col(a), eb),
-                                    act.right_act(ea, ts[j].col(b)))
-                    rhs = vec_add(rhs, ts[i].mul_vec(inner))
-                if lhs != rhs:
-                    rep.add("deformation-equation", (n, a, b), lhs, rhs)
-                    direct_bad.add(n)
+    for n, a, b in iproduct(range(defm.order + 1), range(d.h.dim),
+                            range(d.h.dim)):
+        ea, eb = basis_vec(fld, d.h.dim, a), basis_vec(fld, d.h.dim, b)
+        lhs = [fld.zero] * d.g.dim
+        rhs = vec_scale(lam, ts[n].mul_vec(d.h.bracket_basis(a, b)))
+        for i in range(n + 1):
+            j = n - i
+            lhs = vec_add(lhs, d.g.bracket(ts[i].col(a), ts[j].col(b)))
+            inner = vec_add(act.left_act(ts[j].col(a), eb),
+                            act.right_act(ea, ts[j].col(b)))
+            rhs = vec_add(rhs, ts[i].mul_vec(inner))
+        if lhs != rhs:
+            rep.add("deformation-equation", (n, a, b), lhs, rhs)
+            direct_bad.add(n)
     if cross_check and fld.characteristic != 2:
         for n in range(1, defm.order + 1):
             tn = MultiMap.from_matrix(ts[n])
@@ -140,46 +138,28 @@ def _poly_inverse(field, a, order):
     return out
 
 
-def _bracket_matrix(a, x0):
-    """Matrix of [x0, -] on a Leibniz algebra."""
-    cols = [a.bracket(x0, basis_vec(a.field, a.dim, j)) for j in range(a.dim)]
-    return Matrix.from_cols(a.field, cols, a.dim)
-
-
-def _left_action_matrix(d, x0):
-    """Matrix of rho^L(x0, -): h -> h."""
-    cols = [d.actions.left_act(x0, basis_vec(d.field, d.h.dim, a))
-            for a in range(d.h.dim)]
-    return Matrix.from_cols(d.field, cols, d.h.dim)
-
-
 def equivalence_maps(defm, x0, higher_phi=None, higher_psi=None):
     """Coefficient lists of Phi_t and Psi_t truncated at the order of defm."""
     d, fld, n = defm.base.context, defm.field, defm.order
-    phi = [Matrix.identity(fld, d.g.dim), _bracket_matrix(d.g, x0)]
-    psi = [Matrix.identity(fld, d.h.dim), _left_action_matrix(d, x0)]
-    phi += list(higher_phi or [])
-    psi += list(higher_psi or [])
-    zero_g = Matrix.zeros(fld, d.g.dim, d.g.dim)
-    zero_h = Matrix.zeros(fld, d.h.dim, d.h.dim)
-    while len(phi) <= n:
-        phi.append(zero_g)
-    while len(psi) <= n:
-        psi.append(zero_h)
+    ig, ih = Matrix.identity(fld, d.g.dim), Matrix.identity(fld, d.h.dim)
+    ad = [d.g.bracket(x0, e) for e in ig.rows]  # [x0, -]
+    act = [d.actions.left_act(x0, e) for e in ih.rows]  # rho^L(x0, -)
+    phi = [ig, Matrix.from_cols(fld, ad, d.g.dim)] + list(higher_phi or [])
+    psi = [ih, Matrix.from_cols(fld, act, d.h.dim)] + list(higher_psi or [])
+    phi += [Matrix.zeros(fld, d.g.dim, d.g.dim)] * (n + 1 - len(phi))
+    psi += [Matrix.zeros(fld, d.h.dim, d.h.dim)] * (n + 1 - len(psi))
     return phi[:n + 1], psi[:n + 1]
 
 
 def _expands(field, op, out, lft, rgt, nx, ny, n):
     """out_n op(x, y) == sum_k op(lft_k x, rgt_{n-k} y) on basis pairs."""
-    for i in range(nx):
-        x = basis_vec(field, nx, i)
-        for j in range(ny):
-            y = basis_vec(field, ny, j)
-            rhs = [field.zero] * out[n].nrows
-            for k in range(n + 1):
-                rhs = vec_add(rhs, op(lft[k].mul_vec(x), rgt[n - k].mul_vec(y)))
-            if out[n].mul_vec(op(x, y)) != rhs:
-                return False
+    for i, j in iproduct(range(nx), range(ny)):
+        x, y = basis_vec(field, nx, i), basis_vec(field, ny, j)
+        rhs = [field.zero] * out[n].nrows
+        for k in range(n + 1):
+            rhs = vec_add(rhs, op(lft[k].mul_vec(x), rgt[n - k].mul_vec(y)))
+        if out[n].mul_vec(op(x, y)) != rhs:
+            return False
     return True
 
 
@@ -281,7 +261,8 @@ def rigidity_certificate(r, cap=10 ** 6):
     if not isinstance(fld, PrimeField) or fld.p <= 3:
         raise WrongField("rigidity certification requires GF(p) with p > 3")
     d = r.context
-    m1 = delta_matrix(r, 1)
+    view = IntegerView(induced_algebra(r), induced_representation(r))
+    m0, m1 = (delta_matrix(r, n, view=view) for n in (0, 1))
     zb = m1.kernel_basis()
     if fld.p ** len(zb) > cap:
         raise ResourceLimit("Z^1 enumeration exceeds cap %d" % cap)
@@ -296,8 +277,7 @@ def rigidity_certificate(r, cap=10 ** 6):
     for x0 in _enumerate_vectors(fld, d.g.dim, cap):
         if check_nijenhuis(r, x0):
             count += 1
-            nij_image.add(tuple(MultiMap.from_matrix(
-                delta_T_0(r, x0)).flatten()))
+            nij_image.add(tuple(m0.mul_vec(x0)))
     if nij_image == z_set:
         return RigidityCertificate(True, len(zb), count)
     extra = z_set - nij_image

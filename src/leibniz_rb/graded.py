@@ -13,10 +13,10 @@ two share no code beyond the shuffle enumeration.
 """
 
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations
 
 from .core import (ValidationReport, _pow_sign, add_combination,
-                   validate_leibniz_g_rep)
+                   block_tensor, validate_leibniz_g_rep)
 from .errors import (InvalidInput, OracleDisagreement, ShapeMismatch,
                      StructureIncompatible)
 from .linalg import Matrix, axpy, vec_scale, zero_vec
@@ -113,46 +113,31 @@ def balavoine_bracket(f, g):
 # Structure elements on V = g + h
 
 
-def make_theta(d, validate=True):
-    """theta = mu_g + rho^L + rho^R as an arity-2 map on V = g + h."""
+def _block_map(d, mu, lam, validate):
+    """``block_tensor`` as an arity-2 map on V = g + h; validates d first."""
     if validate:
         check = validate_leibniz_g_rep(d)
         if not check.ok:
             raise InvalidInput(check.summary())
-    fld = d.field
-    ng, nh = d.g.dim, d.h.dim
-    n = ng + nh
-    th = MultiMap(fld, 2, n, n)
-    for i, j in product(range(ng), repeat=2):
-        th.set_((i, j), list(d.g.c[i][j]) + [fld.zero] * nh)
-    for i in range(ng):
-        for b in range(nh):
-            th.set_((i, ng + b),
-                    [fld.zero] * ng + list(d.actions.left[i][b]))
-    for a in range(nh):
-        for j in range(ng):
-            th.set_((ng + a, j),
-                    [fld.zero] * ng + list(d.actions.right[a][j]))
-    if validate:
-        if not balavoine_bracket(th, th).is_zero():
-            raise StructureIncompatible("[theta, theta]_B != 0")
+    n = d.g.dim + d.h.dim
+    out = MultiMap(d.field, 2, n, n)
+    out.nz = {(i, j): tuple(row)
+              for i, plane in enumerate(block_tensor(d, mu, lam))
+              for j, row in enumerate(plane) if any(row)}
+    return out
+
+
+def make_theta(d, validate=True):
+    """theta = mu_g + rho^L + rho^R as an arity-2 map on V = g + h."""
+    th = _block_map(d, d.field.one, d.field.zero, validate)
+    if validate and not balavoine_bracket(th, th).is_zero():
+        raise StructureIncompatible("[theta, theta]_B != 0")
     return th
 
 
 def make_theta_prime(d, lam, validate=True):
     """theta' = -lambda mu_h as an arity-2 map on V = g + h."""
-    if validate:
-        check = validate_leibniz_g_rep(d)
-        if not check.ok:
-            raise InvalidInput(check.summary())
-    fld = d.field
-    lam = fld.coerce(lam)
-    ng, nh = d.g.dim, d.h.dim
-    n = ng + nh
-    tp = MultiMap(fld, 2, n, n)
-    for a, b in product(range(nh), repeat=2):
-        tp.set_((ng + a, ng + b),
-                [fld.zero] * ng + [-lam * x for x in d.h.c[a][b]])
+    tp = _block_map(d, d.field.zero, -d.field.coerce(lam), validate)
     if validate:
         if not balavoine_bracket(tp, tp).is_zero():
             raise StructureIncompatible("[theta', theta']_B != 0")

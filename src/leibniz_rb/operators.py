@@ -47,13 +47,12 @@ def check_weighted_relative_rbo(d, lam, t):
     rep = ValidationReport("weighted-relative-rbo")
     basis = [basis_vec(d.field, d.h.dim, a) for a in range(d.h.dim)]
     cols = [t.col(a) for a in range(d.h.dim)]  # T e_a
-    for a in range(d.h.dim):
-        for b in range(d.h.dim):
-            lhs = d.g.bracket(cols[a], cols[b])
-            rhs = t.mul_vec(operator_rhs(d, lam, basis[a], cols[a],
-                                         basis[b], cols[b]))
-            if lhs != rhs:
-                rep.add("operator-identity", (a, b), lhs, rhs)
+    for a, b in product(range(d.h.dim), repeat=2):
+        lhs = d.g.bracket(cols[a], cols[b])
+        rhs = t.mul_vec(operator_rhs(d, lam, basis[a], cols[a],
+                                     basis[b], cols[b]))
+        if lhs != rhs:
+            rep.add("operator-identity", (a, b), lhs, rhs)
     return rep
 
 
@@ -156,14 +155,12 @@ def check_operator_morphism(r, rp, m):
         return False
     if phi * r.t != rp.t * psi:
         return False
-    for i in range(d.g.dim):
-        for a in range(d.h.dim):
-            if psi.mul_vec(d.actions.left[i][a]) != \
-                    dp.actions.left_act(phi.col(i), psi.col(a)):
-                return False
-            if psi.mul_vec(d.actions.right[a][i]) != \
-                    dp.actions.right_act(psi.col(a), phi.col(i)):
-                return False
+    act, act2 = d.actions, dp.actions
+    for i, a in product(range(d.g.dim), range(d.h.dim)):
+        x, u = phi.col(i), psi.col(a)
+        if psi.mul_vec(act.left[i][a]) != act2.left_act(x, u) or \
+                psi.mul_vec(act.right[a][i]) != act2.right_act(u, x):
+            return False
     if r.is_valid and rp.is_valid and not is_algebra_morphism(
             induced_algebra(r), induced_algebra(rp), psi):
         raise OracleDisagreement("psi satisfies the five morphism conditions "
@@ -179,16 +176,14 @@ def check_crossed_homomorphism(d, lam, dmap):
     lam = d.field.coerce(lam)
     act = d.actions
     rep = ValidationReport("crossed-homomorphism")
-    for i in range(d.g.dim):
-        ei = basis_vec(d.field, d.g.dim, i)
-        for j in range(d.g.dim):
-            ej = basis_vec(d.field, d.g.dim, j)
-            lhs = dmap.mul_vec(d.g.bracket(ei, ej))
-            di, dj = dmap.mul_vec(ei), dmap.mul_vec(ej)
-            rhs = vec_add(vec_add(act.left_act(ei, dj), act.right_act(di, ej)),
-                          vec_scale(lam, d.h.bracket(di, dj)))
-            if lhs != rhs:
-                rep.add("crossed-homomorphism", (i, j), lhs, rhs)
+    e = [basis_vec(d.field, d.g.dim, i) for i in range(d.g.dim)]
+    for i, j in product(range(d.g.dim), repeat=2):
+        lhs = dmap.mul_vec(d.g.bracket_basis(i, j))
+        di, dj = dmap.col(i), dmap.col(j)
+        rhs = vec_add(vec_add(act.left_act(e[i], dj), act.right_act(di, e[j])),
+                      vec_scale(lam, d.h.bracket(di, dj)))
+        if lhs != rhs:
+            rep.add("crossed-homomorphism", (i, j), lhs, rhs)
     return rep
 
 

@@ -14,15 +14,14 @@ structures on their codomain.
 """
 
 from dataclasses import dataclass
-from itertools import product
 from typing import Optional
 
 from .core import (ActionPair, LeibnizAlgebra, LeibnizGRep, ValidationReport,
-                   _coerce_tensor3, basis_vec, check_triples, contract,
-                   residue_view, validate_leibniz, zero_tensor)
+                   _coerce_tensor3, check_laws, contract, parse_laws,
+                   residue_view, transport, validate_leibniz, zero_tensor)
 from .errors import (InvalidInput, OracleDisagreement, ShapeMismatch,
                      WrongWeight)
-from .linalg import vec_add, vec_scale, vec_sub
+from .linalg import Matrix, vec_scale
 
 
 class PostLeibnizAlgebra:
@@ -72,17 +71,26 @@ class PostLeibnizAlgebra:
         return "PostLeibnizAlgebra(dim=%d)" % self.dim
 
 
-def _post_laws(p, star):
-    """post-l1..post-l7 as ``check_triples`` laws; star is p.star_tensor()."""
-    lt, rt, br = p.left, p.right, p.bracket
-    lr, rr, bb = p.left_raw, p.right_raw, p.bracket_raw
-    return [("post-l1", (lr, star), (lr, lt), (rr, lt)),
-            ("post-l2", (rr, lt), (lr, rt), (lr, star)),
-            ("post-l3", (rr, rt), (rr, star), (rr, rt)),
-            ("post-l4", (rr, br), (bb, rt), (bb, rt)),
-            ("post-l5", (bb, rt), (bb, lt), (rr, br)),
-            ("post-l6", (bb, lt), (lr, br), (bb, lt)),
-            ("post-l7", (bb, br), (bb, br), (bb, br))]
+# On the triple (e_i, e_j, e_k): < is u<v, > is u>v, . is [u,v]_a, * is star
+POST_LEIBNIZ_LAWS = parse_laws(
+    ("post-l1", "i<(j*k) = (i<j)<k + j>(i<k)"),
+    ("post-l2", "i>(j<k) = (i>j)<k + j<(i*k)"),
+    ("post-l3", "i>(j>k) = (i*j)>k + j>(i>k)"),
+    ("post-l4", "i>(j.k) = (i>j).k + j.(i>k)"),
+    ("post-l5", "i.(j>k) = (i<j).k + j>(i.k)"),
+    ("post-l6", "i.(j<k) = (i.j)<k + j.(i<k)"),
+    ("post-l7", "i.(j.k) = (i.j).k + j.(i.k)"))
+# the post-Lie algebra (a, >, [.,.]_a)
+POST_LIE_LAWS = parse_laws(
+    ("lie-jacobi", "i.(j.k) = (i.j).k + j.(i.k)"),
+    ("post-lie-derivation", "i>(j.k) = (i>j).k + j.(i>k)"),
+    ("post-lie-curvature", "(i.j)>k = i>(j>k) - (i>j)>k - j>(i>k) + (j>i)>k"))
+
+
+def _tensors(p, star):
+    """The raw tensors of p and star by their names in the laws."""
+    return {"<": p.left_raw, ">": p.right_raw, ".": p.bracket_raw,
+            "*": residue_view(p.field, star)}
 
 
 def validate_post_leibniz(p, star=None):
@@ -91,8 +99,8 @@ def validate_post_leibniz(p, star=None):
     star, the tensor of [.,.]_star, is built here unless given.
     """
     star = p.star_tensor() if star is None else star
-    return check_triples(ValidationReport("post-leibniz"), p.field, p.dim,
-                         _post_laws(p, star))
+    return check_laws(ValidationReport("post-leibniz"), p.field,
+                      POST_LEIBNIZ_LAWS, _tensors(p, star))
 
 
 def total_algebra(p):
@@ -113,14 +121,11 @@ def from_rbo(r):
     """The post-Leibniz algebra of a valid weighted operator on h."""
     r.require_valid()
     d, fld, t = r.context, r.field, r.t
-    nh, act = d.h.dim, d.actions
-    bv = [basis_vec(fld, nh, a) for a in range(nh)]
-    left = [[act.right_act(bv[a], t.col(b)) for b in range(nh)]
-            for a in range(nh)]
-    right = [[act.left_act(t.col(a), bv[b]) for b in range(nh)]
-             for a in range(nh)]
+    one = Matrix.identity(fld, d.h.dim)
+    left = transport(d.actions.right_act, one, t, one)
+    right = transport(d.actions.left_act, t, one, one)
     bracket = [[vec_scale(r.weight, row) for row in plane] for plane in d.h.c]
-    p = PostLeibnizAlgebra(fld, nh, left, right, bracket)
+    p = PostLeibnizAlgebra(fld, d.h.dim, left, right, bracket)
     check = validate_post_leibniz(p)
     if not check.ok:
         raise OracleDisagreement("operator-induced structure fails: %s"
@@ -138,9 +143,10 @@ def validate_pre_leibniz(field, dim, left, right):
                            zero_tensor(field, dim, dim, dim))
     star = p.star_tensor()  # u<v + u>v, the bracket being zero
     # with this star, post-l1..l3 are the three pre-Leibniz identities
-    laws = [("pre" + law[4:], *rest)
-            for law, *rest in _post_laws(p, star)[:3]]
-    rep = check_triples(ValidationReport("pre-leibniz"), field, dim, laws)
+    laws = [("pre" + law[4:], lhs, rhs)
+            for law, lhs, rhs in POST_LEIBNIZ_LAWS[:3]]
+    rep = check_laws(ValidationReport("pre-leibniz"), field, laws,
+                     _tensors(p, star))
     if rep.ok != validate_post_leibniz(p, star).ok:
         raise OracleDisagreement("pre-Leibniz and zero-bracket post-Leibniz "
                                  "validators disagree")
@@ -158,6 +164,12 @@ class SkewReduction:
         return self.skew_pair and self.skew_bracket
 
 
+def _skew(s, t):
+    """s[i][j] = -t[j][i] for all i, j, on tensor slices."""
+    return all(row == tuple(-x for x in t[j][i])
+               for i, plane in enumerate(s) for j, row in enumerate(plane))
+
+
 def check_skewsymmetric_reduction(p):
     """Test u<v = -v>u and bracket antisymmetry; then the post-Lie laws.
 
@@ -165,32 +177,11 @@ def check_skewsymmetric_reduction(p):
     algebra: Lie bracket, u>. a derivation of it, and
     [u,v] > w = u>(v>w) - (u>v)>w - v>(u>w) + (v>u)>w.
     """
-    fld, n = p.field, p.dim
-    bv = [basis_vec(fld, n, i) for i in range(n)]
-    skew_pair = all(p.lt(bv[i], bv[j]) == vec_scale(-fld.one, p.rt(bv[j], bv[i]))
-                    for i in range(n) for j in range(n))
-    skew_bracket = all(p.br(bv[i], bv[j]) == vec_scale(-fld.one, p.br(bv[j], bv[i]))
-                       for i in range(n) for j in range(n))
-    out = SkewReduction(skew_pair, skew_bracket)
-    if not out.is_skewsymmetric:
-        return out
-    rep = ValidationReport("post-lie")
-    for (i, u), (j, v), (k, w) in product(enumerate(bv), repeat=3):
-        lhs = p.br(u, p.br(v, w))
-        rhs = vec_add(p.br(p.br(u, v), w), p.br(v, p.br(u, w)))
-        if lhs != rhs:
-            rep.add("lie-jacobi", (i, j, k), lhs, rhs)
-        lhs = p.rt(u, p.br(v, w))
-        rhs = vec_add(p.br(p.rt(u, v), w), p.br(v, p.rt(u, w)))
-        if lhs != rhs:
-            rep.add("post-lie-derivation", (i, j, k), lhs, rhs)
-        lhs = p.rt(p.br(u, v), w)
-        rhs = vec_sub(p.rt(u, p.rt(v, w)), p.rt(p.rt(u, v), w))
-        rhs = vec_sub(rhs, p.rt(v, p.rt(u, w)))
-        rhs = vec_add(rhs, p.rt(p.rt(v, u), w))
-        if lhs != rhs:
-            rep.add("post-lie-curvature", (i, j, k), lhs, rhs)
-    out.post_lie = rep
+    out = SkewReduction(_skew(p.left, p.right), _skew(p.bracket, p.bracket))
+    if out.is_skewsymmetric:
+        out.post_lie = check_laws(ValidationReport("post-lie"), p.field,
+                                  POST_LIE_LAWS,
+                                  {">": p.right_raw, ".": p.bracket_raw})
     return out
 
 
@@ -222,16 +213,11 @@ def compatible_structure(a, r):
     d, fld, t = r.context, r.field, r.t
     if t.nrows != t.ncols:
         raise ShapeMismatch("compatible structures need T square")
-    tinv = t.inverse()
-    n, act = a.dim, d.actions
-    bv = [basis_vec(fld, n, i) for i in range(n)]
-    left = [[t.mul_vec(act.right_act(tinv.col(i), bv[j]))
-             for j in range(n)] for i in range(n)]
-    right = [[t.mul_vec(act.left_act(bv[i], tinv.col(j)))
-              for j in range(n)] for i in range(n)]
-    bracket = [[t.mul_vec(d.h.bracket(tinv.col(i), tinv.col(j)))
-                for j in range(n)] for i in range(n)]
-    p = PostLeibnizAlgebra(fld, n, left, right, bracket)
+    tinv, one = t.inverse(), Matrix.identity(fld, a.dim)
+    left = transport(d.actions.right_act, tinv, one, t)
+    right = transport(d.actions.left_act, one, tinv, t)
+    bracket = transport(d.h.bracket, tinv, tinv, t)
+    p = PostLeibnizAlgebra(fld, a.dim, left, right, bracket)
     star = p.star_tensor()
     if star != a.c:
         raise OracleDisagreement("compatible structure does not sum to the "

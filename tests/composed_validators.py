@@ -1,16 +1,17 @@
 """Reference validators built from composed products.
 
 Each identity side is evaluated the long way: nested brackets, actions
-and post-Leibniz products on basis vectors, added with ``vec_add``.  The
-library evaluates each side as one multi-term ``contract``; the property
-tests in ``test_validators.py`` require both to report the same
-violations in the same order.
+and post-Leibniz products on basis vectors, added with ``vec_add``, on
+every basis triple.  The library scatters each side from the nonzero
+tensor rows (``core.check_laws``); the property tests in
+``test_validators.py`` require both to report the same violations in the
+same order.
 """
 
 from itertools import product
 
 from leibniz_rb.core import ValidationReport, basis_vec
-from leibniz_rb.linalg import vec_add
+from leibniz_rb.linalg import vec_add, vec_scale, vec_sub
 from leibniz_rb.postleibniz import PostLeibnizAlgebra
 
 
@@ -133,4 +134,37 @@ def validate_pre_leibniz(field, dim, left, right):
         for law, lhs, rhs in checks:
             if lhs != rhs:
                 rep.add(law, (i, j, k), lhs, rhs)
+    return rep
+
+
+def skew_flags(p):
+    """(u<v = -v>u, [u,v] = -[v,u]) on all pairs of basis vectors."""
+    fld, n = p.field, p.dim
+    bv = [basis_vec(fld, n, i) for i in range(n)]
+    skew_pair = all(p.lt(bv[i], bv[j]) == vec_scale(-fld.one, p.rt(bv[j], bv[i]))
+                    for i in range(n) for j in range(n))
+    skew_bracket = all(p.br(bv[i], bv[j]) == vec_scale(-fld.one, p.br(bv[j], bv[i]))
+                       for i in range(n) for j in range(n))
+    return skew_pair, skew_bracket
+
+
+def validate_post_lie(p):
+    """The post-Lie laws of (a, >, [.,.]_a) on all basis triples."""
+    rep = ValidationReport("post-lie")
+    bv = [basis_vec(p.field, p.dim, i) for i in range(p.dim)]
+    for (i, u), (j, v), (k, w) in product(enumerate(bv), repeat=3):
+        lhs = p.br(u, p.br(v, w))
+        rhs = vec_add(p.br(p.br(u, v), w), p.br(v, p.br(u, w)))
+        if lhs != rhs:
+            rep.add("lie-jacobi", (i, j, k), lhs, rhs)
+        lhs = p.rt(u, p.br(v, w))
+        rhs = vec_add(p.br(p.rt(u, v), w), p.br(v, p.rt(u, w)))
+        if lhs != rhs:
+            rep.add("post-lie-derivation", (i, j, k), lhs, rhs)
+        lhs = p.rt(p.br(u, v), w)
+        rhs = vec_sub(p.rt(u, p.rt(v, w)), p.rt(p.rt(u, v), w))
+        rhs = vec_sub(rhs, p.rt(v, p.rt(u, w)))
+        rhs = vec_add(rhs, p.rt(p.rt(v, u), w))
+        if lhs != rhs:
+            rep.add("post-lie-curvature", (i, j, k), lhs, rhs)
     return rep

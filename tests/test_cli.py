@@ -187,6 +187,40 @@ def test_cohomology_cap_bounds_the_degree(manifest, select, tmp_path):
     assert len(err.getvalue().splitlines()) == 1
 
 
+def _validate_generated(tmp_path, n, brackets):
+    path = tmp_path / ("dim%d.lra" % n)
+    path.write_text("field rational\nalgebra g dim %d\n" % n + "".join(
+        "bracket g e%d e%d -> %d e1\n" % b for b in brackets))
+    out, err = io.StringIO(), io.StringIO()
+    t0 = time.perf_counter()
+    code = run_command(["validate", str(path)], out=out, err=err)
+    return code, out.getvalue(), err.getvalue(), time.perf_counter() - t0
+
+
+@pytest.mark.slow
+def test_sparse_dim_60_validates_in_a_scatter(tmp_path):
+    # [e_i, e_j] = c_ij e_1 for i, j >= 2 is Leibniz; no product of two of
+    # its nonzero constants is nonzero, so the laws cost no multiply-add
+    code, out, err, elapsed = _validate_generated(
+        tmp_path, 60, [(i, j, (i * j) % 7 + 1)
+                       for i in range(2, 61) for j in range(2, 61)])
+    assert (code, err) == (0, "") and "valid" in out
+    assert elapsed < 0.5
+
+
+@pytest.mark.slow
+def test_dense_dim_100_is_refused_before_work(tmp_path):
+    # every [e_i, e_j] = e_1: the Leibniz identity needs 3 * 100^4
+    # multiply-adds; parsing and indexing the 10^6 cells is the time spent
+    code, out, err, elapsed = _validate_generated(
+        tmp_path, 100, [(i, j, 1) for i in range(1, 101)
+                        for j in range(1, 101)])
+    assert code == 2 and out == ""
+    assert err.startswith("error: leibniz-identity needs 3000000 ")
+    assert len(err.splitlines()) == 1
+    assert elapsed < 1.0
+
+
 def test_exit_code_math_failure():
     r = _run(["check-rbo", MANIFEST, "--operator", "id", "--weight", "1"])
     assert r.returncode == 1

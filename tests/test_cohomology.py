@@ -358,6 +358,12 @@ def test_cap_enforced(Q):
         delta_matrix(r, 2, cap=16 * 8 - 1)
 
 
+def test_delta_matrix_refuses_a_large_degree_at_once(Q):
+    # dim C^20001 has over 6,000 digits; the refusal names the degree
+    with pytest.raises(ResourceLimit, match="^delta_20000 has more cells "):
+        delta_matrix(_rbo_id(Q), 20000)
+
+
 def _kernel_quotient_route(r, max_degree):
     """Oracle: the route cohomology() took before rank-nullity.
 

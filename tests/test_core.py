@@ -8,7 +8,8 @@ from leibniz_rb.core import (ActionPair, LeibnizAlgebra, LeibnizGRep,
                              leibniz_differential, semidirect_product,
                              semidirect_product_unchecked, validate_leibniz,
                              validate_leibniz_g_rep, validate_representation)
-from leibniz_rb.errors import InvalidInput, ShapeMismatch
+from leibniz_rb import core
+from leibniz_rb.errors import InvalidInput, ResourceLimit, ShapeMismatch
 from leibniz_rb.linalg import Matrix
 from leibniz_rb.multimap import MultiMap
 
@@ -108,3 +109,19 @@ def test_change_of_basis_preserves_validity(Q):
 def test_shape_mismatch_detected(Q):
     with pytest.raises(ShapeMismatch):
         ActionPair(Q, 2, 1, [[[Q.zero]]], [[[Q.zero], [Q.zero]]])
+
+
+def test_law_work_is_bounded_before_any_product(Q, monkeypatch):
+    # a dense dim-10 bracket: each Leibniz identity term needs 10^5
+    # multiply-adds, 3 * 10^5 for the law, over MAX_LAW_WORK
+    a = LeibnizAlgebra(Q, 10, [[[Q.one] * 10] * 10] * 10)
+
+    def scatter(*args):
+        raise AssertionError("a product was formed")
+
+    monkeypatch.setattr(core, "_scatter", scatter)
+    with pytest.raises(ResourceLimit, match="^leibniz-identity needs 300000 "):
+        validate_leibniz(a)
+    # dim 8: 3 * 8^5 multiply-adds, under the limit
+    monkeypatch.undo()
+    assert validate_leibniz(LeibnizAlgebra(Q, 8, [[[Q.one] * 8] * 8] * 8)).violations

@@ -164,6 +164,26 @@ def test_rigidity_satisfied_instance(gf5):
     assert cert.dim_z1 == 1 and cert.nijenhuis_count == 25
 
 
+def test_rigidity_applies_one_delta_0(gf5, monkeypatch):
+    # delta_0 is one matrix, checked once against delta_T_0 by its probe,
+    # then applied to each of the 25 Nijenhuis elements
+    from leibniz_rb import cohomology
+    calls = []
+    real = cohomology.delta_T_0
+
+    def counted(r, x):
+        calls.append(x)
+        return real(r, x)
+
+    for module in (cohomology, deformations):
+        monkeypatch.setattr(module, "delta_T_0", counted)
+    d = small_contexts(gf5, (2, 1))[2]
+    cert = rigidity_certificate(WeightedRBO(d, gf5.zero,
+                                            Matrix(gf5, [[0], [1]])))
+    assert cert.satisfied and cert.nijenhuis_count == 25
+    assert len(calls) == 1
+
+
 def test_rigidity_honest_failure(gf5):
     r = WeightedRBO(rho_l_context(gf5), gf5.zero, Matrix.zeros(gf5, 1, 1))
     cert = rigidity_certificate(r)
