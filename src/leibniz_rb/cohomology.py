@@ -7,20 +7,22 @@ in g, C^0 = g and C^n = Hom(h^{x n}, g), where h_T acts on g by
     rhoR_T(x, u) = [x, Tu]_g - T rho^L(x, u)
 
 One formula builds delta in every degree; delta_0 x = -rhoR_T(x, .) is the
-map u -> T rho^L(x, u) - [x, Tu]_g.  Its checks run on the int rows of
-D delta (``IntegerView``).  The twisted differential d_T = d + [[T, -]]
+map u -> T rho^L(x, u) - [x, Tu]_g.  Its checks run on the ints D h_T and
+D rho_T over ``ZZ`` (``IntegerView``): both the rows of D delta and the
+probe's Leibniz differential.  The twisted differential d_T = d + [[T, -]]
 gives the same cohomology up to the sign d_T f = (-1)^n delta f, which the
 test-suite uses as an oracle.
 """
 
 from collections import Counter
 from dataclasses import dataclass, field as dc_field
-from functools import cache
 from itertools import combinations, product
 from math import lcm
 
-from .core import ActionPair, add_combination, leibniz_differential
+from .core import (ActionPair, LeibnizAlgebra, add_combination,
+                   leibniz_differential)
 from .errors import ContainmentViolated, OracleDisagreement, ResourceLimit
+from .fields import ZZ
 from .linalg import Matrix, vec_sub
 from .multimap import MultiMap
 from .operators import induced_algebra
@@ -124,9 +126,9 @@ def delta_rows(c, left, right, n):
 class IntegerView:
     """h acting on V by rho, with the int rows of D delta_n (``rows(n)``).
 
-    The rows are built once per degree from D c, D rho^L and D rho^R as
-    ints.  D is the lcm of the denominators over Q; over GF(p), D = 1 and
-    the ints are the residues.
+    ``h_z`` and ``rho_z`` are D h and D rho over the ints (``IntegerRing``):
+    D is the lcm of the denominators over Q; over GF(p), D = 1 and the
+    ints are the residues.  The rows are built once per degree from them.
     """
 
     def __init__(self, h, rho):
@@ -137,7 +139,21 @@ class IntegerView:
                              for row in pl for x in row))
             ints = [[[[x.numerator * (self.den // x.denominator) for x in row]
                       for row in pl] for pl in t] for t in ints]
-        self.rows = cache(lambda n: delta_rows(*ints, n))
+        self.h_z = LeibnizAlgebra(ZZ, h.dim, ints[0])
+        self.rho_z = ActionPair(ZZ, rho.dim_g, rho.dim_v, *ints[1:])
+        self._rows = {}  # no closure over self: a cycle would wait for gc
+
+    def rows(self, n):
+        if n not in self._rows:
+            self._rows[n] = delta_rows(self.h_z.c, self.rho_z.left,
+                                       self.rho_z.right, n)
+        return self._rows[n]
+
+
+def _cells(h, rho):
+    """The cells of an algebra and of its action pair, in one flat list."""
+    return [x for t in (h.c, rho.left, rho.right) for pl in t for row in pl
+            for x in row]
 
 
 def _require_square_zero(n, rows, prev, p):
@@ -163,10 +179,11 @@ def delta_matrix(r, n, cap=20000, view=None):
 
     cap bounds the cells (dim h^n clipped past the cap, so that a large n
     is refused at once); ``cohomology`` passes one view for all degrees.
-    The int rows of D delta_n are applied to one fixed cochain with no zero
-    entry, so that any single wrong entry shows: the image must be D times
-    its Leibniz differential (delta_T_0 in degree 0), or
-    OracleDisagreement.  For n >= 1 delta_n . delta_{n-1} = 0 is checked.
+    The int rows of D delta_n are applied to one fixed int cochain with no
+    zero entry: the image must be its Leibniz differential over the ints
+    D h_T, D rho_T (D delta_T_0 in degree 0), and each such int D times its
+    field cell, exactly over Q and mod p over GF(p), or OracleDisagreement.
+    For n >= 1 delta_n . delta_{n-1} = 0 is checked.
     """
     ng, nh, clip = r.context.g.dim, r.context.h.dim, cap.bit_length() + 1
     if ng * nh ** min(n + 1, clip) * ng * nh ** min(n, clip) > cap:
@@ -174,22 +191,32 @@ def delta_matrix(r, n, cap=20000, view=None):
                             "cap %d" % (n, cap))
     ncols = cochain_dim(r, n)
     view = view or IntegerView(induced_algebra(r), induced_representation(r))
-    fld, h, rho, rows = r.field, view.h, view.rho, view.rows(n)
+    fld, rows, den = r.field, view.rows(n), view.den
     p = fld.characteristic
     probe = [1 + (j % (p - 1) if p else j) for j in range(ncols)]
     got = [sum(a * probe[j] for j, a in row.items()) for row in rows]
-    x = [fld.coerce(v) for v in probe]
-    want = leibniz_differential(h, rho, MultiMap.from_flat(
-        fld, n, h.dim, rho.dim_v, x)) if n else \
-        MultiMap.from_matrix(delta_T_0(r, x))
-    if fld.from_raw(got) != [view.den * w for w in want.flatten()]:
+    if n:
+        want = leibniz_differential(view.h_z, view.rho_z, MultiMap.from_flat(
+            ZZ, n, nh, ng, probe)).flatten()
+    else:
+        want = [den * w for w in fld.to_raw(MultiMap.from_matrix(
+            delta_T_0(r, [fld.coerce(v) for v in probe])).flatten())]
+    # and each int of the view must be D times its cell of h_T or rho_T
+    got += _cells(view.h_z, view.rho_z)
+    want += [den * x for x in fld.to_raw(_cells(view.h, view.rho))]
+    if any((a - b) % p if p else a != b for a, b in zip(got, want)):
         raise OracleDisagreement("delta_%d disagrees with the Leibniz "
                                  "differential on the probe cochain" % n)
     if n:
         _require_square_zero(n, rows, view.rows(n - 1), p)
-    inv = fld.one / view.den  # the entries of delta_n itself
-    return Matrix(fld, [[row[j] * inv if j in row else fld.zero
-                         for j in range(ncols)] for row in rows], ncols)
+    # delta_n itself: one field element a / D per distinct int a
+    entry = {a: fld.coerce(a) / den
+             for a in {a for row in rows for a in row.values()}}
+    dense = [[fld.zero] * ncols for _ in rows]
+    for out, row in zip(dense, rows):
+        for j, a in row.items():
+            out[j] = entry[a]
+    return Matrix(fld, dense, ncols)
 
 
 @dataclass

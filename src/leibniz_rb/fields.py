@@ -1,4 +1,4 @@
-"""Exact scalar fields: the rationals and prime fields GF(p).
+"""Exact scalars: the rationals, prime fields GF(p) and the ints ``ZZ``.
 
 Rational scalars are plain :class:`fractions.Fraction` values; GF(p)
 scalars are :class:`GFElement` instances.  Both support ordinary
@@ -7,9 +7,9 @@ arithmetic operators, so all higher layers are field-agnostic.
 The accumulating kernels (``core.contract``, ``Matrix.mul_vec`` and
 ``Matrix.__mul__``) work on raw values instead: ``to_raw`` turns a vector
 into plain int residues over GF(p), ``from_raw`` reduces the sums once per
-result entry.  Over Q both return their argument.  The sums start from
-``raw_zero``, built once per field: ``Fraction(0)`` over Q, so that results
-stay Fractions, and the int 0 over GF(p).
+result entry.  Over Q and ``ZZ`` both return their argument.  The sums
+start from ``raw_zero``, built once per field: ``Fraction(0)`` over Q, so
+that results stay Fractions, and the int 0 over GF(p).
 """
 
 from fractions import Fraction
@@ -109,7 +109,7 @@ class GFElement:
 
 
 class Field:
-    """Common interface of the two supported scalar fields."""
+    """Common interface of the scalar fields and of ``ZZ``."""
 
     kind = None
 
@@ -133,15 +133,15 @@ class Field:
         raise NotImplementedError
 
     def half(self):
-        return self.one / self.coerce(2)
+        return self.coerce(Fraction(1, 2))
 
     def to_raw(self, vec):
         """The entries of vec as values the kernels add and multiply."""
-        raise NotImplementedError
+        return vec
 
     def from_raw(self, sums):
         """Field elements from sums of products of raw values."""
-        raise NotImplementedError
+        return sums
 
 
 class RationalField(Field):
@@ -165,12 +165,6 @@ class RationalField(Field):
             raise WrongField("cannot coerce a GF(p) element into Q")
         raise TypeError("cannot coerce %r into Q" % (value,))
 
-    def to_raw(self, vec):
-        return vec
-
-    def from_raw(self, sums):
-        return sums
-
     def format(self, x):
         if x.denominator == 1:
             return str(x.numerator)
@@ -184,6 +178,20 @@ class RationalField(Field):
 
     def __repr__(self):
         return "RationalField()"
+
+
+class IntegerRing(Field):
+    """The plain ints: exact, characteristic 0, no division."""
+
+    kind, characteristic, zero, one, raw_zero = "integer", 0, 0, 1, 0
+
+    def coerce(self, value):
+        if type(value) is int:
+            return value
+        raise TypeError("cannot coerce %r into Z" % (value,))
+
+
+ZZ = IntegerRing()
 
 
 class PrimeField(Field):

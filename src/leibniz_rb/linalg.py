@@ -262,12 +262,14 @@ class Matrix:
 def _int_row(raw, zero, p):
     """A raw row as {column: int}: the residues over GF(p), or over Q the
     row times the lcm of its denominators."""
-    # the shared zero is skipped by identity, before Fraction.__bool__
-    row = {j: x for j, x in enumerate(raw) if x is not zero and x}
-    if not p and row:
-        d = lcm(*[x.denominator for x in row.values()])
-        row = {j: x.numerator * (d // x.denominator) for j, x in row.items()}
-    return row
+    if p:
+        return {j: x for j, x in enumerate(raw) if x}
+    # one call per entry: the shared zero is skipped by identity, other
+    # zeros by their numerator, with no Fraction.__bool__
+    pairs = [(j, x.as_integer_ratio()) for j, x in enumerate(raw)
+             if x is not zero]
+    d = lcm(*[b for _, (_, b) in pairs])
+    return {j: a * (d // b) for j, (a, b) in pairs if a}
 
 
 def _clear(row, c, prow, p):

@@ -19,7 +19,7 @@ from leibniz_rb.core import (ActionPair, LeibnizAlgebra, adjoint_grep,
                              validate_representation)
 from leibniz_rb.errors import (ContainmentViolated, InvalidOperator,
                                OracleDisagreement, ResourceLimit)
-from leibniz_rb.fields import PrimeField, RationalField
+from leibniz_rb.fields import ZZ, IntegerRing, PrimeField, RationalField
 from leibniz_rb.graded import _pow_sign
 from leibniz_rb.linalg import Matrix, span_rank, vec_is_zero
 from leibniz_rb.manifest import load_manifest
@@ -248,6 +248,21 @@ def test_delta_rows_match_the_column_oracle(data):
         Matrix.from_cols(fld, cols, len(rows)).rows
 
 
+def _draw_structures(data, fld, nh, nv):
+    """h of dim nh acting on V of dim nv by arbitrary tensors; over Q the
+    entries have denominators 1, 2, 3 or 6, so D divides 6."""
+    dens = [1] if fld.characteristic else [1, 2, 3, 6]
+    scalar = st.builds(Fraction, st.sampled_from([0, 0, 1, -1, 2, -5]),
+                       st.sampled_from(dens)).map(fld.coerce)
+
+    def tensor(a, b, c):
+        return [[data.draw(st.lists(scalar, min_size=c, max_size=c))
+                 for _ in range(b)] for _ in range(a)]
+
+    return (LeibnizAlgebra(fld, nh, tensor(nh, nh, nh)),
+            ActionPair(fld, nh, nv, tensor(nh, nv, nv), tensor(nv, nh, nv)))
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_integer_rows_are_exactly_scaled(data):
@@ -257,16 +272,7 @@ def test_integer_rows_are_exactly_scaled(data):
                                      PrimeField(3), PrimeField(5)]))
     nh, nv = data.draw(st.integers(0, 3)), data.draw(st.integers(0, 3))
     n = data.draw(st.integers(0, 3 if nh < 3 else 2))
-    dens = [1] if fld.characteristic else [1, 2, 3, 6]
-    scalar = st.builds(Fraction, st.sampled_from([0, 0, 1, -1, 2, -5]),
-                       st.sampled_from(dens)).map(fld.coerce)
-
-    def tensor(a, b, c):
-        return [[data.draw(st.lists(scalar, min_size=c, max_size=c))
-                 for _ in range(b)] for _ in range(a)]
-
-    h = LeibnizAlgebra(fld, nh, tensor(nh, nh, nh))
-    rho = ActionPair(fld, nh, nv, tensor(nh, nv, nv), tensor(nv, nh, nv))
+    h, rho = _draw_structures(data, fld, nh, nv)
     view = IntegerView(h, rho)
     rows, den = view.rows(n), view.den
     assert all(type(x) is int for row in rows for x in row.values())
@@ -283,11 +289,60 @@ def test_integer_rows_are_exactly_scaled(data):
                         for row in want]
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_integer_differential_is_d_times_the_field_one(data):
+    # the probe's second route: the Leibniz differential over Z on D h,
+    # D rho is D times the one over the field (mod p over GF(p))
+    fld = data.draw(st.sampled_from([RationalField(), PrimeField(3),
+                                     PrimeField(5)]))
+    nh, nv, n = (data.draw(st.integers(1, 3)) for _ in range(3))
+    h, rho = _draw_structures(data, fld, nh, nv)
+    view = IntegerView(h, rho)
+    ints = data.draw(st.lists(st.integers(-3, 3), min_size=nv * nh ** n,
+                              max_size=nv * nh ** n))
+    got = leibniz_differential(view.h_z, view.rho_z, MultiMap.from_flat(
+        ZZ, n, nh, nv, ints)).flatten()
+    want = leibniz_differential(h, rho, MultiMap.from_flat(
+        fld, n, nh, nv, [fld.coerce(x) for x in ints])).flatten()
+    assert all(type(x) is int for x in got)
+    assert fld.from_raw(got) == [view.den * x for x in want]
+
+
+def _bump(t):
+    """A copy of an int 3-tensor with its first cell one larger."""
+    t = [[list(row) for row in plane] for plane in t]
+    t[0][0][0] += 1
+    return t
+
+
+def _wrong_views(r):
+    """Integer views of r with one int cell of h_z, rho_z.left or
+    rho_z.right changed, and over Q one with a wrong D."""
+    views = [IntegerView(induced_algebra(r), induced_representation(r))
+             for _ in range(3 if r.field.characteristic else 4)]
+    h, rho = views[0].h_z, views[0].rho_z
+    views[0].h_z = LeibnizAlgebra(ZZ, h.dim, _bump(h.c))
+    views[1].rho_z = ActionPair(ZZ, rho.dim_g, rho.dim_v, _bump(rho.left),
+                                rho.right)
+    views[2].rho_z = ActionPair(ZZ, rho.dim_g, rho.dim_v, rho.left,
+                                _bump(rho.right))
+    if len(views) > 3:
+        views[3].den += 1
+    return views
+
+
 @pytest.mark.parametrize("p", [0, 2, 5])
 def test_wrong_assembly_is_caught(p, monkeypatch):
     fld = PrimeField(p) if p else RationalField()
     r = _rbo_id(fld)
     assert r.is_valid
+    # for n >= 1 each view feeds both routes of the probe, so only the
+    # cellwise check against D h_T and D rho_T can catch it
+    for view in _wrong_views(r):
+        for n in range(3):
+            with pytest.raises(OracleDisagreement, match="^delta_%d " % n):
+                delta_matrix(r, n, view=view)
     real = cohomology_module.delta_rows
 
     def corrupted(c, left, right, n):
@@ -328,6 +383,23 @@ def test_heisenberg_degree_4_in_a_dense_basis(Q):
     # delta_4 is 729 x 243, past the default cap
     r = _dense_heisenberg(Q)
     assert cohomology(r, 4, cap=200_000).betti() == [3, 6, 15, 30, 66]
+
+
+def test_probe_runs_the_leibniz_differential_over_the_ints(Q, monkeypatch):
+    # the second route of every probe with n >= 1 works on D h_T, D rho_T
+    # and an int cochain, never on Fractions
+    calls = []
+    real = cohomology_module.leibniz_differential
+
+    def spy(g, actions, f):
+        calls.append((f.arity, g.field, actions.field, f.field))
+        return real(g, actions, f)
+
+    monkeypatch.setattr(cohomology_module, "leibniz_differential", spy)
+    assert cohomology(_dense_heisenberg(Q), 3).betti() == [3, 6, 15, 30]
+    assert sorted(n for n, *_ in calls) == [1, 2, 3]
+    assert all(isinstance(x, IntegerRing) for _, *rings in calls
+               for x in rings)
 
 
 @pytest.mark.slow

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from leibniz_rb.errors import CharacteristicTwo, InvalidInput
-from leibniz_rb.fields import (PrimeField, RationalField,
+from leibniz_rb.fields import (ZZ, GFElement, PrimeField, RationalField,
                                field_from_spec)
 
 
@@ -15,6 +15,16 @@ def test_rational_parse_format_roundtrip(Q):
 
 def test_rational_half(Q):
     assert Q.half() * 2 == Q.one
+
+
+def test_integer_ring_holds_only_plain_ints():
+    assert (ZZ.zero, ZZ.one, ZZ.raw_zero, ZZ.characteristic) == (0, 1, 0, 0)
+    assert ZZ.coerce(-3) == -3 and ZZ.from_raw(ZZ.to_raw([2, 0])) == [2, 0]
+    for x in (Fraction(1), Fraction(1, 2), True, 1.0, GFElement(1, 5)):
+        with pytest.raises(TypeError):
+            ZZ.coerce(x)
+    with pytest.raises(TypeError):  # no division: 1/2 is no int
+        ZZ.half()
 
 
 def test_prime_field_rejects_composites():
