@@ -262,8 +262,9 @@ def cohomology(r, max_degree, cap=20000, representatives=False):
     # largest first, so that the cap refuses before any row is built
     for n in reversed(range(max_degree + 1)):
         m = delta_matrix(r, n, cap=cap, view=view)
-        z_basis[n] = m.kernel_basis() if representatives else []
-        rank[n] = m.ncols - len(z_basis[n]) if representatives else m.rank()
+        rows, pivots = m.rref()
+        rank[n] = len(pivots)
+        z_basis[n] = m._kernel(rows, pivots) if representatives else []
     out = CohomologyReport(max_degree)
     for n in range(max_degree + 1):
         dim_c, dim_b = cochain_dim(r, n), rank[n - 1]

@@ -21,13 +21,14 @@ from typing import Optional
 from .cohomology import (IntegerView, d_T, delta_T, delta_T_0, delta_matrix,
                          induced_representation)
 from .core import ValidationReport, basis_vec, leibniz_differential
-from .errors import (BaseMismatch, InvalidDeformation, OracleDisagreement,
-                     ResourceLimit, ShapeMismatch, WrongField)
+from .errors import (BaseMismatch, ContainmentViolated, InvalidDeformation,
+                     OracleDisagreement, ResourceLimit, ShapeMismatch,
+                     WrongField)
 from .fields import PrimeField
 from .graded import derived_bracket, derived_bracket_explicit
-from .linalg import Matrix, axpy, vec_add, vec_scale
+from .linalg import Matrix, axpy, vec_add
 from .multimap import MultiMap
-from .operators import induced_algebra
+from .operators import induced_algebra, operator_rhs
 
 
 class Deformation:
@@ -62,40 +63,47 @@ class Deformation:
         return "Deformation(order=%d)" % self.order
 
 
+def _bracket_sum(d, ts, m, bracket):
+    """sum_{i+j=m, i,j>=1} bracket(d, T_i, T_j), an arity-2 map h x h -> g."""
+    acc = MultiMap(d.field, 2, d.h.dim, d.g.dim)
+    for i in range(1, m):
+        acc = acc + bracket(d, MultiMap.from_matrix(ts[i]),
+                            MultiMap.from_matrix(ts[m - i]))
+    return acc
+
+
 def check_deformation(defm, cross_check=True):
     """Verify the deformation equations for n = 0..N on all basis pairs.
 
-    With cross_check the dgLa form of the same equations is evaluated for
-    n >= 1 and any verdict split raises OracleDisagreement.  That form
-    needs 1/2, so in characteristic 2 the direct verdict is reported alone.
+    The right side at order n sums T_i(``operator_rhs`` at T = T_{n-i})
+    over i, with the weight term for i = n only.  With cross_check
+    the dgLa form of the same equations is evaluated for n >= 1 and any
+    verdict split raises OracleDisagreement.  That form needs 1/2, so in
+    characteristic 2 the direct verdict is reported alone.
     """
     r = defm.base
     d, fld, lam = r.context, r.field, r.weight
-    act, ts = d.actions, defm.coeffs
+    ts, nh = defm.coeffs, d.h.dim
+    basis = [basis_vec(fld, nh, a) for a in range(nh)]
+    cols = [[t.col(a) for a in range(nh)] for t in ts]  # T_k e_a
     rep = ValidationReport("deformation")
     direct_bad = set()
-    for n, a, b in iproduct(range(defm.order + 1), range(d.h.dim),
-                            range(d.h.dim)):
-        ea, eb = basis_vec(fld, d.h.dim, a), basis_vec(fld, d.h.dim, b)
-        lhs = [fld.zero] * d.g.dim
-        rhs = vec_scale(lam, ts[n].mul_vec(d.h.bracket_basis(a, b)))
+    for n, a, b in iproduct(range(defm.order + 1), range(nh), range(nh)):
+        lhs = rhs = [fld.zero] * d.g.dim
         for i in range(n + 1):
-            j = n - i
-            lhs = vec_add(lhs, d.g.bracket(ts[i].col(a), ts[j].col(b)))
-            inner = vec_add(act.left_act(ts[j].col(a), eb),
-                            act.right_act(ea, ts[j].col(b)))
-            rhs = vec_add(rhs, ts[i].mul_vec(inner))
+            tj = cols[n - i]
+            lhs = vec_add(lhs, d.g.bracket(cols[i][a], tj[b]))
+            rhs = vec_add(rhs, ts[i].mul_vec(operator_rhs(
+                d, lam if i == n else fld.zero, basis[a], tj[a], basis[b],
+                tj[b])))
         if lhs != rhs:
             rep.add("deformation-equation", (n, a, b), lhs, rhs)
             direct_bad.add(n)
     if cross_check and fld.characteristic != 2:
         for n in range(1, defm.order + 1):
-            tn = MultiMap.from_matrix(ts[n])
-            resid = d_T(r, tn, cross_check=False).scale(fld.coerce(2))
-            for i in range(1, n):
-                resid = resid + derived_bracket_explicit(
-                    d, MultiMap.from_matrix(ts[i]),
-                    MultiMap.from_matrix(ts[n - i]))
+            resid = d_T(r, MultiMap.from_matrix(ts[n]), cross_check=False) \
+                .scale(fld.coerce(2)) \
+                + _bracket_sum(d, ts, n, derived_bracket_explicit)
             if resid.is_zero() == (n in direct_bad):
                 raise OracleDisagreement(
                     "deformation equation and dgLa form disagree at order %d"
@@ -233,15 +241,6 @@ def check_nijenhuis(r, x0):
     return True
 
 
-def _enumerate_vectors(field, n, cap):
-    total = field.p ** n
-    if total > cap:
-        raise ResourceLimit("enumeration of %d vectors exceeds cap %d"
-                            % (total, cap))
-    for digits in iproduct(range(field.p), repeat=n):
-        yield [field.coerce(x) for x in digits]
-
-
 @dataclass
 class RigidityCertificate:
     satisfied: bool
@@ -256,34 +255,44 @@ def rigidity_certificate(r, cap=10 ** 6):
     The criterion implies rigidity; a witness cocycle outside delta(Nij(T))
     is reported when it fails.  Requires GF(p) with p > 3 so that the
     characteristic-0 identities behind the criterion are not degenerate.
+
+    cap bounds the p^dim g candidates x0, refused before any delta is
+    built.  The distinct delta_0 x0 of the Nijenhuis x0 lie in Z^1
+    (``delta_matrix`` checks delta_1 . delta_0 = 0); the criterion holds
+    iff there are p^dim Z^1 of them, and more raise ContainmentViolated.
+    Otherwise the witness is the first cocycle missed in the digit order
+    of an echelon basis, the lexicographic order of Z^1.
     """
     fld = r.field
     if not isinstance(fld, PrimeField) or fld.p <= 3:
         raise WrongField("rigidity certification requires GF(p) with p > 3")
     d = r.context
+    if fld.p ** d.g.dim > cap:
+        raise ResourceLimit("enumeration of %d vectors exceeds cap %d"
+                            % (fld.p ** d.g.dim, cap))
     view = IntegerView(induced_algebra(r), induced_representation(r))
     m0, m1 = (delta_matrix(r, n, view=view) for n in (0, 1))
     zb = m1.kernel_basis()
-    if fld.p ** len(zb) > cap:
-        raise ResourceLimit("Z^1 enumeration exceeds cap %d" % cap)
-    z_set = set()
-    for digits in iproduct(range(fld.p), repeat=len(zb)):
-        v = [fld.zero] * (d.g.dim * d.h.dim)
-        for c, base in zip(digits, zb):
-            axpy(v, fld.coerce(c), base)
-        z_set.add(tuple(v))
-    nij_image = set()
-    count = 0
-    for x0 in _enumerate_vectors(fld, d.g.dim, cap):
+    size = fld.p ** len(zb)  # the elements of Z^1
+    images, count = set(), 0
+    for digits in iproduct(range(fld.p), repeat=d.g.dim):
+        x0 = [fld.coerce(x) for x in digits]
         if check_nijenhuis(r, x0):
             count += 1
-            nij_image.add(tuple(m0.mul_vec(x0)))
-    if nij_image == z_set:
+            images.add(tuple(m0.mul_vec(x0)))
+    if len(images) > size:
+        raise ContainmentViolated("%d distinct delta_0 images in a Z^1 of "
+                                  "%d elements" % (len(images), size))
+    if len(images) == size:
         return RigidityCertificate(True, len(zb), count)
-    extra = z_set - nij_image
-    witness = sorted(extra, key=lambda t: tuple(x.v for x in t))[0] \
-        if extra else None
-    return RigidityCertificate(False, len(zb), count, witness)
+    # Z^1 has more elements than images (so dim Z^1 >= 1): one is missed
+    echelon = Matrix(fld, zb).rref()[0]
+    for digits in iproduct(range(fld.p), repeat=len(zb)):
+        v = [fld.zero] * (d.g.dim * d.h.dim)
+        for c, row in zip(digits, echelon):
+            axpy(v, fld.coerce(c), row)
+        if tuple(v) not in images:
+            return RigidityCertificate(False, len(zb), count, tuple(v))
 
 
 @dataclass
@@ -296,20 +305,15 @@ class ObstructionClass:
 def obstruction(defm):
     """Ob = -1/2 sum_{i+j=N+1, i,j>=1} [[T_i, T_j]], with coboundary verdict.
 
-    The coboundary test solves delta(x) = Ob over x in Hom(h, g); the
-    2-cocycle identity delta(Ob) = 0 is re-asserted on every call.  One
-    IntegerView of h_T and rho_T serves both.
+    The sum, empty at order 0, is the one ``check_deformation`` checks
+    with.  The coboundary test solves delta(x) = Ob over x in Hom(h, g);
+    the 2-cocycle identity delta(Ob) = 0 is re-asserted on every call.
+    One IntegerView of h_T and rho_T serves both.
     """
     r, fld = defm.base, defm.field
-    d, n = r.context, defm.order
-    acc = MultiMap(fld, 2, d.h.dim, d.g.dim)
-    for i in range(1, n + 1):
-        j = n + 1 - i
-        if j < 1 or j > n:
-            continue
-        acc = acc + derived_bracket(d, MultiMap.from_matrix(defm.coeffs[i]),
-                                    MultiMap.from_matrix(defm.coeffs[j]))
-    ob = acc.scale(-fld.half())
+    d = r.context
+    ob = _bracket_sum(d, defm.coeffs, defm.order + 1, derived_bracket) \
+        .scale(-fld.half())
     view = IntegerView(induced_algebra(r), induced_representation(r))
     if not leibniz_differential(view.h, view.rho, ob).is_zero():
         raise OracleDisagreement("obstruction cochain is not a 2-cocycle")

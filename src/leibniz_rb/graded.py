@@ -1,10 +1,12 @@
 """Balavoine bracket, derived bracket and the operator differential.
 
 The derived bracket and the differential each have two independent
-implementations: an explicit shuffle formula and a route through the
-Balavoine bracket on maps of the total space V = g + h.  Public entry
-points compare the two and raise OracleDisagreement on any split, which
-traps sign-convention bugs without trusting either route alone.
+implementations: an explicit formula and a route through the Balavoine
+bracket on maps of the total space V = g + h.  The explicit differential
+d = [theta', -] is (-1)^n times the Loday-Pirashvili coboundary of
+(h, lambda [.,.]_h) with trivial coefficients in g.  Public entry points
+compare the two and raise OracleDisagreement on any split, which traps
+sign-convention bugs without trusting either route alone.
 
 Both bracket routes visit nonzero rows only.  The explicit route scatters
 each shuffle sum from the rows of P and Q and reads rho^L and rho^R as
@@ -15,11 +17,12 @@ two share no code beyond the shuffle enumeration.
 from functools import lru_cache
 from itertools import combinations
 
-from .core import (ValidationReport, _pow_sign, add_combination,
-                   block_tensor, validate_leibniz_g_rep)
+from .core import (ActionPair, LeibnizAlgebra, ValidationReport, _pow_sign,
+                   add_combination, block_tensor, leibniz_differential,
+                   validate_leibniz_g_rep)
 from .errors import (InvalidInput, OracleDisagreement, ShapeMismatch,
                      StructureIncompatible)
-from .linalg import Matrix, axpy, vec_scale, zero_vec
+from .linalg import Matrix, zero_vec
 from .multimap import MultiMap
 
 
@@ -256,7 +259,7 @@ def _scatter_half(d, p, q, half, rows):
                 _spread(rows, shs, pt + qt[:-1], qt[-1:], br)
 
 
-def derived_bracket_lifted(d, p, q, theta=None):
+def derived_bracket_lifted(d, p, q):
     """[[P, Q]] via (-1)^{m} [[theta, P^]_B, Q^]_B restricted to h -> g.
 
     Degree bookkeeping: the prefactor (-1)^m for P of arity m is the one
@@ -264,9 +267,7 @@ def derived_bracket_lifted(d, p, q, theta=None):
     agreement itself is asserted by derived_bracket.
     """
     ng, nh = d.g.dim, d.h.dim
-    if theta is None:
-        theta = make_theta(d, validate=False)
-    inner = balavoine_bracket(theta, lift(p, ng, nh))
+    inner = balavoine_bracket(make_theta(d, validate=False), lift(p, ng, nh))
     nested = balavoine_bracket(inner, lift(q, ng, nh))
     return restrict(nested, ng, nh).scale(_pow_sign(d.field, p.arity))
 
@@ -277,39 +278,30 @@ def derived_bracket(d, p, q, cross_check=True):
             q.src_dim == p.src_dim and q.tgt_dim == p.tgt_dim):
         raise ShapeMismatch("derived bracket needs maps h^{x *} -> g")
     explicit = derived_bracket_explicit(d, p, q)
-    if cross_check:
-        lifted = derived_bracket_lifted(d, p, q)
-        if explicit != lifted:
-            raise OracleDisagreement(
-                "derived bracket: explicit formula != lifted route "
-                "(arities %d, %d)" % (p.arity, q.arity))
+    if cross_check and explicit != derived_bracket_lifted(d, p, q):
+        raise OracleDisagreement("derived bracket: explicit formula != lifted "
+                                 "route (arities %d, %d)" % (p.arity, q.arity))
     return explicit
 
 
 def differential_d_explicit(d, lam, p):
-    """(dP)(u_1..u_{n+1}) with the weight folded into the h bracket."""
+    """dP: (-1)^n times the Leibniz coboundary of P for (h, lambda [.,.]_h).
+
+    h acts on g by zero; the sign is folded into lambda, the coboundary
+    being linear in the bracket.
+    """
     fld = d.field
-    lam = fld.coerce(lam)
-    n = p.arity
-    out = MultiMap(fld, n + 1, d.h.dim, d.g.dim)
-    for idx in out.tuples():
-        acc = zero_vec(fld, d.g.dim)
-        for i in range(1, n + 1):
-            for j in range(i + 1, n + 2):
-                br = vec_scale(lam, d.h.bracket_basis(idx[i - 1], idx[j - 1]))
-                args = (list(idx[:i - 1]) + list(idx[i:j - 1]) + [br]
-                        + list(idx[j:]))
-                axpy(acc, _pow_sign(fld, n + i), p.apply(args))
-        out.set_(idx, acc)
-    return out
+    s = _pow_sign(fld, p.arity) * fld.coerce(lam)
+    h = LeibnizAlgebra(fld, d.h.dim, [[[s * x for x in row] for row in plane]
+                                      for plane in d.h.c])
+    return leibniz_differential(h, ActionPair.zero(fld, h.dim, d.g.dim), p)
 
 
-def differential_d_lifted(d, lam, p, theta_prime=None):
+def differential_d_lifted(d, lam, p):
     """dP via restriction of [theta', P^]_B; cross-check route."""
     ng, nh = d.g.dim, d.h.dim
-    if theta_prime is None:
-        theta_prime = make_theta_prime(d, lam, validate=False)
-    return restrict(balavoine_bracket(theta_prime, lift(p, ng, nh)), ng, nh)
+    tp = make_theta_prime(d, lam, validate=False)
+    return restrict(balavoine_bracket(tp, lift(p, ng, nh)), ng, nh)
 
 
 def differential_d(d, lam, p, cross_check=True):
@@ -317,12 +309,9 @@ def differential_d(d, lam, p, cross_check=True):
     if p.src_dim != d.h.dim or p.tgt_dim != d.g.dim:
         raise ShapeMismatch("differential needs a map h^{x *} -> g")
     explicit = differential_d_explicit(d, lam, p)
-    if cross_check:
-        lifted = differential_d_lifted(d, lam, p)
-        if explicit != lifted:
-            raise OracleDisagreement(
-                "differential d: explicit formula != lifted route "
-                "(arity %d)" % p.arity)
+    if cross_check and explicit != differential_d_lifted(d, lam, p):
+        raise OracleDisagreement("differential d: explicit formula != lifted "
+                                 "route (arity %d)" % p.arity)
     return explicit
 
 
@@ -389,12 +378,14 @@ def check_dgla(d, lam, samples, cross_check=False):
             pq = br(p, q)
             if not (pq + br(q, p).scale(_pow_sign(fld, m * n))).is_zero():
                 rep.add("graded-antisymmetry", (k,), pq.flatten(), [])
+            dp = dd(p)
             lhs = dd(pq)
-            rhs = br(dd(p), q) + br(p, dd(q)).scale(_pow_sign(fld, m))
+            rhs = br(dp, q) + br(p, dd(q)).scale(_pow_sign(fld, m))
             if lhs != rhs:
                 rep.add("graded-leibniz-rule", (k,), lhs.flatten(), rhs.flatten())
-            if not dd(dd(p)).is_zero():
-                rep.add("d-squared", (k,), dd(dd(p)).flatten(), [])
+            ddp = dd(dp)
+            if not ddp.is_zero():
+                rep.add("d-squared", (k,), ddp.flatten(), [])
         else:
             p, q, r = sample
             m, n = p.arity, q.arity

@@ -1,24 +1,52 @@
+from itertools import product as iproduct
+
 import pytest
 
 from leibniz_rb import deformations
+from leibniz_rb.core import change_of_basis_grep
 from leibniz_rb.deformations import (Deformation, check_deformation,
                                      check_equivalence, check_nijenhuis,
                                      conjugate_deformation, extend,
                                      infinitesimal, obstruction,
                                      rigidity_certificate)
-from leibniz_rb.errors import (BaseMismatch, InvalidDeformation,
-                               OracleDisagreement, ResourceLimit,
-                               ShapeMismatch, WrongField)
+from leibniz_rb.errors import (BaseMismatch, ContainmentViolated,
+                               InvalidDeformation, OracleDisagreement,
+                               ResourceLimit, ShapeMismatch, WrongField)
 from leibniz_rb.fields import PrimeField, RationalField
 from leibniz_rb.linalg import Matrix
-from leibniz_rb.operators import WeightedRBO
+from leibniz_rb.operators import WeightedRBO, search_rbos
 
-from conftest import dim2_nonlie, rho_l_context, small_contexts
+from conftest import dim2_nonlie, rho_l_context, seeded, small_contexts
+from deformation_reference import (direct_violations,
+                                   set_difference_certificate)
 
 
 def _rbo_id(fld):
     return WeightedRBO.on_algebra(dim2_nonlie(fld), fld.coerce(-1),
                                   Matrix.identity(fld, 2))
+
+
+def _shear(fld, n):
+    return Matrix(fld, [[1, 0], [3, 1]] if n == 2 else [[1]])
+
+
+def _small_operators(fld):
+    """Up to two operators of each weight 0, 1, -1 on each small context.
+
+    Each context comes also in a sheared basis, where a cocycle basis
+    read off delta_1 is not in echelon form.
+    """
+    out = []
+    for dims in ((1, 1), (2, 1), (1, 2), (2, 2)):
+        for d0 in small_contexts(fld, dims):
+            for d, lam in iproduct((d0, change_of_basis_grep(
+                    d0, _shear(fld, dims[0]), _shear(fld, dims[1]))),
+                    (0, 1, -1)):
+                for k, t in enumerate(search_rbos(d, lam)):
+                    out.append(WeightedRBO(d, lam, t))
+                    if k == 1:
+                        break
+    return out
 
 
 def _frozen_nonextensible(gf5):
@@ -189,6 +217,38 @@ def test_rigidity_honest_failure(gf5):
     cert = rigidity_certificate(r)
     assert not cert.satisfied
     assert cert.witness is not None
+    assert cert == set_difference_certificate(r)
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_rigidity_matches_set_difference(p):
+    # counting delta_0 images decides as comparing Z^1 with the image set,
+    # and reports the same smallest witness
+    certs = []
+    for r in _small_operators(PrimeField(p)):
+        cert = rigidity_certificate(r)
+        assert cert == set_difference_certificate(r)
+        certs.append(cert)
+    assert any(c.satisfied for c in certs)
+    assert any(c.witness is not None for c in certs)
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_deformation_matches_term_by_term_route(p):
+    fld = PrimeField(p)
+    rng = seeded(41)
+    bad = 0
+    for r in _small_operators(fld):
+        ng, nh = r.t.shape
+        draws = [[[fld.coerce(rng.randrange(p)) for _ in range(nh)]
+                  for _ in range(ng)] for _ in range(2)]
+        for defm in (Deformation.trivial(r, 2),
+                     Deformation(r, [r.t] + [Matrix(fld, m) for m in draws])):
+            got = [(v.where, v.lhs, v.rhs)
+                   for v in check_deformation(defm).violations]
+            assert got == direct_violations(defm)
+            bad += bool(got)
+    assert bad
 
 
 def test_rigidity_field_gate(Q, gf2):
@@ -200,8 +260,39 @@ def test_rigidity_field_gate(Q, gf2):
             rigidity_certificate(r)
 
 
-def test_rigidity_cap(gf5):
-    d = small_contexts(gf5, (2, 2))[1]
-    r = WeightedRBO(d, gf5.coerce(-1), Matrix.identity(gf5, 2))
-    with pytest.raises(ResourceLimit):
-        rigidity_certificate(r, cap=3)
+def test_rigidity_cap(gf5, monkeypatch):
+    # p^dim g > cap is refused before any delta is built
+    calls = []
+    real = deformations.delta_matrix
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(deformations, "delta_matrix", spy)
+    r = _rbo_id(gf5)
+    for cap in (3, 24):
+        with pytest.raises(ResourceLimit):
+            rigidity_certificate(r, cap=cap)
+    assert calls == []
+    # p^dim g = 25 candidates fit a cap of 25
+    rigidity_certificate(r, cap=25)
+    assert len(calls) == 2
+
+
+def test_rigidity_traps_images_outside_z1(gf5, monkeypatch):
+    # an injective delta_0 gives 25 images, but Z^1 has 5 elements
+    real = deformations.delta_matrix
+    monkeypatch.setattr(deformations, "delta_matrix",
+                        lambda r, n, **k: Matrix.identity(gf5, 2) if n == 0
+                        else real(r, n, **k))
+    d = small_contexts(gf5, (2, 1))[2]
+    with pytest.raises(ContainmentViolated):
+        rigidity_certificate(WeightedRBO(d, gf5.zero,
+                                         Matrix(gf5, [[0], [1]])))
+
+
+def test_obstruction_at_order_zero_is_zero(Q):
+    cls = obstruction(Deformation.trivial(_rbo_id(Q), 0))
+    assert cls.ob.arity == 2 and cls.ob.is_zero()
+    assert cls.is_coboundary

@@ -10,7 +10,9 @@ from leibniz_rb.graded import (balavoine_bracket, check_dgla, derived_bracket,
                                differential_d_lifted, lift, make_theta,
                                make_theta_prime, maurer_cartan_residual,
                                restrict)
+from leibniz_rb.linalg import Matrix
 from leibniz_rb.multimap import MultiMap
+from leibniz_rb.operators import WeightedRBO
 
 from conftest import (dim2_nonlie, random_multimap, rho_l_context, seeded,
                       small_contexts)
@@ -98,16 +100,57 @@ def test_explicit_route_is_independent(Q, monkeypatch):
 
 def test_differential_routes_agree(Q, gf7):
     for fld in (Q, gf7):
-        d = _ctx(fld)
+        # the adjoint context, then dim g != dim h with nonzero actions or
+        # a nonzero h bracket
+        contexts = [_ctx(fld), _both_actions(fld)] \
+            + small_contexts(fld, (2, 1)) + small_contexts(fld, (1, 2))
         rng = seeded(13)
-        for lam in (fld.zero, fld.one):
-            for _ in range(6):
-                p = random_multimap(fld, rng.randint(1, 2),
-                                    d.h.dim, d.g.dim, rng)
-                a = differential_d_explicit(d, lam, p)
-                b = differential_d_lifted(d, lam, p)
-                assert a == b
-                assert differential_d(d, lam, p, cross_check=True) == a
+        for d in contexts:
+            for lam in (0, 1, -1, 2):
+                for arity in (1, 2, 3):
+                    p = random_multimap(fld, arity, d.h.dim, d.g.dim, rng)
+                    a = differential_d_explicit(d, lam, p)
+                    b = differential_d_lifted(d, lam, p)
+                    assert a == b
+                    assert differential_d(d, lam, p, cross_check=True) == a
+
+
+def test_explicit_differential_is_independent(Q, monkeypatch):
+    import leibniz_rb.graded as gr
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the explicit route used the lifted route")
+
+    d = _ctx(Q)
+    p = random_multimap(Q, 2, d.h.dim, d.g.dim, seeded(31))
+    want = differential_d_lifted(d, 2, p)
+    monkeypatch.setattr(gr, "circ_i", refuse)
+    monkeypatch.setattr(gr, "balavoine_bracket", refuse)
+    got = gr.differential_d_explicit(d, 2, p)
+    assert got == want and not got.is_zero()
+
+
+def test_negated_bracket_term_is_trapped(Q, monkeypatch):
+    # a one-line mutant of leibniz_differential: its bracket term negated
+    import inspect
+
+    from leibniz_rb import cohomology, core, graded
+    line = "acc = (vec_sub if i % 2 else vec_add)(acc, f.apply(args))"
+    src = inspect.getsource(core.leibniz_differential)
+    assert src.count(line) == 1
+    space = dict(vars(core))
+    exec(src.replace(line, "acc = (vec_add if i % 2 else vec_sub)"
+                           "(acc, f.apply(args))"), space)
+    for module in (core, graded, cohomology):
+        monkeypatch.setattr(module, "leibniz_differential",
+                            space["leibniz_differential"])
+    d = _ctx(Q)
+    p = random_multimap(Q, 2, d.h.dim, d.g.dim, seeded(37))
+    with pytest.raises(OracleDisagreement):
+        differential_d(d, -1, p, cross_check=True)
+    r = WeightedRBO.on_algebra(dim2_nonlie(Q), -1, Matrix.identity(Q, 2))
+    with pytest.raises(OracleDisagreement):
+        cohomology.delta_matrix(r, 1)
 
 
 def test_differential_squares_to_zero(Q):
@@ -159,7 +202,7 @@ def test_oracle_disagreement_raised_on_forced_split(Q, monkeypatch):
     import leibniz_rb.graded as gr
     real = gr.derived_bracket_lifted
     monkeypatch.setattr(gr, "derived_bracket_lifted",
-                        lambda d_, a, b, theta=None:
+                        lambda d_, a, b:
                         real(d_, a, b).scale(Q.coerce(2)) + real(d_, a, b)
                         if not real(d_, a, b).is_zero()
                         else real(d_, a, b))
