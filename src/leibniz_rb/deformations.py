@@ -82,20 +82,19 @@ def check_deformation(defm, cross_check=True):
     characteristic 2 the direct verdict is reported alone.
     """
     r = defm.base
-    d, fld, lam = r.context, r.field, r.weight
+    d, fld, lam = r.context, r.field, r.field.to_raw([r.weight])[0]
     ts, nh = defm.coeffs, d.h.dim
-    basis = [basis_vec(fld, nh, a) for a in range(nh)]
     cols = [[t.col(a) for a in range(nh)] for t in ts]  # T_k e_a
+    raw = [[t.raw_col(a) for a in range(nh)] for t in ts]
     rep = ValidationReport("deformation")
     direct_bad = set()
     for n, a, b in iproduct(range(defm.order + 1), range(nh), range(nh)):
         lhs = rhs = [fld.zero] * d.g.dim
         for i in range(n + 1):
-            tj = cols[n - i]
-            lhs = vec_add(lhs, d.g.bracket(cols[i][a], tj[b]))
+            rj = raw[n - i]
+            lhs = vec_add(lhs, d.g.bracket(cols[i][a], cols[n - i][b]))
             rhs = vec_add(rhs, ts[i].mul_vec(operator_rhs(
-                d, lam if i == n else fld.zero, basis[a], tj[a], basis[b],
-                tj[b])))
+                d, lam if i == n else fld.raw_zero, a, rj[a], b, rj[b])))
         if lhs != rhs:
             rep.add("deformation-equation", (n, a, b), lhs, rhs)
             direct_bad.add(n)

@@ -90,6 +90,9 @@ class Matrix:
     def col(self, j):
         return [row[j] for row in self.rows]
 
+    def raw_col(self, j):
+        return [row[j] for row in self.raw]
+
     def mul_vec(self, v):
         if len(v) != self.ncols:
             raise ShapeMismatch("matrix %dx%d applied to vector of length %d"

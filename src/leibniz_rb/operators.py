@@ -12,7 +12,7 @@ adjoint context, so all verification code has a single code path.
 from itertools import product
 
 from .core import (ActionPair, LeibnizAlgebra, LeibnizGRep, ValidationReport,
-                   adjoint_grep, basis_vec, contract, is_adjoint_grep,
+                   adjoint_grep, basis_vec, is_adjoint_grep,
                    is_algebra_morphism)
 from .errors import (InvalidInput, InvalidOperator, NotAdjointContext,
                      OracleDisagreement, ResourceLimit, ShapeMismatch,
@@ -22,35 +22,43 @@ from .linalg import Matrix, span_rank, vec_add, vec_scale
 
 
 def _check_operator_shape(d, t):
+    if t.field != d.field:
+        raise WrongField("T over %r, context over %r" % (t.field, d.field))
     if t.shape != (d.g.dim, d.h.dim):
         raise ShapeMismatch("operator must be %dx%d, got %dx%d"
                             % (d.g.dim, d.h.dim, t.shape[0], t.shape[1]))
 
 
-def operator_rhs(d, lam, u, tu, v, tv):
-    """rho^L(Tu,v) + rho^R(u,Tv) + lambda [u,v]_h as a vector of h.
+def operator_rhs(d, lam, a, tu, b, tv):
+    """rho^L(Te_a, e_b) + rho^R(e_a, Te_b) + lambda [e_a, e_b]_h in h.
 
-    tu and tv are the images Tu and Tv.  One contraction sums the three
-    terms, the last as [lambda u, v]_h, so over GF(p) each entry becomes
-    a field element once.  Zero entries of u are passed on unscaled.
+    a, b are basis indices of h, tu, tv the raw columns Te_a, Te_b and lam
+    the raw weight.  On basis vectors the sum is one combination of tensor
+    rows, lam c_h[a][b] + sum_i tu_i rho^L[i][b] + sum_i tv_i rho^R[a][i],
+    made field elements once; zero coefficients and entries are skipped.
     """
-    act = d.actions
-    lu = [lam * x if x else x for x in u]
-    return contract(d.field, ((act.left_raw, tu, v), (act.right_raw, u, tv),
-                              (d.h.c_raw, lu, v)), d.h.dim)
+    act, fld = d.actions, d.field
+    rows = ((d.h.c_raw[a][b],) + tuple(s[b] for s in act.left_raw)
+            + act.right_raw[a])
+    out = [fld.raw_zero] * d.h.dim
+    for c, row in zip([lam, *tu, *tv], rows):
+        if c:
+            for k, x in enumerate(row):
+                if x:
+                    out[k] += c * x
+    return fld.from_raw(out)
 
 
 def check_weighted_relative_rbo(d, lam, t):
-    """Verify the weighted operator identity on all basis pairs of h."""
+    """Verify the weighted identity on all basis pairs, reading T raw once."""
     _check_operator_shape(d, t)
-    lam = d.field.coerce(lam)
+    lam = d.field.to_raw([d.field.coerce(lam)])[0]
     rep = ValidationReport("weighted-relative-rbo")
-    basis = [basis_vec(d.field, d.h.dim, a) for a in range(d.h.dim)]
     cols = [t.col(a) for a in range(d.h.dim)]  # T e_a
+    raw = [t.raw_col(a) for a in range(d.h.dim)]
     for a, b in product(range(d.h.dim), repeat=2):
         lhs = d.g.bracket(cols[a], cols[b])
-        rhs = t.mul_vec(operator_rhs(d, lam, basis[a], cols[a],
-                                     basis[b], cols[b]))
+        rhs = t.mul_vec(operator_rhs(d, lam, a, raw[a], b, raw[b]))
         if lhs != rhs:
             rep.add("operator-identity", (a, b), lhs, rhs)
     return rep
@@ -122,11 +130,10 @@ def induced_algebra(r):
     """The Leibniz algebra (h, [.,.]_T) induced by a valid operator."""
     r.require_valid()
     d, fld = r.context, r.field
-    nh = d.h.dim
-    basis = [basis_vec(fld, nh, a) for a in range(nh)]
-    cols = [r.t.col(a) for a in range(nh)]
-    c = [[operator_rhs(d, r.weight, basis[a], cols[a], basis[b], cols[b])
-          for b in range(nh)] for a in range(nh)]
+    nh, lam = d.h.dim, fld.to_raw([r.weight])[0]
+    cols = [r.t.raw_col(a) for a in range(nh)]
+    c = [[operator_rhs(d, lam, a, cols[a], b, cols[b]) for b in range(nh)]
+         for a in range(nh)]
     return LeibnizAlgebra(fld, nh, c)
 
 
@@ -342,8 +349,9 @@ def search_rbos(d, lam, cap=10 ** 6):
     Candidates are screened with int arithmetic by the identity compiled
     to polynomials mod p (``_compile_identity``), once per prefix of all
     cells but the last (``_screen``); every candidate that passes is
-    re-verified by check_weighted_relative_rbo, whose right-hand side
-    (``operator_rhs``) sums its three terms in one contraction, and a
+    re-verified by check_weighted_relative_rbo, which shares no code with
+    the screen: it reads the columns of T once and sums each right-hand
+    side as one combination of tensor rows (``operator_rhs``).  A
     rejection there raises OracleDisagreement.
     """
     fld = d.field

@@ -6,7 +6,8 @@ from fractions import Fraction
 import pytest
 
 from leibniz_rb.core import (ActionPair, LeibnizAlgebra, LeibnizGRep,
-                             adjoint_grep, validate_leibniz_g_rep)
+                             adjoint_grep, change_of_basis_algebra,
+                             validate_leibniz_g_rep)
 from leibniz_rb.fields import GFElement, PrimeField, RationalField
 from leibniz_rb.linalg import Matrix
 from leibniz_rb.multimap import MultiMap
@@ -54,6 +55,18 @@ def dim2_nonlie(field):
 def heisenberg(field):
     """Three-dimensional Heisenberg Lie algebra."""
     return LeibnizAlgebra.from_entries(field, 3, {(0, 1, 2): 1, (1, 0, 2): -1})
+
+
+def dense_heisenberg_gf3():
+    """Heisenberg over GF(3) in the basis of the search-gf3 benchmark.
+
+    All 18 constants [e_i, e_j]_k with i != j are nonzero in this basis.
+    """
+    gf3 = PrimeField(3)
+    s = Matrix(gf3, [[1, 1, 0], [1, 2, 1], [1, 1, 1]])
+    a = change_of_basis_algebra(heisenberg(gf3), s)
+    assert sum(1 for plane in a.c for row in plane for x in row if x) == 18
+    return a
 
 
 def rho_r_context(field):

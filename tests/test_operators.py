@@ -6,11 +6,12 @@ from itertools import product
 import pytest
 
 from leibniz_rb import operators
-from leibniz_rb.core import LeibnizAlgebra, ValidationReport, adjoint_grep
+from leibniz_rb.core import (LeibnizAlgebra, ValidationReport, adjoint_grep,
+                             basis_vec)
 from leibniz_rb.errors import (InvalidInput, InvalidOperator,
                                NotAdjointContext, OracleDisagreement,
                                ResourceLimit, WrongField)
-from leibniz_rb.fields import PrimeField
+from leibniz_rb.fields import PrimeField, RationalField
 from leibniz_rb.linalg import Matrix, vec_add, vec_scale
 from leibniz_rb.operators import (WeightedRBO, OperatorMorphism,
                                   check_crossed_homomorphism,
@@ -20,12 +21,14 @@ from leibniz_rb.operators import (WeightedRBO, OperatorMorphism,
                                   derived_operators, graph_check,
                                   ideal_context, induced_algebra,
                                   invert_crossed, search_rbos)
-from leibniz_rb.core import validate_leibniz
+from leibniz_rb.core import is_adjoint_grep, validate_leibniz
 from leibniz_rb.manifest import load_manifest
 
-from conftest import (dim2_nonlie, heisenberg, is_canonical, rho_l_context,
-                      small_contexts)
+from conftest import (KERNEL_FIELDS, dense_heisenberg_gf3, dim2_nonlie,
+                      heisenberg, is_canonical, random_matrix, rho_l_context,
+                      seeded, small_contexts)
 from golden_cases import ROOT
+from operator_reference import reference_check
 
 
 def test_identity_is_minus_one_weighted_rbo(Q):
@@ -187,7 +190,8 @@ def _last_cell_degree(d, lam):
 
 def test_search_matches_brute_force(gf5, gf7):
     # the same hits in the same (lexicographic) order as filtering every
-    # matrix with the direct check, so no operator is missed or reordered;
+    # matrix with the product-by-product reference check, so no operator
+    # is missed or reordered;
     # the contexts cover the last cell entering squared, only linearly and
     # not at all, 1 x 1 operators and a prime larger than 5
     gf2, gf3 = PrimeField(2), PrimeField(3)
@@ -205,7 +209,7 @@ def test_search_matches_brute_force(gf5, gf7):
             degrees.add(_last_cell_degree(d, lam))
             found = [t.rows for t in search_rbos(d, lam)]
             brute = [t.rows for t in _all_matrices(fld, d.g.dim, d.h.dim)
-                     if check_weighted_relative_rbo(d, lam, t).ok]
+                     if reference_check(d, lam, t).ok]
             assert found == brute
     assert degrees == {None, 0, 1, 2}
 
@@ -262,31 +266,117 @@ def test_search_rechecks_each_operator_once(monkeypatch):
     assert found and calls == found
 
 
+def _manifest_contexts(spec):
+    """The adjoint context of every manifest algebra and every manifest
+    action pair, over the field spec."""
+    out = []
+    for path in sorted(glob.glob(os.path.join(ROOT, "manifests", "*.lra"))):
+        m = load_manifest(path, field=spec)
+        out += [adjoint_grep(a) for a in m.algebras.values()]
+        out += [m.grep(name) for name in m.actions]
+    return out
+
+
 def test_operator_rhs_matches_three_products():
-    # the one-pass right-hand side against its three separate products,
-    # on random vectors of every manifest context over Q and GF(5)
+    # the one-pass right-hand side on basis indices against its three
+    # separate products, on every basis pair of every manifest context
+    # over Q and GF(5), with random raw columns and weights (0 included)
     rng = random.Random(11)
     for spec in ("rational", "gf 5"):
-        for path in sorted(glob.glob(os.path.join(ROOT, "manifests",
-                                                  "*.lra"))):
-            m = load_manifest(path, field=spec)
-            fld = m.field
-            contexts = [adjoint_grep(a) for a in m.algebras.values()]
-            contexts += [m.grep(name) for name in m.actions]
-            for d in contexts:
-                act = d.actions
-                vec = lambda n: [fld.coerce(rng.randrange(-3, 4))
-                                 for _ in range(n)]
-                for _ in range(10):
-                    lam = fld.coerce(rng.randrange(-3, 4))
-                    u, v = vec(d.h.dim), vec(d.h.dim)
-                    tu, tv = vec(d.g.dim), vec(d.g.dim)
-                    want = vec_add(vec_add(act.left_act(tu, v),
-                                           act.right_act(u, tv)),
-                                   vec_scale(lam, d.h.bracket(u, v)))
-                    got = operators.operator_rhs(d, lam, u, tu, v, tv)
+        for d in _manifest_contexts(spec):
+            fld, act, nh = d.field, d.actions, d.h.dim
+            vec = lambda n: [fld.coerce(rng.randrange(-3, 4))
+                             for _ in range(n)]
+            for a, b, lam in product(range(nh), range(nh),
+                                     [0] + [rng.randrange(-3, 4)
+                                            for _ in range(3)]):
+                lam = fld.coerce(lam)
+                ea, eb = basis_vec(fld, nh, a), basis_vec(fld, nh, b)
+                tu, tv = vec(d.g.dim), vec(d.g.dim)
+                want = vec_add(vec_add(act.left_act(tu, eb),
+                                       act.right_act(ea, tv)),
+                               vec_scale(lam, d.h.bracket(ea, eb)))
+                got = operators.operator_rhs(
+                    d, fld.to_raw([lam])[0], a, fld.to_raw(tu), b,
+                    fld.to_raw(tv))
+                assert got == want
+                assert is_canonical(fld, got)
+
+
+def _reference_operators(d, rng):
+    """Zero, identity when square, every 40th search hit of weight +-1
+    over GF(p) when the search space is small, and random matrices."""
+    fld, ng, nh = d.field, d.g.dim, d.h.dim
+    ops = [Matrix.zeros(fld, ng, nh)]
+    if ng == nh:
+        ops.append(Matrix.identity(fld, ng))
+    if fld.characteristic and fld.p ** (ng * nh) <= 3 ** 9:
+        for lam in (-1, 1):
+            ops += list(search_rbos(d, fld.coerce(lam)))[::40]
+    return ops + [random_matrix(fld, ng, nh, rng) for _ in range(4)]
+
+
+def test_check_matches_reference():
+    # whole reports (law, where, lhs, rhs) of the library check against the
+    # product-by-product reference, on valid and invalid operators of the
+    # small contexts, the non-adjoint manifest pairs and the dense GF(3)
+    # Heisenberg algebra of the search benchmark
+    rng = seeded(19)
+    valid = invalid = 0
+    for fld in KERNEL_FIELDS:
+        contexts = [c for dims in ((1, 1), (2, 1), (1, 2), (2, 2))
+                    for c in small_contexts(fld, dims)]
+        spec = "gf %d" % fld.p if fld.characteristic else "rational"
+        contexts += [d for d in _manifest_contexts(spec)
+                     if not is_adjoint_grep(d)]
+        if fld == PrimeField(3):
+            contexts.append(adjoint_grep(dense_heisenberg_gf3()))
+        for d in contexts:
+            for t in _reference_operators(d, rng):
+                for lam in (0, 1, -1, 2):
+                    want = reference_check(d, lam, t)
+                    got = check_weighted_relative_rbo(d, lam, t)
                     assert got == want
-                    assert is_canonical(fld, got)
+                    valid += got.ok
+                    invalid += not got.ok
+    assert valid > 100 and invalid > 100
+
+
+@pytest.mark.parametrize("fields", [(PrimeField(3), PrimeField(5)),
+                                    (RationalField(), PrimeField(5)),
+                                    (PrimeField(5), RationalField())])
+def test_operator_over_another_field_is_wrong_field(fields):
+    # context over the first field, T over the second: every entry point
+    # refuses with one line that names both fields
+    ctx_field, t_field = fields
+    d = adjoint_grep(dim2_nonlie(ctx_field))
+    t = Matrix.identity(t_field, 2)
+    for call in (lambda: WeightedRBO(d, 0, t),
+                 lambda: check_weighted_relative_rbo(d, 0, t),
+                 lambda: graph_check(d, 0, t)):
+        with pytest.raises(WrongField) as exc:
+            call()
+        msg = str(exc.value)
+        assert "\n" not in msg
+        assert repr(ctx_field) in msg and repr(t_field) in msg
+
+
+def test_check_converts_each_column_once(monkeypatch):
+    # the check reads T raw once per operator: to_raw runs for the two
+    # bracket arguments and the T image of each basis pair, plus once for
+    # the weight, not again for basis vectors and columns inside every sum
+    d = adjoint_grep(dense_heisenberg_gf3())
+    t = next(search_rbos(d, PrimeField(3).coerce(-1)))
+    calls = []
+    real = PrimeField.to_raw
+
+    def counted(self, vec):
+        calls.append(len(vec))
+        return real(self, vec)
+
+    monkeypatch.setattr(PrimeField, "to_raw", counted)
+    assert check_weighted_relative_rbo(d, -1, t).ok
+    assert len(calls) <= 3 * d.h.dim ** 2 + 1
 
 
 def test_search_deterministic_order(gf5):
