@@ -8,10 +8,10 @@ in g, C^0 = g and C^n = Hom(h^{x n}, g), where h_T acts on g by
 
 One formula builds delta in every degree; delta_0 x = -rhoR_T(x, .) is the
 map u -> T rho^L(x, u) - [x, Tu]_g.  Its checks run on the ints D h_T and
-D rho_T over ``ZZ`` (``IntegerView``): both the rows of D delta and the
-probe's Leibniz differential.  The twisted differential d_T = d + [[T, -]]
-gives the same cohomology up to the sign d_T f = (-1)^n delta f, which the
-test-suite uses as an oracle.
+D rho_T over ``ZZ`` (``IntegerView``): both the rows of D delta, which the
+elimination takes as they are, and the probe's Leibniz differential.  The
+twisted differential d_T = d + [[T, -]] gives the same cohomology up to the
+sign d_T f = (-1)^n delta f, which the test-suite uses as an oracle.
 """
 
 from collections import Counter
@@ -175,7 +175,8 @@ def _require_square_zero(n, rows, prev, p):
 
 
 def delta_matrix(r, n, cap=20000, view=None):
-    """Matrix of delta: C^n -> C^{n+1} in the flattening order.
+    """delta_n: C^n -> C^{n+1} in the flattening order, entries a / D for
+    the int rows a of D delta_n, handed over by ``Matrix.from_int_rows``.
 
     cap bounds the cells (dim h^n clipped past the cap, so that a large n
     is refused at once); ``cohomology`` passes one view for all degrees.
@@ -209,14 +210,7 @@ def delta_matrix(r, n, cap=20000, view=None):
                                  "differential on the probe cochain" % n)
     if n:
         _require_square_zero(n, rows, view.rows(n - 1), p)
-    # delta_n itself: one field element a / D per distinct int a
-    entry = {a: fld.coerce(a) / den
-             for a in {a for row in rows for a in row.values()}}
-    dense = [[fld.zero] * ncols for _ in rows]
-    for out, row in zip(dense, rows):
-        for j, a in row.items():
-            out[j] = entry[a]
-    return Matrix(fld, dense, ncols)
+    return Matrix.from_int_rows(fld, rows, ncols, den)
 
 
 @dataclass
@@ -240,9 +234,9 @@ class CohomologyReport:
 def cohomology(r, max_degree, cap=20000, representatives=False):
     """Cocycle/coboundary dimensions and Betti numbers in degrees 0..max_degree.
 
-    One IntegerView of h_T and rho_T serves every delta matrix, and each
-    is eliminated once, before the next is built.  By rank-nullity
-    dim Z^n = dim C^n - rank delta_n and dim B^n = rank delta_{n-1}.
+    One IntegerView of h_T and rho_T serves every delta, and each is
+    eliminated once on its int rows, before the next is built.  By
+    rank-nullity dim Z^n = dim C^n - rank delta_n, dim B^n = rank delta_{n-1}.
     ``delta_matrix`` verifies B^n inside Z^n as delta_n . delta_{n-1} = 0
     (ContainmentViolated on failure: a differential bug, not bad input).
     With representatives, the cocycle basis comes from the same

@@ -2,21 +2,23 @@
 
 A ``Matrix`` is stored as dense rows, and once more as raw rows
 (``Field.to_raw``) for the products, which accumulate raw values and
-build at most one field element per result entry.  One fraction-free
-elimination (Bareiss, Math. Comp. 1968) on sparse ``{column: int}`` rows
-serves both fields: over Q each row is scaled by the lcm of its
-denominators and each updated row is divided by its content gcd; over
+build at most one field element per result entry; ``from_int_rows`` (each
+delta of ``cohomology``) keeps sparse int rows and builds both lazily.
+One fraction-free elimination (Bareiss, Math. Comp. 1968) on ``{column:
+int}`` rows serves both fields: over Q each row is scaled by the lcm of
+its denominators and each updated row is divided by its content gcd; over
 GF(p) the rows are residues and each pivot row is scaled to a leading 1.
 Columns are taken left to right; the pivot is the remaining row with the
-fewest nonzeros (ties to the lowest index), only the rows holding that
-column are updated, the back-substitution runs once at the end, and field
-elements are built only for the returned rows.  The reduced row echelon
-form is unique, so kernel bases, solutions and inverses do not depend on
-the pivot choice.  ``solve`` reads both the particular solution and the
-kernel off a single rref of [M | b].
+fewest nonzeros (ties to the lowest index), and only the rows holding
+that column are updated.  ``rank`` counts pivots; ``rref`` back-
+substitutes once and builds field elements only for the returned rows.
+The reduced row echelon form is unique, so kernel bases, solutions and
+inverses do not depend on the pivot choice.  ``solve`` reads the
+particular solution and the kernel off one rref of [M | b].
 """
 
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 
 from .errors import NotInvertible, ShapeMismatch
@@ -50,7 +52,10 @@ def vec_is_zero(v):
 
 
 class Matrix:
-    """Dense matrix over an exact field; immutable by convention."""
+    """Dense matrix over an exact field; immutable by convention.  One from
+    ``from_int_rows`` keeps int rows and builds its dense rows lazily."""
+
+    ints = None  # int rows for the elimination: see from_int_rows
 
     def __init__(self, field, rows, ncols=None):
         # ncols is needed only when there are no rows to read it from
@@ -65,6 +70,16 @@ class Matrix:
                 raise ShapeMismatch("ragged rows in matrix")
         # the rows as the products read them (field.to_raw)
         self.raw = [field.to_raw(row) for row in self.rows]
+
+    @staticmethod
+    def from_int_rows(field, rows, ncols, den):
+        """The matrix with entries a / den, a the nonzero ints of the sparse
+        rows; over GF(p) they are reduced and zero residues dropped."""
+        p, m = field.characteristic, _IntRows.__new__(_IntRows)
+        m.field, m.nrows, m.ncols, m.den = field, len(rows), ncols, den
+        m.ints = [{j: a % p for j, a in row.items() if a % p}
+                  for row in rows] if p else rows
+        return m
 
     @classmethod
     def zeros(cls, field, nrows, ncols):
@@ -161,18 +176,14 @@ class Matrix:
     def is_zero(self):
         return all(vec_is_zero(row) for row in self.rows)
 
-    def rref(self):
-        """Reduced row echelon form; returns (rows, pivot_columns).
-
-        The rows are the nonzero rows of the rref in pivot order followed
-        by the zero rows, nrows in all.  Rows are eliminated as
-        {column: int} dicts (``_int_row``); a pivot row keeps its pivot
-        value, and field elements are built only for the returned rows.
-        """
-        fld, p = self.field, self.field.characteristic
-        pending = [_int_row(raw, fld.raw_zero, p) for raw in self.raw]
+    def _eliminate(self):
+        """Forward elimination on copies of ``ints``, else ``_int_row`` of the
+        raw rows: (pivot column, pivot row) pairs, pivots 1 over GF(p)."""
+        p = self.field.characteristic
+        pending = [dict(r) for r in self.ints] if self.ints is not None \
+            else [_int_row(raw, self.field.raw_zero, p) for raw in self.raw]
         pending = [r for r in pending if r]
-        done = []  # (pivot column, pivot row) in column order
+        done = []
         for c in range(self.ncols):
             if not pending:
                 break
@@ -190,6 +201,16 @@ class Matrix:
                     _clear(r, c, prow, p)
             done.append((c, prow))
             pending = [r for r in pending if r and r is not prow]
+        return done
+
+    def rref(self):
+        """Reduced row echelon form; returns (rows, pivot_columns).
+
+        The rows are the nonzero rows of the rref in pivot order followed
+        by the zero rows, nrows in all, built after one back-substitution
+        on the int rows of ``_eliminate``.
+        """
+        fld, p, done = self.field, self.field.characteristic, self._eliminate()
         for k in reversed(range(len(done))):
             c, prow = done[k]
             for _, above in done[:k]:
@@ -209,7 +230,8 @@ class Matrix:
         return rows, [c for c, _ in done]
 
     def rank(self):
-        return len(self.rref()[1])
+        """The pivot count of the forward elimination; no rows are built."""
+        return len(self._eliminate())
 
     def kernel_basis(self):
         """Null-space basis, one vector per free column in ascending order."""
@@ -262,6 +284,22 @@ class Matrix:
         return Matrix(self.field, [row[n:] for row in rows[:n]])
 
 
+class _IntRows(Matrix):
+    """Lazy ``rows`` and ``raw``; on ``Matrix`` they would slow every read."""
+
+    @cached_property
+    def rows(self):  # one field element per distinct int
+        fld, zero = self.field, self.field.zero
+        entry = {a: fld.coerce(a) / self.den
+                 for a in {a for row in self.ints for a in row.values()}}
+        return [[entry[row[j]] if j in row else zero
+                 for j in range(self.ncols)] for row in self.ints]
+
+    @cached_property
+    def raw(self):
+        return [self.field.to_raw(row) for row in self.rows]
+
+
 def _int_row(raw, zero, p):
     """A raw row as {column: int}: the residues over GF(p), or over Q the
     row times the lcm of its denominators."""
@@ -301,7 +339,5 @@ def _clear(row, c, prow, p):
 
 
 def span_rank(field, vectors):
-    if not vectors:
-        return 0
     return Matrix(field, vectors).rank()
 

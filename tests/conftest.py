@@ -35,15 +35,16 @@ def gf2():
 
 @pytest.fixture
 def rref_calls(monkeypatch):
-    """Shapes of the matrices Matrix.rref eliminates while the test runs."""
+    """Shapes of the matrices eliminated while the test runs, whether by
+    Matrix.rref or by Matrix.rank (both run Matrix._eliminate once)."""
     calls = []
-    real = Matrix.rref
+    real = Matrix._eliminate
 
     def counted(self):
         calls.append(self.shape)
         return real(self)
 
-    monkeypatch.setattr(Matrix, "rref", counted)
+    monkeypatch.setattr(Matrix, "_eliminate", counted)
     return calls
 
 

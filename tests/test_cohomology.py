@@ -3,6 +3,7 @@ import io
 import os
 from dataclasses import replace
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -27,8 +28,8 @@ from leibniz_rb.multimap import MultiMap
 from leibniz_rb.operators import WeightedRBO, induced_algebra
 from leibniz_rb.postleibniz import compatible_structure, from_rbo
 
-from conftest import (dim2_nonlie, heisenberg, random_matrix, random_multimap,
-                      seeded, small_contexts)
+from conftest import (dense_heisenberg_gf3, dim2_nonlie, heisenberg,
+                      random_matrix, random_multimap, seeded, small_contexts)
 from fraction_rref import fraction_rref
 from golden_cases import CASES, ROOT
 
@@ -418,6 +419,81 @@ def test_rref_of_dense_deltas_matches_field_rows(p, t):
     for n in range(4):
         m = delta_matrix(r, n)
         assert m.rref() == fraction_rref(m)
+
+
+def _small_operators(fld):
+    """The valid operators of weight 0, 1 and -1 on every small_contexts
+    context, with entries 0, 1 and -1/2 (0 and 1 over GF(2))."""
+    pool = {fld.zero, fld.one}
+    if fld.characteristic != 2:
+        pool.add(-fld.half())
+    out = []
+    for dims in ((1, 1), (2, 1), (1, 2), (2, 2)):
+        for d in small_contexts(fld, dims):
+            for lam in (fld.zero, fld.one, -fld.one):
+                for cells in product(sorted(pool, key=str),
+                                     repeat=dims[0] * dims[1]):
+                    t = Matrix(fld, [cells[i * dims[1]:(i + 1) * dims[1]]
+                                     for i in range(dims[0])], dims[1])
+                    r = WeightedRBO(d, lam, t)
+                    if r.is_valid:
+                        out.append((r, 3))
+    return out
+
+
+@pytest.mark.parametrize("p", [0, 2, 3, 5])
+def test_delta_matrix_hands_its_int_rows_to_the_elimination(p):
+    fld = PrimeField(p) if p else RationalField()
+    cases = _small_operators(fld)
+    # all 18 constants nonzero: the search-gf3 basis over GF(3), none
+    # over GF(2)
+    if p == 3:
+        d = adjoint_grep(dense_heisenberg_gf3())
+        cases += [(WeightedRBO(d, -fld.one, t), 4) for t in
+                  (Matrix.identity(fld, 3), Matrix.zeros(fld, 3, 3))]
+    elif p != 2:
+        cases += [(_dense_heisenberg(fld, t), 4) for t in ("id", "zero")]
+    assert len(cases) > 20
+    for r, degrees in cases:
+        for n in range(degrees):
+            m = delta_matrix(r, n)
+            got = m.rref(), m.rank()
+            # the elimination read the int rows, not dense field rows
+            assert "rows" not in vars(m) and "raw" not in vars(m)
+            d = Matrix(fld, m.rows, m.ncols)
+            assert got == (d.rref(), d.rank())
+            assert got[0] == fraction_rref(m)
+            assert m.rows == d.rows and m.raw == d.raw
+            assert m == d and d == m and hash(m) == hash(d)
+            v = [fld.coerce(1 + 2 * j) for j in range(m.ncols)]
+            assert m.mul_vec(v) == d.mul_vec(v)
+
+
+@pytest.mark.parametrize("p", [0, 5])
+def test_rref_leaves_the_view_rows_alone(p):
+    r = _dense_heisenberg(PrimeField(p) if p else RationalField())
+    view = IntegerView(induced_algebra(r), induced_representation(r))
+    for n in range(4):
+        before = [dict(row) for row in view.rows(n)]
+        m = delta_matrix(r, n, view=view)
+        first = m.rref()
+        assert m.rref() == first
+        assert view.rows(n) == before
+
+
+def test_cohomology_coerces_no_delta_cell(Q, monkeypatch):
+    # the dense Matrix of the parent coerced every cell: about 22,300 calls
+    r = _dense_heisenberg(Q)
+    calls = []
+    real = RationalField.coerce
+
+    def counted(self, value):
+        calls.append(None)
+        return real(self, value)
+
+    monkeypatch.setattr(RationalField, "coerce", counted)
+    assert cohomology(r, 3).betti() == [3, 6, 15, 30]
+    assert len(calls) < 1000
 
 
 def test_cap_enforced(Q):

@@ -163,6 +163,35 @@ def test_rref_matches_dense_oracle(m):
     assert m.kernel_basis() == dense_kernel(m)
 
 
+@PROPERTY
+@given(st.data())
+def test_int_rows_match_the_dense_matrix(data):
+    # entries a / den; the ints include multiples of 2, 3 and 5
+    field = data.draw(RREF_FIELDS)
+    p = field.characteristic
+    den = data.draw(st.sampled_from([d for d in (1, 2, 3, 6)
+                                     if not p or d % p]))
+    nrows, ncols = data.draw(st.integers(0, 5)), data.draw(st.integers(0, 5))
+    ints = []
+    for _ in range(nrows):
+        ints.append({})
+        for j in range(ncols):
+            a = data.draw(st.sampled_from([0, 0, 0, 1, -1, 2, -3, 5, -10]))
+            if a:
+                ints[-1][j] = a
+    m = Matrix.from_int_rows(field, ints, ncols, den)
+    want = Matrix(field, [[Fraction(row.get(j, 0), den) for j in range(ncols)]
+                          for row in ints], ncols)
+    assert m.shape == want.shape
+    assert m.rank() == want.rank()
+    assert m.rref() == want.rref() == dense_rref(want)
+    assert "rows" not in vars(m)
+    assert m.rows == want.rows and m.raw == want.raw and m == want
+    assert all(is_canonical(field, row) for row in m.rows)
+    v = [field.coerce(data.draw(st.integers(-3, 3))) for _ in range(ncols)]
+    assert m.mul_vec(v) == want.mul_vec(v)
+
+
 def test_rref_matches_field_rows_on_growing_entries():
     # dense rows of mixed denominators: the integer rows grow and shrink
     rng = seeded(11)
