@@ -52,8 +52,8 @@ def vec_is_zero(v):
 
 
 class Matrix:
-    """Dense matrix over an exact field; immutable by convention.  One from
-    ``from_int_rows`` keeps int rows and builds its dense rows lazily."""
+    """Dense matrix over an exact field; immutable by convention.  Made by
+    ``from_int_rows``, it keeps int rows and builds its dense rows lazily."""
 
     ints = None  # int rows for the elimination: see from_int_rows
 
