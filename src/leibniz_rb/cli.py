@@ -214,6 +214,10 @@ def cmd_mc_residual(m, args, rep):
 
 def cmd_dgla_check(m, args, rep):
     d = _context(m, args)
+    cells = 2 * args.samples * d.g.dim * d.h.dim ** 6  # arity 6 at most
+    if cells > args.cap:  # refused before any sample is drawn
+        raise ResourceLimit("dgla-check needs %d cells, more than the "
+                            "configured cap %d" % (cells, args.cap))
     samples = dgla_samples(d, count=args.samples)
     vrep = check_dgla(d, _weight(m, args), samples, cross_check=True)
     rep.add("samples", len(samples))

@@ -17,12 +17,11 @@ sign d_T f = (-1)^n delta f, which the test-suite uses as an oracle.
 from collections import Counter
 from dataclasses import dataclass, field as dc_field
 from itertools import combinations, product
-from math import lcm
 
 from .core import (ActionPair, LeibnizAlgebra, add_combination,
                    leibniz_differential)
 from .errors import ContainmentViolated, OracleDisagreement, ResourceLimit
-from .fields import ZZ
+from .fields import ZZ, to_ints
 from .linalg import Matrix, vec_sub
 from .multimap import MultiMap
 from .operators import induced_algebra
@@ -126,19 +125,13 @@ def delta_rows(c, left, right, n):
 class IntegerView:
     """h acting on V by rho, with the int rows of D delta_n (``rows(n)``).
 
-    ``h_z`` and ``rho_z`` are D h and D rho over the ints (``IntegerRing``):
-    D is the lcm of the denominators over Q; over GF(p), D = 1 and the
-    ints are the residues.  The rows are built once per degree from them.
+    ``h_z`` and ``rho_z`` are D h and D rho over ``ZZ`` (``fields.to_ints``);
+    the rows of each degree are built once from them.
     """
 
     def __init__(self, h, rho):
-        self.h, self.rho, self.den = h, rho, 1
-        ints = (h.c_raw, rho.left_raw, rho.right_raw)
-        if not h.field.characteristic:  # the raw views are the tensors
-            self.den = lcm(*(x.denominator for t in ints for pl in t
-                             for row in pl for x in row))
-            ints = [[[[x.numerator * (self.den // x.denominator) for x in row]
-                      for row in pl] for pl in t] for t in ints]
+        self.h, self.rho = h, rho
+        self.den, ints = to_ints(h.field, (h.c, rho.left, rho.right))
         self.h_z = LeibnizAlgebra(ZZ, h.dim, ints[0])
         self.rho_z = ActionPair(ZZ, rho.dim_g, rho.dim_v, *ints[1:])
         self._rows = {}  # no closure over self: a cycle would wait for gc

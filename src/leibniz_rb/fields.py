@@ -13,6 +13,7 @@ that results stay Fractions, and the int 0 over GF(p).
 """
 
 from fractions import Fraction
+from math import lcm
 
 from .errors import CharacteristicTwo, InvalidInput, WrongField
 
@@ -254,6 +255,16 @@ class PrimeField(Field):
 
     def __repr__(self):
         return "PrimeField(%d)" % self.p
+
+
+def to_ints(field, tensors):
+    """(D, the 3-tensors times D as nested lists of ints): over Q, D is the
+    lcm of their denominators; over GF(p), D = 1 and the ints are residues."""
+    if field.characteristic:
+        return 1, [[[field.to_raw(r) for r in pl] for pl in t] for t in tensors]
+    den = lcm(*(x.denominator for t in tensors for pl in t for r in pl for x in r))
+    return den, [[[[x.numerator * (den // x.denominator) for x in r]
+                   for r in pl] for pl in t] for t in tensors]
 
 
 def field_from_spec(text):

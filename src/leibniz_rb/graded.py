@@ -5,8 +5,11 @@ implementations: an explicit formula and a route through the Balavoine
 bracket on maps of the total space V = g + h.  The explicit differential
 d = [theta', -] is (-1)^n times the Loday-Pirashvili coboundary of
 (h, lambda [.,.]_h) with trivial coefficients in g.  Public entry points
-compare the two and raise OracleDisagreement on any split, which traps
-sign-convention bugs without trusting either route alone.
+run both over ``ZZ`` on the context, maps and lambda, each times the lcm
+of its denominators (``fields.to_ints``; residues over GF(p)), and raise
+OracleDisagreement on any split of the int results, which traps
+sign-convention bugs without trusting either route alone.  The explicit
+result over the product of the scales is returned.
 
 Both bracket routes visit nonzero rows only.  The explicit route scatters
 each shuffle sum from the rows of P and Q and reads rho^L and rho^R as
@@ -17,11 +20,12 @@ two share no code beyond the shuffle enumeration.
 from functools import lru_cache
 from itertools import combinations
 
-from .core import (ActionPair, LeibnizAlgebra, ValidationReport, _pow_sign,
-                   add_combination, block_tensor, leibniz_differential,
-                   validate_leibniz_g_rep)
+from .core import (ActionPair, LeibnizAlgebra, LeibnizGRep, ValidationReport,
+                   _pow_sign, add_combination, block_tensor,
+                   leibniz_differential, validate_leibniz_g_rep)
 from .errors import (InvalidInput, OracleDisagreement, ShapeMismatch,
                      StructureIncompatible)
+from .fields import ZZ, to_ints
 from .linalg import Matrix, zero_vec
 from .multimap import MultiMap
 
@@ -272,16 +276,41 @@ def derived_bracket_lifted(d, p, q):
     return restrict(nested, ng, nh).scale(_pow_sign(d.field, p.arity))
 
 
+def _over_ints(d, *maps):
+    """(D, [D_d d, D_m m for each map] over ZZ), D the product of the scales."""
+    den, (gc, hc, left, right) = to_ints(
+        d.field, (d.g.c, d.h.c, d.actions.left, d.actions.right))
+    out = [LeibnizGRep(LeibnizAlgebra(ZZ, d.g.dim, gc),
+                       LeibnizAlgebra(ZZ, d.h.dim, hc),
+                       ActionPair(ZZ, d.g.dim, d.h.dim, left, right))]
+    for m in maps:  # the rows of m as the one plane of a 3-tensor
+        k, [[rows]] = to_ints(d.field, [[m.nz.values()]])
+        out.append(MultiMap(ZZ, m.arity, m.src_dim, m.tgt_dim))
+        out[-1].nz, den = dict(zip(m.nz, map(tuple, rows))), den * k
+    return den, out
+
+
+def _from_ints(fld, den, m):
+    """The int map m / den over fld (den = 1 over GF(p), zero rows dropped)."""
+    inv = fld.one / den
+    rows = ((idx, tuple([a * inv for a in r])) for idx, r in m.nz.items())
+    out = MultiMap(fld, m.arity, m.src_dim, m.tgt_dim)
+    out.nz = {idx: r for idx, r in rows if any(r)}
+    return out
+
+
 def derived_bracket(d, p, q, cross_check=True):
-    """Graded Lie bracket on Hom(h^{x *}, g); dual-route checked by default."""
+    """Graded Lie bracket on Hom(h^{x *}, g), linear in (c_g, rho^L, rho^R),
+    P and Q: the explicit int result over D_d D_p D_q, checked by default."""
     if p.src_dim != d.h.dim or p.tgt_dim != d.g.dim or not (
             q.src_dim == p.src_dim and q.tgt_dim == p.tgt_dim):
         raise ShapeMismatch("derived bracket needs maps h^{x *} -> g")
-    explicit = derived_bracket_explicit(d, p, q)
-    if cross_check and explicit != derived_bracket_lifted(d, p, q):
+    den, (dz, pz, qz) = _over_ints(d, p, q)
+    explicit = derived_bracket_explicit(dz, pz, qz)
+    if cross_check and explicit != derived_bracket_lifted(dz, pz, qz):
         raise OracleDisagreement("derived bracket: explicit formula != lifted "
                                  "route (arities %d, %d)" % (p.arity, q.arity))
-    return explicit
+    return _from_ints(d.field, den, explicit)
 
 
 def differential_d_explicit(d, lam, p):
@@ -305,14 +334,17 @@ def differential_d_lifted(d, lam, p):
 
 
 def differential_d(d, lam, p, cross_check=True):
-    """Differential of the operator dgLa; dual-route checked by default."""
+    """Differential of the operator dgLa, linear in lambda c_h and in P: the
+    explicit int result over D_d D_lam D_p, checked by default."""
     if p.src_dim != d.h.dim or p.tgt_dim != d.g.dim:
         raise ShapeMismatch("differential needs a map h^{x *} -> g")
-    explicit = differential_d_explicit(d, lam, p)
-    if cross_check and explicit != differential_d_lifted(d, lam, p):
+    dl, [[[[lz]]]] = to_ints(d.field, [[[[d.field.coerce(lam)]]]])
+    den, (dz, pz) = _over_ints(d, p)
+    explicit = differential_d_explicit(dz, lz, pz)
+    if cross_check and explicit != differential_d_lifted(dz, lz, pz):
         raise OracleDisagreement("differential d: explicit formula != lifted "
                                  "route (arity %d)" % p.arity)
-    return explicit
+    return _from_ints(d.field, den * dl, explicit)
 
 
 def maurer_cartan_residual(d, lam, t):

@@ -221,6 +221,41 @@ def test_dense_dim_100_is_refused_before_work(tmp_path):
     assert elapsed < 1.0
 
 
+def test_dgla_check_refuses_a_huge_sample_count():
+    out, err = io.StringIO(), io.StringIO()
+    t0 = time.perf_counter()
+    code = run_command(["dgla-check", MANIFEST, "--samples", "1000000000"],
+                       out=out, err=err)
+    assert time.perf_counter() - t0 < 0.5
+    assert code == 2 and out.getvalue() == ""
+    assert err.getvalue() == ("error: dgla-check needs 256000000000 cells, "
+                              "more than the configured cap 20000\n")
+
+
+@pytest.mark.parametrize("count,admitted", [(32, True), (78, True),
+                                            (79, False)])
+def test_dgla_check_bounds_samples_times_cells(count, admitted, monkeypatch):
+    # 2 * 78 samples of 2 * 2^6 cells fit the default cap of 20,000
+    import leibniz_rb.cli as cli
+    drawn = []
+    monkeypatch.setattr(cli, "dgla_samples",
+                        lambda d, count: drawn.append(count) or [])
+    code = run_command(["dgla-check", MANIFEST, "--samples", str(count)],
+                       out=io.StringIO(), err=io.StringIO())
+    assert (code, drawn) == ((0, [count]) if admitted else (2, []))
+
+
+@pytest.mark.slow
+def test_dgla_check_32_samples_in_process():
+    out = io.StringIO()
+    t0 = time.perf_counter()
+    code = run_command(["dgla-check", MANIFEST, "--samples", "32"],
+                       out=out, err=io.StringIO())
+    elapsed = time.perf_counter() - t0
+    assert code == 0 and "dgla: valid" in out.getvalue()
+    assert elapsed < 1.2
+
+
 def test_exit_code_math_failure():
     r = _run(["check-rbo", MANIFEST, "--operator", "id", "--weight", "1"])
     assert r.returncode == 1

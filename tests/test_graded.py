@@ -1,8 +1,13 @@
+from fractions import Fraction
+
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from leibniz_rb.core import (ActionPair, LeibnizAlgebra, LeibnizGRep,
-                             adjoint_grep, validate_leibniz_g_rep)
+                             adjoint_grep, change_of_basis_grep,
+                             validate_leibniz_g_rep)
 from leibniz_rb.errors import OracleDisagreement
+from leibniz_rb.fields import ZZ, PrimeField, RationalField
 from leibniz_rb.graded import (balavoine_bracket, check_dgla, derived_bracket,
                                derived_bracket_explicit,
                                derived_bracket_lifted, dgla_samples,
@@ -14,8 +19,8 @@ from leibniz_rb.linalg import Matrix
 from leibniz_rb.multimap import MultiMap
 from leibniz_rb.operators import WeightedRBO
 
-from conftest import (dim2_nonlie, random_multimap, rho_l_context, seeded,
-                      small_contexts)
+from conftest import (dim2_nonlie, heisenberg, random_multimap, rho_l_context,
+                      seeded, small_contexts)
 
 
 def _ctx(field):
@@ -194,17 +199,174 @@ def test_mc_residual_gf2(gf2):
     assert maurer_cartan_residual(d, gf2.zero, t).is_zero()
 
 
-def test_oracle_disagreement_raised_on_forced_split(Q, monkeypatch):
-    d = _ctx(Q)
-    rng = seeded(23)
-    p = random_multimap(Q, 2, d.h.dim, d.g.dim, rng)
-    q = random_multimap(Q, 1, d.h.dim, d.g.dim, rng)
+def _forced_split(real):
+    """A lifted route returning 3 times the true value where it is nonzero.
+
+    Over GF(2) the split is 2 times the true value, which vanishes mod 2:
+    only a comparison of the int results sees it.
+    """
+    def split(d_, *args):
+        got = real(d_, *args)
+        return got if got.is_zero() else got.scale(d_.field.coerce(2)) + got
+    return split
+
+
+def test_oracle_disagreement_raised_on_forced_split(Q, gf2, monkeypatch):
     import leibniz_rb.graded as gr
-    real = gr.derived_bracket_lifted
     monkeypatch.setattr(gr, "derived_bracket_lifted",
-                        lambda d_, a, b:
-                        real(d_, a, b).scale(Q.coerce(2)) + real(d_, a, b)
-                        if not real(d_, a, b).is_zero()
-                        else real(d_, a, b))
-    with pytest.raises(OracleDisagreement):
-        gr.derived_bracket(d, p, q, cross_check=True)
+                        _forced_split(gr.derived_bracket_lifted))
+    for fld in (Q, gf2):
+        d = _ctx(fld)
+        rng = seeded(23)
+        p = random_multimap(fld, 2, d.h.dim, d.g.dim, rng)
+        q = random_multimap(fld, 1, d.h.dim, d.g.dim, rng)
+        assert not gr.derived_bracket(d, p, q, cross_check=False).is_zero()
+        with pytest.raises(OracleDisagreement):
+            gr.derived_bracket(d, p, q, cross_check=True)
+
+
+def test_oracle_disagreement_raised_on_forced_differential_split(
+        Q, gf2, monkeypatch):
+    import leibniz_rb.graded as gr
+    monkeypatch.setattr(gr, "differential_d_lifted",
+                        _forced_split(gr.differential_d_lifted))
+    for fld in (Q, gf2):
+        d = _ctx(fld)
+        p = random_multimap(fld, 2, d.h.dim, d.g.dim, seeded(41))
+        assert not gr.differential_d(d, -1, p, cross_check=False).is_zero()
+        with pytest.raises(OracleDisagreement):
+            gr.differential_d(d, -1, p, cross_check=True)
+
+
+# ---------------------------------------------------------------------------
+# Both routes run over ZZ: the scales and the mod-p reduction
+
+
+def _det2(d):
+    """d in bases with the last vector doubled when the dim is 2 or more:
+    over Q its constants get the denominator 2."""
+    def basis(n):
+        diag = [1] * (n - 1) + [2] if n > 1 else [1]
+        return Matrix(d.field, [[diag[i] if i == j else 0 for j in range(n)]
+                                for i in range(n)])
+    return change_of_basis_grep(d, basis(d.g.dim), basis(d.h.dim))
+
+
+def _int_route_contexts(fld):
+    out = [_ctx(fld), _both_actions(fld)]
+    if fld.characteristic != 2:
+        out += [_det2(_ctx(fld)), _det2(_both_actions(fld)),
+                _det2(adjoint_grep(heisenberg(fld)))]
+    if not fld.characteristic:
+        assert all(any(x.denominator > 1 for t in (d.g.c, d.actions.left)
+                       for pl in t for row in pl for x in row)
+                   for d in out[2:])
+    return out
+
+
+INT_ROUTE_FIELDS = [RationalField()] + [PrimeField(p) for p in (2, 3, 5, 7)]
+CONTEXTS = {fld: _int_route_contexts(fld) for fld in INT_ROUTE_FIELDS}
+# mostly small ints, some halves and thirds, and the weights -3/2 and 1/2
+ENTRIES = st.sampled_from([0, 0, 0, 1, -1, 2, -3, Fraction(1, 2),
+                           Fraction(-2, 3)])
+WEIGHTS = st.sampled_from([Fraction(1, 2), Fraction(-3, 2), 0, -1, 2])
+
+
+@st.composite
+def int_route_cases(draw):
+    fld = draw(st.sampled_from(INT_ROUTE_FIELDS))
+    d = draw(st.sampled_from(CONTEXTS[fld]))
+    p = fld.characteristic
+
+    def scalar(values):
+        x = draw(values.filter(lambda x: not p or Fraction(x).denominator % p))
+        return fld.coerce(x)
+
+    def element():
+        m = MultiMap(fld, draw(st.integers(1, 2)), d.h.dim, d.g.dim)
+        for idx in m.tuples():
+            m.set_(idx, [scalar(ENTRIES) for _ in range(d.g.dim)])
+        return m
+
+    return d, scalar(WEIGHTS), element(), element()
+
+
+def _fixed_case(d, lam, seed):
+    """P with denominators 2 and Q with denominators 3 over Q."""
+    rng = seeded(seed)
+    p, q = (random_multimap(d.field, a, d.h.dim, d.g.dim, rng).scale(
+        Fraction(1, k)) for a, k in ((2, 2), (1, 3)))
+    return d, d.field.coerce(lam), p, q
+
+
+@settings(max_examples=60, deadline=None)
+@given(int_route_cases())
+@example(_fixed_case(CONTEXTS[RationalField()][2], Fraction(1, 2), 47))
+@example(_fixed_case(CONTEXTS[RationalField()][4], Fraction(-3, 2), 53))
+def test_int_routes_equal_the_explicit_routes_on_the_field(case):
+    d, lam, p, q = case
+    assert derived_bracket(d, p, q) == derived_bracket_explicit(d, p, q)
+    assert differential_d(d, lam, p) == differential_d_explicit(d, lam, p)
+
+
+def _residues(m):
+    out = MultiMap(ZZ, m.arity, m.src_dim, m.tgt_dim)
+    out.nz = {idx: tuple(x.v for x in row) for idx, row in m.nz.items()}
+    return out
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_int_rows_that_vanish_mod_p_are_dropped(p):
+    # residue products and sums leave [0, p): some int rows of the bracket
+    # of random maps are nonzero multiples of p and must not be kept
+    fld = PrimeField(p)
+    d = _ctx(fld)
+    rng = seeded(43)
+    for _ in range(50):
+        a = random_multimap(fld, rng.randint(1, 2), d.h.dim, d.g.dim, rng)
+        b = random_multimap(fld, rng.randint(1, 2), d.h.dim, d.g.dim, rng)
+        ints = derived_bracket_explicit(_ctx(ZZ), _residues(a), _residues(b))
+        if any(not any(x % p for x in row) for row in ints.nz.values()):
+            break
+    else:
+        raise AssertionError("no int row vanished mod %d" % p)
+    got = derived_bracket(d, a, b)
+    assert got == derived_bracket_explicit(d, a, b)
+    assert all(any(row) for row in got.nz.values())
+
+
+def test_lifted_routes_receive_an_int_context(monkeypatch):
+    import leibniz_rb.graded as gr
+    seen = []
+
+    def spy(real):
+        def route(d_, *args):
+            seen.append((d_.field, {m.field for m in args
+                                    if isinstance(m, MultiMap)}))
+            return real(d_, *args)
+        return route
+
+    for name in ("derived_bracket_lifted", "differential_d_lifted"):
+        monkeypatch.setattr(gr, name, spy(getattr(gr, name)))
+    for fld in (RationalField(), PrimeField(7)):
+        d = _ctx(fld)
+        assert check_dgla(d, -1, dgla_samples(d, count=1, seed=3),
+                          cross_check=True).ok
+    assert len(seen) > 10
+    assert all(fld is ZZ and fields == {ZZ} for fld, fields in seen)
+
+
+def test_cross_checked_dgla_coerces_few_scalars(Q, monkeypatch):
+    # the Fraction routes coerced 781 scalars per dgla-cross benchmark job
+    d = _ctx(Q)
+    samples = dgla_samples(d, count=2, seed=0)
+    calls = []
+    real = RationalField.coerce
+
+    def counted(self, value):
+        calls.append(None)
+        return real(self, value)
+
+    monkeypatch.setattr(RationalField, "coerce", counted)
+    assert check_dgla(d, -1, samples, cross_check=True).ok
+    assert len(calls) < 100
