@@ -12,7 +12,7 @@ from itertools import product
 from operator import itemgetter
 
 from .errors import InvalidInput, ResourceLimit, ShapeMismatch
-from .linalg import axpy, vec_add, vec_sub, zero_vec
+from .linalg import axpy, zero_vec
 from .multimap import MultiMap
 
 
@@ -435,13 +435,15 @@ def leibniz_differential(g, actions, f):
 
     f is a MultiMap g^{x n} -> V; actions is the (rho^L, rho^R) pair of
     g on V.  rho^L(e_i, .), rho^R(., e_j) and [e_i, e_j] are read as slices
-    of the tensors.  It is the second route for the assembled delta matrices.
+    of the tensors; each term, bracket terms by one f.apply with sign +-1,
+    adds into the output row in place.  It is the second route for the
+    assembled delta matrices.
     """
     if f.src_dim != g.dim or f.tgt_dim != actions.dim_v:
         raise ShapeMismatch("cochain does not match algebra/carrier dims")
     if actions.dim_g != g.dim:
         raise ShapeMismatch("actions do not match algebra dim")
-    fld, n = g.field, f.arity
+    fld, n, one = g.field, f.arity, g.field.one
     # right[j][a] = rho^R(f_a, e_j)
     right = [[plane[j] for plane in actions.right] for j in range(g.dim)]
     out = MultiMap(fld, n + 1, g.dim, actions.dim_v)
@@ -456,7 +458,7 @@ def leibniz_differential(g, actions, f):
             for j in range(i + 1, n + 2):
                 args = (idx[:i - 1] + idx[i:j - 1]
                         + (g.c[idx[i - 1]][idx[j - 1]],) + idx[j:])
-                acc = (vec_sub if i % 2 else vec_add)(acc, f.apply(args))
+                axpy(acc, -one if i % 2 else one, f.apply(args))
         out.set_(idx, acc)
     return out
 

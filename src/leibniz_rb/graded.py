@@ -24,7 +24,7 @@ from .core import (ActionPair, LeibnizAlgebra, LeibnizGRep, ValidationReport,
                    _pow_sign, add_combination, block_tensor,
                    leibniz_differential, validate_leibniz_g_rep)
 from .errors import (InvalidInput, OracleDisagreement, ShapeMismatch,
-                     StructureIncompatible)
+                     StructureIncompatible, WrongField)
 from .fields import ZZ, to_ints
 from .linalg import Matrix, zero_vec
 from .multimap import MultiMap
@@ -277,13 +277,17 @@ def derived_bracket_lifted(d, p, q):
 
 
 def _over_ints(d, *maps):
-    """(D, [D_d d, D_m m for each map] over ZZ), D the product of the scales."""
+    """(D, [D_d d, D_m m for each map] over ZZ), D the product of the scales;
+    WrongField, naming both fields, for a map over another field than d."""
     den, (gc, hc, left, right) = to_ints(
         d.field, (d.g.c, d.h.c, d.actions.left, d.actions.right))
     out = [LeibnizGRep(LeibnizAlgebra(ZZ, d.g.dim, gc),
                        LeibnizAlgebra(ZZ, d.h.dim, hc),
                        ActionPair(ZZ, d.g.dim, d.h.dim, left, right))]
     for m in maps:  # the rows of m as the one plane of a 3-tensor
+        if m.field != d.field:
+            raise WrongField("map over %r, context over %r"
+                             % (m.field, d.field))
         k, [[rows]] = to_ints(d.field, [[m.nz.values()]])
         out.append(MultiMap(ZZ, m.arity, m.src_dim, m.tgt_dim))
         out[-1].nz, den = dict(zip(m.nz, map(tuple, rows))), den * k

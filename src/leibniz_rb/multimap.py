@@ -71,24 +71,26 @@ class MultiMap:
             self.nz.pop(tuple(idx), None)
 
     def apply(self, args):
-        """Evaluate at a mixed argument list of basis indices and vectors."""
+        """Evaluate at a mixed argument list of basis indices and vectors:
+        the int slots are written once into an index list, and each choice
+        from the nonzero entries of the vector slots writes its indices."""
         if len(args) != self.arity:
             raise ShapeMismatch("arity %d map applied to %d arguments"
                                 % (self.arity, len(args)))
-        choices = [((a, None),) if isinstance(a, int)
-                   else [(j, x) for j, x in enumerate(a) if x] for a in args]
-        out = zero_vec(self.field, self.tgt_dim)
-        for choice in product(*choices):
-            row = self.nz.get(tuple(j for j, _ in choice))
-            if row is None:
-                continue
-            c = None  # the product of the chosen vector entries, if any
-            for _, x in choice:
-                if x is not None:
-                    c = x if c is None else c * x
-            for t, y in enumerate(row):
-                if y:
-                    out[t] = out[t] + (y if c is None else c * y)
+        idx, out = list(args), zero_vec(self.field, self.tgt_dim)
+        one, get = self.field.one, self.nz.get
+        for choice in product(*[[(k, j, x) for j, x in enumerate(a) if x]
+                                for k, a in enumerate(args)
+                                if not isinstance(a, int)]):
+            c = one  # the product of the chosen entries
+            for k, j, x in choice:
+                idx[k] = j
+                c *= x
+            row = get(tuple(idx))
+            if row:
+                for t, y in enumerate(row):
+                    if y:
+                        out[t] += c * y
         return out
 
     def same_shape(self, other):

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 from leibniz_rb.core import (ActionPair, LeibnizAlgebra, LeibnizGRep,
                              adjoint_grep, change_of_basis_grep,
                              validate_leibniz_g_rep)
-from leibniz_rb.errors import OracleDisagreement
+from leibniz_rb.errors import OracleDisagreement, WrongField
 from leibniz_rb.fields import ZZ, PrimeField, RationalField
 from leibniz_rb.graded import (balavoine_bracket, check_dgla, derived_bracket,
                                derived_bracket_explicit,
@@ -140,12 +140,12 @@ def test_negated_bracket_term_is_trapped(Q, monkeypatch):
     import inspect
 
     from leibniz_rb import cohomology, core, graded
-    line = "acc = (vec_sub if i % 2 else vec_add)(acc, f.apply(args))"
+    line = "axpy(acc, -one if i % 2 else one, f.apply(args))"
     src = inspect.getsource(core.leibniz_differential)
     assert src.count(line) == 1
     space = dict(vars(core))
-    exec(src.replace(line, "acc = (vec_add if i % 2 else vec_sub)"
-                           "(acc, f.apply(args))"), space)
+    exec(src.replace(line, "axpy(acc, one if i % 2 else -one, "
+                           "f.apply(args))"), space)
     for module in (core, graded, cohomology):
         monkeypatch.setattr(module, "leibniz_differential",
                             space["leibniz_differential"])
@@ -156,6 +156,26 @@ def test_negated_bracket_term_is_trapped(Q, monkeypatch):
     r = WeightedRBO.on_algebra(dim2_nonlie(Q), -1, Matrix.identity(Q, 2))
     with pytest.raises(OracleDisagreement):
         cohomology.delta_matrix(r, 1)
+
+
+@pytest.mark.parametrize("fields", [(RationalField(), PrimeField(5)),
+                                    (PrimeField(5), RationalField()),
+                                    (PrimeField(3), PrimeField(5))])
+def test_maps_over_another_field_are_wrong_field(fields):
+    # context over the first field, one map over the second: both entry
+    # points refuse with one line that names both fields
+    ctx_field, map_field = fields
+    d = _ctx(ctx_field)
+    good = random_multimap(ctx_field, 1, 2, 2, seeded(1))
+    bad = random_multimap(map_field, 1, 2, 2, seeded(1))
+    for call in (lambda: derived_bracket(d, bad, good),
+                 lambda: derived_bracket(d, good, bad),
+                 lambda: differential_d(d, -1, bad)):
+        with pytest.raises(WrongField) as exc:
+            call()
+        msg = str(exc.value)
+        assert "\n" not in msg
+        assert repr(ctx_field) in msg and repr(map_field) in msg
 
 
 def test_differential_squares_to_zero(Q):

@@ -20,7 +20,7 @@ from leibniz_rb.core import (ActionPair, LeibnizAlgebra, LeibnizGRep,
                              basis_vec, contract, leibniz_differential,
                              residue_view)
 from leibniz_rb.errors import WrongField
-from leibniz_rb.fields import PrimeField, RationalField
+from leibniz_rb.fields import ZZ, PrimeField, RationalField
 from leibniz_rb.graded import circ_i, derived_bracket_explicit
 from leibniz_rb.linalg import (Matrix, axpy, vec_add, vec_is_zero, vec_scale,
                                zero_vec)
@@ -35,12 +35,14 @@ FIELDS = st.sampled_from([Q, GF5])
 # mostly zeros, so that the sparse paths see empty rows and empty supports
 SCALARS = st.sampled_from([0, 0, 0, 0, 1, -1, 2, -3, Fraction(1, 2),
                            Fraction(-2, 3)])
+INT_SCALARS = st.sampled_from([0, 0, 0, 0, 1, -1, 2, -3])
 
 PROPERTY = settings(max_examples=60, deadline=None)
 
 
 def _vec(draw, field, n):
-    return [field.coerce(draw(SCALARS)) for _ in range(n)]
+    pool = INT_SCALARS if field is ZZ else SCALARS
+    return [field.coerce(draw(pool)) for _ in range(n)]
 
 
 def _rows(draw, field, arity, src, tgt):
@@ -132,7 +134,8 @@ def dense_circ_i(f, g, i):
 @PROPERTY
 @given(st.data())
 def test_apply_matches_dense(data):
-    m = data.draw(maps())
+    # over ZZ too: the cohomology probe applies int maps
+    m = data.draw(maps(data.draw(st.sampled_from([Q, GF5, ZZ]))))
     args = [data.draw(st.one_of(st.integers(0, m.src_dim - 1),
                                 st.just(None)))
             for _ in range(m.arity)]
@@ -140,6 +143,21 @@ def test_apply_matches_dense(data):
             for a in args]
     want = dense_apply(m.field, m.arity, m.src_dim, m.tgt_dim, m.coeffs, args)
     assert m.apply(args) == want
+
+
+@pytest.mark.parametrize("field", [Q, GF5, ZZ], ids=["Q", "GF5", "ZZ"])
+@pytest.mark.parametrize("arity", [1, 2, 3])
+def test_apply_with_a_vector_in_every_slot(field, arity):
+    # every third row is absent and every vector has a zero entry
+    src, tgt = 3, 2
+    rows = [[field.coerce(f - 4), field.coerce(0)] if f % 3 else
+            [field.coerce(0)] * tgt for f in range(src ** arity)]
+    m = MultiMap(field, arity, src, tgt, rows)
+    assert len(m.nz) < src ** arity
+    args = [[field.coerce(x) for x in (k + 2, 0, -1 - k)]
+            for k in range(arity)]
+    want = dense_apply(field, arity, src, tgt, rows, args)
+    assert any(want) and m.apply(args) == want
 
 
 @PROPERTY
