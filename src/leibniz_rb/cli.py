@@ -133,15 +133,13 @@ def _report_violations(rep, vrep):
     return 0 if vrep.ok else 1
 
 
-def _tensor_report(rep, key, tensor, fld):
-    """Sparse `i j -> coeff k` lines for a structure tensor."""
-    n = len(tensor)
-    for i in range(n):
-        for j in range(n):
-            for k, c in enumerate(tensor[i][j]):
-                if c:
-                    rep.add(key, "e%d e%d -> %s e%d"
-                            % (i + 1, j + 1, fld.format(c), k + 1))
+def _tensor_report(rep, key, store):
+    """Sparse `i j -> coeff k` lines for a structure tensor's store."""
+    for (i, j), row in store.dense_rows():
+        for k, c in enumerate(row):
+            if c:
+                rep.add(key, "e%d e%d -> %s e%d"
+                        % (i + 1, j + 1, store.field.format(c), k + 1))
 
 
 def _matrix_report(rep, key, mat, fld):
@@ -185,7 +183,7 @@ def cmd_graph_check(m, args, rep):
 def cmd_induced(m, args, rep):
     a = induced_algebra(_rbo(m, args))
     rep.add("dim", a.dim)
-    _tensor_report(rep, "bracket", a.c, m.field)
+    _tensor_report(rep, "bracket", a.c_nz)
     rep.add("status", "pass")
     return 0
 
@@ -295,9 +293,9 @@ def cmd_post_validate(m, args, rep):
 def cmd_post_from_rbo(m, args, rep):
     p = from_rbo(_rbo(m, args))
     rep.add("dim", p.dim)
-    _tensor_report(rep, "pleft", p.left, m.field)
-    _tensor_report(rep, "pright", p.right, m.field)
-    _tensor_report(rep, "pbracket", p.bracket, m.field)
+    _tensor_report(rep, "pleft", p.left_nz)
+    _tensor_report(rep, "pright", p.right_nz)
+    _tensor_report(rep, "pbracket", p.bracket_nz)
     rep.add("status", "pass")
     return 0
 
@@ -305,7 +303,7 @@ def cmd_post_from_rbo(m, args, rep):
 def cmd_total(m, args, rep):
     a = total_algebra(_post(m, args))
     rep.add("dim", a.dim)
-    _tensor_report(rep, "bracket", a.c, m.field)
+    _tensor_report(rep, "bracket", a.c_nz)
     rep.add("status", "pass")
     return 0
 

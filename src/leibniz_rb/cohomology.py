@@ -15,40 +15,37 @@ sign d_T f = (-1)^n delta f, which the test-suite uses as an oracle.
 """
 
 from dataclasses import dataclass, field as dc_field
-from itertools import combinations, product
+from itertools import chain, combinations, product
 from operator import mul
 
-from .core import (ActionPair, LeibnizAlgebra, add_combination,
-                   leibniz_differential)
+from .core import (ActionPair, LeibnizAlgebra, _Store, leibniz_differential,
+                   over_ints)
 from .errors import ContainmentViolated, OracleDisagreement, ResourceLimit
-from .fields import ZZ, to_ints
+from .fields import ZZ
 from .linalg import Matrix, vec_sub
 from .multimap import MultiMap
 from .operators import induced_algebra
 
 
 def induced_representation(r):
-    """The action pair of the induced algebra h_T on g.
-
-    Te_a is the column a of T; [., e_i]_g, [e_i, .]_g, rho^R(e_a, e_i)
-    and rho^L(e_i, e_a) are slices of the structure and action tensors.
-    """
+    """The action pair of h_T on g, summed into stores: rhoL_T(e_a, e_i) =
+    sum_j T[j][a] [e_j, e_i]_g - T rho^R(e_a, e_i), and rhoR_T likewise;
+    one product per nonzero cell and nonzero entry of T (read raw)."""
     r.require_valid()
-    d, fld, t = r.context, r.field, r.t
-    ng, nh, c, act = d.g.dim, d.h.dim, d.g.c, d.actions
-    cols = [t.col(a) for a in range(nh)]
-
-    def entry(ta, bracket_rows, acted):
-        # sum_j (Te_a)_j bracket_rows[j] - T(acted)
-        out = [-x for x in t.mul_vec(acted)]
-        add_combination(out, ta, bracket_rows)
-        return out
-
-    left = [[entry(cols[a], [plane[i] for plane in c], act.right[a][i])
-             for i in range(ng)] for a in range(nh)]
-    right = [[entry(cols[a], c[i], act.left[i][a]) for a in range(nh)]
-             for i in range(ng)]
-    return ActionPair(fld, nh, ng, left, right)
+    d, fld, t = r.context, r.field, r.t.raw
+    ng, nh, act, c = d.g.dim, d.h.dim, d.actions, list(d.g.c_nz.cells())
+    left = chain(
+        (((a, i, k), t[j][a] * x) for (j, i, k), x in c
+         for a in range(nh) if t[j][a]),
+        (((a, i, k), -t[k][m] * x) for (a, i, m), x in act.right_nz.cells()
+         for k in range(ng) if t[k][m]))
+    right = chain(
+        (((i, a, k), t[j][a] * x) for (i, j, k), x in c
+         for a in range(nh) if t[j][a]),
+        (((i, a, k), -t[k][m] * x) for (i, a, m), x in act.left_nz.cells()
+         for k in range(ng) if t[k][m]))
+    return ActionPair(fld, nh, ng, _Store(fld, (nh, ng, ng), left),
+                      _Store(fld, (ng, nh, ng), right))
 
 
 def delta_T_0(r, x):
@@ -79,32 +76,33 @@ def cochain_dim(r, n):
     return r.context.g.dim * r.context.h.dim ** n
 
 
-def delta_rows(c, left, right, n):
+def delta_rows(h, rho, n):
     """The rows of delta_n: C^n -> C^{n+1} as {column: value} dicts.
 
-    h (bracket tensor c) acts on V by the ActionPair tensors left, right,
-    of field elements or ints; no axiom is assumed.  Cochains flatten
+    h acts on V by the ActionPair rho; no axiom is assumed.  Entries are
+    sums of raw store values (not reduced mod p).  Cochains flatten
     lexicographically by (source index tuple, target index).  Output tuple
     idx takes one Loday-Pirashvili term per left-out position (from 0):
     p < n gives (-1)^p rho^L(e_idx[p], f(rest)), n gives (-1)^(n+1)
     rho^R(f(rest), e_idx[n]), and a pair p < q gives (-1)^(p+1) f(rest with
     [e_idx[p], e_idx[q]] put in at q - 1).  In degree 0 the rest is empty:
-    delta_0 x = -rho^R(x, .).  Only nonzero tensor entries are visited.
+    delta_0 x = -rho^R(x, .).  Only the nonzero store rows are visited.
     """
-    nh, nv = len(c), len(right)
+    nh, nv, c = h.dim, rho.dim_v, h.c_nz.rows
+    brackets = [[list(c.get((p, q), {}).items()) for q in range(nh)]
+                for p in range(nh)]
     # the column step of each position of a source n-tuple
     stride = [nv * nh ** (n - 1 - i) for i in range(n)]
 
-    def terms(slab, odd):
+    def terms(rows, odd):
         # (k, t, x): the image of f_k has x at f_t, negated when odd
-        return [(k, t, -x if odd else x) for k, vec in enumerate(slab)
-                for t, x in enumerate(vec) if x]
+        return [(k, t, -x if odd else x) for k, row in rows
+                for t, x in row.items()]
 
-    lterms = [[terms(slab, odd) for slab in left] for odd in (False, True)]
-    rterms = [terms([plane[a] for plane in right], n % 2 == 0)
-              for a in range(nh)]
-    brackets = [[[(s, x) for s, x in enumerate(vec) if x] for vec in plane]
-                for plane in c]
+    left, right = rho.left_nz.by_first, rho.right_nz.by_second
+    lterms = [[terms(left.get(i, ()), odd) for i in range(nh)]
+              for odd in (False, True)]
+    rterms = [terms(right.get(a, ()), n % 2 == 0) for a in range(nh)]
     rows = []
     for idx in product(range(nh), repeat=n + 1):
         out = [{} for _ in range(nv)]  # an absent column reads 0
@@ -131,28 +129,22 @@ def delta_rows(c, left, right, n):
 class IntegerView:
     """h acting on V by rho, with the int rows of D delta_n (``rows(n)``).
 
-    ``h_z`` and ``rho_z`` are D h and D rho over ``ZZ`` (``fields.to_ints``);
+    ``h_z`` and ``rho_z`` are D h and D rho over ``ZZ`` (``over_ints``);
     the rows of each degree are built once from them.
     """
 
     def __init__(self, h, rho):
         self.h, self.rho = h, rho
-        self.den, ints = to_ints(h.field, (h.c, rho.left, rho.right))
-        self.h_z = LeibnizAlgebra(ZZ, h.dim, ints[0])
-        self.rho_z = ActionPair(ZZ, rho.dim_g, rho.dim_v, *ints[1:])
+        self.den, (c, left, right) = over_ints(
+            (h.c_nz, rho.left_nz, rho.right_nz))
+        self.h_z = LeibnizAlgebra(ZZ, h.dim, c)
+        self.rho_z = ActionPair(ZZ, rho.dim_g, rho.dim_v, left, right)
         self._rows = {}  # no closure over self: a cycle would wait for gc
 
     def rows(self, n):
         if n not in self._rows:
-            self._rows[n] = delta_rows(self.h_z.c, self.rho_z.left,
-                                       self.rho_z.right, n)
+            self._rows[n] = delta_rows(self.h_z, self.rho_z, n)
         return self._rows[n]
-
-
-def _cells(h, rho):
-    """The cells of an algebra and of its action pair, in one flat list."""
-    return [x for t in (h.c, rho.left, rho.right) for pl in t for row in pl
-            for x in row]
 
 
 def _require_square_zero(n, rows, prev, p):
@@ -183,9 +175,10 @@ def delta_matrix(r, n, cap=20000, view=None):
     is refused at once); ``cohomology`` passes one view for all degrees.
     The int rows of D delta_n are applied to one fixed int cochain with no
     zero entry: the image must be its Leibniz differential over the ints
-    D h_T, D rho_T (D delta_T_0 in degree 0), and each such int D times its
-    field cell, exactly over Q and mod p over GF(p), or OracleDisagreement.
-    For n >= 1 delta_n . delta_{n-1} = 0 is checked.
+    D h_T, D rho_T (D delta_T_0 in degree 0), exactly over Q and mod p over
+    GF(p), and each int store D times its store of h_T or rho_T, key for
+    key, or OracleDisagreement.  For n >= 1 delta_n . delta_{n-1} = 0 is
+    checked.
     """
     ng, nh, clip = r.context.g.dim, r.context.h.dim, cap.bit_length() + 1
     if ng * nh ** min(n + 1, clip) * ng * nh ** min(n, clip) > cap:
@@ -203,10 +196,13 @@ def delta_matrix(r, n, cap=20000, view=None):
     else:
         want = [den * w for w in fld.to_raw(MultiMap.from_matrix(
             delta_T_0(r, [fld.coerce(v) for v in probe])).flatten())]
-    # and each int of the view must be D times its cell of h_T or rho_T
-    got += _cells(view.h_z, view.rho_z)
-    want += [den * x for x in fld.to_raw(_cells(view.h, view.rho))]
-    if any((a - b) % p if p else a != b for a, b in zip(got, want)):
+    # and each int store must be D times its store of h_T or rho_T
+    pairs = zip((view.h_z.c_nz, view.rho_z.left_nz, view.rho_z.right_nz),
+                (view.h.c_nz, view.rho.left_nz, view.rho.right_nz))
+    if len(got) != len(want) or any(
+            z.rows != {ij: {k: den * x for k, x in row.items()}
+                       for ij, row in s.rows.items()} for z, s in pairs) \
+            or any((a - b) % p if p else a != b for a, b in zip(got, want)):
         raise OracleDisagreement("delta_%d disagrees with the Leibniz "
                                  "differential on the probe cochain" % n)
     if n:

@@ -1,9 +1,11 @@
 """Leibniz algebras, representations and the general Leibniz differential.
 
 Structure constants follow the convention c[i][j][k] = coefficient of
-e_k in [e_i, e_j].  Validation is always explicit: constructors accept
-arbitrary tensors so that deliberately broken structures can be used in
-negative tests.
+e_k in [e_i, e_j]; each tensor is kept once, as the store of its nonzero
+raw rows (``_Store``), and ``.c``, ``.left``, ``.right`` are dense views
+built on first read.  Validation is always explicit: constructors accept
+arbitrary tensors (dense, shape checked and coerced, or stores) so that
+deliberately broken structures can be used in negative tests.
 """
 
 import re
@@ -12,6 +14,7 @@ from itertools import product
 from operator import itemgetter
 
 from .errors import InvalidInput, ResourceLimit, ShapeMismatch
+from .fields import ZZ, int_scale
 from .linalg import axpy, zero_vec
 from .multimap import MultiMap
 
@@ -46,107 +49,138 @@ class ValidationReport:
             self.subject, len(self.violations), ", ".join(self.laws_violated()))
 
 
-def _coerce_tensor3(field, dims, tensor):
+class _Store:
+    """A 3-tensor of shape dims over field: the sums of the raw ((i, j, k),
+    x) cells as rows {(i, j): {k: raw}}, raw as ``Field.to_raw`` gives it
+    (a Fraction over Q, a residue in [0, p) over GF(p), an int over ``ZZ``).
+
+    No zero entry and no empty row is kept, so tensors are equal iff their
+    rows are; by_first[i] and by_second[j] list (j, row) and (i, row).
+    """
+
+    def __init__(self, field, dims, cells=()):
+        p, sums = field.characteristic, {}
+        for (i, j, k), x in cells:
+            row = sums.setdefault((i, j), {})
+            row[k] = row[k] + x if k in row else x
+        self.field, self.dims, self.rows = field, dims, {}
+        self.by_first, self.by_second, self._dense = {}, {}, None
+        for (i, j), row in sums.items():
+            row = {k: x % p if p else x for k, x in row.items()}
+            row = {k: x for k, x in row.items() if x}
+            if row:
+                self.rows[i, j] = row
+                self.by_first.setdefault(i, []).append((j, row))
+                self.by_second.setdefault(j, []).append((i, row))
+
+    def cells(self):
+        return (((i, j, k), x) for (i, j), row in self.rows.items()
+                for k, x in row.items())
+
+    def dense(self):
+        """The nested tuples of field elements, built on first call."""
+        if self._dense is None:
+            fld, (d0, d1, d2) = self.field, self.dims
+            raw = [[[fld.raw_zero] * d2 for _ in range(d1)] for _ in range(d0)]
+            for (i, j, k), x in self.cells():
+                raw[i][j][k] = x
+            self._dense = tuple(tuple(tuple(fld.from_raw(row)) for row in pl)
+                                for pl in raw)
+        return self._dense
+
+    def dense_rows(self):
+        """((i, j), dense row) for every nonzero row, in sorted order."""
+        return [((i, j), self.dense()[i][j]) for i, j in sorted(self.rows)]
+
+    def __eq__(self, other):
+        return (isinstance(other, _Store) and self.field == other.field
+                and self.dims == other.dims and self.rows == other.rows)
+
+
+def _as_store(field, dims, tensor):
+    """tensor if it is a store, else the store of the dense nested tensor,
+    its shape checked and every cell coerced."""
+    if isinstance(tensor, _Store):
+        return tensor
     d0, d1, d2 = dims
     if len(tensor) != d0:
         raise ShapeMismatch("tensor first axis %d != %d" % (len(tensor), d0))
-    out = []
-    for plane in tensor:
+    cells = []
+    for i, plane in enumerate(tensor):
         if len(plane) != d1:
             raise ShapeMismatch("tensor second axis mismatch")
-        rows = []
-        for row in plane:
+        for j, row in enumerate(plane):
             if len(row) != d2:
                 raise ShapeMismatch("tensor third axis mismatch")
-            rows.append(tuple(map(field.coerce, row)))
-        out.append(tuple(rows))
-    return tuple(out)
+            raw = field.to_raw([field.coerce(x) for x in row])
+            cells.extend(((i, j, k), x) for k, x in enumerate(raw) if x)
+    return _Store(field, dims, cells)
 
 
-def residue_view(field, tensor):
-    """The rows of a coerced 3-tensor through field.to_raw, built once.
-
-    This is the form ``contract`` reads.  Over Q to_raw returns its
-    argument, so every row comes back as itself and the view is the
-    tensor itself.
-    """
-    view = tuple(tuple(field.to_raw(row) for row in plane) for plane in tensor)
-    if all(v is row for vp, plane in zip(view, tensor)
-           for v, row in zip(vp, plane)):
-        return tensor
-    return view
+def over_ints(stores):
+    """(D, each store times D over ``ZZ``), D from ``fields.int_scale``."""
+    den, scale = int_scale(stores[0].field,
+                           [x for s in stores for _, x in s.cells()])
+    return den, [_Store(ZZ, s.dims, ((ijk, scale(x)) for ijk, x in s.cells()))
+                 for s in stores]
 
 
 def contract(field, terms, n):
-    """sum over terms (tensor, x, y) of sum_{i,j} x_i y_j tensor[i][j].
+    """sum over terms (store, x, y) of sum_{i,j} x_i y_j tensor[i][j].
 
-    The one bilinear kernel behind brackets, actions, post-Leibniz
-    products and the right-hand side of the operator identity, a vector
-    of length n.  Each tensor is a residue view (``residue_view``); x and
-    y are read through field.to_raw, zero coordinates, zero tensor rows
-    and zero entries are skipped, all terms add into one raw accumulator,
-    and the sums become field elements once per entry.  When no term is
-    reached the result is n zeros.
+    The one bilinear kernel behind brackets, actions and post-Leibniz
+    products, a vector of length n.  x and y are read through to_raw; each
+    nonzero x_i meets the store rows by_first[i], zero y_j are skipped, all
+    terms add into one raw accumulator, and the sums become field elements
+    once per entry.  When no term is reached the result is n zeros.
     """
     out = None
-    for tensor, x, y in terms:
+    for store, x, y in terms:
         y = field.to_raw(y)
         for i, xi in enumerate(field.to_raw(x)):
             if not xi:
                 continue
-            plane = tensor[i]
-            for j, yj in enumerate(y):
-                row = plane[j]
-                if not yj or not any(row):
+            for j, row in store.by_first.get(i, ()):
+                if not y[j]:
                     continue
                 if out is None:
                     out = [field.raw_zero] * n
-                c = xi * yj
-                for k, t in enumerate(row):
-                    if t:
-                        out[k] += c * t
+                c = xi * y[j]
+                for k, t in row.items():
+                    out[k] += c * t
     return [field.zero] * n if out is None else field.from_raw(out)
 
 
-def zero_tensor(field, *shape):
-    """Nested lists of zeros, one level per axis of ``shape`` (two or more)."""
-    if len(shape) == 2:
-        return [[field.zero] * shape[1] for _ in range(shape[0])]
-    return [zero_tensor(field, *shape[1:]) for _ in range(shape[0])]
-
-
 class LeibnizAlgebra:
-    """Finite-dimensional algebra given by bracket structure constants."""
+    """Finite-dimensional algebra given by bracket structure constants,
+    dense or a store; c is the dense view of the store c_nz."""
 
     def __init__(self, field, dim, bracket):
-        self.field = field
-        self.dim = dim
-        self.c = _coerce_tensor3(field, (dim, dim, dim), bracket)
-        self.c_raw = residue_view(field, self.c)
+        self.field, self.dim = field, dim
+        self.c_nz = _as_store(field, (dim, dim, dim), bracket)
+
+    c = property(lambda self: self.c_nz.dense())
 
     @classmethod
     def zero(cls, field, dim):
-        return cls(field, dim, zero_tensor(field, dim, dim, dim))
+        return cls(field, dim, _Store(field, (dim, dim, dim)))
 
     @classmethod
     def from_entries(cls, field, dim, entries):
         """entries: {(i, j, k): scalar} with [e_i, e_j] = sum_k c e_k."""
-        c = zero_tensor(field, dim, dim, dim)
-        for (i, j, k), v in entries.items():
-            if not (0 <= i < dim and 0 <= j < dim and 0 <= k < dim):
-                raise ShapeMismatch("bracket entry index out of range")
-            c[i][j][k] = field.coerce(v)
-        return cls(field, dim, c)
+        if not all(0 <= x < dim for key in entries for x in key):
+            raise ShapeMismatch("bracket entry index out of range")
+        raw = field.to_raw([field.coerce(v) for v in entries.values()])
+        return cls(field, dim, _Store(field, (dim,) * 3, zip(entries, raw)))
 
     def bracket_basis(self, i, j):
         return list(self.c[i][j])
 
     def bracket(self, x, y):
-        return contract(self.field, ((self.c_raw, x, y),), self.dim)
+        return contract(self.field, ((self.c_nz, x, y),), self.dim)
 
     def __eq__(self, other):
-        return (isinstance(other, LeibnizAlgebra) and self.field == other.field
-                and self.dim == other.dim and self.c == other.c)
+        return isinstance(other, LeibnizAlgebra) and self.c_nz == other.c_nz
 
     def __repr__(self):
         return "LeibnizAlgebra(dim=%d)" % self.dim
@@ -157,22 +191,22 @@ class ActionPair:
 
     left[i][a][b]: coefficient of f_b in rho^L(e_i, f_a).
     right[a][i][b]: coefficient of f_b in rho^R(f_a, e_i).
+    Both are dense views of the stores left_nz and right_nz.
     """
 
     def __init__(self, field, dim_g, dim_v, left, right):
-        self.field = field
-        self.dim_g = dim_g
-        self.dim_v = dim_v
-        self.left = _coerce_tensor3(field, (dim_g, dim_v, dim_v), left)
-        self.right = _coerce_tensor3(field, (dim_v, dim_g, dim_v), right)
-        self.left_raw = residue_view(field, self.left)
-        self.right_raw = residue_view(field, self.right)
+        self.field, self.dim_g, self.dim_v = field, dim_g, dim_v
+        self.left_nz = _as_store(field, (dim_g, dim_v, dim_v), left)
+        self.right_nz = _as_store(field, (dim_v, dim_g, dim_v), right)
+
+    left = property(lambda self: self.left_nz.dense())
+    right = property(lambda self: self.right_nz.dense())
 
     @classmethod
     def zero(cls, field, dim_g, dim_v):
         return cls(field, dim_g, dim_v,
-                   zero_tensor(field, dim_g, dim_v, dim_v),
-                   zero_tensor(field, dim_v, dim_g, dim_v))
+                   _Store(field, (dim_g, dim_v, dim_v)),
+                   _Store(field, (dim_v, dim_g, dim_v)))
 
     def left_basis(self, i, a):
         return list(self.left[i][a])
@@ -181,15 +215,14 @@ class ActionPair:
         return list(self.right[a][i])
 
     def left_act(self, x, v):
-        return contract(self.field, ((self.left_raw, x, v),), self.dim_v)
+        return contract(self.field, ((self.left_nz, x, v),), self.dim_v)
 
     def right_act(self, v, x):
-        return contract(self.field, ((self.right_raw, v, x),), self.dim_v)
+        return contract(self.field, ((self.right_nz, v, x),), self.dim_v)
 
     def __eq__(self, other):
-        return (isinstance(other, ActionPair) and self.field == other.field
-                and (self.dim_g, self.dim_v) == (other.dim_g, other.dim_v)
-                and self.left == other.left and self.right == other.right)
+        return (isinstance(other, ActionPair) and self.left_nz == other.left_nz
+                and self.right_nz == other.right_nz)
 
     def __repr__(self):
         return "ActionPair(dim_g=%d, dim_v=%d)" % (self.dim_g, self.dim_v)
@@ -223,8 +256,8 @@ def basis_vec(field, n, i):
 
 
 def adjoint_pair(a):
-    """Both actions given by the bracket of a itself."""
-    return ActionPair(a.field, a.dim, a.dim, a.c, a.c)
+    """Both actions given by the bracket of a itself, sharing its store."""
+    return ActionPair(a.field, a.dim, a.dim, a.c_nz, a.c_nz)
 
 
 def adjoint_grep(a):
@@ -232,7 +265,7 @@ def adjoint_grep(a):
 
 
 def is_adjoint_grep(d):
-    return d.g == d.h and d.actions == adjoint_pair(d.g)
+    return d.g == d.h and d.actions.left_nz == d.g.c_nz == d.actions.right_nz
 
 
 # The most scalar multiply-adds ``check_laws`` spends on one law
@@ -261,84 +294,63 @@ def parse_laws(*identities):
     return tuple(laws)
 
 
-class _Nonzeros:
-    """The nonzero rows of a raw 3-tensor, each as its nonzero (k, t) pairs.
-
-    entries lists (a, b, row) for every nonzero tensor[a][b]; by_first[a]
-    and by_second[b] list (b, row) and (a, row).  width is the row length.
-    Entries that are the raw zero object itself skip the truth test.
-    """
-
-    def __init__(self, tensor, zero):
-        self.entries, self.by_first, self.by_second, self.width = [], {}, {}, 0
-        for a, plane in enumerate(tensor):
-            for b, row in enumerate(plane):
-                self.width = len(row)
-                nz = [(k, t) for k, t in enumerate(row) if t is not zero and t]
-                if nz:
-                    self.entries.append((a, b, nz))
-                    self.by_first.setdefault(a, []).append((b, nz))
-                    self.by_second.setdefault(b, []).append((a, nz))
-
-
-def _terms(terms, nonzeros):
-    """(sign, place, outer rows by contracted index, inner entries) per term.
+def _terms(terms, stores):
+    """(sign, place, outer rows by contracted index, inner rows) per term.
 
     place maps (basis index, inner a, inner b) to the basis triple.
     """
     for sign, outer, inner, slots in terms:
         letters = slots.replace("(", "").replace(")", "")
-        rows = nonzeros[outer].by_second
+        rows = stores[outer].by_second
         if slots[0] == "(":  # the inner row is the outer's left argument
-            letters, rows = letters[2] + letters[:2], nonzeros[outer].by_first
+            letters, rows = letters[2] + letters[:2], stores[outer].by_first
         yield (sign, itemgetter(*map(letters.index, "ijk")), rows,
-               nonzeros[inner].entries)
+               stores[inner].rows)
 
 
-def _work(terms, nonzeros):
+def _work(terms, stores):
     """The scalar multiply-adds ``_scatter`` makes for terms."""
     total = 0
-    for _, _, rows, entries in _terms(terms, nonzeros):
+    for _, _, rows, entries in _terms(terms, stores):
         weight = {m: sum(len(row) for _, row in r) for m, r in rows.items()}
-        total += sum(weight.get(m, 0) for _, _, vec in entries for m, _ in vec)
+        total += sum(weight.get(m, 0) for vec in entries.values() for m in vec)
     return total
 
 
-def _scatter(terms, nonzeros, zero):
+def _scatter(terms, stores, zero):
     """{w: {k: raw sum}} of one law side on every basis triple it reaches."""
     side = {}
-    for sign, place, rows, entries in _terms(terms, nonzeros):
-        for a, b, vec in entries:
-            for m, t in vec:
+    for sign, place, rows, entries in _terms(terms, stores):
+        for (a, b), vec in entries.items():
+            for m, t in vec.items():
                 t = t if sign > 0 else -t
                 for p, row in rows.get(m, ()):
                     acc = side.setdefault(place((p, a, b)), {})
-                    for k, s in row:
+                    for k, s in row.items():
                         acc[k] = acc.get(k, zero) + t * s
     return side
 
 
-def check_laws(rep, field, laws, tensors):
+def check_laws(rep, field, laws, stores):
     """Add to rep every violation of laws (``parse_laws``) on basis triples.
 
-    tensors maps the names in the laws to raw 3-tensors (residue views).
-    Each side is scattered from the nonzero tensor rows into raw sums per
-    basis triple, so triples that no nonzero reaches cost nothing.  The
-    multiply-adds of every law are counted from the nonzero counts first:
-    past MAX_LAW_WORK, ResourceLimit names the law.  Violations come by
-    triple in lexicographic order, then by law in table order.
+    stores maps the names in the laws to tensor stores.  Each side is
+    scattered from their nonzero rows into raw sums per basis triple, so
+    triples that no nonzero reaches cost nothing.  The multiply-adds of
+    every law are counted from the row lengths first: past MAX_LAW_WORK,
+    ResourceLimit names the law.  Violations come by triple in
+    lexicographic order, then by law in table order.
     """
     zero = field.raw_zero
-    nonzeros = {x: _Nonzeros(t, zero) for x, t in tensors.items()}
     for law, lhs, rhs in laws:
-        work = _work(lhs + rhs, nonzeros)
+        work = _work(lhs + rhs, stores)
         if work > MAX_LAW_WORK:
             raise ResourceLimit("%s needs %d scalar multiply-adds, beyond the "
                                 "limit %d" % (law, work, MAX_LAW_WORK))
     found = []
     for pos, (law, lhs, rhs) in enumerate(laws):
-        n = max(nonzeros[outer].width for _, outer, _, _ in lhs + rhs)
-        sides = _scatter(lhs, nonzeros, zero), _scatter(rhs, nonzeros, zero)
+        n = max(stores[outer].dims[2] for _, outer, _, _ in lhs + rhs)
+        sides = _scatter(lhs, stores, zero), _scatter(rhs, stores, zero)
         for w in sides[0].keys() | sides[1].keys():
             lv, rv = (field.from_raw([side.get(w, {}).get(k, zero)
                                       for k in range(n)]) for side in sides)
@@ -368,7 +380,7 @@ COUPLING_LAWS = parse_laws(
 def validate_leibniz(a):
     """Check [x,[y,z]] = [[x,y],z] + [y,[x,z]] on all basis triples."""
     return check_laws(ValidationReport("leibniz"), a.field, LEIBNIZ_LAWS,
-                      {".": a.c_raw})
+                      {".": a.c_nz})
 
 
 def validate_representation(g, actions):
@@ -377,8 +389,8 @@ def validate_representation(g, actions):
         raise ShapeMismatch("action tensor dim_g != algebra dim")
     return check_laws(ValidationReport("representation"), g.field,
                       REPRESENTATION_LAWS,
-                      {".": g.c_raw, ">": actions.left_raw,
-                       "<": actions.right_raw})
+                      {".": g.c_nz, ">": actions.left_nz,
+                       "<": actions.right_nz})
 
 
 def validate_leibniz_g_rep(d):
@@ -388,8 +400,8 @@ def validate_leibniz_g_rep(d):
     rep.violations.extend(validate_leibniz(d.h).violations)
     rep.violations.extend(validate_representation(d.g, d.actions).violations)
     return check_laws(rep, d.field, COUPLING_LAWS,
-                      {".": d.h.c_raw, ">": d.actions.left_raw,
-                       "<": d.actions.right_raw})
+                      {".": d.h.c_nz, ">": d.actions.left_nz,
+                       "<": d.actions.right_nz})
 
 
 def semidirect_product(d, lam):
@@ -407,18 +419,15 @@ def semidirect_product_unchecked(d, lam):
 
 
 def block_tensor(d, mu, lam):
-    """mu ([x,y]_g + rho^L(x,v) + rho^R(u,y)) + lam [u,v]_h, block by block."""
-    ng, n = d.g.dim, d.g.dim + d.h.dim
-    c = zero_tensor(d.field, n, n, n)
-    blocks = ((d.g.c, 0, 0, 0, mu), (d.actions.left, 0, ng, ng, mu),
-              (d.actions.right, ng, 0, ng, mu), (d.h.c, ng, ng, ng, lam))
-    for t, i0, j0, k0, s in blocks:
-        if s:  # a zero scale leaves its block zero
-            for i, plane in enumerate(t):
-                for j, row in enumerate(plane):
-                    c[i0 + i][j0 + j][k0:k0 + len(row)] = \
-                        row if s == 1 else [s * x for x in row]
-    return c
+    """The store of mu ([x,y]_g + rho^L(x,v) + rho^R(u,y)) + lam [u,v]_h on
+    g + h, offset block by block from the stores of d."""
+    fld, ng, n = d.field, d.g.dim, d.g.dim + d.h.dim
+    mu, lam = fld.to_raw([mu, lam])
+    blocks = ((d.g.c_nz, 0, 0, 0, mu), (d.actions.left_nz, 0, ng, ng, mu),
+              (d.actions.right_nz, ng, 0, ng, mu), (d.h.c_nz, ng, ng, ng, lam))
+    return _Store(fld, (n, n, n), (
+        ((i0 + i, j0 + j, k0 + k), s * x) for t, i0, j0, k0, s in blocks
+        if s for (i, j, k), x in t.cells()))
 
 
 def is_algebra_morphism(src, dst, phi):
@@ -443,7 +452,7 @@ def leibniz_differential(g, actions, f):
         raise ShapeMismatch("cochain does not match algebra/carrier dims")
     if actions.dim_g != g.dim:
         raise ShapeMismatch("actions do not match algebra dim")
-    fld, n, one = g.field, f.arity, g.field.one
+    fld, n, one, left, c = g.field, f.arity, g.field.one, actions.left, g.c
     # right[j][a] = rho^R(f_a, e_j)
     right = [[plane[j] for plane in actions.right] for j in range(g.dim)]
     out = MultiMap(fld, n + 1, g.dim, actions.dim_v)
@@ -451,13 +460,13 @@ def leibniz_differential(g, actions, f):
         acc = zero_vec(fld, actions.dim_v)
         for i in range(1, n + 1):
             add_combination(acc, f.nz.get(idx[:i - 1] + idx[i:], ()),
-                            actions.left[idx[i - 1]], negate=i % 2 == 0)
+                            left[idx[i - 1]], negate=i % 2 == 0)
         add_combination(acc, f.nz.get(idx[:n], ()), right[idx[n]],
                         negate=n % 2 == 0)
         for i in range(1, n + 1):
             for j in range(i + 1, n + 2):
                 args = (idx[:i - 1] + idx[i:j - 1]
-                        + (g.c[idx[i - 1]][idx[j - 1]],) + idx[j:])
+                        + (c[idx[i - 1]][idx[j - 1]],) + idx[j:])
                 axpy(acc, -one if i % 2 else one, f.apply(args))
         out.set_(idx, acc)
     return out

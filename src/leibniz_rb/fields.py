@@ -9,7 +9,9 @@ The accumulating kernels (``core.contract``, ``Matrix.mul_vec`` and
 into plain int residues over GF(p), ``from_raw`` reduces the sums once per
 result entry.  Over Q and ``ZZ`` both return their argument.  The sums
 start from ``raw_zero``, built once per field: ``Fraction(0)`` over Q, so
-that results stay Fractions, and the int 0 over GF(p).
+that results stay Fractions, and the int 0 over GF(p).  ``contract`` reads
+x and y through ``to_raw`` and the structure tensors from their stores of
+raw values (``core._Store``), built once per tensor.
 """
 
 from fractions import Fraction
@@ -257,14 +259,13 @@ class PrimeField(Field):
         return "PrimeField(%d)" % self.p
 
 
-def to_ints(field, tensors):
-    """(D, the 3-tensors times D as nested lists of ints): over Q, D is the
-    lcm of their denominators; over GF(p), D = 1 and the ints are residues."""
+def int_scale(field, raws):
+    """(D, x -> D x as an int) for the raw values raws: over Q, D is the lcm
+    of their denominators; over GF(p), D = 1 and the residues are the ints."""
     if field.characteristic:
-        return 1, [[[field.to_raw(r) for r in pl] for pl in t] for t in tensors]
-    den = lcm(*(x.denominator for t in tensors for pl in t for r in pl for x in r))
-    return den, [[[[x.numerator * (den // x.denominator) for x in r]
-                   for r in pl] for pl in t] for t in tensors]
+        return 1, int
+    den = lcm(*(x.denominator for x in raws))
+    return den, lambda x: x.numerator * (den // x.denominator)
 
 
 def field_from_spec(text):

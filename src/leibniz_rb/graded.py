@@ -6,7 +6,7 @@ bracket on maps of the total space V = g + h.  The explicit differential
 d = [theta', -] is (-1)^n times the Loday-Pirashvili coboundary of
 (h, lambda [.,.]_h) with trivial coefficients in g.  Public entry points
 run both over ``ZZ`` on the context, maps and lambda, each times the lcm
-of its denominators (``fields.to_ints``; residues over GF(p)), and raise
+of its denominators (``fields.int_scale``; residues over GF(p)), and raise
 OracleDisagreement on any split of the int results, which traps
 sign-convention bugs without trusting either route alone.  The explicit
 result over the product of the scales is returned.
@@ -22,10 +22,10 @@ from itertools import combinations
 
 from .core import (ActionPair, LeibnizAlgebra, LeibnizGRep, ValidationReport,
                    _pow_sign, add_combination, block_tensor,
-                   leibniz_differential, validate_leibniz_g_rep)
+                   leibniz_differential, over_ints, validate_leibniz_g_rep)
 from .errors import (InvalidInput, OracleDisagreement, ShapeMismatch,
                      StructureIncompatible, WrongField)
-from .fields import ZZ, to_ints
+from .fields import ZZ, int_scale
 from .linalg import Matrix, zero_vec
 from .multimap import MultiMap
 
@@ -128,9 +128,7 @@ def _block_map(d, mu, lam, validate):
             raise InvalidInput(check.summary())
     n = d.g.dim + d.h.dim
     out = MultiMap(d.field, 2, n, n)
-    out.nz = {(i, j): tuple(row)
-              for i, plane in enumerate(block_tensor(d, mu, lam))
-              for j, row in enumerate(plane) if any(row)}
+    out.nz = dict(block_tensor(d, mu, lam).dense_rows())
     return out
 
 
@@ -223,14 +221,14 @@ def _scatter_half(d, p, q, half, rows):
     nonzero coordinate k of the action vector meets the rows of P whose
     slot-i index is k.
     """
-    fld, act, nh = d.field, d.actions, d.h.dim
+    fld, nh, al, ar = d.field, d.h.dim, d.actions.left, d.actions.right
     m, n = p.arity, q.arity
     acts = []  # (shuffled indices, fixed index, rho^L?, sparse h-vector)
     for qt, qv in q.nz.items():
         for x in range(nh):
             lv, rv = zero_vec(fld, nh), zero_vec(fld, nh)
-            add_combination(lv, qv, [plane[x] for plane in act.left])
-            add_combination(rv, qv, act.right[x])
+            add_combination(lv, qv, [plane[x] for plane in al])
+            add_combination(rv, qv, ar[x])
             for shuffled, fixed, left, full in ((qt, (x,), True, lv),
                                                 ((x,) + qt[:-1], qt[-1:],
                                                  False, rv)):
@@ -279,18 +277,20 @@ def derived_bracket_lifted(d, p, q):
 def _over_ints(d, *maps):
     """(D, [D_d d, D_m m for each map] over ZZ), D the product of the scales;
     WrongField, naming both fields, for a map over another field than d."""
-    den, (gc, hc, left, right) = to_ints(
-        d.field, (d.g.c, d.h.c, d.actions.left, d.actions.right))
+    fld = d.field
+    den, (gc, hc, left, right) = over_ints(
+        (d.g.c_nz, d.h.c_nz, d.actions.left_nz, d.actions.right_nz))
     out = [LeibnizGRep(LeibnizAlgebra(ZZ, d.g.dim, gc),
                        LeibnizAlgebra(ZZ, d.h.dim, hc),
                        ActionPair(ZZ, d.g.dim, d.h.dim, left, right))]
-    for m in maps:  # the rows of m as the one plane of a 3-tensor
-        if m.field != d.field:
-            raise WrongField("map over %r, context over %r"
-                             % (m.field, d.field))
-        k, [[rows]] = to_ints(d.field, [[m.nz.values()]])
+    for m in maps:
+        if m.field != fld:
+            raise WrongField("map over %r, context over %r" % (m.field, fld))
+        rows = [fld.to_raw(row) for row in m.nz.values()]
+        k, scale = int_scale(fld, [x for row in rows for x in row])
         out.append(MultiMap(ZZ, m.arity, m.src_dim, m.tgt_dim))
-        out[-1].nz, den = dict(zip(m.nz, map(tuple, rows))), den * k
+        out[-1].nz, den = {idx: tuple(map(scale, row))
+                           for idx, row in zip(m.nz, rows)}, den * k
     return den, out
 
 
@@ -342,7 +342,9 @@ def differential_d(d, lam, p, cross_check=True):
     explicit int result over D_d D_lam D_p, checked by default."""
     if p.src_dim != d.h.dim or p.tgt_dim != d.g.dim:
         raise ShapeMismatch("differential needs a map h^{x *} -> g")
-    dl, [[[[lz]]]] = to_ints(d.field, [[[[d.field.coerce(lam)]]]])
+    raw = d.field.to_raw([d.field.coerce(lam)])
+    dl, scale = int_scale(d.field, raw)
+    lz = scale(raw[0])
     den, (dz, pz) = _over_ints(d, p)
     explicit = differential_d_explicit(dz, lz, pz)
     if cross_check and explicit != differential_d_lifted(dz, lz, pz):

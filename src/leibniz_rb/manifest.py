@@ -22,15 +22,17 @@ zero) and use 1-based basis tokens e1, e2, ...
 The tables DECLS (declaration patterns) and ENTRIES (what each entry
 directive fills) drive parse, build and render.  render() produces a
 canonical text with entries in lexicographic order; parse(render(m))
-reproduces m exactly.  A declaration is refused with ResourceLimit, before
-anything is allocated, when its dimension n has n^3 > MAX_TENSOR_CELLS
-(n > 100) or when the running total of dense tensor cells (algebra n^3,
-actions 2 n_g n_h^2, post 3 n^3, map n_src n_dst) passes MAX_MANIFEST_CELLS.
+reproduces m exactly.  Entry lines add up in the store of their tensor (a
+map is the one plane of a 3-tensor).  A declaration is refused with
+ResourceLimit, before anything is allocated, when its dimension n has
+n^3 > MAX_TENSOR_CELLS (n > 100) or when the running total of dense tensor
+cells (algebra n^3, actions 2 n_g n_h^2, post 3 n^3, map n_src n_dst)
+passes MAX_MANIFEST_CELLS.
 """
 
 from math import prod
 
-from .core import ActionPair, LeibnizAlgebra, LeibnizGRep, zero_tensor
+from .core import ActionPair, LeibnizAlgebra, LeibnizGRep, _Store
 from .errors import ManifestError, ResourceLimit
 from .fields import field_from_spec
 from .linalg import Matrix
@@ -163,12 +165,12 @@ def _declare(field, kind, toks, line_no, decls):
 
 
 def _parse_entry(field, kw, toks, line_no, decls):
-    """Add one entry line into its declaration's dense tensor."""
+    """Add the cells of one entry line to its declaration's cell lists."""
     kind, what, axes = ENTRIES[kw]
     name = toks[1] if len(toks) > 1 else ""
     if (kind, name) not in decls:
         raise ManifestError("unknown %s %r" % (what, name), line_no)
-    _, spaces, tensors = decls[kind, name]
+    _, spaces, cells = decls[kind, name]
     if "->" not in toks[2:]:
         raise ManifestError("missing '->'", line_no)
     arrow = toks.index("->", 2)
@@ -176,38 +178,39 @@ def _parse_entry(field, kw, toks, line_no, decls):
     if len(lhs) != len(axes) - 1:
         count = "one basis token" if len(axes) == 2 else "two basis tokens"
         raise ManifestError("%s takes %s" % (kw, count), line_no)
-    row = tensors[kw]
-    for t, a in zip(lhs, axes):
-        row = row[_basis_index(t, spaces[a], line_no)]
+    idx = (0,) * (3 - len(axes)) + tuple(
+        _basis_index(t, spaces[a], line_no) for t, a in zip(lhs, axes))
     if len(rhs) % 2 != 0 or not rhs:
         raise ManifestError("entry right-hand side must be coefficient/basis "
                             "pairs", line_no)
+    _, keys, scalars = cells[kw]
     for c, b in zip(rhs[::2], rhs[1::2]):
-        k = _basis_index(b, spaces[axes[-1]], line_no)
-        row[k] = row[k] + _parse_scalar(field, c, line_no)
+        keys.append(idx + (_basis_index(b, spaces[axes[-1]], line_no),))
+        scalars.append(_parse_scalar(field, c, line_no))
 
 
-def _build(field, kind, values, spaces, tensors):
+def _build(field, kind, values, spaces, cells):
     """The manifest object of one declaration."""
     if kind == "scalar":
         return values["VALUE"]
     if kind == "deformation":
         return values["MAP"], values["MAPS..."]
     dims = [dim for _, dim in spaces.values()]
-    tensors = list(tensors.values())
-    if kind == "actions":
-        return values["G"], values["H"], ActionPair(field, *dims, *tensors)
+    stores = [_Store(field, shape, zip(keys, field.to_raw(scalars)))
+              for shape, keys, scalars in cells.values()]
     if kind == "map":
         return (values["SRC"], values["DST"],
-                Matrix.from_cols(field, tensors[0], dims[1]))
+                Matrix.from_cols(field, stores[0].dense()[0], dims[1]))
+    if kind == "actions":
+        return values["G"], values["H"], ActionPair(field, *dims, *stores)
     cls = LeibnizAlgebra if kind == "algebra" else PostLeibnizAlgebra
-    return cls(field, *dims, *tensors)
+    return cls(field, *dims, *stores)
 
 
 def parse_manifest(text):
     field = None
     spec = None
-    decls = {}  # (kind, name) -> (values, spaces, tensors), in order
+    decls = {}  # (kind, name) -> (values, spaces, cells), in order
     cells = 0
     for line_no, raw in enumerate(text.splitlines(), start=1):
         toks = _tokens(raw)
@@ -228,7 +231,8 @@ def parse_manifest(text):
             _parse_entry(field, kw, toks, line_no, decls)
         elif kw in DECLS:
             values, spaces = _declare(field, kw, toks, line_no, decls)
-            shapes = [(d, [spaces[a][1] for a in axes])
+            shapes = [(d, (1,) * (3 - len(axes))
+                       + tuple(spaces[a][1] for a in axes))
                       for d, axes in _FILLS[kw]]
             cells += sum(prod(shape) for _, shape in shapes)
             if cells > MAX_MANIFEST_CELLS:
@@ -236,7 +240,7 @@ def parse_manifest(text):
                                     "the budget of %d"
                                     % (cells, MAX_MANIFEST_CELLS), line_no)
             decls[kw, values["NAME"]] = values, spaces, {
-                d: zero_tensor(field, *shape) for d, shape in shapes}
+                d: (shape, [], []) for d, shape in shapes}
         else:
             raise ManifestError("unknown directive %r" % kw, line_no)
 
@@ -256,27 +260,21 @@ def parse_manifest(text):
 
 
 def _parts(field, kind, obj):
-    """(placeholder values, entry tensors) of a manifest object."""
+    """(placeholder values, the (left-hand indices, right-hand row) pairs
+    of each entry directive in lexicographic order) of a manifest object."""
     if kind in ("algebra", "post"):
-        tensors = ([obj.c] if kind == "algebra"
-                   else [obj.left, obj.right, obj.bracket])
-        return {"N": obj.dim}, tensors
+        stores = ([obj.c_nz] if kind == "algebra"
+                  else [obj.left_nz, obj.right_nz, obj.bracket_nz])
+        return {"N": obj.dim}, [s.dense_rows() for s in stores]
     if kind == "actions":
-        return {"G": obj[0], "H": obj[1]}, [obj[2].left, obj[2].right]
+        return {"G": obj[0], "H": obj[1]}, [obj[2].left_nz.dense_rows(),
+                                            obj[2].right_nz.dense_rows()]
     if kind == "map":
-        return {"SRC": obj[0], "DST": obj[1]}, [obj[2].transpose().rows]
+        return {"SRC": obj[0], "DST": obj[1]}, [
+            [((a,), col) for a, col in enumerate(obj[2].transpose().rows)]]
     if kind == "scalar":
         return {"VALUE": field.format(obj)}, []
     return {"MAP": obj[0], "MAPS...": " ".join(obj[1])}, []
-
-
-def _rows(tensor, depth, lhs=()):
-    """(left-hand indices, right-hand row) pairs in lexicographic order."""
-    if depth == 0:
-        yield lhs, tensor
-        return
-    for i, sub in enumerate(tensor):
-        yield from _rows(sub, depth - 1, lhs + (i,))
 
 
 def render_manifest(m):
@@ -284,12 +282,12 @@ def render_manifest(m):
     fld = m.field
     lines = ["field %s" % m.field_spec]
     for kind, name in m._order:
-        values, tensors = _parts(fld, kind, m.objects[kind][name])
+        values, entries = _parts(fld, kind, m.objects[kind][name])
         values["NAME"] = name
         lines.append(" ".join(str(values.get(w, w))
                               for w in _PATTERNS[kind]))
-        for (kw, axes), tensor in zip(_FILLS[kind], tensors):
-            for lhs, row in _rows(tensor, len(axes) - 1):
+        for (kw, _), rows in zip(_FILLS[kind], entries):
+            for lhs, row in rows:
                 rhs = ["%s e%d" % (fld.format(c), k + 1)
                        for k, c in enumerate(row) if c]
                 if rhs:

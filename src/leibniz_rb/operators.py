@@ -12,7 +12,7 @@ adjoint context, so all verification code has a single code path.
 from itertools import product
 
 from .core import (ActionPair, LeibnizAlgebra, LeibnizGRep, ValidationReport,
-                   adjoint_grep, basis_vec, is_adjoint_grep,
+                   _Store, adjoint_grep, basis_vec, is_adjoint_grep,
                    is_algebra_morphism)
 from .errors import (InvalidInput, InvalidOperator, NotAdjointContext,
                      OracleDisagreement, ResourceLimit, ShapeMismatch,
@@ -33,19 +33,19 @@ def operator_rhs(d, lam, a, tu, b, tv):
     """rho^L(Te_a, e_b) + rho^R(e_a, Te_b) + lambda [e_a, e_b]_h in h.
 
     a, b are basis indices of h, tu, tv the raw columns Te_a, Te_b and lam
-    the raw weight.  On basis vectors the sum is one combination of tensor
+    the raw weight.  On basis vectors the sum is one combination of store
     rows, lam c_h[a][b] + sum_i tu_i rho^L[i][b] + sum_i tv_i rho^R[a][i],
-    made field elements once; zero coefficients and entries are skipped.
+    made field elements once; zero coefficients and rows are skipped.
     """
-    act, fld = d.actions, d.field
-    rows = ((d.h.c_raw[a][b],) + tuple(s[b] for s in act.left_raw)
-            + act.right_raw[a])
+    act, fld, ch = d.actions, d.field, d.h.c_nz.rows
+    rows = [(lam, ch[a, b])] if (a, b) in ch else []
+    rows += [(tu[i], row) for i, row in act.left_nz.by_second.get(b, ())]
+    rows += [(tv[i], row) for i, row in act.right_nz.by_first.get(a, ())]
     out = [fld.raw_zero] * d.h.dim
-    for c, row in zip([lam, *tu, *tv], rows):
+    for c, row in rows:
         if c:
-            for k, x in enumerate(row):
-                if x:
-                    out[k] += c * x
+            for k, x in row.items():
+                out[k] += c * x
     return fld.from_raw(out)
 
 
@@ -232,24 +232,21 @@ def ideal_context(a, indices):
     if not indices or any(i < 0 or i >= a.dim for i in indices):
         raise InvalidInput("ideal indices out of range")
     fld, n, m = a.field, a.dim, len(indices)
-    inside = set(indices)
-    pos = {gi: k for k, gi in enumerate(indices)}
-
-    def project(v, where):
-        for k in range(n):
-            if v[k] != fld.zero and k not in inside:
-                raise InvalidInput("subspace is not an ideal: bracket at %s "
-                                   "leaves the span" % (where,))
-        return tuple(v[gi] for gi in indices)
-
-    hc = [[project(a.bracket_basis(indices[x], indices[y]), (x, y))
-           for y in range(m)] for x in range(m)]
-    left = [[project(a.bracket_basis(i, indices[x]), (i, x))
-             for x in range(m)] for i in range(n)]
-    right = [[project(a.bracket_basis(indices[x], i), (x, i))
-              for i in range(n)] for x in range(m)]
-    h = LeibnizAlgebra(fld, m, hc)
-    ctx = LeibnizGRep(a, h, ActionPair(fld, n, m, left, right))
+    pos = {gi: x for x, gi in enumerate(indices)}  # index in h of e_gi
+    hc, left, right = [], [], []
+    for (i, j, k), x in a.c_nz.cells():
+        if (i in pos or j in pos) and k not in pos:
+            raise InvalidInput("subspace is not an ideal: bracket at %s "
+                               "leaves the span" % ((i, j),))
+        if j in pos:
+            left.append(((i, pos[j], pos[k]), x))
+        if i in pos:
+            right.append(((pos[i], j, pos[k]), x))
+            if j in pos:
+                hc.append(((pos[i], pos[j], pos[k]), x))
+    h = LeibnizAlgebra(fld, m, _Store(fld, (m, m, m), hc))
+    ctx = LeibnizGRep(a, h, ActionPair(fld, n, m, _Store(fld, (n, m, m), left),
+                                       _Store(fld, (m, n, m), right)))
     cols = [basis_vec(fld, n, gi) for gi in indices]
     return ctx, Matrix.from_cols(fld, cols, n)
 
@@ -267,28 +264,23 @@ def _compile_identity(d, lam):
     is returned as (quadratic terms (c, u, v), linear terms (c, u)) with
     nonzero c; polynomials with no terms are dropped.
     """
-    p, ng, nh = d.field.p, d.g.dim, d.h.dim
-    cg, ch = d.g.c, d.h.c
-    left, right = d.actions.left, d.actions.right
-    lam = lam.v
+    p, ng, nh, lam = d.field.p, d.g.dim, d.h.dim, lam.v
+    cg, ch, act = d.g.c_nz.rows, d.h.c_nz.rows, d.actions
     polys = []
     for a, b, k in product(range(nh), range(nh), range(ng)):
-        quad, lin = {}, {}
-
-        def put(c, u, v):
+        terms = [(row[k], i * nh + a, j * nh + b)
+                 for (i, j), row in cg.items() if k in row]
+        for rows, u in ((act.left_nz.by_second.get(b, ()), a),
+                        (act.right_nz.by_first.get(a, ()), b)):
+            terms += [(-x, k * nh + m, i * nh + u) for i, row in rows
+                      for m, x in row.items()]
+        quad = {}
+        for c, u, v in terms:
             key = (min(u, v), max(u, v))
             quad[key] = (quad.get(key, 0) + c) % p
-
-        for i, j in product(range(ng), repeat=2):
-            put(cg[i][j][k].v, i * nh + a, j * nh + b)
-        for m in range(nh):
-            km = k * nh + m
-            for i in range(ng):
-                put(-left[i][b][m].v, km, i * nh + a)
-                put(-right[a][i][m].v, km, i * nh + b)
-            lin[km] = -lam * ch[a][b][m].v % p
         quad = [(c, u, v) for (u, v), c in quad.items() if c]
-        lin = [(c, u) for u, c in lin.items() if c]
+        lin = [(-lam * x % p, k * nh + m)
+               for m, x in ch.get((a, b), {}).items() if lam * x % p]
         if quad or lin:
             polys.append((quad, lin))
     return polys

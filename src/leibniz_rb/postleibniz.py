@@ -14,58 +14,61 @@ structures on their codomain.
 """
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Optional
 
 from .core import (ActionPair, LeibnizAlgebra, LeibnizGRep, ValidationReport,
-                   _coerce_tensor3, check_laws, contract, parse_laws,
-                   residue_view, transport, validate_leibniz, zero_tensor)
+                   _as_store, _Store, check_laws, contract, parse_laws,
+                   transport, validate_leibniz)
 from .errors import (InvalidInput, OracleDisagreement, ShapeMismatch,
                      WrongWeight)
 from .linalg import Matrix, vec_scale
 
 
 class PostLeibnizAlgebra:
-    """Structure tensors for u<v (left), u>v (right) and [u,v]_a (bracket)."""
+    """Structure tensors for u<v (left), u>v (right) and [u,v]_a (bracket),
+    each the dense view of its store (left_nz, right_nz, bracket_nz)."""
 
     def __init__(self, field, dim, left, right, bracket):
-        self.field = field
-        self.dim = dim
-        self.left = _coerce_tensor3(field, (dim, dim, dim), left)
-        self.right = _coerce_tensor3(field, (dim, dim, dim), right)
-        self.bracket = _coerce_tensor3(field, (dim, dim, dim), bracket)
-        self.left_raw = residue_view(field, self.left)
-        self.right_raw = residue_view(field, self.right)
-        self.bracket_raw = residue_view(field, self.bracket)
+        self.field, self.dim = field, dim
+        self.left_nz = _as_store(field, (dim,) * 3, left)
+        self.right_nz = _as_store(field, (dim,) * 3, right)
+        self.bracket_nz = _as_store(field, (dim,) * 3, bracket)
+
+    left = property(lambda self: self.left_nz.dense())
+    right = property(lambda self: self.right_nz.dense())
+    bracket = property(lambda self: self.bracket_nz.dense())
 
     @classmethod
     def zero(cls, field, dim):
-        z = zero_tensor(field, dim, dim, dim)
+        z = _Store(field, (dim, dim, dim))
         return cls(field, dim, z, z, z)
 
     def lt(self, x, y):
-        return contract(self.field, ((self.left_raw, x, y),), self.dim)
+        return contract(self.field, ((self.left_nz, x, y),), self.dim)
 
     def rt(self, x, y):
-        return contract(self.field, ((self.right_raw, x, y),), self.dim)
+        return contract(self.field, ((self.right_nz, x, y),), self.dim)
 
     def br(self, x, y):
-        return contract(self.field, ((self.bracket_raw, x, y),), self.dim)
+        return contract(self.field, ((self.bracket_nz, x, y),), self.dim)
 
     def star(self, x, y):
-        return contract(self.field, ((self.left_raw, x, y),
-                                     (self.right_raw, x, y),
-                                     (self.bracket_raw, x, y)), self.dim)
+        return contract(self.field, ((self.left_nz, x, y),
+                                     (self.right_nz, x, y),
+                                     (self.bracket_nz, x, y)), self.dim)
 
     def star_tensor(self):
-        return tuple(tuple(tuple(a + b + c for a, b, c in zip(*rows))
-                           for rows in zip(*planes))
-                     for planes in zip(self.left, self.right, self.bracket))
+        """The store of [u, v]_star = u<v + u>v + [u,v]_a."""
+        return _Store(self.field, self.left_nz.dims, chain(
+            self.left_nz.cells(), self.right_nz.cells(),
+            self.bracket_nz.cells()))
 
     def __eq__(self, other):
         return (isinstance(other, PostLeibnizAlgebra)
-                and self.field == other.field and self.dim == other.dim
-                and self.left == other.left and self.right == other.right
-                and self.bracket == other.bracket)
+                and self.left_nz == other.left_nz
+                and self.right_nz == other.right_nz
+                and self.bracket_nz == other.bracket_nz)
 
     def __repr__(self):
         return "PostLeibnizAlgebra(dim=%d)" % self.dim
@@ -88,15 +91,14 @@ POST_LIE_LAWS = parse_laws(
 
 
 def _tensors(p, star):
-    """The raw tensors of p and star by their names in the laws."""
-    return {"<": p.left_raw, ">": p.right_raw, ".": p.bracket_raw,
-            "*": residue_view(p.field, star)}
+    """The stores of p and star by their names in the laws."""
+    return {"<": p.left_nz, ">": p.right_nz, ".": p.bracket_nz, "*": star}
 
 
 def validate_post_leibniz(p, star=None):
     """Check identities post-l1..post-l7 on all basis triples.
 
-    star, the tensor of [.,.]_star, is built here unless given.
+    star, the store of [.,.]_star, is built here unless given.
     """
     star = p.star_tensor() if star is None else star
     return check_laws(ValidationReport("post-leibniz"), p.field,
@@ -139,8 +141,7 @@ def validate_pre_leibniz(field, dim, left, right):
     The post-Leibniz validator on (left, right, 0) must return the same
     verdict; a split raises OracleDisagreement.
     """
-    p = PostLeibnizAlgebra(field, dim, left, right,
-                           zero_tensor(field, dim, dim, dim))
+    p = PostLeibnizAlgebra(field, dim, left, right, _Store(field, (dim,) * 3))
     star = p.star_tensor()  # u<v + u>v, the bracket being zero
     # with this star, post-l1..l3 are the three pre-Leibniz identities
     laws = [("pre" + law[4:], lhs, rhs)
@@ -165,9 +166,9 @@ class SkewReduction:
 
 
 def _skew(s, t):
-    """s[i][j] = -t[j][i] for all i, j, on tensor slices."""
-    return all(row == tuple(-x for x in t[j][i])
-               for i, plane in enumerate(s) for j, row in enumerate(plane))
+    """s[i][j] = -t[j][i] for all i, j: the stores sum to zero that way."""
+    return not _Store(s.field, s.dims, chain(s.cells(), (
+        ((j, i, k), x) for (i, j, k), x in t.cells()))).rows
 
 
 def check_skewsymmetric_reduction(p):
@@ -177,11 +178,12 @@ def check_skewsymmetric_reduction(p):
     algebra: Lie bracket, u>. a derivation of it, and
     [u,v] > w = u>(v>w) - (u>v)>w - v>(u>w) + (v>u)>w.
     """
-    out = SkewReduction(_skew(p.left, p.right), _skew(p.bracket, p.bracket))
+    out = SkewReduction(_skew(p.left_nz, p.right_nz),
+                        _skew(p.bracket_nz, p.bracket_nz))
     if out.is_skewsymmetric:
         out.post_lie = check_laws(ValidationReport("post-lie"), p.field,
                                   POST_LIE_LAWS,
-                                  {">": p.right_raw, ".": p.bracket_raw})
+                                  {">": p.right_nz, ".": p.bracket_nz})
     return out
 
 
@@ -193,8 +195,8 @@ def total_grep(p):
     recovering p through compatible_structure.
     """
     total = total_algebra(p)
-    carrier = LeibnizAlgebra(p.field, p.dim, p.bracket)
-    actions = ActionPair(p.field, p.dim, p.dim, p.right, p.left)
+    carrier = LeibnizAlgebra(p.field, p.dim, p.bracket_nz)
+    actions = ActionPair(p.field, p.dim, p.dim, p.right_nz, p.left_nz)
     return LeibnizGRep(total, carrier, actions)
 
 
@@ -219,7 +221,7 @@ def compatible_structure(a, r):
     bracket = transport(d.h.bracket, tinv, tinv, t)
     p = PostLeibnizAlgebra(fld, a.dim, left, right, bracket)
     star = p.star_tensor()
-    if star != a.c:
+    if star != a.c_nz:
         raise OracleDisagreement("compatible structure does not sum to the "
                                  "original bracket")
     check = validate_post_leibniz(p, star)

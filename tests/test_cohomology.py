@@ -206,12 +206,9 @@ def test_delta_matrix_is_delta_itself_when_d_exceeds_1(Q):
 
 
 def _dense(rows, ncols, fld):
-    out = []
-    for row in rows:
-        out.append([fld.zero] * ncols)
-        for j, x in row.items():
-            out[-1][j] = x
-    return out
+    """Field-element rows of the raw {column: value} rows."""
+    return [fld.from_raw([row.get(j, fld.raw_zero) for j in range(ncols)])
+            for row in rows]
 
 
 @settings(max_examples=150, deadline=None)
@@ -242,7 +239,7 @@ def test_delta_rows_match_the_column_oracle(data):
         cols = [leibniz_differential(h, rho, MultiMap.from_flat(
             fld, n, nh, nv, basis_vec(fld, ncols, k))).flatten()
             for k in range(ncols)]
-    rows = delta_rows(h.c, rho.left, rho.right, n)
+    rows = delta_rows(h, rho, n)
     assert len(rows) == nv * nh ** (n + 1)
     assert all(x and 0 <= j < ncols for row in rows for j, x in row.items())
     assert _dense(rows, ncols, fld) == \
@@ -277,13 +274,11 @@ def test_integer_rows_are_exactly_scaled(data):
     view = IntegerView(h, rho)
     rows, den = view.rows(n), view.den
     assert all(type(x) is int for row in rows for x in row.values())
-    want = delta_rows(h.c, rho.left, rho.right, n)
+    want = delta_rows(h, rho, n)
     p = fld.characteristic
     if p:
         assert den == 1
-        assert [{j: x % p for j, x in row.items() if x % p}
-                for row in rows] == [{j: x.v for j, x in row.items()}
-                                     for row in want]
+        assert rows == want
     else:
         assert 6 % den == 0
         assert rows == [{j: den * x for j, x in row.items()}
@@ -317,19 +312,31 @@ def _bump(t):
     return t
 
 
+def _drop(t):
+    """A copy of an int 3-tensor with its first nonzero cell set to 0."""
+    t = [[list(row) for row in plane] for plane in t]
+    i, j, k = next((i, j, k) for i, plane in enumerate(t)
+                   for j, row in enumerate(plane)
+                   for k, x in enumerate(row) if x)
+    t[i][j][k] = 0
+    return t
+
+
 def _wrong_views(r):
     """Integer views of r with one int cell of h_z, rho_z.left or
-    rho_z.right changed, and over Q one with a wrong D."""
+    rho_z.right changed, one whose h_z store lacks a nonzero entry, and
+    over Q one with a wrong D."""
     views = [IntegerView(induced_algebra(r), induced_representation(r))
-             for _ in range(3 if r.field.characteristic else 4)]
+             for _ in range(4 if r.field.characteristic else 5)]
     h, rho = views[0].h_z, views[0].rho_z
     views[0].h_z = LeibnizAlgebra(ZZ, h.dim, _bump(h.c))
     views[1].rho_z = ActionPair(ZZ, rho.dim_g, rho.dim_v, _bump(rho.left),
                                 rho.right)
     views[2].rho_z = ActionPair(ZZ, rho.dim_g, rho.dim_v, rho.left,
                                 _bump(rho.right))
-    if len(views) > 3:
-        views[3].den += 1
+    views[3].h_z = LeibnizAlgebra(ZZ, h.dim, _drop(h.c))
+    if len(views) > 4:
+        views[4].den += 1
     return views
 
 
@@ -346,10 +353,10 @@ def test_wrong_assembly_is_caught(p, monkeypatch):
                 delta_matrix(r, n, view=view)
     real = cohomology_module.delta_rows
 
-    def corrupted(c, left, right, n):
+    def corrupted(h, rho, n):
         # one int entry changes: the last column of the last row
-        rows = real(c, left, right, n)
-        j = len(right) * len(c) ** n - 1
+        rows = real(h, rho, n)
+        j = rho.dim_v * h.dim ** n - 1
         rows[-1][j] = rows[-1].get(j, 0) + 1
         return rows
 
@@ -592,8 +599,8 @@ def test_corrupted_delta_raises_containment_violated(Q, monkeypatch):
     j, k = 0, dprev.ncols - 1
     real = cohomology_module.delta_rows
 
-    def corrupted(c, left, right, m):
-        rows = real(c, left, right, m)
+    def corrupted(h, rho, m):
+        rows = real(h, rho, m)
         if m == n - 1:
             rows[i][j] = rows[i].get(j, 0) + (1 + k)
             rows[i][k] = rows[i].get(k, 0) - (1 + j)

@@ -17,8 +17,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from leibniz_rb.core import (ActionPair, LeibnizAlgebra, LeibnizGRep,
-                             basis_vec, contract, leibniz_differential,
-                             residue_view)
+                             _as_store, basis_vec, contract,
+                             leibniz_differential)
 from leibniz_rb.errors import WrongField
 from leibniz_rb.fields import ZZ, PrimeField, RationalField
 from leibniz_rb.graded import circ_i, derived_bracket_explicit
@@ -258,19 +258,15 @@ def dense_sum(field, terms, n):
 @given(contraction_case())
 def test_contract_matches_dense(case):
     field, terms, n = case
-    got = contract(field, [(residue_view(field, t), x, y)
+    got = contract(field, [(_store(field, t, x, y, n), x, y)
                            for t, x, y in terms], n)
     assert got == dense_sum(field, terms, n)
     assert is_canonical(field, got)
 
 
-def test_residue_view_is_the_tensor_over_q():
-    t = ((tuple(Q.coerce(x) for x in (1, 0, -2)),),)
-    assert residue_view(Q, t) is t
-    a = LeibnizAlgebra(Q, 1, [[[2]]])
-    assert a.c_raw is a.c
-    g = ((tuple(GF5.coerce(x) for x in (1, 0, -2)),),)
-    assert residue_view(GF5, g) == (([1, 0, 3],),)
+def _store(field, t, x, y, n):
+    """The store of the dense tensor t of a (t, x, y) term."""
+    return _as_store(field, (len(x), len(y), n), t)
 
 
 def test_contract_builds_one_gf_element_per_entry(gf_news):
@@ -285,9 +281,9 @@ def test_contract_builds_one_gf_element_per_entry(gf_news):
         for terms in ([(tensors[0], x, x)],
                       [(tensors[0], x, x), (tensors[1], x, y),
                        (tensors[2], y, x)]):
-            views = [(residue_view(field, t), a, b) for t, a, b in terms]
+            stores = [(_store(field, t, a, b, n), a, b) for t, a, b in terms]
             gf_news.clear()
-            out = contract(field, views, n)
+            out = contract(field, stores, n)
             assert len(gf_news) <= n
             assert out == dense_sum(field, terms, n)
 
