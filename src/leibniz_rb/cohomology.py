@@ -20,7 +20,8 @@ from operator import mul
 
 from .core import (ActionPair, LeibnizAlgebra, _Store, leibniz_differential,
                    over_ints)
-from .errors import ContainmentViolated, OracleDisagreement, ResourceLimit
+from .errors import (ContainmentViolated, OracleDisagreement, ResourceLimit,
+                     ShapeMismatch)
 from .fields import ZZ
 from .linalg import Matrix, vec_sub
 from .multimap import MultiMap
@@ -51,6 +52,8 @@ def induced_representation(r):
 def delta_T_0(r, x):
     """Degree-0 differential: x in g goes to the map u -> T rho^L(x,u) - [x,Tu]."""
     d, fld, t = r.context, r.field, r.t
+    if len(x) != d.g.dim:
+        raise ShapeMismatch("x0 must live in g")
     basis = Matrix.identity(fld, d.h.dim).rows
     cols = [vec_sub(t.mul_vec(d.actions.left_act(x, e)),
                     d.g.bracket(x, t.col(a))) for a, e in enumerate(basis)]

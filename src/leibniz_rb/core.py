@@ -15,7 +15,7 @@ from operator import itemgetter
 
 from .errors import InvalidInput, ResourceLimit, ShapeMismatch
 from .fields import ZZ, int_scale
-from .linalg import axpy, zero_vec
+from .linalg import axpy, vec_add, zero_vec
 from .multimap import MultiMap
 
 
@@ -430,13 +430,30 @@ def block_tensor(d, mu, lam):
         if s for (i, j, k), x in t.cells()))
 
 
+def expands(op, op2, out, lft, rgt, n=0):
+    """Order n of out(t) op(x, y) = op2(lft(t) x, rgt(t) y) on basis pairs.
+
+    out, lft and rgt are power series in t, lists of matrix coefficients;
+    op and op2 are bilinear, op on the sources and op2 on the targets.  The
+    condition reads out_n op(e_i, e_j) = sum_{k<=n} op2(lft_k e_i, rgt_{n-k}
+    e_j), the images of basis vectors read as matrix columns.
+    """
+    fld, nx, ny = out[0].field, lft[0].ncols, rgt[0].ncols
+    for i, j in product(range(nx), range(ny)):
+        rhs = zero_vec(fld, out[0].nrows)
+        for k in range(n + 1):
+            rhs = vec_add(rhs, op2(lft[k].col(i), rgt[n - k].col(j)))
+        if out[n].mul_vec(op(basis_vec(fld, nx, i),
+                             basis_vec(fld, ny, j))) != rhs:
+            return False
+    return True
+
+
 def is_algebra_morphism(src, dst, phi):
     """phi: Matrix src -> dst with phi([x,y]) = [phi x, phi y]."""
     if phi.ncols != src.dim or phi.nrows != dst.dim:
         raise ShapeMismatch("morphism matrix has wrong shape")
-    return all(phi.mul_vec(src.bracket_basis(i, j))
-               == dst.bracket(phi.col(i), phi.col(j))
-               for i, j in product(range(src.dim), repeat=2))
+    return expands(src.bracket, dst.bracket, [phi], [phi], [phi])
 
 
 def leibniz_differential(g, actions, f):

@@ -28,7 +28,8 @@ from .fields import PrimeField
 from .graded import derived_bracket, derived_bracket_explicit
 from .linalg import Matrix, axpy, vec_add
 from .multimap import MultiMap
-from .operators import induced_algebra, operator_rhs
+from .operators import (induced_algebra, morphism_at_order, operator_rhs,
+                        series_coeff)
 
 
 class Deformation:
@@ -120,124 +121,78 @@ def infinitesimal(defm):
     return t1, delta_T(defm.base, t1).is_zero()
 
 
-def _poly_compose(field, a, b, order):
-    """Coefficients of the truncated composite a(t) . b(t)."""
-    out = []
-    for n in range(order + 1):
-        acc = Matrix.zeros(field, a[0].nrows, b[0].ncols)
-        for i in range(n + 1):
-            if i < len(a) and n - i < len(b):
-                acc = acc + a[i] * b[n - i]
-        out.append(acc)
-    return out
+def _x0_columns(d, x0):
+    """The columns of ad_{x0} = [x0, -] on g and of rho^L(x0, -) on h."""
+    fld = d.field
+    if len(x0) != d.g.dim:
+        raise ShapeMismatch("x0 must live in g")
+    return ([d.g.bracket(x0, basis_vec(fld, d.g.dim, i))
+             for i in range(d.g.dim)],
+            [d.actions.left_act(x0, basis_vec(fld, d.h.dim, a))
+             for a in range(d.h.dim)])
 
 
-def _poly_inverse(field, a, order):
-    """Inverse of a truncated polynomial of matrices with a_0 invertible."""
-    inv0 = a[0].inverse()
-    out = [inv0]
-    for n in range(1, order + 1):
-        acc = Matrix.zeros(field, a[0].nrows, a[0].ncols)
-        for i in range(1, n + 1):
-            if i < len(a):
-                acc = acc + a[i] * out[n - i]
-        out.append((inv0 * acc).scale(-field.one))
-    return out
+def equivalence_maps(defm, x0):
+    """Phi_t = id + t ad_{x0} on g and Psi_t = id + t rho^L(x0, -) on h.
 
-
-def equivalence_maps(defm, x0, higher_phi=None, higher_psi=None):
-    """Coefficient lists of Phi_t and Psi_t truncated at the order of defm."""
+    Coefficient lists truncated at the order of defm; x0 must lie in g.
+    """
     d, fld, n = defm.base.context, defm.field, defm.order
-    ig, ih = Matrix.identity(fld, d.g.dim), Matrix.identity(fld, d.h.dim)
-    ad = [d.g.bracket(x0, e) for e in ig.rows]  # [x0, -]
-    act = [d.actions.left_act(x0, e) for e in ih.rows]  # rho^L(x0, -)
-    phi = [ig, Matrix.from_cols(fld, ad, d.g.dim)] + list(higher_phi or [])
-    psi = [ih, Matrix.from_cols(fld, act, d.h.dim)] + list(higher_psi or [])
-    phi += [Matrix.zeros(fld, d.g.dim, d.g.dim)] * (n + 1 - len(phi))
-    psi += [Matrix.zeros(fld, d.h.dim, d.h.dim)] * (n + 1 - len(psi))
-    return phi[:n + 1], psi[:n + 1]
+    return tuple(([Matrix.identity(fld, m), Matrix.from_cols(fld, cols, m)]
+                  + [Matrix.zeros(fld, m, m)] * (n - 1))[:n + 1]
+                 for cols, m in zip(_x0_columns(d, x0), (d.g.dim, d.h.dim)))
 
 
-def _expands(field, op, out, lft, rgt, nx, ny, n):
-    """out_n op(x, y) == sum_k op(lft_k x, rgt_{n-k} y) on basis pairs."""
-    for i, j in iproduct(range(nx), range(ny)):
-        x, y = basis_vec(field, nx, i), basis_vec(field, ny, j)
-        rhs = [field.zero] * out[n].nrows
-        for k in range(n + 1):
-            rhs = vec_add(rhs, op(lft[k].mul_vec(x), rgt[n - k].mul_vec(y)))
-        if out[n].mul_vec(op(x, y)) != rhs:
-            return False
-    return True
+def check_equivalence(defm, defm2, x0):
+    """Is (Phi_t, Psi_t) an operator morphism from defm to defm2?
 
-
-def check_equivalence(defm, defm2, x0, higher_phi=None, higher_psi=None):
-    """Is (Phi_t, Psi_t) a morphism of deformed operators from defm to defm2?
-
-    All five morphism conditions are expanded order-by-order in t up to
-    the deformation order: Phi and Psi are algebra morphisms, intertwine
-    the two truncated operators and both actions.  On success with
-    order >= 1, the cohomologous-infinitesimal identity
-    T_1 - T_1' = delta(x0) is re-checked; a mismatch raises
+    (Phi_t, Psi_t) of ``equivalence_maps`` must satisfy the five conditions
+    of ``operators.check_operator_morphism`` at each order in t up to the
+    deformation order (``operators.morphism_at_order``).  On success with
+    order >= 1, T_1 - T_1' = delta(x0) is re-checked; a mismatch raises
     OracleDisagreement.
     """
     if defm.base != defm2.base or defm.order != defm2.order:
         raise ShapeMismatch("equivalence needs deformations of a common base "
                             "and order")
-    d, fld, order = defm.base.context, defm.field, defm.order
-    phi, psi = equivalence_maps(defm, x0, higher_phi, higher_psi)
-    if _poly_compose(fld, phi, defm.coeffs, order) != \
-            _poly_compose(fld, defm2.coeffs, psi, order):
+    d = defm.base.context
+    phi, psi = equivalence_maps(defm, x0)
+    if not all(morphism_at_order(d, d, phi, psi, defm.coeffs, defm2.coeffs, n)
+               for n in range(defm.order + 1)):
         return False
-    g, h, act = d.g, d.h, d.actions
-    conditions = [(g.bracket, phi, phi, phi, g.dim, g.dim),
-                  (h.bracket, psi, psi, psi, h.dim, h.dim),
-                  (act.left_act, psi, phi, psi, g.dim, h.dim),
-                  (act.right_act, psi, psi, phi, h.dim, g.dim)]
-    for n in range(order + 1):
-        if not all(_expands(fld, *c, n) for c in conditions):
-            return False
-    if order >= 1 and \
+    if defm.order >= 1 and \
             defm.coeffs[1] - defm2.coeffs[1] != delta_T_0(defm.base, x0):
         raise OracleDisagreement("equivalence holds but T_1 - T_1' is not "
                                  "delta(x0)")
     return True
 
 
-def conjugate_deformation(defm, x0, higher_phi=None, higher_psi=None):
-    """The deformation Phi_t . T_t . Psi_t^{-1}, truncated at defm's order."""
-    fld, order = defm.field, defm.order
-    phi, psi = equivalence_maps(defm, x0, higher_phi, higher_psi)
-    inv = _poly_inverse(fld, psi, order)
-    coeffs = _poly_compose(fld, _poly_compose(fld, phi, defm.coeffs, order),
-                           inv, order)
-    return Deformation(defm.base, coeffs)
+def conjugate_deformation(defm, x0):
+    """The deformation Phi_t T_t Psi_t^{-1}, truncated at defm's order.
+
+    With Psi_t = id + tB, Psi_t^{-1} is the truncated sum of (-tB)^k.
+    """
+    n = defm.order
+    phi, psi = equivalence_maps(defm, x0)
+    inv = psi[:1]
+    for _ in range(n):
+        inv.append(inv[-1] * -psi[1])
+    left = [series_coeff(phi, defm.coeffs, k) for k in range(n + 1)]
+    return Deformation(defm.base,
+                       [series_coeff(left, inv, k) for k in range(n + 1)])
 
 
 def check_nijenhuis(r, x0):
-    """The four Nijenhuis-element conditions on all basis tuples."""
-    d, fld = r.context, r.field
-    act = d.actions
-    ng, nh = d.g.dim, d.h.dim
-    if len(x0) != ng:
-        raise ShapeMismatch("x0 must live in g")
-    zg, zh = [fld.zero] * ng, [fld.zero] * nh
-    bx = [d.g.bracket(x0, basis_vec(fld, ng, i)) for i in range(ng)]
-    lu = [act.left_act(x0, basis_vec(fld, nh, a)) for a in range(nh)]
-    for i in range(ng):
-        for j in range(ng):
-            if d.g.bracket(bx[i], bx[j]) != zg:
-                return False
-    for a in range(nh):
-        for b in range(nh):
-            if d.h.bracket(lu[a], lu[b]) != zh:
-                return False
-    for i in range(ng):
-        for a in range(nh):
-            if act.left_act(bx[i], lu[a]) != zh:
-                return False
-            if act.right_act(lu[a], bx[i]) != zh:
-                return False
-    return True
+    """Is x0 a Nijenhuis element?  With A = ad_{x0} and B = rho^L(x0, -),
+    [Ax, Ay]_g, [Bu, Bv]_h, rho^L(Ax, Bu) and rho^R(Bu, Ax) vanish on all
+    basis vectors: the order-2 conditions of ``check_equivalence``.  Stops
+    at the first nonzero product."""
+    d = r.context
+    ad, lu = _x0_columns(d, x0)
+    conditions = ((d.g.bracket, ad, ad), (d.h.bracket, lu, lu),
+                  (d.actions.left_act, ad, lu), (d.actions.right_act, lu, ad))
+    return not any(any(op(x, y))
+                   for op, xs, ys in conditions for x in xs for y in ys)
 
 
 @dataclass

@@ -12,8 +12,8 @@ adjoint context, so all verification code has a single code path.
 from itertools import product
 
 from .core import (ActionPair, LeibnizAlgebra, LeibnizGRep, ValidationReport,
-                   _Store, adjoint_grep, basis_vec, is_adjoint_grep,
-                   is_algebra_morphism)
+                   _Store, adjoint_grep, basis_vec, expands,
+                   is_adjoint_grep, is_algebra_morphism)
 from .errors import (InvalidInput, InvalidOperator, NotAdjointContext,
                      OracleDisagreement, ResourceLimit, ShapeMismatch,
                      WrongField)
@@ -145,31 +145,44 @@ class OperatorMorphism:
         self.psi = psi
 
 
-def check_operator_morphism(r, rp, m):
-    """All five morphism conditions between two weighted operators.
+def series_coeff(a, b, n):
+    """Coefficient n of the product a(t) b(t) of matrix power series."""
+    return sum((a[k] * b[n - k] for k in range(1, n + 1)), a[0] * b[n])
 
-    phi and psi must be algebra morphisms, intertwine the operators
-    (phi T = T' psi) and both actions.  Returns a bool; when the
-    conditions hold, psi is additionally confirmed to carry the induced
-    bracket of r to that of rp.
+
+def morphism_at_order(d, dp, phi, psi, t, tp, n):
+    """Order n of the five morphism conditions from (d, T) to (d', T').
+
+    phi: g -> g', psi: h -> h', T and T' are power series in t, lists of
+    matrix coefficients: phi and psi are algebra morphisms, phi T = T' psi,
+    and psi intertwines rho^L and rho^R (``core.expands``).  A coefficient
+    of phi or psi of the wrong shape raises ShapeMismatch.
     """
-    d, dp = r.context, rp.context
-    phi, psi = m.phi, m.psi
-    if r.weight != rp.weight:
-        return False
-    if not (is_algebra_morphism(d.g, dp.g, phi)
-            and is_algebra_morphism(d.h, dp.h, psi)):
-        return False
-    if phi * r.t != rp.t * psi:
+    for s, shape in ((phi, (dp.g.dim, d.g.dim)), (psi, (dp.h.dim, d.h.dim))):
+        if any(m.shape != shape for m in s):
+            raise ShapeMismatch("morphism matrix has wrong shape")
+    if series_coeff(phi, t, n) != series_coeff(tp, psi, n):
         return False
     act, act2 = d.actions, dp.actions
-    for i, a in product(range(d.g.dim), range(d.h.dim)):
-        x, u = phi.col(i), psi.col(a)
-        if psi.mul_vec(act.left[i][a]) != act2.left_act(x, u) or \
-                psi.mul_vec(act.right[a][i]) != act2.right_act(u, x):
-            return False
+    return all(expands(*c, n) for c in (
+        (d.g.bracket, dp.g.bracket, phi, phi, phi),
+        (d.h.bracket, dp.h.bracket, psi, psi, psi),
+        (act.left_act, act2.left_act, psi, phi, psi),
+        (act.right_act, act2.right_act, psi, psi, phi)))
+
+
+def check_operator_morphism(r, rp, m):
+    """Is (phi, psi) a morphism of weighted operators from r to rp?
+
+    The five conditions are ``morphism_at_order`` at order 0.  Returns a
+    bool; when they hold, psi is additionally confirmed to carry the
+    induced bracket of r to that of rp.
+    """
+    if r.weight != rp.weight or not morphism_at_order(
+            r.context, rp.context, [m.phi], [m.psi], [r.t], [rp.t], 0):
+        return False
     if r.is_valid and rp.is_valid and not is_algebra_morphism(
-            induced_algebra(r), induced_algebra(rp), psi):
+            induced_algebra(r), induced_algebra(rp), m.psi):
         raise OracleDisagreement("psi satisfies the five morphism conditions "
                                  "but does not carry the induced bracket")
     return True

@@ -5,7 +5,9 @@ with rho^L, rho^R and the weight term summed separately, and
 ``set_difference_certificate`` decides the rigidity criterion by holding
 Z^1 and delta_0(Nij(T)) as sets and comparing them.  The library sums the
 right side through ``operators.operator_rhs`` and counts delta_0 images
-instead; the tests compare the two.
+instead; the tests compare the two.  ``nijenhuis_reference`` sums the
+four Nijenhuis conditions term by term from the dense tensors, where the
+library contracts the stores.
 """
 
 from itertools import product
@@ -71,3 +73,34 @@ def set_difference_certificate(r, cap=10 ** 6):
     witness = min(extra, key=lambda t: tuple(x.v for x in t)) \
         if extra else None
     return RigidityCertificate(False, len(zb), count, witness)
+
+
+def _bilinear(fld, tensor, x, y):
+    """sum_{i,j} x_i y_j tensor[i][j], one term at a time."""
+    out = [fld.zero] * len(tensor[0][0])
+    for i, j in product(range(len(x)), range(len(y))):
+        out = vec_add(out, vec_scale(x[i] * y[j], list(tensor[i][j])))
+    return out
+
+
+def nijenhuis_failures(r, x0):
+    """The Nijenhuis conditions, numbered 1 to 4, that x0 fails.
+
+    With A = [x0, -] and B = rho^L(x0, -), summed from the dense tensors on
+    basis vectors, the conditions are [Ax, Ay]_g = 0, [Bu, Bv]_h = 0,
+    rho^L(Ax, Bu) = 0 and rho^R(Bu, Ax) = 0 on all basis vectors.
+    """
+    d, fld = r.context, r.field
+    g, h, left, right = d.g.c, d.h.c, d.actions.left, d.actions.right
+    ad = [_bilinear(fld, g, x0, basis_vec(fld, d.g.dim, i))
+          for i in range(d.g.dim)]
+    lu = [_bilinear(fld, left, x0, basis_vec(fld, d.h.dim, a))
+          for a in range(d.h.dim)]
+    conditions = ((g, ad, ad), (h, lu, lu), (left, ad, lu), (right, lu, ad))
+    return {n for n, (t, xs, ys) in enumerate(conditions, 1)
+            if any(any(_bilinear(fld, t, x, y)) for x in xs for y in ys)}
+
+
+def nijenhuis_reference(r, x0):
+    """Is x0 a Nijenhuis element of r, by ``nijenhuis_failures``?"""
+    return not nijenhuis_failures(r, x0)

@@ -3,7 +3,10 @@ from itertools import product as iproduct
 import pytest
 
 from leibniz_rb import deformations
-from leibniz_rb.core import change_of_basis_grep
+from leibniz_rb.cohomology import delta_T_0
+from leibniz_rb.core import (ActionPair, LeibnizAlgebra, LeibnizGRep,
+                             adjoint_grep, change_of_basis_grep,
+                             validate_leibniz_g_rep)
 from leibniz_rb.deformations import (Deformation, check_deformation,
                                      check_equivalence, check_nijenhuis,
                                      conjugate_deformation, extend,
@@ -17,7 +20,8 @@ from leibniz_rb.linalg import Matrix
 from leibniz_rb.operators import WeightedRBO, search_rbos
 
 from conftest import dim2_nonlie, rho_l_context, seeded, small_contexts
-from deformation_reference import (direct_violations,
+from deformation_reference import (direct_violations, nijenhuis_failures,
+                                   nijenhuis_reference,
                                    set_difference_certificate)
 
 
@@ -47,6 +51,82 @@ def _small_operators(fld):
                     if k == 1:
                         break
     return out
+
+
+def _tensor(fld, dims, entries):
+    """The dense tensor of shape dims with the entries {(i, j, k): x}."""
+    t = [[[fld.zero] * dims[2] for _ in range(dims[1])]
+         for _ in range(dims[0])]
+    for (i, j, k), x in entries.items():
+        t[i][j][k] = fld.coerce(x)
+    return t
+
+
+def _pair(fld, ng, nv, left, right):
+    """The action pair with the nonzero entries left and right."""
+    return ActionPair(fld, ng, nv, _tensor(fld, (ng, nv, nv), left),
+                      _tensor(fld, (nv, ng, nv), right))
+
+
+def _nijenhuis_contexts(fld):
+    """Contexts on which the Nijenhuis verdict varies with x0.
+
+    Each comes with the conditions some x0 fails and the number of
+    Nijenhuis x0 as a power of p:
+    - sl2 (basis H, E, F) acting by zero on a line: condition 1 alone;
+    - the line acting on sl2 by ad_H, rho^R = -rho^L: condition 2 alone;
+    - r2 = <e1, e2>, [e1, e2] = e2, on the abelian plane by
+      rho^L(e1) = diag(0, -1), rho^L(e2) = E_12: condition 3 alone with
+      rho^R = 0, conditions 3 and 4 with rho^R = -rho^L;
+    - sl2 in its adjoint context: all four;
+    - dim2_nonlie on the abelian plane by rho^L(e1) = [[-1, 1], [0, -1]],
+      rho^L(e2) = 0, rho^R(-, e1) = diag(0, 1) and rho^R(-, e2) = E_12:
+      condition 4 alone, though condition 3 reads the same A and B.
+    Matrices act on columns: E_12 sends the second basis vector to the
+    first.
+    """
+    sl2 = LeibnizAlgebra.from_entries(fld, 3, {
+        (0, 1, 1): 2, (1, 0, 1): -2, (0, 2, 2): -2, (2, 0, 2): 2,
+        (1, 2, 0): 1, (2, 1, 0): -1})
+    r2 = LeibnizAlgebra.from_entries(fld, 2, {(0, 1, 1): 1, (1, 0, 1): -1})
+    line, plane = LeibnizAlgebra.zero(fld, 1), LeibnizAlgebra.zero(fld, 2)
+    ad_h = {(0, 1, 1): 2, (0, 2, 2): -2}
+    r2_left = {(0, 1, 1): -1, (1, 1, 0): 1}
+    minus = {(a, i, b): -x for (i, a, b), x in r2_left.items()}
+    out = [
+        (LeibnizGRep(sl2, line, ActionPair.zero(fld, 3, 1)), {1}, 0),
+        (LeibnizGRep(line, sl2, _pair(fld, 1, 3, ad_h, {
+            (a, i, b): -x for (i, a, b), x in ad_h.items()})), {2}, 0),
+        (LeibnizGRep(r2, plane, _pair(fld, 2, 2, r2_left, {})), {3}, 1),
+        (LeibnizGRep(r2, plane, _pair(fld, 2, 2, r2_left, minus)), {3, 4}, 1),
+        (adjoint_grep(sl2), {1, 2, 3, 4}, 0),
+        (LeibnizGRep(dim2_nonlie(fld), plane, _pair(
+            fld, 2, 2, {(0, 0, 0): -1, (0, 1, 0): 1, (0, 1, 1): -1},
+            {(1, 0, 1): 1, (1, 1, 0): 1})), {4}, 1)]
+    for d, _, _ in out:
+        assert validate_leibniz_g_rep(d).ok
+    return out
+
+
+def _nijenhuis_operators(fld):
+    """T = 0 of weight 0 and one nonzero operator on each context of
+    ``_nijenhuis_contexts``: the identity of weight -1 on adjoint sl2,
+    else the first of weight 1 that ``search_rbos`` finds."""
+    out = []
+    for d, _, _ in _nijenhuis_contexts(fld):
+        shape = d.g.dim, d.h.dim
+        out.append(WeightedRBO(d, fld.zero, Matrix.zeros(fld, *shape)))
+        if d.g == d.h:
+            out.append(WeightedRBO(d, -fld.one, Matrix.identity(fld, 3)))
+        else:
+            out.append(WeightedRBO(d, fld.one, next(
+                t for t in search_rbos(d, fld.one) if not t.is_zero())))
+    return out
+
+
+def _all_x0(fld, n):
+    return [[fld.coerce(x) for x in digits]
+            for digits in iproduct(range(fld.p), repeat=n)]
 
 
 def _frozen_nonextensible(gf5):
@@ -158,6 +238,69 @@ def test_nijenhuis_conditions(Q):
     assert check_nijenhuis(r, [Q.zero, Q.one])  # e2 brackets to zero
     with pytest.raises(ShapeMismatch):
         check_nijenhuis(r, [Q.zero])
+
+
+def test_x0_must_live_in_g(gf5):
+    r = WeightedRBO(small_contexts(gf5, (2, 1))[2], gf5.zero,
+                    Matrix(gf5, [[0], [1]]))
+    defm = Deformation.trivial(r, 1)
+    for n in (1, 3):
+        x0 = [gf5.one] * n
+        for call in (lambda: check_equivalence(defm, defm, x0),
+                     lambda: conjugate_deformation(defm, x0),
+                     lambda: delta_T_0(r, x0),
+                     lambda: check_nijenhuis(r, x0)):
+            with pytest.raises(ShapeMismatch, match="x0 must live in g"):
+                call()
+
+
+def test_nijenhuis_matches_reference(gf5):
+    # every x0 over GF(5), on the contexts where the verdict varies and
+    # on every small context
+    cases = _nijenhuis_contexts(gf5) + [
+        (d, None, None) for dims in ((1, 1), (2, 1), (1, 2), (2, 2))
+        for d in small_contexts(gf5, dims)]
+    for d, failing, count in cases:
+        r = WeightedRBO(d, gf5.zero, Matrix.zeros(gf5, d.g.dim, d.h.dim))
+        seen, nij = set(), 0
+        for x0 in _all_x0(gf5, d.g.dim):
+            fails = nijenhuis_failures(r, x0)
+            assert check_nijenhuis(r, x0) == nijenhuis_reference(r, x0) \
+                == (not fails)
+            seen |= fails
+            nij += not fails
+        if failing is not None:
+            assert seen == failing and nij == gf5.p ** count
+
+
+def _equivalence_matches_nijenhuis(operators):
+    """Order 1 of the morphism conditions holds on every valid context;
+    order 2 of the conjugate by x0 holds iff x0 is a Nijenhuis element.
+    Returns the Nijenhuis verdicts seen."""
+    verdicts = set()
+    for r in operators:
+        d1, d2 = Deformation.trivial(r, 1), Deformation.trivial(r, 2)
+        for x0 in _all_x0(r.field, r.context.g.dim):
+            assert check_equivalence(d1, conjugate_deformation(d1, x0), x0)
+            nij = check_nijenhuis(r, x0)
+            assert check_equivalence(d2, conjugate_deformation(d2, x0),
+                                     x0) == nij
+            verdicts.add(nij)
+    return verdicts
+
+
+def test_equivalence_is_nijenhuis(gf5):
+    assert _equivalence_matches_nijenhuis(
+        _nijenhuis_operators(gf5)) == {True, False}
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("p", [5, 7])
+def test_equivalence_is_nijenhuis_on_small_operators(p):
+    # over GF(5) every x0 of every small context is a Nijenhuis element
+    fld = PrimeField(p)
+    _equivalence_matches_nijenhuis(
+        _small_operators(fld) + (_nijenhuis_operators(fld) if p == 7 else []))
 
 
 def test_obstruction_trivial_deformation_extends(Q):

@@ -1,16 +1,16 @@
 import glob
 import os
 import random
-from itertools import product
+from itertools import islice, product
 
 import pytest
 
 from leibniz_rb import operators
 from leibniz_rb.core import (LeibnizAlgebra, ValidationReport, adjoint_grep,
-                             basis_vec)
+                             basis_vec, change_of_basis_grep)
 from leibniz_rb.errors import (InvalidInput, InvalidOperator,
                                NotAdjointContext, OracleDisagreement,
-                               ResourceLimit, WrongField)
+                               ResourceLimit, ShapeMismatch, WrongField)
 from leibniz_rb.fields import PrimeField, RationalField
 from leibniz_rb.linalg import Matrix, vec_add, vec_scale
 from leibniz_rb.operators import (WeightedRBO, OperatorMorphism,
@@ -122,6 +122,68 @@ def test_operator_morphism_induced_bracket_disagreement(Q, monkeypatch):
     monkeypatch.setattr(operators, "induced_algebra", lambda r: next(induced))
     with pytest.raises(OracleDisagreement):
         check_operator_morphism(r, r, ident)
+
+
+def test_operator_morphism_rejects_wrong_shapes(Q):
+    r = WeightedRBO.on_algebra(dim2_nonlie(Q), Q.coerce(-1),
+                               Matrix.identity(Q, 2))
+    i2, i3 = Matrix.identity(Q, 2), Matrix.identity(Q, 3)
+    for phi, psi in ((i3, i2), (i2, i3), (Matrix.zeros(Q, 2, 3), i2),
+                     (i2, Matrix.zeros(Q, 3, 2))):
+        with pytest.raises(ShapeMismatch):
+            check_operator_morphism(r, r, OperatorMorphism(phi, psi))
+
+
+def _action_loop_morphism(r, rp, m):
+    """The five morphism conditions written out apart from
+    ``core.expands``: brackets of basis vectors read with bracket_basis,
+    actions read off the dense tensors in one loop."""
+    d, dp, phi, psi = r.context, rp.context, m.phi, m.psi
+
+    def algebra(src, dst, f):
+        return all(f.mul_vec(src.bracket_basis(i, j))
+                   == dst.bracket(f.col(i), f.col(j))
+                   for i, j in product(range(src.dim), repeat=2))
+
+    if r.weight != rp.weight or not (algebra(d.g, dp.g, phi)
+                                     and algebra(d.h, dp.h, psi)):
+        return False
+    if phi * r.t != rp.t * psi:
+        return False
+    act, act2 = d.actions, dp.actions
+    for i, a in product(range(d.g.dim), range(d.h.dim)):
+        x, u = phi.col(i), psi.col(a)
+        if psi.mul_vec(act.left[i][a]) != act2.left_act(x, u) or \
+                psi.mul_vec(act.right[a][i]) != act2.right_act(u, x):
+            return False
+    return True
+
+
+def test_operator_morphism_matches_action_loop():
+    # pairs of operators on a small context and on its sheared copy over
+    # GF(3); maps: identities, doubled identities, the inverse shears that
+    # carry the context to its copy, and random matrices
+    fld, rng = PrimeField(3), seeded(25)
+    verdicts = {}
+    for dims in ((1, 1), (2, 1), (1, 2), (2, 2)):
+        sg, sh = (Matrix(fld, [[1, 0], [1, 1]]) if n == 2
+                  else Matrix.identity(fld, 1) for n in dims)
+        pools = [[Matrix.identity(fld, n), Matrix.identity(fld, n).scale(2),
+                  s.inverse(), random_matrix(fld, n, n, rng)]
+                 for s, n in ((sg, dims[0]), (sh, dims[1]))]
+        for d in small_contexts(fld, dims):
+            moved = change_of_basis_grep(d, sg, sh)
+            for lam in (0, 1, -1):
+                ts = list(islice(search_rbos(d, lam), 2))
+                rs = [WeightedRBO(d, lam, t) for t in ts]
+                rs += [WeightedRBO(moved, lam, sg.inverse() * t * sh)
+                       for t in ts]
+                for r, rp, phi, psi in product(rs[:len(ts)], rs, *pools):
+                    m = OperatorMorphism(phi, psi)
+                    got = check_operator_morphism(r, rp, m)
+                    assert got == _action_loop_morphism(r, rp, m)
+                    verdicts[got] = verdicts.get(got, 0) + 1
+    assert verdicts[True] > 50 and verdicts[False] > 50
 
 
 def test_crossed_homomorphism_inverse(Q):
