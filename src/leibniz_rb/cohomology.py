@@ -150,6 +150,12 @@ class IntegerView:
         return self._rows[n]
 
 
+def integer_view(r):
+    """The IntegerView of h_T and rho_T; induced_representation validates."""
+    rho = induced_representation(r)
+    return IntegerView(induced_algebra(r, validate=False), rho)
+
+
 def _require_square_zero(n, rows, prev, p):
     """Raise ContainmentViolated unless delta_n . delta_{n-1} = 0 exactly.
 
@@ -188,7 +194,7 @@ def delta_matrix(r, n, cap=20000, view=None):
         raise ResourceLimit("delta_%d has more cells than the configured "
                             "cap %d" % (n, cap))
     ncols = cochain_dim(r, n)
-    view = view or IntegerView(induced_algebra(r), induced_representation(r))
+    view = view or integer_view(r)
     fld, rows, den = r.field, view.rows(n), view.den
     p = fld.characteristic
     probe = [1 + (j % (p - 1) if p else j) for j in range(ncols)]
@@ -243,8 +249,8 @@ def cohomology(r, max_degree, cap=20000, representatives=False):
     elimination as the rank.  cap bounds the cells of each delta and (they
     do not grow when dim h <= 1) rows x terms x arity of the top one.
     """
-    # h_T validates r before any cap is checked
-    view = IntegerView(induced_algebra(r), induced_representation(r))
+    # the view validates r before any cap is checked
+    view = integer_view(r)
     # rows of the top delta (dim h^k clipped past the cap), +1 for setup
     k, nh = max_degree + 1, r.context.h.dim
     rows = r.context.g.dim * nh ** min(k, cap.bit_length() + 1)

@@ -10,6 +10,7 @@ deliberately broken structures can be used in negative tests.
 
 import re
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 from itertools import product
 from operator import itemgetter
 
@@ -240,6 +241,17 @@ class LeibnizGRep:
         self.h = h
         self.actions = actions
         self.field = g.field
+        self._theta = None  # built on first use by graded.make_theta
+
+    @cached_property
+    def int_context(self):
+        """(D, this context times D over ``ZZ``), built on first read."""
+        g, h, act = self.g, self.h, self.actions
+        den, (gc, hc, left, right) = over_ints(
+            (g.c_nz, h.c_nz, act.left_nz, act.right_nz))
+        return den, LeibnizGRep(
+            LeibnizAlgebra(ZZ, g.dim, gc), LeibnizAlgebra(ZZ, h.dim, hc),
+            ActionPair(ZZ, g.dim, h.dim, left, right))
 
     def __eq__(self, other):
         return (isinstance(other, LeibnizGRep) and self.g == other.g

@@ -18,8 +18,7 @@ from dataclasses import dataclass
 from itertools import product as iproduct
 from typing import Optional
 
-from .cohomology import (IntegerView, d_T, delta_T, delta_T_0, delta_matrix,
-                         induced_representation)
+from .cohomology import d_T, delta_T, delta_T_0, delta_matrix, integer_view
 from .core import ValidationReport, basis_vec, leibniz_differential
 from .errors import (BaseMismatch, ContainmentViolated, InvalidDeformation,
                      OracleDisagreement, ResourceLimit, ShapeMismatch,
@@ -28,8 +27,7 @@ from .fields import PrimeField
 from .graded import derived_bracket, derived_bracket_explicit
 from .linalg import Matrix, axpy, vec_add
 from .multimap import MultiMap
-from .operators import (induced_algebra, morphism_at_order, operator_rhs,
-                        series_coeff)
+from .operators import morphism_at_order, operator_rhs, series_coeff
 
 
 class Deformation:
@@ -224,7 +222,7 @@ def rigidity_certificate(r, cap=10 ** 6):
     if fld.p ** d.g.dim > cap:
         raise ResourceLimit("enumeration of %d vectors exceeds cap %d"
                             % (fld.p ** d.g.dim, cap))
-    view = IntegerView(induced_algebra(r), induced_representation(r))
+    view = integer_view(r)
     m0, m1 = (delta_matrix(r, n, view=view) for n in (0, 1))
     zb = m1.kernel_basis()
     size = fld.p ** len(zb)  # the elements of Z^1
@@ -268,7 +266,7 @@ def obstruction(defm):
     d = r.context
     ob = _bracket_sum(d, defm.coeffs, defm.order + 1, derived_bracket) \
         .scale(-fld.half())
-    view = IntegerView(induced_algebra(r), induced_representation(r))
+    view = integer_view(r)
     if not leibniz_differential(view.h, view.rho, ob).is_zero():
         raise OracleDisagreement("obstruction cochain is not a 2-cocycle")
     m1 = delta_matrix(r, 1, view=view)

@@ -9,49 +9,56 @@ run both over ``ZZ`` on the context, maps and lambda, each times the lcm
 of its denominators (``fields.int_scale``; residues over GF(p)), and raise
 OracleDisagreement on any split of the int results, which traps
 sign-convention bugs without trusting either route alone.  The explicit
-result over the product of the scales is returned.
+result over the product of the scales is returned.  A context is scaled,
+and its theta built, once (``LeibnizGRep.int_context``, ``make_theta``).
 
 Both bracket routes visit nonzero rows only.  The explicit route scatters
-each shuffle sum from the rows of P and Q and reads rho^L and rho^R as
-slices of the action tensors; the lifted route composes with circ_i.  The
-two share no code beyond the shuffle enumeration.
+each shuffle sum from the rows of P and Q and reads rho^L and rho^R from
+the store rows of the action tensors; the lifted route composes with
+circ_i.  The two share no code beyond the shuffle tables: per shuffle an
+itemgetter that gathers indices into shuffled order, and the sign.
 """
 
 from functools import lru_cache
 from itertools import combinations
+from operator import itemgetter
 
-from .core import (ActionPair, LeibnizAlgebra, LeibnizGRep, ValidationReport,
-                   _pow_sign, add_combination, block_tensor,
-                   leibniz_differential, over_ints, validate_leibniz_g_rep)
+from .core import (ActionPair, LeibnizAlgebra, ValidationReport, _pow_sign,
+                   block_tensor, leibniz_differential, validate_leibniz_g_rep)
 from .errors import (InvalidInput, OracleDisagreement, ShapeMismatch,
                      StructureIncompatible, WrongField)
 from .fields import ZZ, int_scale
-from .linalg import Matrix, zero_vec
+from .linalg import Matrix
 from .multimap import MultiMap
 
 
-def _parity_sign(field, perm):
-    return _pow_sign(field, sum(a > b for a, b in combinations(perm, 2)))
-
-
-@lru_cache(maxsize=None)
-def shuffles2(field, p, q):
-    """(p,q)-shuffles of {0..p+q-1}: increasing on each block, with parity."""
-    perms = [list(first) + [i for i in range(p + q) if i not in first]
-             for first in combinations(range(p + q), p)]
-    return [(perm, _parity_sign(field, perm)) for perm in perms]
-
-
-@lru_cache(maxsize=None)
-def shuffles3(field, p, q):
-    """(p,1,q)-shuffles of {0..p+q}: blocks of sizes p, 1, q, with parity."""
+def _table(perms):
+    """(gather, sign) per permutation: gather(vals) has vals[k] at position
+    perm[k] (``tuple`` for the one permutation of fewer than two values),
+    sign is (-1)^(inversions of perm)."""
     out = []
-    for first in combinations(range(p + 1 + q), p):
-        remaining = [i for i in range(p + 1 + q) if i not in first]
-        for mid in remaining:
-            perm = list(first) + [mid] + [i for i in remaining if i != mid]
-            out.append((perm, _parity_sign(field, perm)))
+    for perm in perms:
+        inv = sorted(range(len(perm)), key=perm.__getitem__)
+        out.append((itemgetter(*inv) if len(inv) > 1 else tuple,
+                    (-1) ** sum(a > b for a, b in combinations(perm, 2))))
     return out
+
+
+@lru_cache(maxsize=None)
+def shuffles2(p, q):
+    """The (p,q)-shuffles of {0..p+q-1}, increasing on each block."""
+    return _table([list(first) + [i for i in range(p + q) if i not in first]
+                   for first in combinations(range(p + q), p)])
+
+
+@lru_cache(maxsize=None)
+def shuffles3(p, q):
+    """The (p,1,q)-shuffles of {0..p+q}: blocks of sizes p, 1, q."""
+    n = p + 1 + q
+    return _table([list(first) + [mid] + [i for i in range(n)
+                                          if i not in first and i != mid]
+                   for first in combinations(range(n), p)
+                   for mid in range(n) if mid not in first])
 
 
 def circ_i(f, g, i):
@@ -69,11 +76,8 @@ def circ_i(f, g, i):
     n = g.arity - 1
     if not 1 <= i <= m + 1:
         raise ShapeMismatch("composition slot %d out of range 1..%d" % (i, m + 1))
-    fld = f.field
-    # position p of the shuffled block holds value number inv[p] of
-    # (f's first i-1 indices, g's first n indices)
-    shs = [(sorted(range(len(perm)), key=perm.__getitem__), sign == fld.one)
-           for perm, sign in shuffles2(fld, i - 1, n)]
+    # each gather shuffles (f's first i-1 indices, g's first n indices)
+    shs = shuffles2(i - 1, n)
     by_slot = {}
     for ft, frow in f.nz.items():
         by_slot.setdefault(ft[i - 1], []).append((ft, frow))
@@ -86,34 +90,36 @@ def circ_i(f, g, i):
                 term = [gs * x for x in frow]
                 vals = ft[:i - 1] + gt[:n]
                 tail = gt[n:] + ft[i:]
-                for inv, positive in shs:
-                    idx = tuple([vals[k] for k in inv]) + tail
+                for gather, sign in shs:
+                    idx = gather(vals) + tail
                     acc = rows.get(idx)
                     if acc is None:
-                        rows[idx] = term if positive else [-x for x in term]
-                    elif positive:
+                        rows[idx] = term if sign > 0 else [-x for x in term]
+                    elif sign > 0:
                         rows[idx] = [a + x for a, x in zip(acc, term)]
                     else:
                         rows[idx] = [a - x for a, x in zip(acc, term)]
-    out = MultiMap(fld, m + n + 1, f.src_dim, f.tgt_dim)
+    out = MultiMap(f.field, m + n + 1, f.src_dim, f.tgt_dim)
     out.nz = {idx: tuple(r) for idx, r in rows.items() if any(r)}
     return out
 
 
 def balavoine_bracket(f, g):
-    """Graded Lie bracket on multilinear maps; degree = arity - 1."""
-    m = f.arity - 1
-    n = g.arity - 1
-    fld = f.field
-    total = None
-    for i in range(1, m + 2):
-        term = circ_i(f, g, i).scale(_pow_sign(fld, (i - 1) * n))
-        total = term if total is None else total + term
-    outer = _pow_sign(fld, m * n)
-    for i in range(1, n + 2):
-        term = circ_i(g, f, i).scale(outer * _pow_sign(fld, (i - 1) * m))
-        total = total - term
-    return total
+    """Graded Lie bracket on multilinear maps; degree = arity - 1.  The rows
+    of its m + n + 2 partial compositions add, signed, into one dict."""
+    m, n = f.arity - 1, g.arity - 1
+    terms = [(f, g, i, (i - 1) * n) for i in range(1, m + 2)]
+    terms += [(g, f, i, m * n + (i - 1) * m + 1) for i in range(1, n + 2)]
+    rows = {}
+    for a, b, i, k in terms:
+        s = (-1) ** k
+        for idx, row in circ_i(a, b, i).nz.items():
+            acc = rows.get(idx)
+            rows[idx] = [y + s * x for y, x in zip(acc, row)] if acc \
+                else [s * x for x in row]
+    out = MultiMap(f.field, m + n + 1, f.src_dim, f.tgt_dim)
+    out.nz = {idx: tuple(r) for idx, r in rows.items() if any(r)}
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -133,11 +139,13 @@ def _block_map(d, mu, lam, validate):
 
 
 def make_theta(d, validate=True):
-    """theta = mu_g + rho^L + rho^R as an arity-2 map on V = g + h."""
-    th = _block_map(d, d.field.one, d.field.zero, validate)
-    if validate and not balavoine_bracket(th, th).is_zero():
+    """theta = mu_g + rho^L + rho^R as an arity-2 map on V = g + h, kept on
+    d: unvalidated, it is built on the first call for d only."""
+    if validate or d._theta is None:
+        d._theta = _block_map(d, d.field.one, d.field.zero, validate)
+    if validate and not balavoine_bracket(d._theta, d._theta).is_zero():
         raise StructureIncompatible("[theta, theta]_B != 0")
-    return th
+    return d._theta
 
 
 def make_theta_prime(d, lam, validate=True):
@@ -185,80 +193,76 @@ def derived_bracket_explicit(d, p, q):
     fld = d.field
     m, n = p.arity, q.arity
     rows = {}
-    _scatter_half(d, p, q, fld.one, rows)
-    _scatter_half(d, q, p, -_pow_sign(fld, m * n), rows)
+    _scatter_half(d, p, q, 1, rows)
+    _scatter_half(d, q, p, -(-1) ** (m * n), rows)
     out = MultiMap(fld, m + n, d.h.dim, d.g.dim)
     out.nz = {idx: tuple(r) for idx, r in rows.items() if any(r)}
     return out
 
 
-def _signed(fld, shs, c):
-    """(inverse permutation, whether sign * c is +1) for each shuffle."""
-    return [(sorted(range(len(perm)), key=perm.__getitem__),
-             sign * c == fld.one) for perm, sign in shs]
-
-
-def _spread(rows, shs, vals, tail, term):
-    """Add +-term at the tuple (vals shuffled) + tail for each shuffle."""
-    for inv, positive in shs:
-        idx = tuple([vals[k] for k in inv]) + tail
+def _spread(rows, shs, c, vals, tail, term):
+    """Add c*sign*term (a fresh list) at gather(vals) + tail per shuffle."""
+    for gather, sign in shs:
+        idx = gather(vals) + tail
         acc = rows.get(idx)
         if acc is None:
-            rows[idx] = list(term) if positive else [-x for x in term]
-        elif positive:
+            rows[idx] = term if sign == c else [-x for x in term]
+        elif sign == c:
             rows[idx] = [a + x for a, x in zip(acc, term)]
         else:
             rows[idx] = [a - x for a, x in zip(acc, term)]
 
 
 def _scatter_half(d, p, q, half, rows):
-    """Add half times the three P-outer sums of the explicit formula.
+    """Add half (+-1) times the three P-outer sums of the explicit formula.
 
-    rho^L(Q(v), e_x) and rho^R(e_x, Q(v)) are read from the action slices
-    once per nonzero row v of Q.  In the rho^L sum the indices v are
-    shuffled with P's first i-1 and x is fixed; in the rho^R sum x is
-    shuffled (as a middle block) and v's last index is fixed.  Each
-    nonzero coordinate k of the action vector meets the rows of P whose
-    slot-i index is k.
+    rho^L(Q(v), e_x) and rho^R(e_x, Q(v)) are summed once per nonzero row
+    v of Q from the store rows by_second[x] and by_first[x] of the
+    actions.  In the rho^L sum the indices v are shuffled with P's first
+    i-1 and x is fixed; in the rho^R sum x is shuffled (as a middle block)
+    and v's last index is fixed.  Each nonzero coordinate k of the action
+    vector meets the rows of P whose slot-i index is k.
     """
-    fld, nh, al, ar = d.field, d.h.dim, d.actions.left, d.actions.right
+    fld, nh, act = d.field, d.h.dim, d.actions
     m, n = p.arity, q.arity
     acts = []  # (shuffled indices, fixed index, rho^L?, sparse h-vector)
     for qt, qv in q.nz.items():
+        qr = fld.to_raw(qv)
         for x in range(nh):
-            lv, rv = zero_vec(fld, nh), zero_vec(fld, nh)
-            add_combination(lv, qv, [plane[x] for plane in al])
-            add_combination(rv, qv, ar[x])
-            for shuffled, fixed, left, full in ((qt, (x,), True, lv),
-                                                ((x,) + qt[:-1], qt[-1:],
-                                                 False, rv)):
-                vec = [(k, y) for k, y in enumerate(full) if y]
+            for shuffled, fixed, is_left, store_rows in (
+                    (qt, (x,), True, act.left_nz.by_second.get(x, ())),
+                    ((x,) + qt[:-1], qt[-1:], False,
+                     act.right_nz.by_first.get(x, ()))):
+                acc = [fld.raw_zero] * nh
+                for k, row in store_rows:
+                    for b, t in row.items():
+                        acc[b] += qr[k] * t
+                vec = [(b, y) for b, y in enumerate(fld.from_raw(acc)) if y]
                 if vec:
-                    acts.append((shuffled, fixed, left, vec))
+                    acts.append((shuffled, fixed, is_left, vec))
     for i in range(1, m + 1):
-        block = half * _pow_sign(fld, (i - 1) * n)
+        block = half * (-1) ** ((i - 1) * n)
         # The rho^R shuffle sign is the parity of the permutation with the
         # middle element moved past the inner block (an extra (-1)^{n-1});
         # this is the unique convention under which the formula agrees
         # with the nested-Balavoine route.
-        shs = {True: _signed(fld, shuffles2(fld, i - 1, n), block),
-               False: _signed(fld, shuffles3(fld, i - 1, n - 1),
-                              block * _pow_sign(fld, n - 1))}
+        shs = {True: (shuffles2(i - 1, n), block),
+               False: (shuffles3(i - 1, n - 1), block * (-1) ** (n - 1))}
         by_slot = {}
         for pt, pv in p.nz.items():
             by_slot.setdefault(pt[i - 1], []).append((pt, pv))
-        for shuffled, fixed, left, vec in acts:
+        for shuffled, fixed, is_left, vec in acts:
             for k, y in vec:
                 for pt, pv in by_slot.get(k, ()):
-                    _spread(rows, shs[left], pt[:i - 1] + shuffled,
+                    _spread(rows, *shs[is_left], pt[:i - 1] + shuffled,
                             fixed + pt[i:], [y * z for z in pv])
     # [P(..), Q(..)]_g: one g-bracket per pair of nonzero rows
-    shs = _signed(fld, shuffles2(fld, m, n - 1), half * _pow_sign(fld, m * n))
+    shs, c = shuffles2(m, n - 1), half * (-1) ** (m * n)
     for pt, pv in p.nz.items():
         for qt, qv in q.nz.items():
             br = d.g.bracket(pv, qv)
             if any(br):
-                _spread(rows, shs, pt + qt[:-1], qt[-1:], br)
+                _spread(rows, shs, c, pt + qt[:-1], qt[-1:], br)
 
 
 def derived_bracket_lifted(d, p, q):
@@ -278,11 +282,8 @@ def _over_ints(d, *maps):
     """(D, [D_d d, D_m m for each map] over ZZ), D the product of the scales;
     WrongField, naming both fields, for a map over another field than d."""
     fld = d.field
-    den, (gc, hc, left, right) = over_ints(
-        (d.g.c_nz, d.h.c_nz, d.actions.left_nz, d.actions.right_nz))
-    out = [LeibnizGRep(LeibnizAlgebra(ZZ, d.g.dim, gc),
-                       LeibnizAlgebra(ZZ, d.h.dim, hc),
-                       ActionPair(ZZ, d.g.dim, d.h.dim, left, right))]
+    den, dz = d.int_context
+    out = [dz]
     for m in maps:
         if m.field != fld:
             raise WrongField("map over %r, context over %r" % (m.field, fld))

@@ -126,9 +126,11 @@ def graph_check(d, lam, t):
     return span_rank(d.field, graph + brackets) == span_rank(d.field, graph)
 
 
-def induced_algebra(r):
-    """The Leibniz algebra (h, [.,.]_T) induced by a valid operator."""
-    r.require_valid()
+def induced_algebra(r, validate=True):
+    """The Leibniz algebra (h, [.,.]_T) induced by a valid operator;
+    validate=False when the caller has validated r."""
+    if validate:
+        r.require_valid()
     d, fld = r.context, r.field
     nh, lam = d.h.dim, fld.to_raw([r.weight])[0]
     cols = [r.t.raw_col(a) for a in range(nh)]
@@ -182,7 +184,7 @@ def check_operator_morphism(r, rp, m):
             r.context, rp.context, [m.phi], [m.psi], [r.t], [rp.t], 0):
         return False
     if r.is_valid and rp.is_valid and not is_algebra_morphism(
-            induced_algebra(r), induced_algebra(rp), m.psi):
+            induced_algebra(r, False), induced_algebra(rp, False), m.psi):
         raise OracleDisagreement("psi satisfies the five morphism conditions "
                                  "but does not carry the induced bracket")
     return True

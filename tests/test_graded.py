@@ -1,10 +1,11 @@
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from leibniz_rb.core import (ActionPair, LeibnizAlgebra, LeibnizGRep,
-                             adjoint_grep, change_of_basis_grep,
+                             adjoint_grep, change_of_basis_grep, over_ints,
                              validate_leibniz_g_rep)
 from leibniz_rb.errors import OracleDisagreement, WrongField
 from leibniz_rb.fields import ZZ, PrimeField, RationalField
@@ -14,7 +15,7 @@ from leibniz_rb.graded import (balavoine_bracket, check_dgla, derived_bracket,
                                differential_d, differential_d_explicit,
                                differential_d_lifted, lift, make_theta,
                                make_theta_prime, maurer_cartan_residual,
-                               restrict)
+                               restrict, shuffles2, shuffles3)
 from leibniz_rb.linalg import Matrix
 from leibniz_rb.multimap import MultiMap
 from leibniz_rb.operators import WeightedRBO
@@ -56,6 +57,29 @@ def test_theta_prime_master_equation(Q):
     for lam in (Q.zero, Q.one, Q.coerce(-1)):
         thp = make_theta_prime(d, lam)
         assert balavoine_bracket(thp, thp).is_zero()
+
+
+@pytest.mark.parametrize("table, mid", [(shuffles2, 0), (shuffles3, 1)])
+def test_shuffle_tables_match_brute_force(table, mid):
+    # a (p,q)- or (p,1,q)-shuffle s is increasing on s[:p] and s[p+mid:];
+    # its gather puts vals[k] at position s[k]
+    for n in range(mid, 6):
+        for p in range(n - mid + 1):
+            want = []
+            for s in permutations(range(n)):
+                if list(s[:p]) != sorted(s[:p]) \
+                        or list(s[p + mid:]) != sorted(s[p + mid:]):
+                    continue
+                out = [None] * n
+                for k, x in enumerate(s):
+                    out[x] = "v%d" % k
+                inversions = sum(s[a] > s[b] for a in range(n)
+                                 for b in range(a + 1, n))
+                want.append((tuple(out), (-1) ** inversions))
+            vals = tuple("v%d" % k for k in range(n))
+            got = [(gather(vals), sign)
+                   for gather, sign in table(p, n - mid - p)]
+            assert sorted(got) == sorted(want)
 
 
 def test_lift_restrict_roundtrip(Q, gf7):
@@ -156,6 +180,30 @@ def test_negated_bracket_term_is_trapped(Q, monkeypatch):
     r = WeightedRBO.on_algebra(dim2_nonlie(Q), -1, Matrix.identity(Q, 2))
     with pytest.raises(OracleDisagreement):
         cohomology.delta_matrix(r, 1)
+
+
+def test_flipped_balavoine_half_is_trapped(Q, monkeypatch):
+    # a one-line mutant of balavoine_bracket: the sign of its g o f half
+    # flipped
+    import inspect
+
+    from leibniz_rb import graded
+    line = "terms += [(g, f, i, m * n + (i - 1) * m + 1) for i in"
+    src = inspect.getsource(graded.balavoine_bracket)
+    assert src.count(line) == 1
+    space = dict(vars(graded))
+    exec(src.replace(line, "terms += [(g, f, i, m * n + (i - 1) * m) "
+                           "for i in"), space)
+    monkeypatch.setattr(graded, "balavoine_bracket",
+                        space["balavoine_bracket"])
+    d = _ctx(Q)
+    rng = seeded(59)
+    p = random_multimap(Q, 2, d.h.dim, d.g.dim, rng)
+    q = random_multimap(Q, 1, d.h.dim, d.g.dim, rng)
+    with pytest.raises(OracleDisagreement):
+        derived_bracket(d, p, q, cross_check=True)
+    with pytest.raises(OracleDisagreement):
+        differential_d(d, -1, p, cross_check=True)
 
 
 @pytest.mark.parametrize("fields", [(RationalField(), PrimeField(5)),
@@ -353,6 +401,53 @@ def test_int_rows_that_vanish_mod_p_are_dropped(p):
     got = derived_bracket(d, a, b)
     assert got == derived_bracket_explicit(d, a, b)
     assert all(any(row) for row in got.nz.values())
+
+
+def test_int_context_and_theta_are_built_once_per_context(
+        Q, gf7, monkeypatch):
+    import leibniz_rb.core as core
+    import leibniz_rb.graded as gr
+    for d in (_det2(_ctx(Q)), _ctx(gf7)):
+        den, stores = over_ints((d.g.c_nz, d.h.c_nz, d.actions.left_nz,
+                                 d.actions.right_nz))
+        got, dz = d.int_context
+        assert got == den and dz.field is ZZ
+        assert [dz.g.c_nz, dz.h.c_nz, dz.actions.left_nz,
+                dz.actions.right_nz] == stores
+        assert d.int_context[1] is dz
+        assert make_theta(dz, validate=False) is make_theta(dz, False)
+    # a fresh context scales once for all its brackets and differentials
+    scaled, checks = [], []
+    monkeypatch.setattr(core, "over_ints",
+                        lambda s: scaled.append(s) or over_ints(s))
+    monkeypatch.setattr(gr, "validate_leibniz_g_rep",
+                        lambda d_: checks.append(d_) or
+                        validate_leibniz_g_rep(d_))
+    d = _det2(_ctx(Q))
+    assert check_dgla(d, -1, dgla_samples(d, count=1, seed=5),
+                      cross_check=True).ok
+    assert len(scaled) == 1 and not checks
+    # validated, theta and theta' are checked on every call
+    for _ in range(2):
+        make_theta(d)
+        make_theta_prime(d, -1)
+    assert len(checks) == 4
+
+
+def test_alternating_contexts_match_fresh_contexts(Q, gf7):
+    # each context keeps its own int context and theta: brackets and
+    # differentials on two contexts in turn equal those on fresh copies
+    makers = (lambda: _det2(_ctx(Q)), lambda: _ctx(gf7))
+    kept = [make() for make in makers]
+    rng = seeded(61)
+    for _ in range(3):
+        for make, d in zip(makers, kept):
+            p = random_multimap(d.field, rng.randint(1, 2), d.h.dim,
+                                d.g.dim, rng).scale(d.field.half())
+            q = random_multimap(d.field, rng.randint(1, 2), d.h.dim,
+                                d.g.dim, rng)
+            assert derived_bracket(d, p, q) == derived_bracket(make(), p, q)
+            assert differential_d(d, -1, p) == differential_d(make(), -1, p)
 
 
 def test_lifted_routes_receive_an_int_context(monkeypatch):

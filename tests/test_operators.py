@@ -113,13 +113,30 @@ def test_operator_morphism_identity_and_failure(Q):
     assert not check_operator_morphism(r, r, bad)
 
 
+def test_operator_morphism_validates_each_operator_once(Q, monkeypatch):
+    r = WeightedRBO.on_algebra(dim2_nonlie(Q), Q.coerce(-1),
+                               Matrix.identity(Q, 2))
+    ident = OperatorMorphism(Matrix.identity(Q, 2), Matrix.identity(Q, 2))
+    validations = []
+    real = WeightedRBO.validate
+
+    def validate(self):
+        validations.append(self)
+        return real(self)
+
+    monkeypatch.setattr(WeightedRBO, "validate", validate)
+    assert check_operator_morphism(r, r, ident)
+    assert validations == [r, r]
+
+
 def test_operator_morphism_induced_bracket_disagreement(Q, monkeypatch):
     # the five conditions hold, but the induced brackets are made to differ
     a = dim2_nonlie(Q)
     r = WeightedRBO.on_algebra(a, Q.coerce(-1), Matrix.identity(Q, 2))
     ident = OperatorMorphism(Matrix.identity(Q, 2), Matrix.identity(Q, 2))
     induced = iter([a, LeibnizAlgebra.zero(Q, 2)])
-    monkeypatch.setattr(operators, "induced_algebra", lambda r: next(induced))
+    monkeypatch.setattr(operators, "induced_algebra",
+                        lambda r, validate=True: next(induced))
     with pytest.raises(OracleDisagreement):
         check_operator_morphism(r, r, ident)
 
