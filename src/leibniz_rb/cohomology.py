@@ -15,11 +15,11 @@ sign d_T f = (-1)^n delta f, which the test-suite uses as an oracle.
 """
 
 from dataclasses import dataclass, field as dc_field
-from itertools import chain, combinations, product
+from itertools import combinations, product
 from operator import mul
 
-from .core import (ActionPair, LeibnizAlgebra, _Store, leibniz_differential,
-                   over_ints)
+from .core import (ActionPair, LeibnizAlgebra, leibniz_differential, over_ints,
+                   transport)
 from .errors import (ContainmentViolated, OracleDisagreement, ResourceLimit,
                      ShapeMismatch)
 from .fields import ZZ
@@ -29,24 +29,16 @@ from .operators import induced_algebra
 
 
 def induced_representation(r):
-    """The action pair of h_T on g, summed into stores: rhoL_T(e_a, e_i) =
-    sum_j T[j][a] [e_j, e_i]_g - T rho^R(e_a, e_i), and rhoR_T likewise;
-    one product per nonzero cell and nonzero entry of T (read raw)."""
+    """The action pair of h_T on g, each a two-term ``transport``:
+    rhoL_T(e_a, e_i) = [Te_a, e_i]_g - T rho^R(e_a, e_i), and rhoR_T
+    likewise."""
     r.require_valid()
-    d, fld, t = r.context, r.field, r.t.raw
-    ng, nh, act, c = d.g.dim, d.h.dim, d.actions, list(d.g.c_nz.cells())
-    left = chain(
-        (((a, i, k), t[j][a] * x) for (j, i, k), x in c
-         for a in range(nh) if t[j][a]),
-        (((a, i, k), -t[k][m] * x) for (a, i, m), x in act.right_nz.cells()
-         for k in range(ng) if t[k][m]))
-    right = chain(
-        (((i, a, k), t[j][a] * x) for (i, j, k), x in c
-         for a in range(nh) if t[j][a]),
-        (((i, a, k), -t[k][m] * x) for (i, a, m), x in act.left_nz.cells()
-         for k in range(ng) if t[k][m]))
-    return ActionPair(fld, nh, ng, _Store(fld, (nh, ng, ng), left),
-                      _Store(fld, (ng, nh, ng), right))
+    d, t, nt = r.context, r.t, -r.t
+    act, c = d.actions, d.g.c_nz
+    ig, ih = (Matrix.identity(r.field, m) for m in (d.g.dim, d.h.dim))
+    return ActionPair(r.field, d.h.dim, d.g.dim,
+                      transport([(c, t, ig, ig), (act.right_nz, ih, ig, nt)]),
+                      transport([(c, ig, t, ig), (act.left_nz, ig, ih, nt)]))
 
 
 def delta_T_0(r, x):
@@ -61,8 +53,10 @@ def delta_T_0(r, x):
 
 
 def delta_T(r, f):
-    """The specialized Leibniz differential on cochains of arity >= 1."""
-    return leibniz_differential(induced_algebra(r), induced_representation(r), f)
+    """The specialized Leibniz differential on cochains of arity >= 1;
+    induced_representation validates r."""
+    rho = induced_representation(r)
+    return leibniz_differential(induced_algebra(r, validate=False), rho, f)
 
 
 def d_T(r, f, cross_check=True):

@@ -11,12 +11,11 @@ deliberately broken structures can be used in negative tests.
 import re
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
-from itertools import product
 from operator import itemgetter
 
 from .errors import InvalidInput, ResourceLimit, ShapeMismatch
 from .fields import ZZ, int_scale
-from .linalg import axpy, vec_add, zero_vec
+from .linalg import Matrix, axpy, zero_vec
 from .multimap import MultiMap
 
 
@@ -39,6 +38,17 @@ class ValidationReport:
 
     def add(self, law, where, lhs, rhs):
         self.violations.append(Violation(law, where, lhs, rhs))
+
+    def add_differences(self, law, lhs, rhs, prefix=()):
+        """Add prefix + (i, j) and both rows, as field vectors, for each row
+        on which the stores lhs and rhs differ, in key order; returns self."""
+        fld, n = lhs.field, lhs.dims[2]
+        for key in sorted(k for k in lhs.rows.keys() | rhs.rows.keys()
+                          if lhs.rows.get(k) != rhs.rows.get(k)):
+            self.add(law, prefix + key, *(fld.from_raw([
+                s.rows.get(key, {}).get(k, fld.raw_zero) for k in range(n)])
+                for s in (lhs, rhs)))
+        return self
 
     def laws_violated(self):
         return sorted({v.law for v in self.violations})
@@ -442,30 +452,23 @@ def block_tensor(d, mu, lam):
         if s for (i, j, k), x in t.cells()))
 
 
-def expands(op, op2, out, lft, rgt, n=0):
-    """Order n of out(t) op(x, y) = op2(lft(t) x, rgt(t) y) on basis pairs.
+def expands(src, dst, out, lft, rgt, n=0):
+    """Order n of out(t) src(x, y) = dst(lft(t) x, rgt(t) y) on basis pairs.
 
-    out, lft and rgt are power series in t, lists of matrix coefficients;
-    op and op2 are bilinear, op on the sources and op2 on the targets.  The
-    condition reads out_n op(e_i, e_j) = sum_{k<=n} op2(lft_k e_i, rgt_{n-k}
-    e_j), the images of basis vectors read as matrix columns.
+    src and dst are stores, out, lft and rgt power series in t, lists of
+    matrix coefficients.  The condition reads out_n src(e_i, e_j) =
+    sum_{k<=n} dst(lft_k e_i, rgt_{n-k} e_j): two transported stores.
     """
-    fld, nx, ny = out[0].field, lft[0].ncols, rgt[0].ncols
-    for i, j in product(range(nx), range(ny)):
-        rhs = zero_vec(fld, out[0].nrows)
-        for k in range(n + 1):
-            rhs = vec_add(rhs, op2(lft[k].col(i), rgt[n - k].col(j)))
-        if out[n].mul_vec(op(basis_vec(fld, nx, i),
-                             basis_vec(fld, ny, j))) != rhs:
-            return False
-    return True
+    ident = [Matrix.identity(src.field, m)
+             for m in src.dims[:2] + dst.dims[2:]]
+    return transport([(src, ident[0], ident[1], out[n])]) == transport(
+        [(dst, lft[k], rgt[n - k], ident[2]) for k in range(n + 1)])
 
 
 def is_algebra_morphism(src, dst, phi):
-    """phi: Matrix src -> dst with phi([x,y]) = [phi x, phi y]."""
-    if phi.ncols != src.dim or phi.nrows != dst.dim:
-        raise ShapeMismatch("morphism matrix has wrong shape")
-    return expands(src.bracket, dst.bracket, [phi], [phi], [phi])
+    """phi: Matrix src -> dst with phi([x,y]) = [phi x, phi y]; a phi of the
+    wrong shape raises ShapeMismatch (``transport``)."""
+    return expands(src.c_nz, dst.c_nz, [phi], [phi], [phi])
 
 
 def leibniz_differential(g, actions, f):
@@ -513,23 +516,38 @@ def _pow_sign(field, k):
     return field.one if k % 2 == 0 else -field.one
 
 
-def transport(op, s, t, out):
-    """The tensor out(op(s e_i, t e_j)) of a bilinear op, indexed [i][j]."""
-    return [[out.mul_vec(op(s.col(i), t.col(j))) for j in range(t.ncols)]
-            for i in range(s.ncols)]
+def transport(terms):
+    """The store of sum over terms (store, s, t, out) of (a, b) -> out
+    T(s e_a, t e_b), T the tensor of store: the one kernel that moves
+    structure tensors along linear maps.  Each nonzero cell ((i, j, k), x)
+    meets only the nonzero raw entries s[i][a], t[j][b] and out[m][k], and
+    ``_Store`` sums and reduces the products.  A term whose (s.nrows,
+    t.nrows, out.ncols) is not its store's dims raises ShapeMismatch; the
+    result takes its shape from the first term."""
+    cells = []
+    for store, s, t, out in terms:
+        if (s.nrows, t.nrows, out.ncols) != store.dims:
+            raise ShapeMismatch("transport matrices do not fit the tensor")
+        cells += [((a, b, m), x * y * z * row[k])
+                  for (i, j, k), x in store.cells()
+                  for a, y in enumerate(s.raw[i]) if y
+                  for b, z in enumerate(t.raw[j]) if z
+                  for m, row in enumerate(out.raw) if row[k]]
+    store, s, t, out = terms[0]
+    return _Store(store.field, (s.ncols, t.ncols, out.nrows), cells)
 
 
 def change_of_basis_algebra(a, s):
     """Structure constants of a in the basis e'_i = sum_j s[j][i] e_j."""
     return LeibnizAlgebra(a.field, a.dim,
-                          transport(a.bracket, s, s, s.inverse()))
+                          transport([(a.c_nz, s, s, s.inverse())]))
 
 
 def change_of_basis_grep(d, sg, sh):
     """Transport a LeibnizGRep along basis changes of g and h."""
-    shi = sh.inverse()
-    left = transport(d.actions.left_act, sg, sh, shi)
-    right = transport(d.actions.right_act, sh, sg, shi)
+    shi, act = sh.inverse(), d.actions
     return LeibnizGRep(change_of_basis_algebra(d.g, sg),
                        change_of_basis_algebra(d.h, sh),
-                       ActionPair(d.field, d.g.dim, d.h.dim, left, right))
+                       ActionPair(d.field, d.g.dim, d.h.dim,
+                                  transport([(act.left_nz, sg, sh, shi)]),
+                                  transport([(act.right_nz, sh, sg, shi)])))

@@ -19,15 +19,16 @@ from itertools import product as iproduct
 from typing import Optional
 
 from .cohomology import d_T, delta_T, delta_T_0, delta_matrix, integer_view
-from .core import ValidationReport, basis_vec, leibniz_differential
+from .core import (ValidationReport, basis_vec, leibniz_differential,
+                   transport)
 from .errors import (BaseMismatch, ContainmentViolated, InvalidDeformation,
                      OracleDisagreement, ResourceLimit, ShapeMismatch,
                      WrongField)
 from .fields import PrimeField
 from .graded import derived_bracket, derived_bracket_explicit
-from .linalg import Matrix, axpy, vec_add
+from .linalg import Matrix, axpy
 from .multimap import MultiMap
-from .operators import morphism_at_order, operator_rhs, series_coeff
+from .operators import morphism_at_order, series_coeff
 
 
 class Deformation:
@@ -74,29 +75,25 @@ def _bracket_sum(d, ts, m, bracket):
 def check_deformation(defm, cross_check=True):
     """Verify the deformation equations for n = 0..N on all basis pairs.
 
-    The right side at order n sums T_i(``operator_rhs`` at T = T_{n-i})
-    over i, with the weight term for i = n only.  With cross_check
+    Both sides at order n are stores summed by ``core.transport``: c_g
+    moved along (T_i, T_{n-i}), against T_i rho^L(T_{n-i} -, -) and
+    T_i rho^R(-, T_{n-i} -) over i plus lambda T_n c_h.  With cross_check
     the dgLa form of the same equations is evaluated for n >= 1 and any
     verdict split raises OracleDisagreement.  That form needs 1/2, so in
     characteristic 2 the direct verdict is reported alone.
     """
     r = defm.base
-    d, fld, lam = r.context, r.field, r.field.to_raw([r.weight])[0]
-    ts, nh = defm.coeffs, d.h.dim
-    cols = [[t.col(a) for a in range(nh)] for t in ts]  # T_k e_a
-    raw = [[t.raw_col(a) for a in range(nh)] for t in ts]
+    d, fld, ts, act = r.context, r.field, defm.coeffs, r.context.actions
+    ig, ih = (Matrix.identity(fld, m) for m in (d.g.dim, d.h.dim))
     rep = ValidationReport("deformation")
-    direct_bad = set()
-    for n, a, b in iproduct(range(defm.order + 1), range(nh), range(nh)):
-        lhs = rhs = [fld.zero] * d.g.dim
-        for i in range(n + 1):
-            rj = raw[n - i]
-            lhs = vec_add(lhs, d.g.bracket(cols[i][a], cols[n - i][b]))
-            rhs = vec_add(rhs, ts[i].mul_vec(operator_rhs(
-                d, lam if i == n else fld.raw_zero, a, rj[a], b, rj[b])))
-        if lhs != rhs:
-            rep.add("deformation-equation", (n, a, b), lhs, rhs)
-            direct_bad.add(n)
+    for n in range(defm.order + 1):
+        lhs = transport([(d.g.c_nz, ts[i], ts[n - i], ig)
+                         for i in range(n + 1)])
+        rhs = transport([(d.h.c_nz, ih, ih, ts[n].scale(r.weight))] + [
+            (act.left_nz, ts[n - i], ih, ts[i]) for i in range(n + 1)] + [
+            (act.right_nz, ih, ts[n - i], ts[i]) for i in range(n + 1)])
+        rep.add_differences("deformation-equation", lhs, rhs, (n,))
+    direct_bad = {v.where[0] for v in rep.violations}
     if cross_check and fld.characteristic != 2:
         for n in range(1, defm.order + 1):
             resid = d_T(r, MultiMap.from_matrix(ts[n]), cross_check=False) \

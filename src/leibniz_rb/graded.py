@@ -24,7 +24,8 @@ from itertools import combinations
 from operator import itemgetter
 
 from .core import (ActionPair, LeibnizAlgebra, ValidationReport, _pow_sign,
-                   block_tensor, leibniz_differential, validate_leibniz_g_rep)
+                   block_tensor, leibniz_differential, transport,
+                   validate_leibniz_g_rep)
 from .errors import (InvalidInput, OracleDisagreement, ShapeMismatch,
                      StructureIncompatible, WrongField)
 from .fields import ZZ, int_scale
@@ -324,10 +325,9 @@ def differential_d_explicit(d, lam, p):
     h acts on g by zero; the sign is folded into lambda, the coboundary
     being linear in the bracket.
     """
-    fld = d.field
-    s = _pow_sign(fld, p.arity) * fld.coerce(lam)
-    h = LeibnizAlgebra(fld, d.h.dim, [[[s * x for x in row] for row in plane]
-                                      for plane in d.h.c])
+    fld, ih = d.field, Matrix.identity(d.field, d.h.dim)
+    lam_h = ih.scale(_pow_sign(fld, p.arity) * fld.coerce(lam))
+    h = LeibnizAlgebra(fld, d.h.dim, transport([(d.h.c_nz, ih, ih, lam_h)]))
     return leibniz_differential(h, ActionPair.zero(fld, h.dim, d.g.dim), p)
 
 

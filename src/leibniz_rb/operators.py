@@ -12,13 +12,13 @@ adjoint context, so all verification code has a single code path.
 from itertools import product
 
 from .core import (ActionPair, LeibnizAlgebra, LeibnizGRep, ValidationReport,
-                   _Store, adjoint_grep, basis_vec, expands,
-                   is_adjoint_grep, is_algebra_morphism)
+                   adjoint_grep, basis_vec, expands, is_adjoint_grep,
+                   is_algebra_morphism, transport)
 from .errors import (InvalidInput, InvalidOperator, NotAdjointContext,
                      OracleDisagreement, ResourceLimit, ShapeMismatch,
                      WrongField)
 from .fields import PrimeField
-from .linalg import Matrix, span_rank, vec_add, vec_scale
+from .linalg import Matrix, span_rank
 
 
 def _check_operator_shape(d, t):
@@ -167,10 +167,10 @@ def morphism_at_order(d, dp, phi, psi, t, tp, n):
         return False
     act, act2 = d.actions, dp.actions
     return all(expands(*c, n) for c in (
-        (d.g.bracket, dp.g.bracket, phi, phi, phi),
-        (d.h.bracket, dp.h.bracket, psi, psi, psi),
-        (act.left_act, act2.left_act, psi, phi, psi),
-        (act.right_act, act2.right_act, psi, psi, phi)))
+        (d.g.c_nz, dp.g.c_nz, phi, phi, phi),
+        (d.h.c_nz, dp.h.c_nz, psi, psi, psi),
+        (act.left_nz, act2.left_nz, psi, phi, psi),
+        (act.right_nz, act2.right_nz, psi, psi, phi)))
 
 
 def check_operator_morphism(r, rp, m):
@@ -195,18 +195,12 @@ def check_crossed_homomorphism(d, lam, dmap):
     if dmap.shape != (d.h.dim, d.g.dim):
         raise ShapeMismatch("crossed homomorphism must be %dx%d"
                             % (d.h.dim, d.g.dim))
-    lam = d.field.coerce(lam)
-    act = d.actions
-    rep = ValidationReport("crossed-homomorphism")
-    e = [basis_vec(d.field, d.g.dim, i) for i in range(d.g.dim)]
-    for i, j in product(range(d.g.dim), repeat=2):
-        lhs = dmap.mul_vec(d.g.bracket_basis(i, j))
-        di, dj = dmap.col(i), dmap.col(j)
-        rhs = vec_add(vec_add(act.left_act(e[i], dj), act.right_act(di, e[j])),
-                      vec_scale(lam, d.h.bracket(di, dj)))
-        if lhs != rhs:
-            rep.add("crossed-homomorphism", (i, j), lhs, rhs)
-    return rep
+    fld, act = d.field, d.actions
+    ig, ih = Matrix.identity(fld, d.g.dim), Matrix.identity(fld, d.h.dim)
+    return ValidationReport("crossed-homomorphism").add_differences(
+        "crossed-homomorphism", transport([(d.g.c_nz, ig, ig, dmap)]),
+        transport([(act.left_nz, ig, dmap, ih), (act.right_nz, dmap, ig, ih),
+                   (d.h.c_nz, dmap, dmap, ih.scale(lam))]))
 
 
 def invert_crossed(d, lam, dmap):
@@ -246,24 +240,17 @@ def ideal_context(a, indices):
     indices = sorted(set(indices))
     if not indices or any(i < 0 or i >= a.dim for i in indices):
         raise InvalidInput("ideal indices out of range")
-    fld, n, m = a.field, a.dim, len(indices)
-    pos = {gi: x for x, gi in enumerate(indices)}  # index in h of e_gi
-    hc, left, right = [], [], []
-    for (i, j, k), x in a.c_nz.cells():
-        if (i in pos or j in pos) and k not in pos:
+    for (i, j, k), _ in a.c_nz.cells():
+        if (i in indices or j in indices) and k not in indices:
             raise InvalidInput("subspace is not an ideal: bracket at %s "
                                "leaves the span" % ((i, j),))
-        if j in pos:
-            left.append(((i, pos[j], pos[k]), x))
-        if i in pos:
-            right.append(((pos[i], j, pos[k]), x))
-            if j in pos:
-                hc.append(((pos[i], pos[j], pos[k]), x))
-    h = LeibnizAlgebra(fld, m, _Store(fld, (m, m, m), hc))
-    ctx = LeibnizGRep(a, h, ActionPair(fld, n, m, _Store(fld, (n, m, m), left),
-                                       _Store(fld, (m, n, m), right)))
-    cols = [basis_vec(fld, n, gi) for gi in indices]
-    return ctx, Matrix.from_cols(fld, cols, n)
+    fld, n, c = a.field, a.dim, a.c_nz
+    incl = Matrix.from_cols(fld, [basis_vec(fld, n, i) for i in indices], n)
+    proj, ig = incl.transpose(), Matrix.identity(fld, n)
+    h = LeibnizAlgebra(fld, len(indices), transport([(c, incl, incl, proj)]))
+    return LeibnizGRep(a, h, ActionPair(
+        fld, n, h.dim, transport([(c, ig, incl, proj)]),
+        transport([(c, incl, ig, proj)]))), incl
 
 
 def _compile_identity(d, lam):

@@ -22,7 +22,7 @@ from .core import (ActionPair, LeibnizAlgebra, LeibnizGRep, ValidationReport,
                    transport, validate_leibniz)
 from .errors import (InvalidInput, OracleDisagreement, ShapeMismatch,
                      WrongWeight)
-from .linalg import Matrix, vec_scale
+from .linalg import Matrix
 
 
 class PostLeibnizAlgebra:
@@ -123,10 +123,10 @@ def from_rbo(r):
     """The post-Leibniz algebra of a valid weighted operator on h."""
     r.require_valid()
     d, fld, t = r.context, r.field, r.t
-    one = Matrix.identity(fld, d.h.dim)
-    left = transport(d.actions.right_act, one, t, one)
-    right = transport(d.actions.left_act, t, one, one)
-    bracket = [[vec_scale(r.weight, row) for row in plane] for plane in d.h.c]
+    ih = Matrix.identity(fld, d.h.dim)
+    left = transport([(d.actions.right_nz, ih, t, ih)])
+    right = transport([(d.actions.left_nz, t, ih, ih)])
+    bracket = transport([(d.h.c_nz, ih, ih, ih.scale(r.weight))])
     p = PostLeibnizAlgebra(fld, d.h.dim, left, right, bracket)
     check = validate_post_leibniz(p)
     if not check.ok:
@@ -216,9 +216,9 @@ def compatible_structure(a, r):
     if t.nrows != t.ncols:
         raise ShapeMismatch("compatible structures need T square")
     tinv, one = t.inverse(), Matrix.identity(fld, a.dim)
-    left = transport(d.actions.right_act, tinv, one, t)
-    right = transport(d.actions.left_act, one, tinv, t)
-    bracket = transport(d.h.bracket, tinv, tinv, t)
+    left = transport([(d.actions.right_nz, tinv, one, t)])
+    right = transport([(d.actions.left_nz, one, tinv, t)])
+    bracket = transport([(d.h.c_nz, tinv, tinv, t)])
     p = PostLeibnizAlgebra(fld, a.dim, left, right, bracket)
     star = p.star_tensor()
     if star != a.c_nz:

@@ -3,9 +3,9 @@
 ``direct_violations`` is the direct route of the deformation equations
 with rho^L, rho^R and the weight term summed separately, and
 ``set_difference_certificate`` decides the rigidity criterion by holding
-Z^1 and delta_0(Nij(T)) as sets and comparing them.  The library sums the
-right side through ``operators.operator_rhs`` and counts delta_0 images
-instead; the tests compare the two.  ``nijenhuis_reference`` sums the
+Z^1 and delta_0(Nij(T)) as sets and comparing them.  The library compares
+two stores per order, each summed by ``core.transport``, and counts
+delta_0 images instead; the tests compare the two.  ``nijenhuis_reference`` sums the
 four Nijenhuis conditions term by term from the dense tensors, where the
 library contracts the stores.
 """

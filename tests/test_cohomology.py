@@ -670,6 +670,23 @@ def test_cohomology_builds_the_induced_structure_once(Q, monkeypatch):
         assert (len(validations), len(builds)) == (1, 1)
 
 
+def test_delta_T_validates_the_operator_once(Q, monkeypatch):
+    r = _rbo_id(Q)
+    validations = []
+    real_validate = WeightedRBO.validate
+
+    def validate(self):
+        validations.append(self)
+        return real_validate(self)
+
+    monkeypatch.setattr(WeightedRBO, "validate", validate)
+    for arity in (1, 2):
+        validations.clear()
+        delta_T(r, MultiMap(Q, arity, 2, 2))
+        # once, in induced_representation; induced_algebra trusts it
+        assert len(validations) == 1
+
+
 @pytest.mark.parametrize("name", ["obstruct-frozen", "extend-frozen"])
 def test_obstruction_builds_the_induced_structure_once(name, monkeypatch):
     validations = []

@@ -9,7 +9,8 @@ from leibniz_rb import operators
 from leibniz_rb.core import (LeibnizAlgebra, ValidationReport, adjoint_grep,
                              basis_vec, change_of_basis_grep)
 from leibniz_rb.errors import (InvalidInput, InvalidOperator,
-                               NotAdjointContext, OracleDisagreement,
+                               NotAdjointContext, NotInvertible,
+                               OracleDisagreement,
                                ResourceLimit, ShapeMismatch, WrongField)
 from leibniz_rb.fields import PrimeField, RationalField
 from leibniz_rb.linalg import Matrix, vec_add, vec_scale
@@ -28,7 +29,7 @@ from conftest import (KERNEL_FIELDS, dense_heisenberg_gf3, dim2_nonlie,
                       heisenberg, is_canonical, random_matrix, rho_l_context,
                       seeded, small_contexts)
 from golden_cases import ROOT
-from operator_reference import reference_check
+from operator_reference import crossed_reference, reference_check
 
 
 def test_identity_is_minus_one_weighted_rbo(Q):
@@ -216,6 +217,29 @@ def test_crossed_homomorphism_inverse(Q):
                                           Matrix(Q, [[2, 0], [0, 2]])).ok
     with pytest.raises(InvalidInput):
         invert_crossed(d, Q.coerce(-1), Matrix(Q, [[2, 0], [0, 2]]))
+
+
+def test_crossed_homomorphism_matches_pair_loop():
+    # random D: g -> h and the inverses D = T^{-1} of invertible operators
+    # on the small GF(3) contexts: the same violations, in the same order
+    fld, rng = PrimeField(3), seeded(27)
+    verdicts = {}
+    for dims in ((1, 1), (2, 1), (1, 2), (2, 2)):
+        for d, lam in product(small_contexts(fld, dims), (0, 1, -1)):
+            maps = [random_matrix(fld, dims[1], dims[0], rng)
+                    for _ in range(4)] + [Matrix.zeros(fld, *dims[::-1])]
+            for t in islice(search_rbos(d, lam), 4):
+                try:
+                    maps.append(t.inverse())
+                except NotInvertible:
+                    pass
+            for dmap in maps:
+                got, want = (check(d, lam, dmap).violations for check in (
+                    check_crossed_homomorphism, crossed_reference))
+                assert [(v.law, v.where, v.lhs, v.rhs) for v in got] == \
+                    [(v.law, v.where, v.lhs, v.rhs) for v in want]
+                verdicts[not got] = verdicts.get(not got, 0) + 1
+    assert verdicts[True] > 20 and verdicts[False] > 20
 
 
 def test_derived_operators_are_valid(Q):

@@ -6,20 +6,26 @@ the construction describes, as raw values (Fractions over Q, residues in
 [0, p) over GF(p), ints over ZZ) with no empty row; its by-index lists
 must list exactly its rows; and the dense property must be that tensor.
 The dense tensors below are built cell by cell, as the library built
-them before it kept stores.
+them before it kept stores.  ``core.transport`` is held to the same
+reference: the dense tensor of out(T(s e_a, t e_b)) built pair by pair
+from contractions and ``mul_vec``, as the library built it before.
 """
 
 from fractions import Fraction
 from math import lcm
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from leibniz_rb.cohomology import IntegerView
 from leibniz_rb.core import (ActionPair, LeibnizAlgebra, LeibnizGRep,
-                             adjoint_grep, adjoint_pair, semidirect_product,
-                             semidirect_product_unchecked)
-from leibniz_rb.errors import InvalidInput
+                             _as_store, adjoint_grep, adjoint_pair,
+                             change_of_basis_algebra, change_of_basis_grep,
+                             contract, semidirect_product,
+                             semidirect_product_unchecked, transport)
+from leibniz_rb.errors import InvalidInput, ShapeMismatch
 from leibniz_rb.fields import ZZ, PrimeField, RationalField
+from leibniz_rb.linalg import Matrix
 from leibniz_rb.manifest import parse_manifest
 from leibniz_rb.operators import ideal_context
 from leibniz_rb.postleibniz import PostLeibnizAlgebra
@@ -176,3 +182,45 @@ def test_store_is_the_nonzero_cells_of_the_dense_tensor(data):
         assert store.field is ZZ
         assert_store_is(store, tuple(tuple(tuple(scale(x) for x in row)
                                            for row in plane) for plane in t))
+
+    # transport: 1-3 terms of random stores moved by random rectangular
+    # matrices (zero and rank-one ones among them) into one store
+    def matrix(nrows, ncols):
+        rows = [[data.draw(raw) for _ in range(ncols)] for _ in range(nrows)]
+        kind = data.draw(st.sampled_from(["any", "zero", "rank-one"]))
+        if kind == "zero":
+            rows = [[0] * ncols for _ in range(nrows)]
+        elif kind == "rank-one":
+            rows = [rows[0]] * nrows
+        return Matrix(fld, rows, ncols)
+
+    shape = [data.draw(st.integers(1, 3)) for _ in range(3)]
+    terms, cells = [], []
+    for _ in range(data.draw(st.integers(1, 3))):
+        dims = tuple(data.draw(st.integers(1, 3)) for _ in range(3))
+        store = _as_store(fld, dims, tensor(*dims))
+        s, t, out = (matrix(dims[0], shape[0]), matrix(dims[1], shape[1]),
+                     matrix(shape[2], dims[2]))
+        terms.append((store, s, t, out))
+        cells += [((a, b, m), x) for a in range(shape[0])
+                  for b in range(shape[1]) for m, x in enumerate(out.mul_vec(
+                      contract(fld, ((store, s.col(a), t.col(b)),),
+                               dims[2])))]
+    assert_store_is(transport(terms), dense(fld, shape, cells))
+    # a term that does not fit its store, on each axis, is refused
+    store, s, t, out = terms[-1]
+    for axis in range(3):
+        bad = [s, t, out]
+        nrows, ncols = bad[axis].shape
+        bad[axis] = matrix(nrows + (axis < 2), ncols + (axis == 2))
+        with pytest.raises(ShapeMismatch):
+            transport(terms[:-1] + [(store, *bad)])
+
+    # basis changes by a matrix of the wrong size
+    wrong = Matrix.identity(fld, n + 1)
+    with pytest.raises(ShapeMismatch):
+        change_of_basis_algebra(a, wrong)
+    for sg, sh in ((wrong, Matrix.identity(fld, nv)),
+                   (Matrix.identity(fld, n), Matrix.identity(fld, nv + 1))):
+        with pytest.raises(ShapeMismatch):
+            change_of_basis_grep(LeibnizGRep(a, h, pair), sg, sh)
