@@ -10,8 +10,8 @@ One formula builds delta in every degree; delta_0 x = -rhoR_T(x, .) is the
 map u -> T rho^L(x, u) - [x, Tu]_g.  Its checks run on the ints D h_T and
 D rho_T over ``ZZ`` (``IntegerView``): both the rows of D delta, which the
 elimination takes as they are, and the probe's Leibniz differential.  The
-twisted differential d_T = d + [[T, -]] gives the same cohomology up to the
-sign d_T f = (-1)^n delta f, which the test-suite uses as an oracle.
+twisted differential d_T = d + [[T, -]] (both routes, always) gives the
+same cohomology up to the sign d_T f = (-1)^n delta f, a test oracle.
 """
 
 from dataclasses import dataclass, field as dc_field
@@ -23,6 +23,7 @@ from .core import (ActionPair, LeibnizAlgebra, leibniz_differential, over_ints,
 from .errors import (ContainmentViolated, OracleDisagreement, ResourceLimit,
                      ShapeMismatch)
 from .fields import ZZ
+from .graded import derived_bracket, differential_d
 from .linalg import Matrix, vec_sub
 from .multimap import MultiMap
 from .operators import induced_algebra
@@ -59,14 +60,11 @@ def delta_T(r, f):
     return leibniz_differential(induced_algebra(r, validate=False), rho, f)
 
 
-def d_T(r, f, cross_check=True):
-    """The twisted differential d_T = d + [[T, -]] on the graded side."""
-    from .graded import derived_bracket, differential_d
-
+def d_T(r, f):
+    """The twisted differential d_T = d + [[T, -]], each term cross-checked."""
     d = r.context
-    tm = MultiMap.from_matrix(r.t)
-    return differential_d(d, r.weight, f, cross_check=cross_check) \
-        + derived_bracket(d, tm, f, cross_check=cross_check)
+    return differential_d(d, r.weight, f) \
+        + derived_bracket(d, MultiMap.from_matrix(r.t), f)
 
 
 def cochain_dim(r, n):

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field as dc_field
 from functools import cached_property
 from operator import itemgetter
 
-from .errors import InvalidInput, ResourceLimit, ShapeMismatch
+from .errors import InvalidInput, ResourceLimit, ShapeMismatch, WrongField
 from .fields import ZZ, int_scale
 from .linalg import Matrix, axpy, zero_vec
 from .multimap import MultiMap
@@ -522,12 +522,17 @@ def transport(terms):
     structure tensors along linear maps.  Each nonzero cell ((i, j, k), x)
     meets only the nonzero raw entries s[i][a], t[j][b] and out[m][k], and
     ``_Store`` sums and reduces the products.  A term whose (s.nrows,
-    t.nrows, out.ncols) is not its store's dims raises ShapeMismatch; the
+    t.nrows, out.ncols) is not its store's dims raises ShapeMismatch, one
+    with a matrix over another field than its store WrongField; the
     result takes its shape from the first term."""
     cells = []
     for store, s, t, out in terms:
         if (s.nrows, t.nrows, out.ncols) != store.dims:
             raise ShapeMismatch("transport matrices do not fit the tensor")
+        other = {s.field, t.field, out.field} - {store.field}
+        if other:
+            raise WrongField("transport matrix over %r, tensor over %r"
+                             % (other.pop(), store.field))
         cells += [((a, b, m), x * y * z * row[k])
                   for (i, j, k), x in store.cells()
                   for a, y in enumerate(s.raw[i]) if y

@@ -8,7 +8,7 @@ whose coefficients satisfy the deformation equations
           + lambda T_n([u, v]_h)           for n = 0..N,
 
 equivalently d_T(T_n) = -1/2 sum_{i+j=n, i,j>=1} [[T_i, T_j]] for n >= 1.
-Both forms are computed and compared, so a sign bug in either route is
+Both forms are always computed and compared, so a sign bug in either is
 trapped, except over GF(2), where the second form does not exist.
 Everything is truncated polynomial arithmetic at a fixed order; no
 power-series object exists.
@@ -18,14 +18,15 @@ from dataclasses import dataclass
 from itertools import product as iproduct
 from typing import Optional
 
-from .cohomology import d_T, delta_T, delta_T_0, delta_matrix, integer_view
+from .cohomology import delta_T, delta_T_0, delta_matrix, integer_view
 from .core import (ValidationReport, basis_vec, leibniz_differential,
                    transport)
 from .errors import (BaseMismatch, ContainmentViolated, InvalidDeformation,
                      OracleDisagreement, ResourceLimit, ShapeMismatch,
                      WrongField)
 from .fields import PrimeField
-from .graded import derived_bracket, derived_bracket_explicit
+from .graded import (derived_bracket, derived_bracket_explicit,
+                     differential_d_explicit)
 from .linalg import Matrix, axpy
 from .multimap import MultiMap
 from .operators import morphism_at_order, series_coeff
@@ -72,13 +73,14 @@ def _bracket_sum(d, ts, m, bracket):
     return acc
 
 
-def check_deformation(defm, cross_check=True):
+def check_deformation(defm):
     """Verify the deformation equations for n = 0..N on all basis pairs.
 
     Both sides at order n are stores summed by ``core.transport``: c_g
     moved along (T_i, T_{n-i}), against T_i rho^L(T_{n-i} -, -) and
-    T_i rho^R(-, T_{n-i} -) over i plus lambda T_n c_h.  With cross_check
-    the dgLa form of the same equations is evaluated for n >= 1 and any
+    T_i rho^R(-, T_{n-i} -) over i plus lambda T_n c_h.  The dgLa form of
+    the same equations, 2 (dT_n + [[T, T_n]]) + sum [[T_i, T_j]], is built
+    for n >= 1 from the explicit routes of ``graded`` on the field, and any
     verdict split raises OracleDisagreement.  That form needs 1/2, so in
     characteristic 2 the direct verdict is reported alone.
     """
@@ -94,10 +96,13 @@ def check_deformation(defm, cross_check=True):
             (act.right_nz, ih, ts[n - i], ts[i]) for i in range(n + 1)])
         rep.add_differences("deformation-equation", lhs, rhs, (n,))
     direct_bad = {v.where[0] for v in rep.violations}
-    if cross_check and fld.characteristic != 2:
+    if fld.characteristic != 2:
+        t = MultiMap.from_matrix(r.t)
         for n in range(1, defm.order + 1):
-            resid = d_T(r, MultiMap.from_matrix(ts[n]), cross_check=False) \
-                .scale(fld.coerce(2)) \
+            tn = MultiMap.from_matrix(ts[n])
+            d_tn = differential_d_explicit(d, r.weight, tn) \
+                + derived_bracket_explicit(d, t, tn)
+            resid = d_tn.scale(fld.coerce(2)) \
                 + _bracket_sum(d, ts, n, derived_bracket_explicit)
             if resid.is_zero() == (n in direct_bad):
                 raise OracleDisagreement(

@@ -38,10 +38,6 @@ class InvalidDeformation(InvalidInput):
     """A deformation failed the deformation equations."""
 
 
-class StructureIncompatible(LrbError):
-    """The canonical degree-1 elements do not square/commute to zero."""
-
-
 class BaseMismatch(LrbError):
     """Deformation coefficient list does not start with the base operator."""
 

@@ -3,14 +3,14 @@
 The derived bracket and the differential each have two independent
 implementations: an explicit formula and a route through the Balavoine
 bracket on maps of the total space V = g + h.  The explicit differential
-d = [theta', -] is (-1)^n times the Loday-Pirashvili coboundary of
-(h, lambda [.,.]_h) with trivial coefficients in g.  Public entry points
-run both over ``ZZ`` on the context, maps and lambda, each times the lcm
-of its denominators (``fields.int_scale``; residues over GF(p)), and raise
-OracleDisagreement on any split of the int results, which traps
-sign-convention bugs without trusting either route alone.  The explicit
-result over the product of the scales is returned.  A context is scaled,
-and its theta built, once (``LeibnizGRep.int_context``, ``make_theta``).
+d = [theta', -] is (-1)^n lambda times the Loday-Pirashvili coboundary of
+(h, [.,.]_h) with trivial coefficients in g.  The public bracket and
+differential always run both over ``ZZ`` on the context, maps and lambda,
+each times the lcm of its denominators (``fields.int_scale``; residues over
+GF(p)), and raise OracleDisagreement on any split of the int results: the
+explicit result over the product of the scales is returned.  A context is
+scaled, and its theta built, once (``LeibnizGRep.int_context``,
+``make_theta``).  One route alone is called by name (``*_explicit``).
 
 Both bracket routes visit nonzero rows only.  The explicit route scatters
 each shuffle sum from the rows of P and Q and reads rho^L and rho^R from
@@ -23,14 +23,12 @@ from functools import lru_cache
 from itertools import combinations
 from operator import itemgetter
 
-from .core import (ActionPair, LeibnizAlgebra, ValidationReport, _pow_sign,
-                   block_tensor, leibniz_differential, transport,
-                   validate_leibniz_g_rep)
-from .errors import (InvalidInput, OracleDisagreement, ShapeMismatch,
-                     StructureIncompatible, WrongField)
+from .core import (ActionPair, ValidationReport, _pow_sign, block_tensor,
+                   leibniz_differential)
+from .errors import OracleDisagreement, ShapeMismatch, WrongField
 from .fields import ZZ, int_scale
-from .linalg import Matrix
 from .multimap import MultiMap
+from .operators import _check_operator_shape
 
 
 def _table(perms):
@@ -127,37 +125,24 @@ def balavoine_bracket(f, g):
 # Structure elements on V = g + h
 
 
-def _block_map(d, mu, lam, validate):
-    """``block_tensor`` as an arity-2 map on V = g + h; validates d first."""
-    if validate:
-        check = validate_leibniz_g_rep(d)
-        if not check.ok:
-            raise InvalidInput(check.summary())
+def _block_map(d, mu, lam):
+    """``block_tensor`` as an arity-2 map on V = g + h."""
     n = d.g.dim + d.h.dim
     out = MultiMap(d.field, 2, n, n)
     out.nz = dict(block_tensor(d, mu, lam).dense_rows())
     return out
 
 
-def make_theta(d, validate=True):
-    """theta = mu_g + rho^L + rho^R as an arity-2 map on V = g + h, kept on
-    d: unvalidated, it is built on the first call for d only."""
-    if validate or d._theta is None:
-        d._theta = _block_map(d, d.field.one, d.field.zero, validate)
-    if validate and not balavoine_bracket(d._theta, d._theta).is_zero():
-        raise StructureIncompatible("[theta, theta]_B != 0")
+def make_theta(d):
+    """theta = mu_g + rho^L + rho^R on V = g + h, built once and kept on d."""
+    if d._theta is None:
+        d._theta = _block_map(d, d.field.one, d.field.zero)
     return d._theta
 
 
-def make_theta_prime(d, lam, validate=True):
+def make_theta_prime(d, lam):
     """theta' = -lambda mu_h as an arity-2 map on V = g + h."""
-    tp = _block_map(d, d.field.zero, -d.field.coerce(lam), validate)
-    if validate:
-        if not balavoine_bracket(tp, tp).is_zero():
-            raise StructureIncompatible("[theta', theta']_B != 0")
-        if not balavoine_bracket(make_theta(d, validate=False), tp).is_zero():
-            raise StructureIncompatible("[theta, theta']_B != 0")
-    return tp
+    return _block_map(d, d.field.zero, -d.field.coerce(lam))
 
 
 def lift(p, ng, nh):
@@ -274,20 +259,30 @@ def derived_bracket_lifted(d, p, q):
     agreement itself is asserted by derived_bracket.
     """
     ng, nh = d.g.dim, d.h.dim
-    inner = balavoine_bracket(make_theta(d, validate=False), lift(p, ng, nh))
+    inner = balavoine_bracket(make_theta(d), lift(p, ng, nh))
     nested = balavoine_bracket(inner, lift(q, ng, nh))
     return restrict(nested, ng, nh).scale(_pow_sign(d.field, p.arity))
 
 
+def _check_maps(d, maps):
+    """ShapeMismatch unless each map is h^{x *} -> g; WrongField, naming
+    both fields, for a map over another field than d."""
+    for m in maps:
+        if m.src_dim != d.h.dim or m.tgt_dim != d.g.dim:
+            raise ShapeMismatch("dgLa elements are maps h^{x *} -> g")
+        if m.field != d.field:
+            raise WrongField("map over %r, context over %r"
+                             % (m.field, d.field))
+
+
 def _over_ints(d, *maps):
-    """(D, [D_d d, D_m m for each map] over ZZ), D the product of the scales;
-    WrongField, naming both fields, for a map over another field than d."""
+    """(D, [D_d d, D_m m for each map] over ZZ), D the product of the
+    scales, for maps that pass ``_check_maps``."""
+    _check_maps(d, maps)
     fld = d.field
     den, dz = d.int_context
     out = [dz]
     for m in maps:
-        if m.field != fld:
-            raise WrongField("map over %r, context over %r" % (m.field, fld))
         rows = [fld.to_raw(row) for row in m.nz.values()]
         k, scale = int_scale(fld, [x for row in rows for x in row])
         out.append(MultiMap(ZZ, m.arity, m.src_dim, m.tgt_dim))
@@ -305,50 +300,41 @@ def _from_ints(fld, den, m):
     return out
 
 
-def derived_bracket(d, p, q, cross_check=True):
+def derived_bracket(d, p, q):
     """Graded Lie bracket on Hom(h^{x *}, g), linear in (c_g, rho^L, rho^R),
-    P and Q: the explicit int result over D_d D_p D_q, checked by default."""
-    if p.src_dim != d.h.dim or p.tgt_dim != d.g.dim or not (
-            q.src_dim == p.src_dim and q.tgt_dim == p.tgt_dim):
-        raise ShapeMismatch("derived bracket needs maps h^{x *} -> g")
+    P and Q: the explicit int result over D_d D_p D_q, always checked."""
     den, (dz, pz, qz) = _over_ints(d, p, q)
     explicit = derived_bracket_explicit(dz, pz, qz)
-    if cross_check and explicit != derived_bracket_lifted(dz, pz, qz):
+    if explicit != derived_bracket_lifted(dz, pz, qz):
         raise OracleDisagreement("derived bracket: explicit formula != lifted "
                                  "route (arities %d, %d)" % (p.arity, q.arity))
     return _from_ints(d.field, den, explicit)
 
 
 def differential_d_explicit(d, lam, p):
-    """dP: (-1)^n times the Leibniz coboundary of P for (h, lambda [.,.]_h).
-
-    h acts on g by zero; the sign is folded into lambda, the coboundary
-    being linear in the bracket.
-    """
-    fld, ih = d.field, Matrix.identity(d.field, d.h.dim)
-    lam_h = ih.scale(_pow_sign(fld, p.arity) * fld.coerce(lam))
-    h = LeibnizAlgebra(fld, d.h.dim, transport([(d.h.c_nz, ih, ih, lam_h)]))
-    return leibniz_differential(h, ActionPair.zero(fld, h.dim, d.g.dim), p)
+    """dP: (-1)^n lambda times the Leibniz coboundary of P for (h, [.,.]_h)
+    acting by zero on g, the coboundary being linear in the bracket."""
+    fld = d.field
+    dp = leibniz_differential(d.h, ActionPair.zero(fld, d.h.dim, d.g.dim), p)
+    return dp.scale(_pow_sign(fld, p.arity) * fld.coerce(lam))
 
 
 def differential_d_lifted(d, lam, p):
     """dP via restriction of [theta', P^]_B; cross-check route."""
     ng, nh = d.g.dim, d.h.dim
-    tp = make_theta_prime(d, lam, validate=False)
+    tp = make_theta_prime(d, lam)
     return restrict(balavoine_bracket(tp, lift(p, ng, nh)), ng, nh)
 
 
-def differential_d(d, lam, p, cross_check=True):
+def differential_d(d, lam, p):
     """Differential of the operator dgLa, linear in lambda c_h and in P: the
-    explicit int result over D_d D_lam D_p, checked by default."""
-    if p.src_dim != d.h.dim or p.tgt_dim != d.g.dim:
-        raise ShapeMismatch("differential needs a map h^{x *} -> g")
+    explicit int result over D_d D_lam D_p, always checked."""
     raw = d.field.to_raw([d.field.coerce(lam)])
     dl, scale = int_scale(d.field, raw)
     lz = scale(raw[0])
     den, (dz, pz) = _over_ints(d, p)
     explicit = differential_d_explicit(dz, lz, pz)
-    if cross_check and explicit != differential_d_lifted(dz, lz, pz):
+    if explicit != differential_d_lifted(dz, lz, pz):
         raise OracleDisagreement("differential d: explicit formula != lifted "
                                  "route (arity %d)" % p.arity)
     return _from_ints(d.field, den * dl, explicit)
@@ -358,11 +344,13 @@ def maurer_cartan_residual(d, lam, t):
     """dT + (1/2)[[T, T]]; over GF(2) the 2-scaled form 2 dT + [[T, T]].
 
     Zero exactly when T satisfies the weighted operator identity (over
-    GF(2) the equivalence holds for the 2-scaled residual).
+    GF(2) the equivalence holds for the 2-scaled residual).  T, a Matrix
+    or an arity-1 MultiMap, must be a dim g x dim h map over d's field.
     """
-    if isinstance(t, Matrix):
-        t = MultiMap.from_matrix(t)
-    fld = d.field
+    if isinstance(t, MultiMap):
+        t = t.to_matrix()
+    _check_operator_shape(d, t)
+    t, fld = MultiMap.from_matrix(t), d.field
     dt = differential_d_explicit(d, lam, t)
     br = derived_bracket_explicit(d, t, t)
     if fld.characteristic == 2:
@@ -404,12 +392,18 @@ def check_dgla(d, lam, samples, cross_check=False):
 
     samples: list of (P, Q) pairs and (P, Q, R) triples of MultiMaps
     h^{x *} -> g.  Antisymmetry, d^2 = 0 and the graded Leibniz rule are
-    checked on pairs; the graded Jacobi identity on triples.
+    checked on pairs; the graded Jacobi identity on triples.  With
+    cross_check each bracket and differential runs both routes; without,
+    the explicit routes alone.
     """
-    rep = ValidationReport("dgla")
-    br = lambda a, b: derived_bracket(d, a, b, cross_check=cross_check)
-    dd = lambda a: differential_d(d, lam, a, cross_check=cross_check)
-    fld = d.field
+    _check_maps(d, [f for sample in samples for f in sample])
+    rep, fld = ValidationReport("dgla"), d.field
+    if cross_check:
+        br = lambda a, b: derived_bracket(d, a, b)
+        dd = lambda a: differential_d(d, lam, a)
+    else:
+        br = lambda a, b: derived_bracket_explicit(d, a, b)
+        dd = lambda a: differential_d_explicit(d, lam, a)
     for k, sample in enumerate(samples):
         if len(sample) == 2:
             p, q = sample

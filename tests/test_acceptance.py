@@ -121,7 +121,7 @@ def test_criterion_4_cohomology(gf5):
         assert cohomology(r2, 2).betti() == base
         for arity in (1, 2):
             f = random_multimap(gf5, arity, d.h.dim, d.g.dim, rng, lo=0, hi=5)
-            assert d_T(r, f, cross_check=False) == \
+            assert d_T(r, f) == \
                 delta_T(r, f).scale(_pow_sign(gf5, arity))
     print("criterion 4 (cohomology well-formedness on 50 operators): PASS")
 
@@ -137,7 +137,7 @@ def _valid_order1_deformations(fld, limit):
                         continue
                     for t1 in _all_matrices(fld, d.g.dim, d.h.dim):
                         defm = Deformation(base, [t0, t1])
-                        if check_deformation(defm, cross_check=False).ok:
+                        if check_deformation(defm).ok:
                             out.append(defm)
                             if len(out) >= limit:
                                 return out

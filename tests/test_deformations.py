@@ -17,6 +17,7 @@ from leibniz_rb.errors import (BaseMismatch, ContainmentViolated,
                                ResourceLimit, ShapeMismatch, WrongField)
 from leibniz_rb.fields import PrimeField, RationalField
 from leibniz_rb.linalg import Matrix
+from leibniz_rb.multimap import MultiMap
 from leibniz_rb.operators import WeightedRBO, search_rbos
 
 from conftest import dim2_nonlie, rho_l_context, seeded, small_contexts
@@ -168,16 +169,36 @@ def test_dgla_cross_check_runs_where_2_is_invertible(p, t1, monkeypatch):
                                Matrix.zeros(fld, 2, 2))
     defm = Deformation(r, [r.t, Matrix(fld, t1)])
     calls = []
-    real = deformations.d_T
+    real = deformations.differential_d_explicit
 
     def counted(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(deformations, "d_T", counted)
+    monkeypatch.setattr(deformations, "differential_d_explicit", counted)
     rep = check_deformation(defm)
     assert rep.ok == (t1[1][1] == 0)
     assert len(calls) == (0 if p == 2 else 1)
+
+
+@pytest.mark.parametrize("p", [0, 2, 5])
+def test_split_dgla_form_is_trapped_where_2_is_invertible(p, monkeypatch):
+    # the dgLa form forced to read zero on a deformation whose equation
+    # fails at order 1: the verdicts split, except over GF(2), where the
+    # direct verdict is reported alone
+    fld = PrimeField(p) if p else RationalField()
+    r = WeightedRBO.on_algebra(dim2_nonlie(fld), fld.one,
+                               Matrix.zeros(fld, 2, 2))
+    defm = Deformation(r, [r.t, Matrix.identity(fld, 2)])
+    # at order 1 both terms of d_T(T_1) are arity-2 maps h x h -> g
+    zero = lambda d, *args: MultiMap(d.field, 2, d.h.dim, d.g.dim)
+    monkeypatch.setattr(deformations, "differential_d_explicit", zero)
+    monkeypatch.setattr(deformations, "derived_bracket_explicit", zero)
+    if p == 2:
+        assert not check_deformation(defm).ok
+    else:
+        with pytest.raises(OracleDisagreement):
+            check_deformation(defm)
 
 
 def test_infinitesimal_is_cocycle(gf5):

@@ -4,6 +4,7 @@ from itertools import permutations
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from leibniz_rb.cohomology import d_T
 from leibniz_rb.core import (ActionPair, LeibnizAlgebra, LeibnizGRep,
                              adjoint_grep, change_of_basis_grep, over_ints,
                              validate_leibniz_g_rep)
@@ -107,7 +108,7 @@ def test_derived_bracket_routes_agree(Q, gf7):
                 a = derived_bracket_explicit(d, p, q)
                 b = derived_bracket_lifted(d, p, q)
                 assert a == b
-                assert derived_bracket(d, p, q, cross_check=True) == a
+                assert derived_bracket(d, p, q) == a
 
 
 def test_explicit_route_is_independent(Q, monkeypatch):
@@ -141,7 +142,7 @@ def test_differential_routes_agree(Q, gf7):
                     a = differential_d_explicit(d, lam, p)
                     b = differential_d_lifted(d, lam, p)
                     assert a == b
-                    assert differential_d(d, lam, p, cross_check=True) == a
+                    assert differential_d(d, lam, p) == a
 
 
 def test_explicit_differential_is_independent(Q, monkeypatch):
@@ -176,7 +177,7 @@ def test_negated_bracket_term_is_trapped(Q, monkeypatch):
     d = _ctx(Q)
     p = random_multimap(Q, 2, d.h.dim, d.g.dim, seeded(37))
     with pytest.raises(OracleDisagreement):
-        differential_d(d, -1, p, cross_check=True)
+        differential_d(d, -1, p)
     r = WeightedRBO.on_algebra(dim2_nonlie(Q), -1, Matrix.identity(Q, 2))
     with pytest.raises(OracleDisagreement):
         cohomology.delta_matrix(r, 1)
@@ -201,24 +202,27 @@ def test_flipped_balavoine_half_is_trapped(Q, monkeypatch):
     p = random_multimap(Q, 2, d.h.dim, d.g.dim, rng)
     q = random_multimap(Q, 1, d.h.dim, d.g.dim, rng)
     with pytest.raises(OracleDisagreement):
-        derived_bracket(d, p, q, cross_check=True)
+        derived_bracket(d, p, q)
     with pytest.raises(OracleDisagreement):
-        differential_d(d, -1, p, cross_check=True)
+        differential_d(d, -1, p)
 
 
 @pytest.mark.parametrize("fields", [(RationalField(), PrimeField(5)),
                                     (PrimeField(5), RationalField()),
                                     (PrimeField(3), PrimeField(5))])
 def test_maps_over_another_field_are_wrong_field(fields):
-    # context over the first field, one map over the second: both entry
-    # points refuse with one line that names both fields
+    # context over the first field, one map over the second: every entry
+    # point refuses with one line that names both fields
     ctx_field, map_field = fields
     d = _ctx(ctx_field)
     good = random_multimap(ctx_field, 1, 2, 2, seeded(1))
     bad = random_multimap(map_field, 1, 2, 2, seeded(1))
     for call in (lambda: derived_bracket(d, bad, good),
                  lambda: derived_bracket(d, good, bad),
-                 lambda: differential_d(d, -1, bad)):
+                 lambda: differential_d(d, -1, bad),
+                 lambda: check_dgla(d, -1, [(good, bad)]),
+                 lambda: maurer_cartan_residual(d, -1, bad),
+                 lambda: maurer_cartan_residual(d, -1, bad.to_matrix())):
         with pytest.raises(WrongField) as exc:
             call()
         msg = str(exc.value)
@@ -279,6 +283,11 @@ def _forced_split(real):
     return split
 
 
+def _identity_operator(fld):
+    return WeightedRBO.on_algebra(dim2_nonlie(fld), fld.coerce(-1),
+                                  Matrix.identity(fld, 2))
+
+
 def test_oracle_disagreement_raised_on_forced_split(Q, gf2, monkeypatch):
     import leibniz_rb.graded as gr
     monkeypatch.setattr(gr, "derived_bracket_lifted",
@@ -288,9 +297,12 @@ def test_oracle_disagreement_raised_on_forced_split(Q, gf2, monkeypatch):
         rng = seeded(23)
         p = random_multimap(fld, 2, d.h.dim, d.g.dim, rng)
         q = random_multimap(fld, 1, d.h.dim, d.g.dim, rng)
-        assert not gr.derived_bracket(d, p, q, cross_check=False).is_zero()
+        assert not gr.derived_bracket_explicit(d, p, q).is_zero()
         with pytest.raises(OracleDisagreement):
-            gr.derived_bracket(d, p, q, cross_check=True)
+            gr.derived_bracket(d, p, q)
+        # d_T's [[T, -]] term runs the same check
+        with pytest.raises(OracleDisagreement):
+            d_T(_identity_operator(fld), q)
 
 
 def test_oracle_disagreement_raised_on_forced_differential_split(
@@ -301,9 +313,12 @@ def test_oracle_disagreement_raised_on_forced_differential_split(
     for fld in (Q, gf2):
         d = _ctx(fld)
         p = random_multimap(fld, 2, d.h.dim, d.g.dim, seeded(41))
-        assert not gr.differential_d(d, -1, p, cross_check=False).is_zero()
+        assert not gr.differential_d_explicit(d, -1, p).is_zero()
         with pytest.raises(OracleDisagreement):
-            gr.differential_d(d, -1, p, cross_check=True)
+            gr.differential_d(d, -1, p)
+        # d_T's d term runs the same check
+        with pytest.raises(OracleDisagreement):
+            d_T(_identity_operator(fld), p)
 
 
 # ---------------------------------------------------------------------------
@@ -406,7 +421,6 @@ def test_int_rows_that_vanish_mod_p_are_dropped(p):
 def test_int_context_and_theta_are_built_once_per_context(
         Q, gf7, monkeypatch):
     import leibniz_rb.core as core
-    import leibniz_rb.graded as gr
     for d in (_det2(_ctx(Q)), _ctx(gf7)):
         den, stores = over_ints((d.g.c_nz, d.h.c_nz, d.actions.left_nz,
                                  d.actions.right_nz))
@@ -415,23 +429,15 @@ def test_int_context_and_theta_are_built_once_per_context(
         assert [dz.g.c_nz, dz.h.c_nz, dz.actions.left_nz,
                 dz.actions.right_nz] == stores
         assert d.int_context[1] is dz
-        assert make_theta(dz, validate=False) is make_theta(dz, False)
+        assert make_theta(dz) is make_theta(dz)
     # a fresh context scales once for all its brackets and differentials
-    scaled, checks = [], []
+    scaled = []
     monkeypatch.setattr(core, "over_ints",
                         lambda s: scaled.append(s) or over_ints(s))
-    monkeypatch.setattr(gr, "validate_leibniz_g_rep",
-                        lambda d_: checks.append(d_) or
-                        validate_leibniz_g_rep(d_))
     d = _det2(_ctx(Q))
     assert check_dgla(d, -1, dgla_samples(d, count=1, seed=5),
                       cross_check=True).ok
-    assert len(scaled) == 1 and not checks
-    # validated, theta and theta' are checked on every call
-    for _ in range(2):
-        make_theta(d)
-        make_theta_prime(d, -1)
-    assert len(checks) == 4
+    assert len(scaled) == 1
 
 
 def test_alternating_contexts_match_fresh_contexts(Q, gf7):

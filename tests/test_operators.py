@@ -7,7 +7,8 @@ import pytest
 
 from leibniz_rb import operators
 from leibniz_rb.core import (LeibnizAlgebra, ValidationReport, adjoint_grep,
-                             basis_vec, change_of_basis_grep)
+                             basis_vec, change_of_basis_algebra,
+                             change_of_basis_grep)
 from leibniz_rb.errors import (InvalidInput, InvalidOperator,
                                NotAdjointContext, NotInvertible,
                                OracleDisagreement,
@@ -449,14 +450,16 @@ def test_check_matches_reference():
                                     (RationalField(), PrimeField(5)),
                                     (PrimeField(5), RationalField())])
 def test_operator_over_another_field_is_wrong_field(fields):
-    # context over the first field, T over the second: every entry point
-    # refuses with one line that names both fields
+    # context over the first field, T (or D, or a basis change) over the
+    # second: every entry point refuses with one line that names both fields
     ctx_field, t_field = fields
     d = adjoint_grep(dim2_nonlie(ctx_field))
     t = Matrix.identity(t_field, 2)
     for call in (lambda: WeightedRBO(d, 0, t),
                  lambda: check_weighted_relative_rbo(d, 0, t),
-                 lambda: graph_check(d, 0, t)):
+                 lambda: graph_check(d, 0, t),
+                 lambda: check_crossed_homomorphism(d, 0, t),
+                 lambda: change_of_basis_algebra(d.g, t)):
         with pytest.raises(WrongField) as exc:
             call()
         msg = str(exc.value)
