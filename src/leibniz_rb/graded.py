@@ -4,21 +4,28 @@ The derived bracket and the differential each have two independent
 implementations: an explicit formula and a route through the Balavoine
 bracket on maps of the total space V = g + h.  The explicit differential
 d = [theta', -] is (-1)^n lambda times the Loday-Pirashvili coboundary of
-(h, [.,.]_h) with trivial coefficients in g.  The public bracket and
-differential always run both over ``ZZ`` on the context, maps and lambda,
-each times the lcm of its denominators (``fields.int_scale``; residues over
-GF(p)), and raise OracleDisagreement on any split of the int results: the
-explicit result over the product of the scales is returned.  A context is
-scaled, and its theta built, once (``LeibnizGRep.int_context``,
+(h, [.,.]_h) with trivial coefficients in g.  Both routes of a bracket or
+differential run in one checked helper (``_checked_bracket``,
+``_checked_differential``) over ``ZZ``, on the context, maps and lambda
+each times the lcm of its denominators (``fields.int_scale``; residues
+over GF(p)): it raises OracleDisagreement on any split of the int results
+and returns the explicit one with its scale, reduced mod p over GF(p).
+The public ``derived_bracket`` and ``differential_d`` scale their inputs,
+call the helper and divide back; ``check_dgla(cross_check=True)`` scales
+lambda and its samples once, nests the helpers on the int maps and
+compares each law there, since both sides carry the same scale.  A
+context is scaled, and its theta built, once (``LeibnizGRep.int_context``,
 ``make_theta``).  One route alone is called by name (``*_explicit``).
 
 Both bracket routes visit nonzero rows only.  The explicit route scatters
-each shuffle sum from the rows of P and Q and reads rho^L and rho^R from
+each shuffle sum from the rows of P and Q as raw scalars, one {tuple:
+value} accumulator per coordinate of g, and reads rho^L and rho^R from
 the store rows of the action tensors; the lifted route composes with
 circ_i.  The two share no code beyond the shuffle tables: per shuffle an
 itemgetter that gathers indices into shuffled order, and the sign.
 """
 
+from collections import defaultdict
 from functools import lru_cache
 from itertools import combinations
 from operator import itemgetter
@@ -172,58 +179,67 @@ def restrict(q, ng, nh):
 def derived_bracket_explicit(d, p, q):
     """The six-sum shuffle formula for [[P, Q]] on Hom(h^{x *}, g).
 
-    Both halves (P outer, then Q outer times -(-1)^{mn}) are scattered
-    from the nonzero rows of P and Q into one {tuple: row} accumulator,
-    so only the output tuples that receive a term are visited.
+    Both halves (P outer, then Q outer times -(-1)^{mn}) add raw scalars
+    into one {tuple: value} accumulator per coordinate of g, so only the
+    output tuples that receive a term are visited; each output row is
+    then built once, with one from_raw, and dropped if zero.
     """
     fld = d.field
     m, n = p.arity, q.arity
-    rows = {}
-    _scatter_half(d, p, q, 1, rows)
-    _scatter_half(d, q, p, -(-1) ** (m * n), rows)
+    raws = [{idx: fld.to_raw(row) for idx, row in f.nz.items()}
+            for f in (p, q)]
+    accs = [defaultdict(int) for _ in range(d.g.dim)]
+    _scatter_half(d, m, n, *raws, 1, accs)
+    _scatter_half(d, n, m, *raws[::-1], -(-1) ** (m * n), accs)
+    zero, from_raw = fld.raw_zero, fld.from_raw
     out = MultiMap(fld, m + n, d.h.dim, d.g.dim)
-    out.nz = {idx: tuple(r) for idx, r in rows.items() if any(r)}
+    for idx in set().union(*accs):
+        row = tuple(from_raw([acc.get(idx, zero) for acc in accs]))
+        if any(row):
+            out.nz[idx] = row
     return out
 
 
-def _spread(rows, shs, c, vals, tail, term):
-    """Add c*sign*term (a fresh list) at gather(vals) + tail per shuffle."""
+def _spread(accs, shs, c, vals, tail, term):
+    """Add c*sign*x to accs[t] at gather(vals) + tail per shuffle, for the
+    (coordinate t, raw value x) pairs of term."""
     for gather, sign in shs:
         idx = gather(vals) + tail
-        acc = rows.get(idx)
-        if acc is None:
-            rows[idx] = term if sign == c else [-x for x in term]
-        elif sign == c:
-            rows[idx] = [a + x for a, x in zip(acc, term)]
+        if sign == c:
+            for t, x in term:
+                accs[t][idx] += x
         else:
-            rows[idx] = [a - x for a, x in zip(acc, term)]
+            for t, x in term:
+                accs[t][idx] -= x
 
 
-def _scatter_half(d, p, q, half, rows):
-    """Add half (+-1) times the three P-outer sums of the explicit formula.
+def _scatter_half(d, m, n, praw, qraw, half, accs):
+    """Add half (+-1) times the three P-outer sums of the explicit formula,
+    P of arity m and Q of arity n given by their raw rows.
 
     rho^L(Q(v), e_x) and rho^R(e_x, Q(v)) are summed once per nonzero row
     v of Q from the store rows by_second[x] and by_first[x] of the
     actions.  In the rho^L sum the indices v are shuffled with P's first
     i-1 and x is fixed; in the rho^R sum x is shuffled (as a middle block)
     and v's last index is fixed.  Each nonzero coordinate k of the action
-    vector meets the rows of P whose slot-i index is k.
+    vector meets the rows of P whose slot-i index is k, in one term per
+    (action entry, P row).
     """
-    fld, nh, act = d.field, d.h.dim, d.actions
-    m, n = p.arity, q.arity
+    nh, act = d.h.dim, d.actions
+    prows = [(pt, [(t, z) for t, z in enumerate(pr) if z])
+             for pt, pr in praw.items()]
     acts = []  # (shuffled indices, fixed index, rho^L?, sparse h-vector)
-    for qt, qv in q.nz.items():
-        qr = fld.to_raw(qv)
+    for qt, qr in qraw.items():
         for x in range(nh):
             for shuffled, fixed, is_left, store_rows in (
                     (qt, (x,), True, act.left_nz.by_second.get(x, ())),
                     ((x,) + qt[:-1], qt[-1:], False,
                      act.right_nz.by_first.get(x, ()))):
-                acc = [fld.raw_zero] * nh
+                sums = [0] * nh
                 for k, row in store_rows:
                     for b, t in row.items():
-                        acc[b] += qr[k] * t
-                vec = [(b, y) for b, y in enumerate(fld.from_raw(acc)) if y]
+                        sums[b] += qr[k] * t
+                vec = [(b, y) for b, y in enumerate(sums) if y]
                 if vec:
                     acts.append((shuffled, fixed, is_left, vec))
     for i in range(1, m + 1):
@@ -235,20 +251,28 @@ def _scatter_half(d, p, q, half, rows):
         shs = {True: (shuffles2(i - 1, n), block),
                False: (shuffles3(i - 1, n - 1), block * (-1) ** (n - 1))}
         by_slot = {}
-        for pt, pv in p.nz.items():
-            by_slot.setdefault(pt[i - 1], []).append((pt, pv))
+        for pt, ps in prows:
+            by_slot.setdefault(pt[i - 1], []).append((pt, ps))
         for shuffled, fixed, is_left, vec in acts:
             for k, y in vec:
-                for pt, pv in by_slot.get(k, ()):
-                    _spread(rows, *shs[is_left], pt[:i - 1] + shuffled,
-                            fixed + pt[i:], [y * z for z in pv])
-    # [P(..), Q(..)]_g: one g-bracket per pair of nonzero rows
+                for pt, ps in by_slot.get(k, ()):
+                    _spread(accs, *shs[is_left], pt[:i - 1] + shuffled,
+                            fixed + pt[i:], [(t, y * z) for t, z in ps])
+    # [P(..), Q(..)]_g: one raw g-bracket per pair of nonzero rows
     shs, c = shuffles2(m, n - 1), half * (-1) ** (m * n)
-    for pt, pv in p.nz.items():
-        for qt, qv in q.nz.items():
-            br = d.g.bracket(pv, qv)
-            if any(br):
-                _spread(rows, shs, c, pt + qt[:-1], qt[-1:], br)
+    by_first = d.g.c_nz.by_first
+    for pt, ps in prows:
+        for qt, qr in qraw.items():
+            br = defaultdict(int)
+            for i, x in ps:
+                for j, row in by_first.get(i, ()):
+                    if qr[j]:
+                        xy = x * qr[j]
+                        for k, t in row.items():
+                            br[k] += xy * t
+            term = [(k, y) for k, y in br.items() if y]
+            if term:
+                _spread(accs, shs, c, pt + qt[:-1], qt[-1:], term)
 
 
 def derived_bracket_lifted(d, p, q):
@@ -275,20 +299,31 @@ def _check_maps(d, maps):
                              % (m.field, d.field))
 
 
-def _over_ints(d, *maps):
-    """(D, [D_d d, D_m m for each map] over ZZ), D the product of the
-    scales, for maps that pass ``_check_maps``."""
-    _check_maps(d, maps)
-    fld = d.field
-    den, dz = d.int_context
-    out = [dz]
-    for m in maps:
-        rows = [fld.to_raw(row) for row in m.nz.values()]
-        k, scale = int_scale(fld, [x for row in rows for x in row])
-        out.append(MultiMap(ZZ, m.arity, m.src_dim, m.tgt_dim))
-        out[-1].nz, den = {idx: tuple(map(scale, row))
-                           for idx, row in zip(m.nz, rows)}, den * k
-    return den, out
+def _to_ints(fld, m):
+    """(s, s m over ZZ) for a map m over fld, s from ``fields.int_scale``."""
+    rows = [fld.to_raw(row) for row in m.nz.values()]
+    s, scale = int_scale(fld, [x for row in rows for x in row])
+    out = MultiMap(ZZ, m.arity, m.src_dim, m.tgt_dim)
+    out.nz = {idx: tuple(map(scale, row)) for idx, row in zip(m.nz, rows)}
+    return s, out
+
+
+def _lam_to_ints(fld, lam):
+    """(k, k lambda as an int), k from ``fields.int_scale``."""
+    raw = fld.to_raw([fld.coerce(lam)])
+    k, scale = int_scale(fld, raw)
+    return k, scale(raw[0])
+
+
+def _reduced(fld, m):
+    """The int map m mod p over GF(p), rows that vanish dropped; m over Q."""
+    p = fld.characteristic
+    if not p:
+        return m
+    rows = ((idx, tuple([x % p for x in r])) for idx, r in m.nz.items())
+    out = MultiMap(ZZ, m.arity, m.src_dim, m.tgt_dim)
+    out.nz = {idx: r for idx, r in rows if any(r)}
+    return out
 
 
 def _from_ints(fld, den, m):
@@ -300,15 +335,38 @@ def _from_ints(fld, den, m):
     return out
 
 
-def derived_bracket(d, p, q):
-    """Graded Lie bracket on Hom(h^{x *}, g), linear in (c_g, rho^L, rho^R),
-    P and Q: the explicit int result over D_d D_p D_q, always checked."""
-    den, (dz, pz, qz) = _over_ints(d, p, q)
+def _checked_bracket(d, a, b):
+    """(D s_a s_b, the int bracket of a = (s_a, s_a P) and b = (s_b, s_b Q)
+    on d's int context, D its scale): both routes, compared over ZZ before
+    the reduction mod p."""
+    (sa, pz), (sb, qz) = a, b
+    den, dz = d.int_context
     explicit = derived_bracket_explicit(dz, pz, qz)
     if explicit != derived_bracket_lifted(dz, pz, qz):
         raise OracleDisagreement("derived bracket: explicit formula != lifted "
-                                 "route (arities %d, %d)" % (p.arity, q.arity))
-    return _from_ints(d.field, den, explicit)
+                                 "route (arities %d, %d)" % (pz.arity, qz.arity))
+    return den * sa * sb, _reduced(d.field, explicit)
+
+
+def _checked_differential(d, lam, a):
+    """(D k s_a, the int dP) for lam = (k, k lambda) and a = (s_a, s_a P):
+    both routes, compared over ZZ before the reduction mod p."""
+    (k, lz), (sa, pz) = lam, a
+    den, dz = d.int_context
+    explicit = differential_d_explicit(dz, lz, pz)
+    if explicit != differential_d_lifted(dz, lz, pz):
+        raise OracleDisagreement("differential d: explicit formula != lifted "
+                                 "route (arity %d)" % pz.arity)
+    return den * k * sa, _reduced(d.field, explicit)
+
+
+def derived_bracket(d, p, q):
+    """Graded Lie bracket on Hom(h^{x *}, g), linear in (c_g, rho^L, rho^R),
+    P and Q: the explicit int result over D_d D_p D_q, always checked."""
+    _check_maps(d, (p, q))
+    fld = d.field
+    return _from_ints(fld, *_checked_bracket(d, _to_ints(fld, p),
+                                             _to_ints(fld, q)))
 
 
 def differential_d_explicit(d, lam, p):
@@ -329,15 +387,10 @@ def differential_d_lifted(d, lam, p):
 def differential_d(d, lam, p):
     """Differential of the operator dgLa, linear in lambda c_h and in P: the
     explicit int result over D_d D_lam D_p, always checked."""
-    raw = d.field.to_raw([d.field.coerce(lam)])
-    dl, scale = int_scale(d.field, raw)
-    lz = scale(raw[0])
-    den, (dz, pz) = _over_ints(d, p)
-    explicit = differential_d_explicit(dz, lz, pz)
-    if explicit != differential_d_lifted(dz, lz, pz):
-        raise OracleDisagreement("differential d: explicit formula != lifted "
-                                 "route (arity %d)" % p.arity)
-    return _from_ints(d.field, den * dl, explicit)
+    _check_maps(d, (p,))
+    fld = d.field
+    return _from_ints(fld, *_checked_differential(
+        d, _lam_to_ints(fld, lam), _to_ints(fld, p)))
 
 
 def maurer_cartan_residual(d, lam, t):
@@ -387,43 +440,70 @@ def dgla_samples(d, count=4, max_arity=2, seed=0):
     return out
 
 
+def _check_samples(d, samples):
+    """ShapeMismatch, naming the sample, unless each sample is a pair or a
+    triple of MultiMaps; then ``_check_maps`` on all their maps."""
+    for k, sample in enumerate(samples):
+        if not (isinstance(sample, (tuple, list)) and len(sample) in (2, 3)
+                and all(isinstance(f, MultiMap) for f in sample)):
+            raise ShapeMismatch("dgLa sample %d is not a pair or a triple of "
+                                "MultiMaps" % k)
+    _check_maps(d, [f for sample in samples for f in sample])
+
+
 def check_dgla(d, lam, samples, cross_check=False):
     """Verify the dgLa laws on given homogeneous elements.
 
     samples: list of (P, Q) pairs and (P, Q, R) triples of MultiMaps
     h^{x *} -> g.  Antisymmetry, d^2 = 0 and the graded Leibniz rule are
-    checked on pairs; the graded Jacobi identity on triples.  With
-    cross_check each bracket and differential runs both routes; without,
-    the explicit routes alone.
+    checked on pairs; the graded Jacobi identity on triples.  Without
+    cross_check the explicit routes alone run on the field.  With it each
+    bracket and differential runs both routes, on lambda and the sample
+    maps scaled to ints once (``_to_ints``): every element is a pair
+    (scale, int map), each law is homogeneous in the scales, so its two
+    sides carry the same positive factor and are compared as int maps
+    (mod p over GF(p)), and only a violated law is divided back.
     """
-    _check_maps(d, [f for sample in samples for f in sample])
+    _check_samples(d, samples)
     rep, fld = ValidationReport("dgla"), d.field
     if cross_check:
-        br = lambda a, b: derived_bracket(d, a, b)
-        dd = lambda a: differential_d(d, lam, a)
+        lz = _lam_to_ints(fld, lam)
+        elem = lambda f: _to_ints(fld, f)
+        br = lambda a, b: _checked_bracket(d, a, b)
+        dd = lambda a: _checked_differential(d, lz, a)
     else:
-        br = lambda a, b: derived_bracket_explicit(d, a, b)
-        dd = lambda a: differential_d_explicit(d, lam, a)
+        elem = lambda f: (fld.one, f)
+        br = lambda a, b: (fld.one, derived_bracket_explicit(d, a[1], b[1]))
+        dd = lambda a: (fld.one, differential_d_explicit(d, lam, a[1]))
+
+    def plus(a, b, k):
+        """a + (-1)^k b, both of one scale."""
+        m = a[1] + (-b[1] if k % 2 else b[1])
+        return a[0], _reduced(fld, m) if cross_check else m
+
+    def flat(a):
+        return _from_ints(fld, *a).flatten()
+
     for k, sample in enumerate(samples):
         if len(sample) == 2:
-            p, q = sample
-            m, n = p.arity, q.arity
+            p, q = map(elem, sample)
+            m, n = p[1].arity, q[1].arity
             pq = br(p, q)
-            if not (pq + br(q, p).scale(_pow_sign(fld, m * n))).is_zero():
-                rep.add("graded-antisymmetry", (k,), pq.flatten(), [])
+            if not plus(pq, br(q, p), m * n)[1].is_zero():
+                rep.add("graded-antisymmetry", (k,), flat(pq), [])
             dp = dd(p)
             lhs = dd(pq)
-            rhs = br(dp, q) + br(p, dd(q)).scale(_pow_sign(fld, m))
-            if lhs != rhs:
-                rep.add("graded-leibniz-rule", (k,), lhs.flatten(), rhs.flatten())
+            rhs = plus(br(dp, q), br(p, dd(q)), m)
+            if lhs[1] != rhs[1]:
+                rep.add("graded-leibniz-rule", (k,), flat(lhs), flat(rhs))
             ddp = dd(dp)
-            if not ddp.is_zero():
-                rep.add("d-squared", (k,), ddp.flatten(), [])
+            if not ddp[1].is_zero():
+                rep.add("d-squared", (k,), flat(ddp), [])
         else:
-            p, q, r = sample
-            m, n = p.arity, q.arity
+            p, q, r = map(elem, sample)
+            m, n = p[1].arity, q[1].arity
             lhs = br(p, br(q, r))
-            rhs = br(br(p, q), r) + br(q, br(p, r)).scale(_pow_sign(fld, m * n))
-            if lhs != rhs:
-                rep.add("graded-jacobi", (k,), lhs.flatten(), rhs.flatten())
+            rhs = plus(br(br(p, q), r), br(q, br(p, r)), m * n)
+            if lhs[1] != rhs[1]:
+                rep.add("graded-jacobi", (k,), flat(lhs), flat(rhs))
     return rep

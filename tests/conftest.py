@@ -58,6 +58,13 @@ def heisenberg(field):
     return LeibnizAlgebra.from_entries(field, 3, {(0, 1, 2): 1, (1, 0, 2): -1})
 
 
+def sl2(field):
+    """sl2 in the basis H, E, F: [H, E] = 2E, [H, F] = -2F, [E, F] = H."""
+    return LeibnizAlgebra.from_entries(field, 3, {
+        (0, 1, 1): 2, (1, 0, 1): -2, (0, 2, 2): -2, (2, 0, 2): 2,
+        (1, 2, 0): 1, (2, 1, 0): -1})
+
+
 def dense_heisenberg_gf3():
     """Heisenberg over GF(3) in the basis of the search-gf3 benchmark.
 

@@ -20,7 +20,8 @@ from leibniz_rb.linalg import Matrix
 from leibniz_rb.multimap import MultiMap
 from leibniz_rb.operators import WeightedRBO, search_rbos
 
-from conftest import dim2_nonlie, rho_l_context, seeded, small_contexts
+from conftest import (dim2_nonlie, rho_l_context, seeded, sl2 as make_sl2,
+                      small_contexts)
 from deformation_reference import (direct_violations, nijenhuis_failures,
                                    nijenhuis_reference,
                                    set_difference_certificate)
@@ -86,9 +87,7 @@ def _nijenhuis_contexts(fld):
     Matrices act on columns: E_12 sends the second basis vector to the
     first.
     """
-    sl2 = LeibnizAlgebra.from_entries(fld, 3, {
-        (0, 1, 1): 2, (1, 0, 1): -2, (0, 2, 2): -2, (2, 0, 2): 2,
-        (1, 2, 0): 1, (2, 1, 0): -1})
+    sl2 = make_sl2(fld)
     r2 = LeibnizAlgebra.from_entries(fld, 2, {(0, 1, 1): 1, (1, 0, 1): -1})
     line, plane = LeibnizAlgebra.zero(fld, 1), LeibnizAlgebra.zero(fld, 2)
     ad_h = {(0, 1, 1): 2, (0, 2, 2): -2}

@@ -8,7 +8,7 @@ from leibniz_rb.cohomology import d_T
 from leibniz_rb.core import (ActionPair, LeibnizAlgebra, LeibnizGRep,
                              adjoint_grep, change_of_basis_grep, over_ints,
                              validate_leibniz_g_rep)
-from leibniz_rb.errors import OracleDisagreement, WrongField
+from leibniz_rb.errors import OracleDisagreement, ShapeMismatch, WrongField
 from leibniz_rb.fields import ZZ, PrimeField, RationalField
 from leibniz_rb.graded import (balavoine_bracket, check_dgla, derived_bracket,
                                derived_bracket_explicit,
@@ -22,7 +22,7 @@ from leibniz_rb.multimap import MultiMap
 from leibniz_rb.operators import WeightedRBO
 
 from conftest import (dim2_nonlie, heisenberg, random_multimap, rho_l_context,
-                      seeded, small_contexts)
+                      seeded, sl2, small_contexts)
 
 
 def _ctx(field):
@@ -491,3 +491,98 @@ def test_cross_checked_dgla_coerces_few_scalars(Q, monkeypatch):
     monkeypatch.setattr(RationalField, "coerce", counted)
     assert check_dgla(d, -1, samples, cross_check=True).ok
     assert len(calls) < 100
+
+
+# ---------------------------------------------------------------------------
+# check_dgla(cross_check=True) on the int maps
+
+
+@pytest.mark.parametrize("cross_check", [False, True])
+@pytest.mark.parametrize("bad", ["single", "quadruple", "not-a-map"])
+def test_malformed_sample_is_shape_mismatch(bad, cross_check, monkeypatch):
+    import leibniz_rb.graded as gr
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a bracket ran before the samples were checked")
+
+    for name in ("derived_bracket_explicit", "derived_bracket_lifted",
+                 "differential_d_explicit", "differential_d_lifted"):
+        monkeypatch.setattr(gr, name, refuse)
+    d = _ctx(RationalField())
+    p = random_multimap(d.field, 1, d.h.dim, d.g.dim, seeded(67))
+    sample = {"single": (p,), "quadruple": (p, p, p, p),
+              "not-a-map": (p, "q")}[bad]
+    with pytest.raises(ShapeMismatch) as exc:
+        gr.check_dgla(d, -1, [(p, p), sample], cross_check=cross_check)
+    msg = str(exc.value)
+    assert "\n" not in msg and "sample 1" in msg
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_dgla_laws_hold_mod_p_on_adjoint_sl2(p):
+    # the constant -2 of sl2 is 3 in GF(5) and 5 in GF(7); the nested int
+    # results are compared mod p: unreduced, sums of residues such as
+    # 3 + 3 and 1 differ as ints though equal in GF(5)
+    d = adjoint_grep(sl2(PrimeField(p)))
+    samples = dgla_samples(d, count=2, seed=0)
+    assert max(f.arity for sample in samples for f in sample) == 2
+    rep = check_dgla(d, -1, samples, cross_check=True)
+    assert rep.ok, rep.laws_violated()
+
+
+def _broken_context(fld, rng, values):
+    """Random constants on dims (2, 2): no Leibniz g-representation."""
+    def tensor():
+        return [[[fld.coerce(rng.choice(values)) if rng.random() < 0.4
+                  else fld.zero for _ in range(2)] for _ in range(2)]
+                for _ in range(2)]
+
+    d = LeibnizGRep(LeibnizAlgebra(fld, 2, tensor()),
+                    LeibnizAlgebra(fld, 2, tensor()),
+                    ActionPair(fld, 2, 2, tensor(), tensor()))
+    assert not validate_leibniz_g_rep(d).ok
+    return d
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_dgla_report_matches_the_field_level_reference(seed):
+    from dgla_reference import reference_dgla
+    rng = seeded(seed)
+    # over Q: constants with denominators 2 and 3, lambda = 1/3 and
+    # samples scaled by 1/2, 1/3 and 1/4
+    q = _broken_context(RationalField(), rng,
+                        [Fraction(1, 2), Fraction(-2, 3), 1, -1, 2])
+    assert q.int_context[0] > 1
+    q_samples = [tuple(f.scale(Fraction(1, 2 + i)) for i, f in enumerate(s))
+                 for s in dgla_samples(q, count=2, seed=seed)]
+    f5 = _broken_context(PrimeField(5), rng, [1, 2, 3, 4])
+    cases = [(q, Fraction(1, 3), q_samples),
+             (f5, 2, dgla_samples(f5, count=2, seed=seed))]
+    for d, lam, samples in cases:
+        want = reference_dgla(d, lam, samples)
+        assert not want.ok
+        assert check_dgla(d, lam, samples, cross_check=True) == want
+        assert check_dgla(d, lam, samples) == want
+
+
+def test_flipped_rho_r_block_sign_is_trapped(Q, monkeypatch):
+    # a one-line mutant of the explicit scatter: the sign of its rho^R
+    # block flipped
+    import inspect
+
+    from leibniz_rb import graded
+    line = "False: (shuffles3(i - 1, n - 1), block * (-1) ** (n - 1))}"
+    src = inspect.getsource(graded._scatter_half)
+    assert src.count(line) == 1
+    space = dict(vars(graded))
+    exec(src.replace(line, "False: (shuffles3(i - 1, n - 1), "
+                           "-block * (-1) ** (n - 1))}"), space)
+    monkeypatch.setattr(graded, "_scatter_half", space["_scatter_half"])
+    d = _ctx(Q)
+    rng = seeded(71)
+    p = random_multimap(Q, 2, d.h.dim, d.g.dim, rng)
+    q = random_multimap(Q, 1, d.h.dim, d.g.dim, rng)
+    with pytest.raises(OracleDisagreement):
+        derived_bracket(d, p, q)
+    with pytest.raises(OracleDisagreement):
+        check_dgla(d, -1, dgla_samples(d, count=2, seed=0), cross_check=True)
