@@ -15,7 +15,7 @@ from operator import itemgetter
 
 from .errors import InvalidInput, ResourceLimit, ShapeMismatch, WrongField
 from .fields import ZZ, int_scale
-from .linalg import Matrix, axpy, zero_vec
+from .linalg import Matrix, zero_vec
 from .multimap import MultiMap
 
 
@@ -472,43 +472,53 @@ def is_algebra_morphism(src, dst, phi):
 
 
 def leibniz_differential(g, actions, f):
-    """General Leibniz cochain differential, arity n >= 1, as a plain gather.
+    """General Leibniz cochain differential, arity n >= 1, gathered from the
+    stores: the second route for the assembled delta matrices.
 
-    f is a MultiMap g^{x n} -> V; actions is the (rho^L, rho^R) pair of
-    g on V.  rho^L(e_i, .), rho^R(., e_j) and [e_i, e_j] are read as slices
-    of the tensors; each term, bracket terms by one f.apply with sign +-1,
-    adds into the output row in place.  It is the second route for the
-    assembled delta matrices.
+    f is a MultiMap g^{x n} -> V, actions the (rho^L, rho^R) pair of g on V,
+    all over one field, else WrongField.  Each output row sums the raw rows
+    of f times the store rows left_nz.by_first[i] and right_nz.by_second[j],
+    and f(.., [e_a, e_b], ..) for each nonzero row (a, b) of c_nz, one
+    f.apply per distinct evaluation; only a nonzero row is stored.
     """
     if f.src_dim != g.dim or f.tgt_dim != actions.dim_v:
         raise ShapeMismatch("cochain does not match algebra/carrier dims")
     if actions.dim_g != g.dim:
         raise ShapeMismatch("actions do not match algebra dim")
-    fld, n, one, left, c = g.field, f.arity, g.field.one, actions.left, g.c
-    # right[j][a] = rho^R(f_a, e_j)
-    right = [[plane[j] for plane in actions.right] for j in range(g.dim)]
-    out = MultiMap(fld, n + 1, g.dim, actions.dim_v)
+    if not f.field == g.field == actions.field:
+        raise WrongField("mixed fields in leibniz_differential")
+    fld, n, nv, zero = g.field, f.arity, actions.dim_v, g.field.raw_zero
+    left, right = actions.left_nz.by_first, actions.right_nz.by_second
+    rows = {idx: fld.to_raw(row) for idx, row in f.nz.items()}
+    brackets = {ab: fld.from_raw([row.get(k, zero) for k in range(g.dim)])
+                for ab, row in g.c_nz.rows.items()}
+    evals, out = {}, MultiMap(fld, n + 1, g.dim, nv)
     for idx in out.tuples():
-        acc = zero_vec(fld, actions.dim_v)
-        for i in range(1, n + 1):
-            add_combination(acc, f.nz.get(idx[:i - 1] + idx[i:], ()),
-                            left[idx[i - 1]], negate=i % 2 == 0)
-        add_combination(acc, f.nz.get(idx[:n], ()), right[idx[n]],
-                        negate=n % 2 == 0)
-        for i in range(1, n + 1):
-            for j in range(i + 1, n + 2):
-                args = (idx[:i - 1] + idx[i:j - 1]
-                        + (c[idx[i - 1]][idx[j - 1]],) + idx[j:])
-                axpy(acc, -one if i % 2 else one, f.apply(args))
-        out.set_(idx, acc)
+        acc = [zero] * nv
+        # rho^L(e_idx[p], f(..)), sign (-1)^p, for p < n; rho^R, (-1)^(n+1)
+        for p in range(n + 1):
+            frow = rows.get(idx[:p] + idx[p + 1:])
+            pairs = (left if p < n else right).get(idx[p], ()) if frow else ()
+            for a, row in pairs:
+                x = -frow[a] if (p + (p == n)) % 2 else frow[a]
+                if x:
+                    for k, y in row.items():
+                        acc[k] += x * y
+        # f(.., [e_idx[p], e_idx[q]], ..), sign (-1)^(p+1), for p < q
+        for q in range(1, n + 1):
+            for p in range(q):
+                key = idx[:p] + idx[p + 1:q], (idx[p], idx[q]), idx[q + 1:]
+                val = evals.get(key) if key[1] in brackets else ()
+                if val is None:
+                    val = evals[key] = [(k, x) for k, x in enumerate(
+                        fld.to_raw(f.apply(key[0] + (brackets[key[1]],)
+                                           + key[2]))) if x]
+                for k, x in val:
+                    acc[k] += x if p % 2 else -x
+        acc = fld.from_raw(acc)
+        if any(acc):
+            out.nz[idx] = tuple(acc)
     return out
-
-
-def add_combination(acc, coeffs, rows, negate=False):
-    """acc +-= sum_k coeffs[k] rows[k] in place; zero coeffs are skipped."""
-    for x, row in zip(coeffs, rows):
-        if x:
-            axpy(acc, -x if negate else x, row)
 
 
 def _pow_sign(field, k):
@@ -520,11 +530,12 @@ def transport(terms):
     """The store of sum over terms (store, s, t, out) of (a, b) -> out
     T(s e_a, t e_b), T the tensor of store: the one kernel that moves
     structure tensors along linear maps.  Each nonzero cell ((i, j, k), x)
-    meets only the nonzero raw entries s[i][a], t[j][b] and out[m][k], and
-    ``_Store`` sums and reduces the products.  A term whose (s.nrows,
-    t.nrows, out.ncols) is not its store's dims raises ShapeMismatch, one
-    with a matrix over another field than its store WrongField; the
-    result takes its shape from the first term."""
+    meets only the nonzero raw entries s[i][a], t[j][b] and out[m][k]; x y
+    and x y z are formed once per a and (a, b), a factor 1 (an identity
+    slot) is skipped, and ``_Store`` sums and reduces the products.  A term
+    whose (s.nrows, t.nrows, out.ncols) is not its store's dims raises
+    ShapeMismatch, one with a matrix over another field than its store
+    WrongField; the result takes its shape from the first term."""
     cells = []
     for store, s, t, out in terms:
         if (s.nrows, t.nrows, out.ncols) != store.dims:
@@ -533,10 +544,12 @@ def transport(terms):
         if other:
             raise WrongField("transport matrix over %r, tensor over %r"
                              % (other.pop(), store.field))
-        cells += [((a, b, m), x * y * z * row[k])
+        cells += [((a, b, m), xyz if row[k] == 1 else xyz * row[k])
                   for (i, j, k), x in store.cells()
                   for a, y in enumerate(s.raw[i]) if y
+                  for xy in (x if y == 1 else x * y,)
                   for b, z in enumerate(t.raw[j]) if z
+                  for xyz in (xy if z == 1 else xy * z,)
                   for m, row in enumerate(out.raw) if row[k]]
     store, s, t, out = terms[0]
     return _Store(store.field, (s.ncols, t.ncols, out.nrows), cells)

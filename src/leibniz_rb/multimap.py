@@ -71,12 +71,17 @@ class MultiMap:
             self.nz.pop(tuple(idx), None)
 
     def apply(self, args):
-        """Evaluate at a mixed argument list of basis indices and vectors:
+        """Evaluate at a mixed argument list of basis indices in
+        range(src_dim) and vectors of length src_dim, else ShapeMismatch:
         the int slots are written once into an index list, and each choice
         from the nonzero entries of the vector slots writes its indices."""
         if len(args) != self.arity:
             raise ShapeMismatch("arity %d map applied to %d arguments"
                                 % (self.arity, len(args)))
+        n = self.src_dim
+        if any(not 0 <= a < n if isinstance(a, int) else len(a) != n
+               for a in args):
+            raise ShapeMismatch("argument outside the %d-dim source" % n)
         idx, out = list(args), zero_vec(self.field, self.tgt_dim)
         one, get = self.field.one, self.nz.get
         for choice in product(*[[(k, j, x) for j, x in enumerate(a) if x]

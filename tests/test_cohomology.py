@@ -410,6 +410,23 @@ def test_probe_runs_the_leibniz_differential_over_the_ints(Q, monkeypatch):
                for x in rings)
 
 
+def test_probe_applies_each_bracket_evaluation_once(Q, monkeypatch):
+    # h_T has 6 nonzero brackets [e_a, e_b]; degree n evaluates f at each of
+    # them in each of n slots, the other n - 1 slots basis indices:
+    # 6 (1 + 2 * 3 + 3 * 9) = 204 applies over degrees 1-3, each distinct
+    calls = []
+    real = MultiMap.apply
+
+    def spy(f, args):
+        calls.append((f.arity, tuple(a if isinstance(a, int) else tuple(a)
+                                     for a in args)))
+        return real(f, args)
+
+    monkeypatch.setattr(MultiMap, "apply", spy)
+    assert cohomology(_dense_heisenberg(Q), 3).betti() == [3, 6, 15, 30]
+    assert len(calls) == len(set(calls)) == 204
+
+
 @pytest.mark.slow
 def test_heisenberg_degree_5_in_a_dense_basis(Q):
     # delta_5 is 2,187 x 729 cells

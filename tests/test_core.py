@@ -9,7 +9,9 @@ from leibniz_rb.core import (ActionPair, LeibnizAlgebra, LeibnizGRep,
                              semidirect_product_unchecked, validate_leibniz,
                              validate_leibniz_g_rep, validate_representation)
 from leibniz_rb import core
-from leibniz_rb.errors import InvalidInput, ResourceLimit, ShapeMismatch
+from leibniz_rb.errors import (InvalidInput, ResourceLimit, ShapeMismatch,
+                               WrongField)
+from leibniz_rb.fields import PrimeField
 from leibniz_rb.linalg import Matrix
 from leibniz_rb.multimap import MultiMap
 
@@ -93,6 +95,18 @@ def test_differential_squares_to_zero_adjoint(Q):
         df = leibniz_differential(a, pair, f)
         assert df.arity == arity + 1
         assert leibniz_differential(a, pair, df).is_zero()
+
+
+@pytest.mark.parametrize("other", ["cochain", "actions", "algebra"])
+def test_differential_refuses_mixed_fields(Q, other):
+    # one of f, g and the actions over GF(5), the others over Q
+    fields = {k: PrimeField(5) if k == other else Q
+              for k in ("cochain", "actions", "algebra")}
+    a = dim2_nonlie(fields["algebra"])
+    pair = adjoint_pair(dim2_nonlie(fields["actions"]))
+    f = MultiMap(fields["cochain"], 1, 2, 2, [[1, 0], [0, 1]])
+    with pytest.raises(WrongField):
+        leibniz_differential(a, pair, f)
 
 
 def test_change_of_basis_preserves_validity(Q):

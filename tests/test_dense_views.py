@@ -15,8 +15,6 @@ import os
 from golden_cases import ROOT
 
 ALLOWED = {
-    # the Leibniz differential gathers from dense slices, one apply per term
-    "core.leibniz_differential",
     # theta and theta' as MultiMaps keep dense rows
     "graded._block_map",
     # the manifest map matrix and the manifest writer

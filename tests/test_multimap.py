@@ -19,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 from leibniz_rb.core import (ActionPair, LeibnizAlgebra, LeibnizGRep,
                              _as_store, basis_vec, contract,
                              leibniz_differential)
-from leibniz_rb.errors import WrongField
+from leibniz_rb.errors import ShapeMismatch, WrongField
 from leibniz_rb.fields import ZZ, PrimeField, RationalField
 from leibniz_rb.graded import circ_i, derived_bracket_explicit
 from leibniz_rb.linalg import (Matrix, axpy, vec_add, vec_is_zero, vec_scale,
@@ -158,6 +158,18 @@ def test_apply_with_a_vector_in_every_slot(field, arity):
             for k in range(arity)]
     want = dense_apply(field, arity, src, tgt, rows, args)
     assert any(want) and m.apply(args) == want
+
+
+@pytest.mark.parametrize("args", [(0, [1, 1, 1]), (5, [1, 0]), (-1, [1, 0]),
+                                  ([1, 0], [1])],
+                         ids=["long-vector", "index-5", "index-minus-1",
+                              "short-vector"])
+def test_apply_refuses_a_slot_outside_the_source(args):
+    # a 2-ary map on a 2-dim source, each argument list with one slot that
+    # names no vector of the source
+    m = MultiMap(Q, 2, 2, 1, [[1], [1], [1], [1]])
+    with pytest.raises(ShapeMismatch):
+        m.apply(args)
 
 
 @PROPERTY
