@@ -217,7 +217,7 @@ def cmd_dgla_check(m, args, rep):
         raise ResourceLimit("dgla-check needs %d cells, more than the "
                             "configured cap %d" % (cells, args.cap))
     samples = dgla_samples(d, count=args.samples)
-    vrep = check_dgla(d, _weight(m, args), samples, cross_check=True)
+    vrep = check_dgla(d, _weight(m, args), samples)
     rep.add("samples", len(samples))
     return _report_violations(rep, vrep)
 

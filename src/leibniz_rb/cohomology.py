@@ -26,7 +26,7 @@ from .fields import ZZ
 from .graded import derived_bracket, differential_d
 from .linalg import Matrix, vec_sub
 from .multimap import MultiMap
-from .operators import induced_algebra
+from .operators import induced_algebra_unchecked
 
 
 def induced_representation(r):
@@ -57,7 +57,7 @@ def delta_T(r, f):
     """The specialized Leibniz differential on cochains of arity >= 1;
     induced_representation validates r."""
     rho = induced_representation(r)
-    return leibniz_differential(induced_algebra(r, validate=False), rho, f)
+    return leibniz_differential(induced_algebra_unchecked(r), rho, f)
 
 
 def d_T(r, f):
@@ -145,7 +145,7 @@ class IntegerView:
 def integer_view(r):
     """The IntegerView of h_T and rho_T; induced_representation validates."""
     rho = induced_representation(r)
-    return IntegerView(induced_algebra(r, validate=False), rho)
+    return IntegerView(induced_algebra_unchecked(r), rho)
 
 
 def _require_square_zero(n, rows, prev, p):

@@ -247,11 +247,8 @@ class LeibnizGRep:
             raise ShapeMismatch("mixed fields in LeibnizGRep")
         if actions.dim_g != g.dim or actions.dim_v != h.dim:
             raise ShapeMismatch("action tensors do not match algebra dimensions")
-        self.g = g
-        self.h = h
-        self.actions = actions
-        self.field = g.field
-        self._theta = None  # built on first use by graded.make_theta
+        self.g, self.h, self.actions, self.field = g, h, actions, g.field
+        self._blocks = {}  # graded._block_map per (mu, lam)
 
     @cached_property
     def int_context(self):

@@ -11,11 +11,11 @@ each times the lcm of its denominators (``fields.int_scale``; residues
 over GF(p)): it raises OracleDisagreement on any split of the int results
 and returns the explicit one with its scale, reduced mod p over GF(p).
 The public ``derived_bracket`` and ``differential_d`` scale their inputs,
-call the helper and divide back; ``check_dgla(cross_check=True)`` scales
-lambda and its samples once, nests the helpers on the int maps and
-compares each law there, since both sides carry the same scale.  A
-context is scaled, and its theta built, once (``LeibnizGRep.int_context``,
-``make_theta``).  One route alone is called by name (``*_explicit``).
+call the helper and divide back; ``check_dgla`` scales lambda and its
+samples once, nests the helpers on the int maps and compares each law
+there, since both sides carry the same scale.  Each context is scaled
+once (``int_context``) and keeps theta and theta' (``_block_map``).  One
+route alone is called by name (``*_explicit``).
 
 Both bracket routes visit nonzero rows only.  The explicit route scatters
 each shuffle sum from the rows of P and Q as raw scalars, one {tuple:
@@ -133,18 +133,21 @@ def balavoine_bracket(f, g):
 
 
 def _block_map(d, mu, lam):
-    """``block_tensor`` as an arity-2 map on V = g + h."""
-    n = d.g.dim + d.h.dim
-    out = MultiMap(d.field, 2, n, n)
-    out.nz = dict(block_tensor(d, mu, lam).dense_rows())
-    return out
+    """``block_tensor`` as an arity-2 map on V = g + h, one from_raw per
+    store row; built once per (mu, lam) and kept on d."""
+    fld, n = d.field, d.g.dim + d.h.dim
+    key = tuple(fld.to_raw([mu, lam]))
+    if key not in d._blocks:
+        out, zero = MultiMap(fld, 2, n, n), fld.raw_zero
+        out.nz = {ij: tuple(fld.from_raw([row.get(k, zero) for k in range(n)]))
+                  for ij, row in sorted(block_tensor(d, mu, lam).rows.items())}
+        d._blocks[key] = out
+    return d._blocks[key]
 
 
 def make_theta(d):
-    """theta = mu_g + rho^L + rho^R on V = g + h, built once and kept on d."""
-    if d._theta is None:
-        d._theta = _block_map(d, d.field.one, d.field.zero)
-    return d._theta
+    """theta = mu_g + rho^L + rho^R on V = g + h."""
+    return _block_map(d, d.field.one, d.field.zero)
 
 
 def make_theta_prime(d, lam):
@@ -451,42 +454,37 @@ def _check_samples(d, samples):
     _check_maps(d, [f for sample in samples for f in sample])
 
 
-def check_dgla(d, lam, samples, cross_check=False):
+def check_dgla(d, lam, samples, cross_check=True):
     """Verify the dgLa laws on given homogeneous elements.
 
     samples: list of (P, Q) pairs and (P, Q, R) triples of MultiMaps
     h^{x *} -> g.  Antisymmetry, d^2 = 0 and the graded Leibniz rule are
-    checked on pairs; the graded Jacobi identity on triples.  Without
-    cross_check the explicit routes alone run on the field.  With it each
-    bracket and differential runs both routes, on lambda and the sample
-    maps scaled to ints once (``_to_ints``): every element is a pair
-    (scale, int map), each law is homogeneous in the scales, so its two
-    sides carry the same positive factor and are compared as int maps
-    (mod p over GF(p)), and only a violated law is divided back.
+    checked on pairs; the graded Jacobi identity on triples.  Each bracket
+    and differential runs both routes, on lambda and the sample maps
+    scaled to ints once (``_to_ints``): every element is a pair (scale,
+    int map), each law is homogeneous in the scales, so its two sides
+    carry the same positive factor and are compared as int maps (mod p
+    over GF(p)), and only a violated law is divided back.  cross_check
+    is accepted for old callers; any value but True raises ValueError.
     """
+    if cross_check is not True:
+        raise ValueError("check_dgla always runs both routes")
     _check_samples(d, samples)
     rep, fld = ValidationReport("dgla"), d.field
-    if cross_check:
-        lz = _lam_to_ints(fld, lam)
-        elem = lambda f: _to_ints(fld, f)
-        br = lambda a, b: _checked_bracket(d, a, b)
-        dd = lambda a: _checked_differential(d, lz, a)
-    else:
-        elem = lambda f: (fld.one, f)
-        br = lambda a, b: (fld.one, derived_bracket_explicit(d, a[1], b[1]))
-        dd = lambda a: (fld.one, differential_d_explicit(d, lam, a[1]))
+    lz = _lam_to_ints(fld, lam)
+    br = lambda a, b: _checked_bracket(d, a, b)
+    dd = lambda a: _checked_differential(d, lz, a)
 
     def plus(a, b, k):
         """a + (-1)^k b, both of one scale."""
-        m = a[1] + (-b[1] if k % 2 else b[1])
-        return a[0], _reduced(fld, m) if cross_check else m
+        return a[0], _reduced(fld, a[1] + (-b[1] if k % 2 else b[1]))
 
     def flat(a):
         return _from_ints(fld, *a).flatten()
 
     for k, sample in enumerate(samples):
         if len(sample) == 2:
-            p, q = map(elem, sample)
+            p, q = [_to_ints(fld, f) for f in sample]
             m, n = p[1].arity, q[1].arity
             pq = br(p, q)
             if not plus(pq, br(q, p), m * n)[1].is_zero():
@@ -500,7 +498,7 @@ def check_dgla(d, lam, samples, cross_check=False):
             if not ddp[1].is_zero():
                 rep.add("d-squared", (k,), flat(ddp), [])
         else:
-            p, q, r = map(elem, sample)
+            p, q, r = [_to_ints(fld, f) for f in sample]
             m, n = p[1].arity, q[1].arity
             lhs = br(p, br(q, r))
             rhs = plus(br(br(p, q), r), br(q, br(p, r)), m * n)

@@ -126,11 +126,14 @@ def graph_check(d, lam, t):
     return span_rank(d.field, graph + brackets) == span_rank(d.field, graph)
 
 
-def induced_algebra(r, validate=True):
-    """The Leibniz algebra (h, [.,.]_T) induced by a valid operator;
-    validate=False when the caller has validated r."""
-    if validate:
-        r.require_valid()
+def induced_algebra(r):
+    """The Leibniz algebra (h, [.,.]_T) of a valid operator; validates r."""
+    r.require_valid()
+    return induced_algebra_unchecked(r)
+
+
+def induced_algebra_unchecked(r):
+    """[u, v]_T = rho^L(Tu, v) + rho^R(u, Tv) + lambda [u, v]_h."""
     d, fld = r.context, r.field
     nh, lam = d.h.dim, fld.to_raw([r.weight])[0]
     cols = [r.t.raw_col(a) for a in range(nh)]
@@ -184,7 +187,7 @@ def check_operator_morphism(r, rp, m):
             r.context, rp.context, [m.phi], [m.psi], [r.t], [rp.t], 0):
         return False
     if r.is_valid and rp.is_valid and not is_algebra_morphism(
-            induced_algebra(r, False), induced_algebra(rp, False), m.psi):
+            *map(induced_algebra_unchecked, (r, rp)), m.psi):
         raise OracleDisagreement("psi satisfies the five morphism conditions "
                                  "but does not carry the induced bracket")
     return True

@@ -5,9 +5,9 @@ and d^2 = 0 on pairs, and the graded Jacobi identity on triples, with
 every bracket and differential a call of the public ``derived_bracket`` or
 ``differential_d`` on field maps: each call scales its own inputs to ints,
 compares both routes and divides its result back to the field.  The
-library's ``check_dgla(cross_check=True)`` scales lambda and the samples
-once, keeps every nested result as an int map and divides back only the
-sides of a violated law; the tests compare the two reports.
+library's ``check_dgla`` scales lambda and the samples once, keeps every
+nested result as an int map and divides back only the sides of a
+violated law; the tests compare the two reports.
 """
 
 from leibniz_rb.core import ValidationReport, _pow_sign
@@ -15,7 +15,7 @@ from leibniz_rb.graded import derived_bracket, differential_d
 
 
 def reference_dgla(d, lam, samples):
-    """The report of ``check_dgla(d, lam, samples, cross_check=True)``."""
+    """The report of ``check_dgla(d, lam, samples)``."""
     rep, fld = ValidationReport("dgla"), d.field
     br = lambda a, b: derived_bracket(d, a, b)
     dd = lambda a: differential_d(d, lam, a)

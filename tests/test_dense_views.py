@@ -15,8 +15,6 @@ import os
 from golden_cases import ROOT
 
 ALLOWED = {
-    # theta and theta' as MultiMaps keep dense rows
-    "graded._block_map",
     # the manifest map matrix and the manifest writer
     "manifest._build", "manifest._parts",
     # the CLI report writes each nonzero row with its dense coefficients

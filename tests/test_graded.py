@@ -455,6 +455,45 @@ def test_alternating_contexts_match_fresh_contexts(Q, gf7):
             assert differential_d(d, -1, p) == differential_d(make(), -1, p)
 
 
+def test_theta_prime_is_kept_per_weight(Q, gf7):
+    # one context, its theta' built once per lambda: differentials for
+    # lambdas in turn equal those on fresh contexts
+    makers = (lambda: _det2(_ctx(Q)), lambda: _ctx(gf7))
+    rng = seeded(73)
+    for make in makers:
+        d = make()
+        fld = d.field
+        for _ in range(2):
+            for lam in (0, 1, -1, Fraction(1, 2)):
+                p = random_multimap(fld, rng.randint(1, 2), d.h.dim, d.g.dim,
+                                    rng)
+                assert differential_d_lifted(d, lam, p) == \
+                    differential_d_lifted(make(), lam, p)
+                assert differential_d(d, lam, p) == \
+                    differential_d(make(), lam, p)
+                assert make_theta_prime(d, lam) is make_theta_prime(d, lam)
+
+
+def test_check_dgla_builds_theta_and_theta_prime_once(Q, monkeypatch):
+    import leibniz_rb.graded as gr
+    built = []
+    real = gr.block_tensor
+    monkeypatch.setattr(gr, "block_tensor",
+                        lambda *args: built.append(args[1:]) or real(*args))
+    d = _det2(_ctx(Q))
+    assert check_dgla(d, -1, dgla_samples(d, count=2, seed=0)).ok
+    # on the int context: theta (mu 1, lambda 0) and theta' (mu 0)
+    assert len(built) == 2
+    assert [mu for mu, _ in built] == [1, 0]
+
+
+def test_check_dgla_refuses_a_single_route(Q):
+    d = _ctx(Q)
+    with pytest.raises(ValueError, match="always runs both routes"):
+        check_dgla(d, -1, dgla_samples(d, count=1, seed=0),
+                   cross_check=False)
+
+
 def test_lifted_routes_receive_an_int_context(monkeypatch):
     import leibniz_rb.graded as gr
     seen = []
@@ -493,12 +532,11 @@ def test_cross_checked_dgla_coerces_few_scalars(Q, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# check_dgla(cross_check=True) on the int maps
+# check_dgla on the int maps
 
 
-@pytest.mark.parametrize("cross_check", [False, True])
 @pytest.mark.parametrize("bad", ["single", "quadruple", "not-a-map"])
-def test_malformed_sample_is_shape_mismatch(bad, cross_check, monkeypatch):
+def test_malformed_sample_is_shape_mismatch(bad, monkeypatch):
     import leibniz_rb.graded as gr
 
     def refuse(*args, **kwargs):
@@ -512,7 +550,7 @@ def test_malformed_sample_is_shape_mismatch(bad, cross_check, monkeypatch):
     sample = {"single": (p,), "quadruple": (p, p, p, p),
               "not-a-map": (p, "q")}[bad]
     with pytest.raises(ShapeMismatch) as exc:
-        gr.check_dgla(d, -1, [(p, p), sample], cross_check=cross_check)
+        gr.check_dgla(d, -1, [(p, p), sample])
     msg = str(exc.value)
     assert "\n" not in msg and "sample 1" in msg
 
@@ -560,7 +598,6 @@ def test_dgla_report_matches_the_field_level_reference(seed):
     for d, lam, samples in cases:
         want = reference_dgla(d, lam, samples)
         assert not want.ok
-        assert check_dgla(d, lam, samples, cross_check=True) == want
         assert check_dgla(d, lam, samples) == want
 
 

@@ -14,12 +14,10 @@ import os
 from golden_cases import ROOT
 
 ALLOWED = {
-    # the dgLa laws: the CLI and the dgla-cross benchmark ask for both
-    # routes, the default runs the explicit routes alone
+    # the dgla-cross benchmark passes cross_check=True; any other value is
+    # refused, so the keyword turns no route off and can go once the
+    # benchmark stops passing it
     "graded.check_dgla",
-    # its callers in cohomology have validated r already, through
-    # induced_representation
-    "operators.induced_algebra",
 }
 
 SWITCHES = {"cross_check", "validate"}
