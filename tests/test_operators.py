@@ -1,6 +1,7 @@
 import glob
 import os
 import random
+import tracemalloc
 from itertools import islice, product
 
 import pytest
@@ -297,15 +298,17 @@ def test_search_matches_brute_force(gf5, gf7):
     # matrix with the product-by-product reference check, so no operator
     # is missed or reordered;
     # the contexts cover the last cell entering squared, only linearly and
-    # not at all, 1 x 1 operators and a prime larger than 5
-    gf2, gf3 = PrimeField(2), PrimeField(3)
+    # not at all, 1 x 1 operators and primes larger than 5, which take the
+    # per-prefix screen
+    gf2, gf3, gf13 = PrimeField(2), PrimeField(3), PrimeField(13)
     pair = load_manifest(os.path.join(ROOT, "manifests",
                                       "gf5-abelian-pair.lra")).grep("act")
     contexts = ([rho_l_context(gf5), pair] + small_contexts(gf2, (2, 2))
                 + small_contexts(gf3, (2, 2)) + small_contexts(gf5, (1, 1))
                 + small_contexts(gf3, (1, 2)) + small_contexts(gf3, (2, 1))
                 + small_contexts(gf7, (1, 1)) + small_contexts(gf7, (2, 1))
-                + [adjoint_grep(dim2_nonlie(gf7))])
+                + [adjoint_grep(dim2_nonlie(gf7))]
+                + small_contexts(gf13, (1, 1)) + small_contexts(gf13, (2, 1)))
     degrees = set()
     for d in contexts:
         fld = d.field
@@ -316,6 +319,114 @@ def test_search_matches_brute_force(gf5, gf7):
                      if reference_check(d, lam, t).ok]
             assert found == brute
     assert degrees == {None, 0, 1, 2}
+
+
+def _random_system(rng, p, cells, count, last_degree):
+    """count random polynomials mod p in the format of _compile_identity.
+
+    The last cell enters squared (last_degree 2), only linearly or times
+    another cell (1) or not at all (0).
+    """
+    last, polys = cells - 1, []
+    for k in range(count):
+        quad = {tuple(sorted(rng.randrange(cells) for _ in "uv")):
+                rng.randrange(1, p) for _ in range(rng.randrange(1, 5))}
+        lin = {rng.randrange(cells): rng.randrange(1, p)
+               for _ in range(rng.randrange(3))}
+        if last_degree < 2:
+            quad.pop((last, last), None)
+        if last_degree == 0:
+            quad = {uv: c for uv, c in quad.items() if last not in uv}
+            lin.pop(last, None)
+        if k == 0 and last_degree == 2:
+            quad[last, last] = 1
+        if k == 0 and last_degree == 1:
+            lin[last] = 1
+        if quad or lin:
+            polys.append(([(c, u, v) for (u, v), c in quad.items()],
+                          [(c, u) for u, c in lin.items()]))
+    return polys
+
+
+def _brute_screen(polys, p, cells):
+    return [x for x in product(range(p), repeat=cells)
+            if all((sum(c * x[u] * x[v] for c, u, v in quad)
+                    + sum(c * x[u] for c, u in lin)) % p == 0
+                   for quad, lin in polys)]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 13])
+def test_screen_forms_match_brute_force(p):
+    # each form, called by name, on the empty system, on one that only the
+    # zero candidate passes (no system in this format is unsatisfiable:
+    # every term vanishes at zero) and on seeded random systems with the
+    # last cell squared, only linear and absent
+    rng = seeded(p)
+    for cells in range(5):
+        systems = [[]]
+        if cells:
+            systems.append([([(1, u, u)], []) for u in range(cells)])
+            systems += [_random_system(rng, p, cells, rng.randrange(1, 5),
+                                       degree) for degree in (2, 1, 0)]
+        brutes = [_brute_screen(polys, p, cells) for polys in systems]
+        for polys, brute in zip(systems, brutes):
+            assert list(operators._screen_bitset(polys, p, cells)) == brute
+            assert list(operators._screen_prefix(polys, p, cells)) == brute
+        assert brutes[0] == list(product(range(p), repeat=cells))
+        if cells:
+            assert brutes[1] == [(0,) * cells]
+
+
+def _spied_forms(monkeypatch):
+    taken = []
+    for name in ("_screen_bitset", "_screen_prefix"):
+        form = getattr(operators, name)
+        monkeypatch.setattr(operators, name,
+                            lambda *args, name=name, form=form:
+                            taken.append(name) or form(*args))
+    return taken
+
+
+def test_screen_takes_the_bitset_form_within_its_range(monkeypatch):
+    # p <= 5 and p^cells <= 2^20: the most cells per prime, none past 5
+    taken = _spied_forms(monkeypatch)
+    most = {2: 20, 3: 12, 5: 8, 7: -1, 11: -1, 13: -1}
+    for p, top in most.items():
+        for cells in range(22):
+            del taken[:]
+            operators._screen([], p, cells)
+            assert taken == [("_screen_bitset" if cells <= top
+                              else "_screen_prefix")]
+
+
+def test_smaller_size_bound_takes_the_prefix_form(monkeypatch):
+    # 81 candidates past a bound of 80 take the per-prefix form, which
+    # yields the same operators
+    gf3 = PrimeField(3)
+    d = adjoint_grep(dim2_nonlie(gf3))
+    taken = _spied_forms(monkeypatch)
+    wide = [t.rows for t in search_rbos(d, -gf3.one)]
+    monkeypatch.setattr(operators, "BITSET_MAX_BITS", 80)
+    narrow = [t.rows for t in search_rbos(d, -gf3.one)]
+    assert taken == ["_screen_bitset", "_screen_prefix"]
+    assert wide and narrow == wide
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("p,cells,count", [(2, 20, 12), (3, 12, 8)])
+def test_bitset_screen_memory_at_the_size_bound(p, cells, count):
+    # the largest spaces the bitset form takes (2^20 and 3^12 candidates)
+    # stay within 16 MB whatever --cap allows; the per-prefix form agrees
+    assert p ** cells <= operators.BITSET_MAX_BITS < p ** (cells + 1)
+    polys = _random_system(seeded(cells), p, cells, count, 2)
+    tracemalloc.start()
+    try:
+        found = list(operators._screen_bitset(polys, p, cells))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
+    assert found == list(operators._screen_prefix(polys, p, cells))
 
 
 def test_search_raises_when_direct_check_disagrees(gf5, monkeypatch):
@@ -355,7 +466,7 @@ def test_search_without_polynomials_rechecks_every_candidate(monkeypatch):
 
 
 def test_search_rechecks_each_operator_once(monkeypatch):
-    # the per-prefix screen neither skips nor repeats the direct check
+    # the screen neither skips nor repeats the direct check
     gf3 = PrimeField(3)
     calls = []
     real = operators.check_weighted_relative_rbo
