@@ -145,18 +145,19 @@ def contract(field, terms, n):
     terms add into one raw accumulator, and the sums become field elements
     once per entry.  When no term is reached the result is n zeros.
     """
-    out = None
+    to_raw, out = field.to_raw, None
     for store, x, y in terms:
-        y = field.to_raw(y)
-        for i, xi in enumerate(field.to_raw(x)):
-            if not xi:
+        y, by_first = to_raw(y), store.by_first
+        for i, xi in enumerate(to_raw(x)):
+            if not xi or i not in by_first:
                 continue
-            for j, row in store.by_first.get(i, ()):
-                if not y[j]:
+            for j, row in by_first[i]:
+                yj = y[j]
+                if not yj:
                     continue
                 if out is None:
                     out = [field.raw_zero] * n
-                c = xi * y[j]
+                c = xi * yj
                 for k, t in row.items():
                     out[k] += c * t
     return [field.zero] * n if out is None else field.from_raw(out)

@@ -12,12 +12,19 @@ start from ``raw_zero``, built once per field: ``Fraction(0)`` over Q, so
 that results stay Fractions, and the int 0 over GF(p).  ``contract`` reads
 x and y through ``to_raw`` and the structure tensors from their stores of
 raw values (``core._Store``), built once per tensor.
+
+Over GF(p) the entries ``from_raw`` returns are shared canonical elements,
+the field's one element per residue (``_Residues``): a result may hold the
+same object many times, and ``field.zero`` among them.  So a
+``GFElement`` must never be mutated; only ``__init__`` assigns its slots.
 """
 
 from fractions import Fraction
 from math import lcm
 
 from .errors import CharacteristicTwo, InvalidInput, WrongField
+
+RESIDUE_TABLE_MAX = 4096
 
 
 def is_prime(n):
@@ -197,15 +204,44 @@ class IntegerRing(Field):
 ZZ = IntegerRing()
 
 
+class _Residues(dict):
+    """The shared elements of GF(p) by residue, each built on first lookup
+    and kept while fewer than ``RESIDUE_TABLE_MAX`` are kept.
+
+    So for every p up to the bound ``from_raw`` builds each residue once
+    per field, and nothing is built up front: a new ``PrimeField`` per CLI
+    call costs two lookups.  A larger prime keeps the first residues met
+    and builds the others per entry.  An entry costs about 150 bytes
+    (``tracemalloc``, Python 3.11, residues above 256), so a field keeps
+    at most 0.6 MB, where all residues of GF(1000003) would take 150 MB.
+    """
+
+    __slots__ = ("p",)
+
+    def __init__(self, p):
+        self.p = p
+
+    def __missing__(self, r):
+        x = GFElement(r, self.p)
+        if len(self) < RESIDUE_TABLE_MAX:
+            self[r] = x
+        return x
+
+
 class PrimeField(Field):
+    """GF(p).  ``zero``, ``one`` and every ``from_raw`` entry are shared
+    canonical elements, one per residue (``RESIDUE_TABLE_MAX``); like every
+    ``GFElement`` they must never be mutated.  ``coerce`` and ``elements``
+    build new ones."""
+
     kind = "gf"
 
     def __init__(self, p):
         if not isinstance(p, int) or not is_prime(p):
             raise InvalidInput("PrimeField parameter must be prime, got %r" % (p,))
         self.p = p
-        self.zero = GFElement(0, p)
-        self.one = GFElement(1, p)
+        self._els = _Residues(p)
+        self.zero, self.one = self._els[0], self._els[1]
         self.raw_zero = 0
 
     @property
@@ -234,8 +270,8 @@ class PrimeField(Field):
         return raw
 
     def from_raw(self, sums):
-        p, zero = self.p, self.zero
-        return [GFElement(s, p) if s else zero for s in sums]
+        els, p = self._els, self.p
+        return [els[s % p] for s in sums]
 
     def elements(self):
         """All field elements in canonical order 0, 1, ..., p-1."""

@@ -114,12 +114,14 @@ class Matrix:
                                 % (self.nrows, self.ncols, len(v)))
         fld = self.field
         v = [(j, x) for j, x in enumerate(fld.to_raw(v)) if x]
-        out = [fld.raw_zero] * self.nrows
-        for i, row in enumerate(self.raw):
+        zero, out = fld.raw_zero, []
+        for row in self.raw:
+            acc = zero
             for j, x in v:
                 t = row[j]
                 if t:
-                    out[i] += t * x
+                    acc += t * x
+            out.append(acc)
         return fld.from_raw(out)
 
     def __mul__(self, other):

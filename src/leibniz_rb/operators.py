@@ -38,11 +38,17 @@ def operator_rhs(d, lam, a, tu, b, tv):
     made field elements once; zero coefficients and rows are skipped.
     """
     act, fld, ch = d.actions, d.field, d.h.c_nz.rows
-    rows = [(lam, ch[a, b])] if (a, b) in ch else []
-    rows += [(tu[i], row) for i, row in act.left_nz.by_second.get(b, ())]
-    rows += [(tv[i], row) for i, row in act.right_nz.by_first.get(a, ())]
     out = [fld.raw_zero] * d.h.dim
-    for c, row in rows:
+    if lam and (a, b) in ch:
+        for k, x in ch[a, b].items():
+            out[k] += lam * x
+    for i, row in act.left_nz.by_second.get(b, ()):
+        c = tu[i]
+        if c:
+            for k, x in row.items():
+                out[k] += c * x
+    for i, row in act.right_nz.by_first.get(a, ()):
+        c = tv[i]
         if c:
             for k, x in row.items():
                 out[k] += c * x

@@ -223,6 +223,10 @@ def test_rref_builds_one_gf_element_per_output_entry(gf_news):
             assert len(gf_news) <= sum(1 for row in rows for x in row
                                        if x) - len(pivots)
             assert (rows, pivots) == fraction_rref(m)
+            # once every residue has been met, from_raw builds none
+            field.from_raw(range(p))
+            gf_news.clear()
+            assert m.rref() == (rows, pivots) and gf_news == []
 
 
 @PROPERTY
@@ -280,6 +284,10 @@ def test_mul_vec_builds_one_gf_element_per_entry(gf_news):
         out = m.mul_vec(v)
         assert len(gf_news) <= m.nrows
         assert out == dense_mul_vec(m, v)
+        # once every residue has been met, from_raw builds none
+        field.from_raw(range(p))
+        gf_news.clear()
+        assert m.mul_vec(v) == out and gf_news == []
 
 
 def test_zero_row_and_zero_column_shapes(Q):

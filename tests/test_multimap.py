@@ -298,6 +298,10 @@ def test_contract_builds_one_gf_element_per_entry(gf_news):
             out = contract(field, stores, n)
             assert len(gf_news) <= n
             assert out == dense_sum(field, terms, n)
+            # once every residue has been met, from_raw builds none
+            field.from_raw(range(p))
+            gf_news.clear()
+            assert contract(field, stores, n) == out and gf_news == []
 
 
 def test_kernels_reject_another_prime_field():
