@@ -7,24 +7,25 @@ in g, C^0 = g and C^n = Hom(h^{x n}, g), where h_T acts on g by
     rhoR_T(x, u) = [x, Tu]_g - T rho^L(x, u)
 
 One formula builds delta in every degree; delta_0 x = -rhoR_T(x, .) is the
-map u -> T rho^L(x, u) - [x, Tu]_g.  Its checks run on the ints D h_T and
-D rho_T over ``ZZ`` (``IntegerView``): both the rows of D delta, which the
-elimination takes as they are, and the probe's Leibniz differential.  The
-twisted differential d_T = d + [[T, -]] (both routes, always) gives the
-same cohomology up to the sign d_T f = (-1)^n delta f, a test oracle.
+map u -> T rho^L(x, u) - [x, Tu]_g (``delta_T_0`` builds it apart as
+T B - A T).  Its checks run on the ints D h_T and D rho_T over ``ZZ``
+(``IntegerView``): both the rows of D delta, whose ranks the elimination
+takes as they are, and the probe's Leibniz differential.  The twisted
+differential d_T = d + [[T, -]] (both routes, always) gives the same
+cohomology up to the sign d_T f = (-1)^n delta f, a test oracle.
 """
 
 from dataclasses import dataclass, field as dc_field
 from itertools import combinations, product
 from operator import mul
 
-from .core import (ActionPair, LeibnizAlgebra, leibniz_differential, over_ints,
-                   transport)
+from .core import (ActionPair, LeibnizAlgebra, basis_vec, leibniz_differential,
+                   over_ints, transport)
 from .errors import (ContainmentViolated, OracleDisagreement, ResourceLimit,
                      ShapeMismatch)
 from .fields import ZZ
 from .graded import derived_bracket, differential_d
-from .linalg import Matrix, vec_sub
+from .linalg import Matrix
 from .multimap import MultiMap
 from .operators import induced_algebra_unchecked
 
@@ -42,15 +43,23 @@ def induced_representation(r):
                       transport([(c, ig, t, ig), (act.left_nz, ig, ih, nt)]))
 
 
-def delta_T_0(r, x):
-    """Degree-0 differential: x in g goes to the map u -> T rho^L(x,u) - [x,Tu]."""
-    d, fld, t = r.context, r.field, r.t
-    if len(x) != d.g.dim:
+def x0_columns(d, x0):
+    """The columns of ad_{x0} = [x0, -] on g and of rho^L(x0, -) on h."""
+    fld = d.field
+    if len(x0) != d.g.dim:
         raise ShapeMismatch("x0 must live in g")
-    basis = Matrix.identity(fld, d.h.dim).rows
-    cols = [vec_sub(t.mul_vec(d.actions.left_act(x, e)),
-                    d.g.bracket(x, t.col(a))) for a, e in enumerate(basis)]
-    return Matrix.from_cols(fld, cols, d.g.dim)
+    return ([d.g.bracket(x0, basis_vec(fld, d.g.dim, i))
+             for i in range(d.g.dim)],
+            [d.actions.left_act(x0, basis_vec(fld, d.h.dim, a))
+             for a in range(d.h.dim)])
+
+
+def delta_T_0(r, x):
+    """Degree-0 differential T B - A T, A = ad_x on g, B = rho^L(x, -) on h."""
+    d = r.context
+    a, b = (Matrix.from_cols(r.field, cols, m) for cols, m in
+            zip(x0_columns(d, x), (d.g.dim, d.h.dim)))
+    return r.t * b - a * r.t
 
 
 def delta_T(r, f):
@@ -217,7 +226,6 @@ class DegreeData:
     dim_z: int
     dim_b: int
     dim_h: int
-    cocycles: list = dc_field(default_factory=list)
 
 
 @dataclass
@@ -229,7 +237,7 @@ class CohomologyReport:
         return [self.degrees[n].dim_h for n in range(self.max_degree + 1)]
 
 
-def cohomology(r, max_degree, cap=20000, representatives=False):
+def cohomology(r, max_degree, cap=20000):
     """Cocycle/coboundary dimensions and Betti numbers in degrees 0..max_degree.
 
     One IntegerView of h_T and rho_T serves every delta, and each is
@@ -237,9 +245,8 @@ def cohomology(r, max_degree, cap=20000, representatives=False):
     rank-nullity dim Z^n = dim C^n - rank delta_n, dim B^n = rank delta_{n-1}.
     ``delta_matrix`` verifies B^n inside Z^n as delta_n . delta_{n-1} = 0
     (ContainmentViolated on failure: a differential bug, not bad input).
-    With representatives, the cocycle basis comes from the same
-    elimination as the rank.  cap bounds the cells of each delta and (they
-    do not grow when dim h <= 1) rows x terms x arity of the top one.
+    cap bounds the cells of each delta and (they do not grow when dim h
+    <= 1) rows x terms x arity of the top one.
     """
     # the view validates r before any cap is checked
     view = integer_view(r)
@@ -250,17 +257,13 @@ def cohomology(r, max_degree, cap=20000, representatives=False):
         raise ResourceLimit("delta_%d: rows x Loday-Pirashvili terms x "
                             "arity exceed the configured cap %d"
                             % (max_degree, cap))
-    rank, z_basis = {-1: 0}, {}
+    rank = {-1: 0}
     # largest first, so that the cap refuses before any row is built
     for n in reversed(range(max_degree + 1)):
-        m = delta_matrix(r, n, cap=cap, view=view)
-        rows, pivots = m.rref()
-        rank[n] = len(pivots)
-        z_basis[n] = m._kernel(rows, pivots) if representatives else []
+        rank[n] = len(delta_matrix(r, n, cap=cap, view=view).rref()[1])
     out = CohomologyReport(max_degree)
     for n in range(max_degree + 1):
         dim_c, dim_b = cochain_dim(r, n), rank[n - 1]
         dim_z = dim_c - rank[n]
-        out.degrees[n] = DegreeData(dim_c, dim_z, dim_b, dim_z - dim_b,
-                                    z_basis[n])
+        out.degrees[n] = DegreeData(dim_c, dim_z, dim_b, dim_z - dim_b)
     return out

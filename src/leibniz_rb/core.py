@@ -143,10 +143,15 @@ def contract(field, terms, n):
     products, a vector of length n.  x and y are read through to_raw; each
     nonzero x_i meets the store rows by_first[i], zero y_j are skipped, all
     terms add into one raw accumulator, and the sums become field elements
-    once per entry.  When no term is reached the result is n zeros.
+    once per entry.  When no term is reached the result is n zeros.  An x
+    or y whose length is not its store's first or second axis raises
+    ShapeMismatch.
     """
     to_raw, out = field.to_raw, None
     for store, x, y in terms:
+        if len(x) != store.dims[0] or len(y) != store.dims[1]:
+            raise ShapeMismatch("vectors of lengths %d, %d for a tensor of "
+                                "shape %s" % (len(x), len(y), store.dims))
         y, by_first = to_raw(y), store.by_first
         for i, xi in enumerate(to_raw(x)):
             if not xi or i not in by_first:

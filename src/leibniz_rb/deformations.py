@@ -18,9 +18,9 @@ from dataclasses import dataclass
 from itertools import product as iproduct
 from typing import Optional
 
-from .cohomology import delta_T, delta_T_0, delta_matrix, integer_view
-from .core import (ValidationReport, basis_vec, leibniz_differential,
-                   transport)
+from .cohomology import (delta_T, delta_T_0, delta_matrix, integer_view,
+                         x0_columns)
+from .core import ValidationReport, leibniz_differential, transport
 from .errors import (BaseMismatch, ContainmentViolated, InvalidDeformation,
                      OracleDisagreement, ResourceLimit, ShapeMismatch,
                      WrongField)
@@ -121,17 +121,6 @@ def infinitesimal(defm):
     return t1, delta_T(defm.base, t1).is_zero()
 
 
-def _x0_columns(d, x0):
-    """The columns of ad_{x0} = [x0, -] on g and of rho^L(x0, -) on h."""
-    fld = d.field
-    if len(x0) != d.g.dim:
-        raise ShapeMismatch("x0 must live in g")
-    return ([d.g.bracket(x0, basis_vec(fld, d.g.dim, i))
-             for i in range(d.g.dim)],
-            [d.actions.left_act(x0, basis_vec(fld, d.h.dim, a))
-             for a in range(d.h.dim)])
-
-
 def equivalence_maps(defm, x0):
     """Phi_t = id + t ad_{x0} on g and Psi_t = id + t rho^L(x0, -) on h.
 
@@ -140,7 +129,7 @@ def equivalence_maps(defm, x0):
     d, fld, n = defm.base.context, defm.field, defm.order
     return tuple(([Matrix.identity(fld, m), Matrix.from_cols(fld, cols, m)]
                   + [Matrix.zeros(fld, m, m)] * (n - 1))[:n + 1]
-                 for cols, m in zip(_x0_columns(d, x0), (d.g.dim, d.h.dim)))
+                 for cols, m in zip(x0_columns(d, x0), (d.g.dim, d.h.dim)))
 
 
 def check_equivalence(defm, defm2, x0):
@@ -188,7 +177,7 @@ def check_nijenhuis(r, x0):
     basis vectors: the order-2 conditions of ``check_equivalence``.  Stops
     at the first nonzero product."""
     d = r.context
-    ad, lu = _x0_columns(d, x0)
+    ad, lu = x0_columns(d, x0)
     conditions = ((d.g.bracket, ad, ad), (d.h.bracket, lu, lu),
                   (d.actions.left_act, ad, lu), (d.actions.right_act, lu, ad))
     return not any(any(op(x, y))

@@ -264,10 +264,12 @@ class PrimeField(Field):
 
     def to_raw(self, vec):
         p = self.p
-        raw = [x.v for x in vec if x.p == p]
+        try:
+            raw = [x.v for x in vec if x.p == p]
+        except AttributeError:  # an entry that is no GFElement
+            raw = ()
         if len(raw) != len(vec):
-            raise WrongField("element of another prime field used in "
-                             "GF(%d)" % p)
+            raise WrongField("entry not in GF(%d)" % p)
         return raw
 
     def from_raw(self, sums):

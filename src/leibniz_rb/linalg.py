@@ -1,12 +1,14 @@
 """Exact linear algebra: rref, rank, kernel, solve and span rank.
 
-A ``Matrix`` is stored as dense rows, and once more as raw rows
-(``Field.to_raw``) for the products, which accumulate raw values and
-build at most one field element per result entry; ``from_int_rows`` (each
-delta of ``cohomology``) keeps sparse int rows and builds both lazily.
-One fraction-free elimination (Bareiss, Math. Comp. 1968) on ``{column:
-int}`` rows serves both fields: over Q each row is scaled by the lcm of
-its denominators and each updated row is divided by its content gcd; over
+One class, ``Matrix``, keeps three row forms, each built from another on
+first read: ``rows`` of field elements; ``raw`` rows (``Field.to_raw``)
+for the products, which build at most one field element per result
+entry; and ``{column: int}`` rows, ``ints``, for the elimination.
+``__init__`` fills the first two, ``from_int_rows`` (each delta of
+``cohomology``) the last.
+One fraction-free elimination (Bareiss, Math. Comp. 1968) on the int rows
+serves both fields: over Q the rows are scaled by the lcm of the
+denominators and each updated row is divided by its content gcd; over
 GF(p) the rows are residues and each pivot row is scaled to a leading 1.
 Columns are taken left to right; the pivot is the remaining row with the
 fewest nonzeros (ties to the lowest index), and only the rows holding
@@ -19,9 +21,10 @@ particular solution and the kernel off one rref of [M | b].
 
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, lcm
+from math import gcd
 
 from .errors import NotInvertible, ShapeMismatch
+from .fields import int_scale
 
 
 def zero_vec(field, n):
@@ -52,10 +55,8 @@ def vec_is_zero(v):
 
 
 class Matrix:
-    """Dense matrix over an exact field; immutable by convention.  Made by
-    ``from_int_rows``, it keeps int rows and builds its dense rows lazily."""
-
-    ints = None  # int rows for the elimination: see from_int_rows
+    """Dense matrix over an exact field; immutable by convention.  Its row
+    forms are ``cached_property``s, which a constructor may fill."""
 
     def __init__(self, field, rows, ncols=None):
         # ncols is needed only when there are no rows to read it from
@@ -71,11 +72,11 @@ class Matrix:
         # the rows as the products read them (field.to_raw)
         self.raw = [field.to_raw(row) for row in self.rows]
 
-    @staticmethod
-    def from_int_rows(field, rows, ncols, den):
+    @classmethod
+    def from_int_rows(cls, field, rows, ncols, den):
         """The matrix with entries a / den, a the nonzero ints of the sparse
         rows; over GF(p) they are reduced and zero residues dropped."""
-        p, m = field.characteristic, _IntRows.__new__(_IntRows)
+        p, m = field.characteristic, cls.__new__(cls)
         m.field, m.nrows, m.ncols, m.den = field, len(rows), ncols, den
         m.ints = [{j: a % p for j, a in row.items() if a % p}
                   for row in rows] if p else rows
@@ -92,8 +93,28 @@ class Matrix:
 
     @classmethod
     def from_cols(cls, field, cols, nrows):
+        if any(len(col) != nrows for col in cols):
+            raise ShapeMismatch("a column's length is not nrows = %d" % nrows)
         return cls(field, [[col[i] for col in cols] for i in range(nrows)],
                    len(cols))
+
+    @cached_property
+    def rows(self):  # from ints: one field element per distinct int
+        fld, zero = self.field, self.field.zero
+        entry = {a: fld.coerce(a) / self.den
+                 for a in {a for row in self.ints for a in row.values()}}
+        return [[entry[row[j]] if j in row else zero
+                 for j in range(self.ncols)] for row in self.ints]
+
+    @cached_property
+    def raw(self):
+        return [self.field.to_raw(row) for row in self.rows]
+
+    @cached_property
+    def ints(self):  # the raw rows times one D from fields.int_scale
+        nz = [[(j, x) for j, x in enumerate(raw) if x] for raw in self.raw]
+        scale = int_scale(self.field, [x for row in nz for _, x in row])[1]
+        return [{j: scale(x) for j, x in row} for row in nz]
 
     @property
     def shape(self):
@@ -179,12 +200,10 @@ class Matrix:
         return all(vec_is_zero(row) for row in self.rows)
 
     def _eliminate(self):
-        """Forward elimination on copies of ``ints``, else ``_int_row`` of the
-        raw rows: (pivot column, pivot row) pairs, pivots 1 over GF(p)."""
+        """Forward elimination on copies of ``ints``: (pivot column, pivot
+        row) pairs, pivots 1 over GF(p)."""
         p = self.field.characteristic
-        pending = [dict(r) for r in self.ints] if self.ints is not None \
-            else [_int_row(raw, self.field.raw_zero, p) for raw in self.raw]
-        pending = [r for r in pending if r]
+        pending = [dict(r) for r in self.ints if r]
         done = []
         for c in range(self.ncols):
             if not pending:
@@ -284,35 +303,6 @@ class Matrix:
         if pivots != list(range(n)):
             raise NotInvertible("singular matrix")
         return Matrix(self.field, [row[n:] for row in rows[:n]])
-
-
-class _IntRows(Matrix):
-    """Lazy ``rows`` and ``raw``; on ``Matrix`` they would slow every read."""
-
-    @cached_property
-    def rows(self):  # one field element per distinct int
-        fld, zero = self.field, self.field.zero
-        entry = {a: fld.coerce(a) / self.den
-                 for a in {a for row in self.ints for a in row.values()}}
-        return [[entry[row[j]] if j in row else zero
-                 for j in range(self.ncols)] for row in self.ints]
-
-    @cached_property
-    def raw(self):
-        return [self.field.to_raw(row) for row in self.rows]
-
-
-def _int_row(raw, zero, p):
-    """A raw row as {column: int}: the residues over GF(p), or over Q the
-    row times the lcm of its denominators."""
-    if p:
-        return {j: x for j, x in enumerate(raw) if x}
-    # one call per entry: the shared zero is skipped by identity, other
-    # zeros by their numerator, with no Fraction.__bool__
-    pairs = [(j, x.as_integer_ratio()) for j, x in enumerate(raw)
-             if x is not zero]
-    d = lcm(*[b for _, (_, b) in pairs])
-    return {j: a * (d // b) for j, (a, b) in pairs if a}
 
 
 def _clear(row, c, prow, p):

@@ -1,7 +1,6 @@
 import glob
 import io
 import os
-from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 
@@ -22,7 +21,7 @@ from leibniz_rb.errors import (ContainmentViolated, InvalidOperator,
                                OracleDisagreement, ResourceLimit)
 from leibniz_rb.fields import ZZ, IntegerRing, PrimeField, RationalField
 from leibniz_rb.graded import _pow_sign
-from leibniz_rb.linalg import Matrix, span_rank, vec_is_zero
+from leibniz_rb.linalg import Matrix, span_rank, vec_is_zero, vec_sub
 from leibniz_rb.manifest import load_manifest
 from leibniz_rb.multimap import MultiMap
 from leibniz_rb.operators import WeightedRBO, induced_algebra
@@ -162,15 +161,6 @@ def test_betti_invariant_under_basis_change(Q):
         assert cohomology(r2, 2).betti() == base
 
 
-def test_representatives_are_cocycles(Q):
-    r = _rbo_id(Q)
-    rep = cohomology(r, 2, representatives=True)
-    for n in (1, 2):
-        m = delta_matrix(r, n)
-        for z in rep.degrees[n].cocycles:
-            assert all(x == Q.zero for x in m.mul_vec(z))
-
-
 def _delta_by_columns(r, n):
     """Oracle: delta_T_0 or one delta_T call per unit cochain of C^n."""
     if n == 0:
@@ -188,6 +178,29 @@ def test_delta_matrix_matches_column_oracle(n):
             m = delta_matrix(r, n)
             assert m.shape == (cochain_dim(r, n + 1), cochain_dim(r, n))
             assert m == _delta_by_columns(r, n), (name, label, r.weight)
+
+
+def _delta_0_by_columns(r, x):
+    """Oracle: delta_0 x one column per e_a of h, T rho^L(x, e_a) - [x, Te_a]."""
+    d, t = r.context, r.t
+    cols = [vec_sub(t.mul_vec(d.actions.left_act(x, e)),
+                    d.g.bracket(x, t.col(a)))
+            for a, e in enumerate(Matrix.identity(r.field, d.h.dim).rows)]
+    return Matrix.from_cols(r.field, cols, d.g.dim)
+
+
+@pytest.mark.parametrize("field_spec", ["rational", "gf 5"])
+def test_delta_T_0_matches_column_oracle(field_spec):
+    cases = _manifest_operators(field_spec)
+    assert cases
+    for name, label, r in cases:
+        fld, ng = r.field, r.context.g.dim
+        # each basis vector of g, and one x with no zero entry
+        xs = [basis_vec(fld, ng, i) for i in range(ng)]
+        xs.append([fld.coerce(1 + i % 4) for i in range(ng)])
+        for x in xs:
+            assert delta_T_0(r, x) == _delta_0_by_columns(r, x), \
+                (name, label, r.weight, x)
 
 
 def test_delta_matrix_is_delta_itself_when_d_exceeds_1(Q):
@@ -554,8 +567,7 @@ def _kernel_quotient_route(r, max_degree):
         if b_basis and span_rank(fld, z_basis + b_basis) != rz:
             raise ContainmentViolated("coboundaries not contained in cocycles")
         rb = span_rank(fld, b_basis)
-        out.append(DegreeData(cochain_dim(r, n), len(z_basis), rb, rz - rb,
-                              z_basis))
+        out.append(DegreeData(cochain_dim(r, n), len(z_basis), rb, rz - rb))
     return out
 
 
@@ -597,12 +609,9 @@ def test_cohomology_matches_kernel_quotient_oracle(field_spec):
     cases = _manifest_operators(field_spec)
     assert {label for _, label, _ in cases} >= {"zero", "id", "incl", "zz"}
     for name, label, r in cases:
-        want = _kernel_quotient_route(r, 2)
-        got = cohomology(r, 2, representatives=True)
-        assert [got.degrees[n] for n in range(3)] == want, (name, label)
-        plain = cohomology(r, 2)
-        assert list(plain.degrees.values()) == \
-            [replace(dd, cocycles=[]) for dd in want]
+        got = cohomology(r, 2)
+        assert [got.degrees[n] for n in range(3)] == \
+            _kernel_quotient_route(r, 2), (name, label)
 
 
 def test_corrupted_delta_raises_containment_violated(Q, monkeypatch):
@@ -654,12 +663,11 @@ def test_square_zero_trap_is_exact_and_names_the_first_column(p):
         square_zero(1, rows, _int_rows(dprev, 2), p)
 
 
-@pytest.mark.parametrize("representatives", [False, True])
-def test_cohomology_eliminates_each_delta_once(Q, rref_calls, representatives):
+def test_cohomology_eliminates_each_delta_once(Q, rref_calls):
     r = _rbo_id(Q)
     for k in range(4):
         rref_calls.clear()
-        cohomology(r, k, representatives=representatives)
+        cohomology(r, k)
         assert len(rref_calls) == k + 1
 
 

@@ -125,6 +125,17 @@ def test_shape_mismatch_detected(Q):
         ActionPair(Q, 2, 1, [[[Q.zero]]], [[[Q.zero], [Q.zero]]])
 
 
+@pytest.mark.parametrize("x, y", [([1], [0, 1]), ([1, 0, 1], [0, 1]),
+                                  ([1, 0], [0])])
+def test_contract_refuses_vectors_off_the_tensor_shape(Q, x, y):
+    # [e_1, e_2] = e_2: a short x or y is not read as zero-padded, a long
+    # one not as cut
+    a = LeibnizAlgebra.from_entries(Q, 2, {(0, 1, 1): 1})
+    assert a.bracket([Q.one, Q.zero], [Q.zero, Q.one]) == [Q.zero, Q.one]
+    with pytest.raises(ShapeMismatch, match="^vectors of lengths"):
+        a.bracket([Q.coerce(v) for v in x], [Q.coerce(v) for v in y])
+
+
 def test_law_work_is_bounded_before_any_product(Q, monkeypatch):
     # a dense dim-10 bracket: each Leibniz identity term needs 10^5
     # multiply-adds, 3 * 10^5 for the law, over MAX_LAW_WORK

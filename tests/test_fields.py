@@ -211,6 +211,17 @@ def test_kernels_reject_an_element_of_another_prime(p, q):
         Matrix(field, [[1, 2], [3, 4]]).mul_vec(x)
 
 
+def test_kernels_reject_an_entry_that_is_no_gf_element(gf5):
+    # a plain int or Fraction entry: WrongField, not AttributeError
+    a = LeibnizAlgebra.from_entries(gf5, 2, {(0, 1, 1): 1})
+    for vec in ([1, 0], [gf5.one, 0], [Fraction(1), gf5.zero]):
+        with pytest.raises(WrongField, match="^entry not in GF"):
+            gf5.to_raw(vec)
+    with pytest.raises(WrongField):
+        a.bracket([1, 0], [0, 1])
+    assert gf5.to_raw([]) == []
+
+
 def test_coerce_and_elements_build_their_elements(gf_news):
     # per call, not per entry: they stay off the shared table, so a GF(p)
     # run keeps building some elements

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from leibniz_rb.errors import NotInvertible
+from leibniz_rb.errors import NotInvertible, ShapeMismatch
 from leibniz_rb.fields import PrimeField, RationalField
 from leibniz_rb.linalg import Matrix, span_rank
 
@@ -288,6 +288,13 @@ def test_mul_vec_builds_one_gf_element_per_entry(gf_news):
         field.from_raw(range(p))
         gf_news.clear()
         assert m.mul_vec(v) == out and gf_news == []
+
+
+@pytest.mark.parametrize("cols", [[[1, 2], [1, 2, 3]], [[1, 2], [1]]])
+def test_from_cols_refuses_a_column_of_another_length(Q, cols):
+    # a longer column is not cut to nrows, a shorter one no IndexError
+    with pytest.raises(ShapeMismatch, match="^a column's length is not"):
+        Matrix.from_cols(Q, cols, 2)
 
 
 def test_zero_row_and_zero_column_shapes(Q):
