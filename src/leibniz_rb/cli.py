@@ -123,23 +123,31 @@ def _post(m, args):
                   "--post")
 
 
+def _status(rep, ok, text=None):
+    """The status line of a verdict; the exit code, 0 on pass, 1 on fail."""
+    rep.add("status", "pass" if ok else "fail", text)
+    return 0 if ok else 1
+
+
 def _report_violations(rep, vrep):
-    rep.add("status", "pass" if vrep.ok else "fail",
-            vrep.summary())
+    code = _status(rep, vrep.ok, vrep.summary())
     rep.add("violations", len(vrep.violations))
     for v in vrep.violations:
         rep.add("violation", "%s %s" % (v.law, ",".join(map(str, v.where))),
                 "  %s at %s" % (v.law, v.where))
-    return 0 if vrep.ok else 1
+    return code
 
 
-def _tensor_report(rep, key, store):
-    """Sparse `i j -> coeff k` lines for a structure tensor's store."""
-    for (i, j), row in store.dense_rows():
-        for k, c in enumerate(row):
-            if c:
-                rep.add(key, "e%d e%d -> %s e%d"
-                        % (i + 1, j + 1, store.field.format(c), k + 1))
+def _tensor_report(rep, dim, **stores):
+    """The dim line, then sparse `i j -> coeff k` lines for each structure
+    tensor's store, keyed by its name."""
+    rep.add("dim", dim)
+    for key, store in stores.items():
+        for (i, j), row in store.dense_rows():
+            for k, c in enumerate(row):
+                if c:
+                    rep.add(key, "e%d e%d -> %s e%d"
+                            % (i + 1, j + 1, store.field.format(c), k + 1))
 
 
 def _matrix_report(rep, key, mat, fld):
@@ -162,8 +170,7 @@ def cmd_validate(m, args, rep):
         rep.add(kind, "%s %s" % (name, "pass" if vrep.ok else "fail"),
                 "%s %s: %s" % (kind, name, vrep.summary()))
         worst = max(worst, 0 if vrep.ok else 1)
-    rep.add("status", "pass" if worst == 0 else "fail")
-    return worst
+    return _status(rep, worst == 0)
 
 
 def cmd_check_rbo(m, args, rep):
@@ -174,18 +181,14 @@ def cmd_check_rbo(m, args, rep):
 def cmd_graph_check(m, args, rep):
     d = _context(m, args)
     ok = graph_check(d, _weight(m, args), _operator(m, d, args))
-    rep.add("status", "pass" if ok else "fail",
-            "graph is %sclosed under the semidirect bracket"
-            % ("" if ok else "not "))
-    return 0 if ok else 1
+    return _status(rep, ok, "graph is %sclosed under the semidirect bracket"
+                   % ("" if ok else "not "))
 
 
 def cmd_induced(m, args, rep):
     a = induced_algebra(_rbo(m, args))
-    rep.add("dim", a.dim)
-    _tensor_report(rep, "bracket", a.c_nz)
-    rep.add("status", "pass")
-    return 0
+    _tensor_report(rep, a.dim, bracket=a.c_nz)
+    return _status(rep, True)
 
 
 def cmd_cohomology(m, args, rep):
@@ -197,17 +200,15 @@ def cmd_cohomology(m, args, rep):
                 % (n, dd.dim_c, dd.dim_z, dd.dim_b, dd.dim_h),
                 "degree %d: dim C = %d, dim Z = %d, dim B = %d, dim H = %d"
                 % (n, dd.dim_c, dd.dim_z, dd.dim_b, dd.dim_h))
-    rep.add("status", "pass")
-    return 0
+    return _status(rep, True)
 
 
 def cmd_mc_residual(m, args, rep):
     d = _context(m, args)
     resid = maurer_cartan_residual(d, _weight(m, args), _operator(m, d, args))
     ok = resid.is_zero()
-    rep.add("status", "pass" if ok else "fail",
-            "Maurer-Cartan residual is %szero" % ("" if ok else "non"))
-    return 0 if ok else 1
+    return _status(rep, ok, "Maurer-Cartan residual is %szero"
+                   % ("" if ok else "non"))
 
 
 def cmd_dgla_check(m, args, rep):
@@ -241,8 +242,7 @@ def cmd_obstruct(m, args, rep):
             % ("vanishes" if cls.is_coboundary else "does not vanish"))
     if cls.witness is not None:
         _matrix_report(rep, "witness", cls.witness, m.field)
-    rep.add("status", "pass" if cls.is_coboundary else "fail")
-    return 0 if cls.is_coboundary else 1
+    return _status(rep, cls.is_coboundary)
 
 
 def cmd_extend(m, args, rep):
@@ -251,13 +251,11 @@ def cmd_extend(m, args, rep):
         raise InvalidDeformation("deformation equations fail")
     ext = extend(defm)
     if ext is None:
-        rep.add("status", "fail", "not extensible: obstruction class "
-                                  "does not vanish")
-        return 1
+        return _status(rep, False, "not extensible: obstruction class does "
+                                   "not vanish")
     rep.add("order", ext.order)
     _matrix_report(rep, "next", ext.coeffs[-1], m.field)
-    rep.add("status", "pass")
-    return 0
+    return _status(rep, True)
 
 
 def cmd_nijenhuis(m, args, rep):
@@ -269,21 +267,19 @@ def cmd_nijenhuis(m, args, rep):
     except Exception:
         raise InvalidInput("cannot parse --element %r" % args.element)
     ok = check_nijenhuis(r, x0)
-    rep.add("status", "pass" if ok else "fail",
-            "element is %sa Nijenhuis element" % ("" if ok else "not "))
-    return 0 if ok else 1
+    return _status(rep, ok, "element is %sa Nijenhuis element"
+                   % ("" if ok else "not "))
 
 
 def cmd_rigidity(m, args, rep):
     cert = rigidity_certificate(_rbo(m, args), cap=args.cap)
     rep.add("dim-z1", cert.dim_z1)
     rep.add("nijenhuis-count", cert.nijenhuis_count)
-    rep.add("status", "pass" if cert.satisfied else "fail",
-            "rigidity criterion %s"
-            % ("satisfied" if cert.satisfied else "not satisfied"))
+    code = _status(rep, cert.satisfied, "rigidity criterion %s"
+                   % ("satisfied" if cert.satisfied else "not satisfied"))
     if cert.witness is not None:
         rep.add("witness", " ".join(m.field.format(x) for x in cert.witness))
-    return 0 if cert.satisfied else 1
+    return code
 
 
 def cmd_post_validate(m, args, rep):
@@ -292,20 +288,15 @@ def cmd_post_validate(m, args, rep):
 
 def cmd_post_from_rbo(m, args, rep):
     p = from_rbo(_rbo(m, args))
-    rep.add("dim", p.dim)
-    _tensor_report(rep, "pleft", p.left_nz)
-    _tensor_report(rep, "pright", p.right_nz)
-    _tensor_report(rep, "pbracket", p.bracket_nz)
-    rep.add("status", "pass")
-    return 0
+    _tensor_report(rep, p.dim, pleft=p.left_nz, pright=p.right_nz,
+                   pbracket=p.bracket_nz)
+    return _status(rep, True)
 
 
 def cmd_total(m, args, rep):
     a = total_algebra(_post(m, args))
-    rep.add("dim", a.dim)
-    _tensor_report(rep, "bracket", a.c_nz)
-    rep.add("status", "pass")
-    return 0
+    _tensor_report(rep, a.dim, bracket=a.c_nz)
+    return _status(rep, True)
 
 
 def cmd_search(m, args, rep):
@@ -318,8 +309,7 @@ def cmd_search(m, args, rep):
                         for i in range(t.nrows) for j in range(t.ncols))
         rep.add("operator", flat)
     rep.add("count", count)
-    rep.add("status", "pass")
-    return 0
+    return _status(rep, True)
 
 
 COMMANDS = {

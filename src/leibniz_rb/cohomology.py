@@ -190,6 +190,8 @@ def delta_matrix(r, n, cap=20000, view=None):
     key, or OracleDisagreement.  For n >= 1 delta_n . delta_{n-1} = 0 is
     checked.
     """
+    if n < 0:
+        raise ShapeMismatch("delta_n needs n >= 0, got %d" % n)
     ng, nh, clip = r.context.g.dim, r.context.h.dim, cap.bit_length() + 1
     if ng * nh ** min(n + 1, clip) * ng * nh ** min(n, clip) > cap:
         raise ResourceLimit("delta_%d has more cells than the configured "
@@ -248,6 +250,9 @@ def cohomology(r, max_degree, cap=20000):
     cap bounds the cells of each delta and (they do not grow when dim h
     <= 1) rows x terms x arity of the top one.
     """
+    if max_degree < 0:
+        raise ShapeMismatch("cohomology needs max_degree >= 0, got %d"
+                            % max_degree)
     # the view validates r before any cap is checked
     view = integer_view(r)
     # rows of the top delta (dim h^k clipped past the cap), +1 for setup

@@ -5,17 +5,17 @@ implementations: an explicit formula and a route through the Balavoine
 bracket on maps of the total space V = g + h.  The explicit differential
 d = [theta', -] is (-1)^n lambda times the Loday-Pirashvili coboundary of
 (h, [.,.]_h) with trivial coefficients in g.  Both routes of a bracket or
-differential run in one checked helper (``_checked_bracket``,
-``_checked_differential``) over ``ZZ``, on the context, maps and lambda
-each times the lcm of its denominators (``fields.int_scale``; residues
-over GF(p)): it raises OracleDisagreement on any split of the int results
-and returns the explicit one with its scale, reduced mod p over GF(p).
-The public ``derived_bracket`` and ``differential_d`` scale their inputs,
-call the helper and divide back; ``check_dgla`` scales lambda and its
-samples once, nests the helpers on the int maps and compares each law
-there, since both sides carry the same scale.  Each context is scaled
-once (``int_context``) and keeps theta and theta' (``_block_map``).  One
-route alone is called by name (``*_explicit``).
+differential run in one checked helper (``_checked``) over ``ZZ``, on the
+context, maps and lambda each times the lcm of its denominators
+(``fields.int_scale``; residues over GF(p)): it raises OracleDisagreement
+on any split of the int results and returns the explicit one with its
+scale, reduced mod p over GF(p).  ``derived_bracket`` and ``differential_d``
+divide it back; ``check_dgla`` compares each law on the int maps, both
+sides carrying one scale.  Each context is scaled once (``int_context``)
+and keeps theta and theta' (``_block_map``).  ``_mc_coefficient``, the
+t^n coefficient of the one Maurer-Cartan residual dT_t + 1/2 [[T_t, T_t]],
+is read by ``maurer_cartan_residual`` (n = 0) and ``deformations``; only
+it calls one route alone (``*_explicit``).
 
 Both bracket routes visit nonzero rows only.  The explicit route scatters
 each shuffle sum from the rows of P and Q as raw scalars, one {tuple:
@@ -338,38 +338,28 @@ def _from_ints(fld, den, m):
     return out
 
 
-def _checked_bracket(d, a, b):
-    """(D s_a s_b, the int bracket of a = (s_a, s_a P) and b = (s_b, s_b Q)
-    on d's int context, D its scale): both routes, compared over ZZ before
-    the reduction mod p."""
-    (sa, pz), (sb, qz) = a, b
+def _checked(d, scale, explicit, lifted, *args):
+    """(D scale, the explicit int result) of a route pair on args, the int
+    maps (after the int lambda for d) on d's int context of scale D: both
+    routes, compared over ZZ before the reduction mod p."""
     den, dz = d.int_context
-    explicit = derived_bracket_explicit(dz, pz, qz)
-    if explicit != derived_bracket_lifted(dz, pz, qz):
-        raise OracleDisagreement("derived bracket: explicit formula != lifted "
-                                 "route (arities %d, %d)" % (pz.arity, qz.arity))
-    return den * sa * sb, _reduced(d.field, explicit)
-
-
-def _checked_differential(d, lam, a):
-    """(D k s_a, the int dP) for lam = (k, k lambda) and a = (s_a, s_a P):
-    both routes, compared over ZZ before the reduction mod p."""
-    (k, lz), (sa, pz) = lam, a
-    den, dz = d.int_context
-    explicit = differential_d_explicit(dz, lz, pz)
-    if explicit != differential_d_lifted(dz, lz, pz):
-        raise OracleDisagreement("differential d: explicit formula != lifted "
-                                 "route (arity %d)" % pz.arity)
-    return den * k * sa, _reduced(d.field, explicit)
+    out = explicit(dz, *args)
+    if out != lifted(dz, *args):
+        maps = [m for m in args if isinstance(m, MultiMap)]
+        raise OracleDisagreement(
+            "%s: explicit formula != lifted route (arity %s)"
+            % ("derived bracket" if len(maps) == 2 else "differential d",
+               ", ".join(str(m.arity) for m in maps)))
+    return den * scale, _reduced(d.field, out)
 
 
 def derived_bracket(d, p, q):
     """Graded Lie bracket on Hom(h^{x *}, g), linear in (c_g, rho^L, rho^R),
     P and Q: the explicit int result over D_d D_p D_q, always checked."""
     _check_maps(d, (p, q))
-    fld = d.field
-    return _from_ints(fld, *_checked_bracket(d, _to_ints(fld, p),
-                                             _to_ints(fld, q)))
+    (sp, pz), (sq, qz) = (_to_ints(d.field, f) for f in (p, q))
+    return _from_ints(d.field, *_checked(
+        d, sp * sq, derived_bracket_explicit, derived_bracket_lifted, pz, qz))
 
 
 def differential_d_explicit(d, lam, p):
@@ -391,27 +381,39 @@ def differential_d(d, lam, p):
     """Differential of the operator dgLa, linear in lambda c_h and in P: the
     explicit int result over D_d D_lam D_p, always checked."""
     _check_maps(d, (p,))
-    fld = d.field
-    return _from_ints(fld, *_checked_differential(
-        d, _lam_to_ints(fld, lam), _to_ints(fld, p)))
+    (k, lz), (sp, pz) = _lam_to_ints(d.field, lam), _to_ints(d.field, p)
+    return _from_ints(d.field, *_checked(
+        d, k * sp, differential_d_explicit, differential_d_lifted, lz, pz))
+
+
+def _mc_coefficient(d, lam, maps, n, bracket=None):
+    """2 dT_n + sum_{i+j=n} [[T_i, T_j]] for arity-1 maps T_0, T_1, ...
+    (zero past the end), the t^n coefficient of 2 dT_t + [[T_t, T_t]].
+    bracket (the explicit route unless given) runs once per unordered pair,
+    doubled off the diagonal: on arity-1 maps [[P, Q]] = [[Q, P]]."""
+    bracket, two = bracket or derived_bracket_explicit, d.field.coerce(2)
+    out = MultiMap(d.field, 2, d.h.dim, d.g.dim)
+    if n < len(maps):
+        out = differential_d_explicit(d, lam, maps[n]).scale(two)
+    for i in range(max(0, n + 1 - len(maps)), n // 2 + 1):
+        br = bracket(d, maps[i], maps[n - i])
+        out = out + (br if 2 * i == n else br.scale(two))
+    return out
 
 
 def maurer_cartan_residual(d, lam, t):
     """dT + (1/2)[[T, T]]; over GF(2) the 2-scaled form 2 dT + [[T, T]].
 
-    Zero exactly when T satisfies the weighted operator identity (over
-    GF(2) the equivalence holds for the 2-scaled residual).  T, a Matrix
-    or an arity-1 MultiMap, must be a dim g x dim h map over d's field.
+    The t^0 coefficient of ``_mc_coefficient``, halved where 2 is
+    invertible; there it is zero exactly when T satisfies the weighted
+    operator identity.  T, a Matrix or an arity-1 MultiMap, must be a
+    dim g x dim h map over d's field.
     """
     if isinstance(t, MultiMap):
         t = t.to_matrix()
     _check_operator_shape(d, t)
-    t, fld = MultiMap.from_matrix(t), d.field
-    dt = differential_d_explicit(d, lam, t)
-    br = derived_bracket_explicit(d, t, t)
-    if fld.characteristic == 2:
-        return dt.scale(fld.coerce(2)) + br
-    return dt + br.scale(fld.half())
+    out, fld = _mc_coefficient(d, lam, [MultiMap.from_matrix(t)], 0), d.field
+    return out if fld.characteristic == 2 else out.scale(fld.half())
 
 
 def dgla_samples(d, count=4, max_arity=2, seed=0):
@@ -422,6 +424,8 @@ def dgla_samples(d, count=4, max_arity=2, seed=0):
     """
     import random as _random
 
+    if max_arity < 1:
+        raise ShapeMismatch("dgLa samples need max_arity >= 1")
     rng = _random.Random(seed)
     fld = d.field
 
@@ -432,15 +436,8 @@ def dgla_samples(d, count=4, max_arity=2, seed=0):
                          for _ in range(d.g.dim)])
         return m
 
-    out = []
-    for _ in range(count):
-        out.append((draw(rng.randint(1, max_arity)),
-                    draw(rng.randint(1, max_arity))))
-    for _ in range(count):
-        out.append((draw(rng.randint(1, max_arity)),
-                    draw(rng.randint(1, max_arity)),
-                    draw(rng.randint(1, max_arity))))
-    return out
+    return [tuple(draw(rng.randint(1, max_arity)) for _ in range(size))
+            for size in (2, 3) for _ in range(count)]
 
 
 def _check_samples(d, samples):
@@ -471,9 +468,11 @@ def check_dgla(d, lam, samples, cross_check=True):
         raise ValueError("check_dgla always runs both routes")
     _check_samples(d, samples)
     rep, fld = ValidationReport("dgla"), d.field
-    lz = _lam_to_ints(fld, lam)
-    br = lambda a, b: _checked_bracket(d, a, b)
-    dd = lambda a: _checked_differential(d, lz, a)
+    sl, lz = _lam_to_ints(fld, lam)
+    br = lambda a, b: _checked(d, a[0] * b[0], derived_bracket_explicit,
+                               derived_bracket_lifted, a[1], b[1])
+    dd = lambda a: _checked(d, sl * a[0], differential_d_explicit,
+                            differential_d_lifted, lz, a[1])
 
     def plus(a, b, k):
         """a + (-1)^k b, both of one scale."""

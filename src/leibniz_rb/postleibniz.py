@@ -14,6 +14,7 @@ structures on their codomain.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
 from typing import Optional
 
@@ -58,8 +59,9 @@ class PostLeibnizAlgebra:
                                      (self.right_nz, x, y),
                                      (self.bracket_nz, x, y)), self.dim)
 
-    def star_tensor(self):
-        """The store of [u, v]_star = u<v + u>v + [u,v]_a."""
+    @cached_property
+    def star_nz(self):
+        """The store of [u, v]_star = u<v + u>v + [u,v]_a, built once."""
         return _Store(self.field, self.left_nz.dims, chain(
             self.left_nz.cells(), self.right_nz.cells(),
             self.bracket_nz.cells()))
@@ -90,28 +92,23 @@ POST_LIE_LAWS = parse_laws(
     ("post-lie-curvature", "(i.j)>k = i>(j>k) - (i>j)>k - j>(i>k) + (j>i)>k"))
 
 
-def _tensors(p, star):
-    """The stores of p and star by their names in the laws."""
-    return {"<": p.left_nz, ">": p.right_nz, ".": p.bracket_nz, "*": star}
+def _tensors(p):
+    """The stores of p by their names in the laws."""
+    return {"<": p.left_nz, ">": p.right_nz, ".": p.bracket_nz, "*": p.star_nz}
 
 
-def validate_post_leibniz(p, star=None):
-    """Check identities post-l1..post-l7 on all basis triples.
-
-    star, the store of [.,.]_star, is built here unless given.
-    """
-    star = p.star_tensor() if star is None else star
+def validate_post_leibniz(p):
+    """Check identities post-l1..post-l7 on all basis triples."""
     return check_laws(ValidationReport("post-leibniz"), p.field,
-                      POST_LEIBNIZ_LAWS, _tensors(p, star))
+                      POST_LEIBNIZ_LAWS, _tensors(p))
 
 
 def total_algebra(p):
     """The total Leibniz algebra (a, [.,.]_star) of a valid structure."""
-    star = p.star_tensor()
-    rep = validate_post_leibniz(p, star)
+    rep = validate_post_leibniz(p)
     if not rep.ok:
         raise InvalidInput("not a post-Leibniz algebra: %s" % rep.summary())
-    total = LeibnizAlgebra(p.field, p.dim, star)
+    total = LeibnizAlgebra(p.field, p.dim, p.star_nz)
     check = validate_leibniz(total)
     if not check.ok:
         raise OracleDisagreement("total bracket fails the Leibniz identity "
@@ -142,13 +139,12 @@ def validate_pre_leibniz(field, dim, left, right):
     verdict; a split raises OracleDisagreement.
     """
     p = PostLeibnizAlgebra(field, dim, left, right, _Store(field, (dim,) * 3))
-    star = p.star_tensor()  # u<v + u>v, the bracket being zero
-    # with this star, post-l1..l3 are the three pre-Leibniz identities
+    # with star u<v + u>v, the bracket being zero, post-l1..l3 are the
+    # three pre-Leibniz identities
     laws = [("pre" + law[4:], lhs, rhs)
             for law, lhs, rhs in POST_LEIBNIZ_LAWS[:3]]
-    rep = check_laws(ValidationReport("pre-leibniz"), field, laws,
-                     _tensors(p, star))
-    if rep.ok != validate_post_leibniz(p, star).ok:
+    rep = check_laws(ValidationReport("pre-leibniz"), field, laws, _tensors(p))
+    if rep.ok != validate_post_leibniz(p).ok:
         raise OracleDisagreement("pre-Leibniz and zero-bracket post-Leibniz "
                                  "validators disagree")
     return rep
@@ -220,11 +216,10 @@ def compatible_structure(a, r):
     right = transport([(d.actions.left_nz, one, tinv, t)])
     bracket = transport([(d.h.c_nz, tinv, tinv, t)])
     p = PostLeibnizAlgebra(fld, a.dim, left, right, bracket)
-    star = p.star_tensor()
-    if star != a.c_nz:
+    if p.star_nz != a.c_nz:
         raise OracleDisagreement("compatible structure does not sum to the "
                                  "original bracket")
-    check = validate_post_leibniz(p, star)
+    check = validate_post_leibniz(p)
     if not check.ok:
         raise OracleDisagreement("compatible structure fails validation: %s"
                                  % check.summary())

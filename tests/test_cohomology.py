@@ -18,7 +18,8 @@ from leibniz_rb.core import (ActionPair, LeibnizAlgebra, adjoint_grep,
                              change_of_basis_grep, leibniz_differential,
                              validate_representation)
 from leibniz_rb.errors import (ContainmentViolated, InvalidOperator,
-                               OracleDisagreement, ResourceLimit)
+                               OracleDisagreement, ResourceLimit,
+                               ShapeMismatch)
 from leibniz_rb.fields import ZZ, IntegerRing, PrimeField, RationalField
 from leibniz_rb.graded import _pow_sign
 from leibniz_rb.linalg import Matrix, span_rank, vec_is_zero, vec_sub
@@ -132,6 +133,20 @@ def test_delta_matrix_composes_to_zero(Q):
     for n in range(2):
         prod = delta_matrix(r, n + 1) * delta_matrix(r, n)
         assert prod.rank() == 0
+
+
+def test_delta_matrix_refuses_a_negative_degree(Q):
+    # nh ** -1 ended in a bare TypeError
+    with pytest.raises(ShapeMismatch) as exc:
+        delta_matrix(_rbo_id(Q), -1)
+    assert "\n" not in str(exc.value) and "-1" in str(exc.value)
+
+
+def test_cohomology_refuses_a_negative_degree(Q):
+    # an empty report was returned
+    with pytest.raises(ShapeMismatch) as exc:
+        cohomology(_rbo_id(Q), -1)
+    assert "\n" not in str(exc.value) and "-1" in str(exc.value)
 
 
 def test_golden_betti_dim2_identity(Q):

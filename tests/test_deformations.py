@@ -2,7 +2,7 @@ from itertools import product as iproduct
 
 import pytest
 
-from leibniz_rb import deformations
+from leibniz_rb import deformations, graded
 from leibniz_rb.cohomology import delta_T_0
 from leibniz_rb.core import (ActionPair, LeibnizAlgebra, LeibnizGRep,
                              adjoint_grep, change_of_basis_grep,
@@ -168,13 +168,13 @@ def test_dgla_cross_check_runs_where_2_is_invertible(p, t1, monkeypatch):
                                Matrix.zeros(fld, 2, 2))
     defm = Deformation(r, [r.t, Matrix(fld, t1)])
     calls = []
-    real = deformations.differential_d_explicit
+    real = graded.differential_d_explicit
 
     def counted(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(deformations, "differential_d_explicit", counted)
+    monkeypatch.setattr(graded, "differential_d_explicit", counted)
     rep = check_deformation(defm)
     assert rep.ok == (t1[1][1] == 0)
     assert len(calls) == (0 if p == 2 else 1)
@@ -191,8 +191,8 @@ def test_split_dgla_form_is_trapped_where_2_is_invertible(p, monkeypatch):
     defm = Deformation(r, [r.t, Matrix.identity(fld, 2)])
     # at order 1 both terms of d_T(T_1) are arity-2 maps h x h -> g
     zero = lambda d, *args: MultiMap(d.field, 2, d.h.dim, d.g.dim)
-    monkeypatch.setattr(deformations, "differential_d_explicit", zero)
-    monkeypatch.setattr(deformations, "derived_bracket_explicit", zero)
+    monkeypatch.setattr(graded, "differential_d_explicit", zero)
+    monkeypatch.setattr(graded, "derived_bracket_explicit", zero)
     if p == 2:
         assert not check_deformation(defm).ok
     else:

@@ -1,5 +1,5 @@
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -268,6 +268,96 @@ def test_mc_residual_gf2(gf2):
     # zero operator always satisfies the 2-scaled residual
     t = MultiMap(gf2, 1, 1, 1)
     assert maurer_cartan_residual(d, gf2.zero, t).is_zero()
+
+
+def _two_loop_samples(d, count, max_arity, seed):
+    """dgla_samples as first drawn: one loop of pairs, then one of triples."""
+    rng, fld = seeded(seed), d.field
+
+    def draw(arity):
+        m = MultiMap(fld, arity, d.h.dim, d.g.dim)
+        for idx in m.tuples():
+            m.set_(idx, [fld.coerce(rng.randrange(-2, 3))
+                         for _ in range(d.g.dim)])
+        return m
+
+    out = []
+    for _ in range(count):
+        out.append((draw(rng.randint(1, max_arity)),
+                    draw(rng.randint(1, max_arity))))
+    for _ in range(count):
+        out.append((draw(rng.randint(1, max_arity)),
+                    draw(rng.randint(1, max_arity)),
+                    draw(rng.randint(1, max_arity))))
+    return out
+
+
+def test_dgla_samples_match_the_two_loop_draw(Q):
+    # the dgla-cross benchmark template is drawn from dgla_samples
+    for d in (_ctx(Q), _both_actions(PrimeField(3))):
+        for count, max_arity, seed in product((0, 1, 3), (1, 2, 3), (0, 5)):
+            got = dgla_samples(d, count=count, max_arity=max_arity, seed=seed)
+            assert [type(s) for s in got] == [tuple] * (2 * count)
+            assert got == _two_loop_samples(d, count, max_arity, seed)
+
+
+def test_dgla_samples_refuse_max_arity_below_1(Q):
+    # randrange(1, 1) ended in a bare ValueError
+    with pytest.raises(ShapeMismatch) as exc:
+        dgla_samples(_ctx(Q), max_arity=0)
+    assert "\n" not in str(exc.value)
+
+
+def _hand_written_mc(d, lam, ts, n):
+    """The t^n coefficient of 2 (dT_t + 1/2 [[T_t, T_t]]) as the library
+    wrote it out before ``_mc_coefficient``, one explicit bracket per
+    ordered pair and T_k zero past the end: 2 dT + [[T, T]] at n = 0 (the
+    doubled ``maurer_cartan_residual``), else check_deformation's
+    2 (dT_n + [[T_0, T_n]]) + sum_{i+j=n, i,j>=1} [[T_i, T_j]]."""
+    two = d.field.coerce(2)
+    ts = ts + [MultiMap(d.field, 1, d.h.dim, d.g.dim)] * (n + 1 - len(ts))
+    dt = differential_d_explicit(d, lam, ts[n])
+    if n == 0:
+        return dt.scale(two) + derived_bracket_explicit(d, ts[0], ts[0])
+    out = (dt + derived_bracket_explicit(d, ts[0], ts[n])).scale(two)
+    for i in range(1, n):
+        out = out + derived_bracket_explicit(d, ts[i], ts[n - i])
+    return out
+
+
+@pytest.mark.parametrize("p", [0, 2, 3, 5])
+def test_mc_coefficient_matches_the_hand_written_forms(p):
+    import leibniz_rb.graded as gr
+    fld = PrimeField(p) if p else RationalField()
+    rng, nonzero = seeded(83 + p), []
+    for d in (_ctx(fld), _both_actions(fld)):
+        for lam in (fld.coerce(-1), fld.coerce(2)):
+            # an order-3 series: n = 4 is past its end (the obstruction)
+            ts = [random_multimap(fld, 1, d.h.dim, d.g.dim, rng)
+                  for _ in range(4)]
+            for n in range(5):
+                want = _hand_written_mc(d, lam, ts, n)
+                nonzero.append(not want.is_zero())
+                assert gr._mc_coefficient(d, lam, ts, n) == want
+            # maurer_cartan_residual: dT + 1/2 [[T, T]], over GF(2)
+            # 2 dT + [[T, T]]
+            dt = differential_d_explicit(d, lam, ts[0])
+            br = derived_bracket_explicit(d, ts[0], ts[0])
+            assert maurer_cartan_residual(d, lam, ts[0]) == (
+                dt.scale(fld.coerce(2)) + br if p == 2
+                else dt + br.scale(fld.half()))
+            if p != 2:
+                # obstruction: -1/2 sum_{i+j=4, i,j>=1} [[T_i, T_j]] from
+                # checked brackets
+                ob = MultiMap(fld, 2, d.h.dim, d.g.dim)
+                for i in range(1, 4):
+                    ob = ob + derived_bracket(d, ts[i], ts[4 - i])
+                assert gr._mc_coefficient(d, lam, ts, 4, derived_bracket) \
+                    .scale(-fld.half()) == ob.scale(-fld.half())
+    # the comparisons are not of zero maps, except over GF(2): there
+    # 2 dT_n = 0, and [[P, Q]] = H(P, Q) + H(Q, P) is 2 H(P, P) on the
+    # diagonal and comes twice off it, so every coefficient vanishes
+    assert sum(nonzero) > len(nonzero) // 2 if p != 2 else not any(nonzero)
 
 
 def _forced_split(real):

@@ -143,7 +143,7 @@ def test_store_is_the_nonzero_cells_of_the_dense_tensor(data):
             for t, i0, j0, k0, s in blocks for (i, j, k), x in cells_of(t)]))
     for store in (adjoint_pair(a).left_nz, adjoint_pair(a).right_nz):
         assert_store_is(store, a.c)
-    assert_store_is(p.star_tensor(), dense(fld, (n, n, n), [
+    assert_store_is(p.star_nz, dense(fld, (n, n, n), [
         (ijk, x) for t in (p.left, p.right, p.bracket)
         for ijk, x in cells_of(t)]))
 
