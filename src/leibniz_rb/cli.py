@@ -16,9 +16,9 @@ from .cohomology import cohomology
 from .core import (adjoint_grep, validate_leibniz, validate_leibniz_g_rep)
 from .deformations import (Deformation, check_deformation, check_nijenhuis,
                            extend, obstruction, rigidity_certificate)
-from .errors import (CharacteristicTwo, InvalidDeformation, InvalidInput,
-                     InvalidOperator, LrbError, ManifestError, NotInvertible,
-                     ResourceLimit, ShapeMismatch, WrongField, WrongWeight)
+from .errors import (InvalidDeformation, InvalidInput, InvalidOperator,
+                     LrbError, ManifestError, NotInvertible, ResourceLimit,
+                     ShapeMismatch, WrongField, WrongWeight)
 from .graded import check_dgla, dgla_samples, maurer_cartan_residual
 from .linalg import Matrix
 from .manifest import load_manifest
@@ -398,8 +398,7 @@ def run_command(argv, out=sys.stdout, err=sys.stderr):
         err.write("error: %s\n" % exc)
         return 1
     except (ManifestError, ResourceLimit, WrongField, WrongWeight,
-            NotInvertible, ShapeMismatch, InvalidInput, CharacteristicTwo,
-            OSError) as exc:
+            NotInvertible, ShapeMismatch, InvalidInput, OSError) as exc:
         err.write("error: %s\n" % exc)
         return 2
     except LrbError as exc:

@@ -44,10 +44,11 @@ def induced_representation(r):
 
 
 def x0_columns(d, x0):
-    """The columns of ad_{x0} = [x0, -] on g and of rho^L(x0, -) on h."""
+    """The columns of ad_{x0} on g and of rho^L(x0, -) on h over d's field."""
     fld = d.field
     if len(x0) != d.g.dim:
         raise ShapeMismatch("x0 must live in g")
+    x0 = [fld.coerce(x) for x in x0]
     return ([d.g.bracket(x0, basis_vec(fld, d.g.dim, i))
              for i in range(d.g.dim)],
             [d.actions.left_act(x0, basis_vec(fld, d.h.dim, a))

@@ -130,9 +130,10 @@ def _as_store(field, dims, tensor):
 
 def over_ints(stores):
     """(D, each store times D over ``ZZ``), D from ``fields.int_scale``."""
-    den, scale = int_scale(stores[0].field,
-                           [x for s in stores for _, x in s.cells()])
-    return den, [_Store(ZZ, s.dims, ((ijk, scale(x)) for ijk, x in s.cells()))
+    den, ints = int_scale(stores[0].field,
+                          [x for s in stores for _, x in s.cells()])
+    it = iter(ints)
+    return den, [_Store(ZZ, s.dims, [(ijk, next(it)) for ijk, _ in s.cells()])
                  for s in stores]
 
 

@@ -7,11 +7,11 @@ whose coefficients satisfy the deformation equations
         = sum_{i+j=n} T_i( rho^L(T_j u, v) + rho^R(u, T_j v) )
           + lambda T_n([u, v]_h)           for n = 0..N,
 
-equivalently d_T(T_n) = -1/2 sum_{i+j=n, i,j>=1} [[T_i, T_j]] for n >= 1,
-the vanishing t^n coefficient of the Maurer-Cartan residual dT_t + 1/2
-[[T_t, T_t]]; the obstruction is its coefficient past N.  Both forms are
-always computed and compared, so a sign bug in either is trapped, except
-over GF(2), where the second form does not exist.
+equivalently d_T(T_n) = -sum_{i+j=n, i,j>=1} H(T_i, T_j) for n >= 1, with
+[[P, Q]] = H(P, Q) + H(Q, P): the vanishing t^n coefficient of the
+Maurer-Cartan residual (``graded._mc_coefficient``), and the obstruction
+is its coefficient past N.  Both forms are always computed and compared,
+in every characteristic, so a sign bug in either is trapped.
 Everything is truncated polynomial arithmetic at a fixed order; no
 power-series object exists.
 """
@@ -27,7 +27,7 @@ from .errors import (BaseMismatch, ContainmentViolated, InvalidDeformation,
                      OracleDisagreement, ResourceLimit, ShapeMismatch,
                      WrongField)
 from .fields import PrimeField
-from .graded import _mc_coefficient, derived_bracket
+from .graded import _mc_coefficient
 from .linalg import Matrix, axpy
 from .multimap import MultiMap
 from .operators import morphism_at_order, series_coeff
@@ -71,10 +71,9 @@ def check_deformation(defm):
     Both sides at order n are stores summed by ``core.transport``: c_g
     moved along (T_i, T_{n-i}), against T_i rho^L(T_{n-i} -, -) and
     T_i rho^R(-, T_{n-i} -) over i plus lambda T_n c_h.  The dgLa form, the
-    t^n coefficient 2 dT_n + sum_{i+j=n} [[T_i, T_j]] of the MC residual,
-    is built for n >= 1 from the explicit routes on the field, and any
-    verdict split raises OracleDisagreement.  That form needs 1/2, so in
-    characteristic 2 the direct verdict is reported alone.
+    t^n coefficient dT_n + sum_{i+j=n} H(T_i, T_j) of the MC residual, is
+    built for n >= 1 from the explicit routes, in every field, and any
+    verdict split raises OracleDisagreement.
     """
     r = defm.base
     d, fld, ts, act = r.context, r.field, defm.coeffs, r.context.actions
@@ -88,13 +87,11 @@ def check_deformation(defm):
             (act.right_nz, ih, ts[n - i], ts[i]) for i in range(n + 1)])
         rep.add_differences("deformation-equation", lhs, rhs, (n,))
     bad = {v.where[0] for v in rep.violations}
-    if fld.characteristic != 2:
-        maps = [MultiMap.from_matrix(t) for t in ts]
-        for n in range(1, defm.order + 1):
-            if _mc_coefficient(d, r.weight, maps, n).is_zero() == (n in bad):
-                raise OracleDisagreement(
-                    "deformation equation and dgLa form disagree at order %d"
-                    % n)
+    maps = [MultiMap.from_matrix(t) for t in ts]
+    for n in range(1, defm.order + 1):
+        if _mc_coefficient(d, r.weight, maps, n).is_zero() == (n in bad):
+            raise OracleDisagreement(
+                "deformation equation and dgLa form disagree at order %d" % n)
     return rep
 
 
@@ -233,17 +230,17 @@ class ObstructionClass:
 
 
 def obstruction(defm):
-    """Ob = -1/2 sum_{i+j=N+1, i,j>=1} [[T_i, T_j]], with coboundary verdict.
+    """Ob = -sum_{i+j=N+1, i,j>=1} H(T_i, T_j), with coboundary verdict.
 
-    The sum, empty at order 0, is -1/2 the t^(N+1) coefficient of the MC
-    residual, from checked brackets.  The coboundary test solves delta(x)
-    = Ob in Hom(h, g); the 2-cocycle identity delta(Ob) = 0 is re-asserted
-    on every call.  One IntegerView of h_T and rho_T serves both.
+    Ob, zero at order 0, is minus the t^(N+1) coefficient of the MC
+    residual, both routes of each bracket compared.  The coboundary test
+    solves delta(x) = Ob in Hom(h, g); the 2-cocycle identity delta(Ob) = 0
+    is re-asserted on every call.  One IntegerView of h_T and rho_T serves
+    both.
     """
     r, fld = defm.base, defm.field
     d, maps = r.context, [MultiMap.from_matrix(t) for t in defm.coeffs]
-    ob = _mc_coefficient(d, r.weight, maps, defm.order + 1,
-                         derived_bracket).scale(-fld.half())
+    ob = -_mc_coefficient(d, r.weight, maps, defm.order + 1)
     view = integer_view(r)
     if not leibniz_differential(view.h, view.rho, ob).is_zero():
         raise OracleDisagreement("obstruction cochain is not a 2-cocycle")

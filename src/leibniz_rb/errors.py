@@ -50,10 +50,6 @@ class NotAdjointContext(LrbError):
     """Operation requires a non-relative (adjoint) operator context."""
 
 
-class CharacteristicTwo(LrbError):
-    """Operation needs division by 2, unavailable over GF(2)."""
-
-
 class WrongField(LrbError):
     """Operation requires a different scalar field (e.g. enumeration over GF(p))."""
 

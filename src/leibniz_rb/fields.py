@@ -22,7 +22,7 @@ same object many times, and ``field.zero`` among them.  So a
 from fractions import Fraction
 from math import lcm
 
-from .errors import CharacteristicTwo, InvalidInput, WrongField
+from .errors import InvalidInput, WrongField
 
 RESIDUE_TABLE_MAX = 4096
 
@@ -141,9 +141,6 @@ class Field:
     def format(self, x):
         """Render an element in plain manifest syntax ('a' or 'a/b')."""
         raise NotImplementedError
-
-    def half(self):
-        return self.coerce(Fraction(1, 2))
 
     def to_raw(self, vec):
         """The entries of vec as values the kernels add and multiply."""
@@ -283,11 +280,6 @@ class PrimeField(Field):
     def format(self, x):
         return str(x.v)
 
-    def half(self):
-        if self.p == 2:
-            raise CharacteristicTwo("1/2 is undefined over GF(2)")
-        return super().half()
-
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p
 
@@ -299,12 +291,13 @@ class PrimeField(Field):
 
 
 def int_scale(field, raws):
-    """(D, x -> D x as an int) for the raw values raws: over Q, D is the lcm
-    of their denominators; over GF(p), D = 1 and the residues are the ints."""
+    """(D, [D x as an int for x in raws]), D the lcm of the denominators
+    over Q (one ``as_integer_ratio`` each); over GF(p) D = 1."""
     if field.characteristic:
-        return 1, int
-    den = lcm(*(x.denominator for x in raws))
-    return den, lambda x: x.numerator * (den // x.denominator)
+        return 1, list(raws)
+    ratios = [x.as_integer_ratio() for x in raws]
+    den = lcm(*(b for _, b in ratios))
+    return den, [a * (den // b) for a, b in ratios]
 
 
 def field_from_spec(text):

@@ -9,13 +9,13 @@ differential run in one checked helper (``_checked``) over ``ZZ``, on the
 context, maps and lambda each times the lcm of its denominators
 (``fields.int_scale``; residues over GF(p)): it raises OracleDisagreement
 on any split of the int results and returns the explicit one with its
-scale, reduced mod p over GF(p).  ``derived_bracket`` and ``differential_d``
-divide it back; ``check_dgla`` compares each law on the int maps, both
-sides carrying one scale.  Each context is scaled once (``int_context``)
-and keeps theta and theta' (``_block_map``).  ``_mc_coefficient``, the
-t^n coefficient of the one Maurer-Cartan residual dT_t + 1/2 [[T_t, T_t]],
-is read by ``maurer_cartan_residual`` (n = 0) and ``deformations``; only
-it calls one route alone (``*_explicit``).
+scale, not yet reduced mod p.  ``derived_bracket`` and ``differential_d``
+divide it back; ``check_dgla`` compares each law on the int maps mod p.
+Each context is scaled once (``int_context``) and keeps theta and theta'
+(``_block_map``).  ``_mc_coefficient``, the t^n coefficient of the one
+Maurer-Cartan residual dT_t + 1/2 [[T_t, T_t]], halved exactly over ``ZZ``
+in every characteristic, is read by ``maurer_cartan_residual`` (n = 0) and
+``deformations``; only it calls one route alone (``*_explicit``).
 
 Both bracket routes visit nonzero rows only.  The explicit route scatters
 each shuffle sum from the rows of P and Q as raw scalars, one {tuple:
@@ -27,7 +27,7 @@ itemgetter that gathers indices into shuffled order, and the sign.
 
 from collections import defaultdict
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, islice
 from operator import itemgetter
 
 from .core import (ActionPair, ValidationReport, _pow_sign, block_tensor,
@@ -302,35 +302,36 @@ def _check_maps(d, maps):
                              % (m.field, d.field))
 
 
-def _to_ints(fld, m):
-    """(s, s m over ZZ) for a map m over fld, s from ``fields.int_scale``."""
-    rows = [fld.to_raw(row) for row in m.nz.values()]
-    s, scale = int_scale(fld, [x for row in rows for x in row])
-    out = MultiMap(ZZ, m.arity, m.src_dim, m.tgt_dim)
-    out.nz = {idx: tuple(map(scale, row)) for idx, row in zip(m.nz, rows)}
+def _to_ints(fld, maps):
+    """(s, [s m over ZZ for m in maps]), one s from ``fields.int_scale``."""
+    rows = [fld.to_raw(row) for m in maps for row in m.nz.values()]
+    s, ints = int_scale(fld, [x for row in rows for x in row])
+    ints, out = iter(ints), []
+    for m in maps:
+        out.append(MultiMap(ZZ, m.arity, m.src_dim, m.tgt_dim))
+        out[-1].nz = {idx: tuple(islice(ints, m.tgt_dim)) for idx in m.nz}
     return s, out
 
 
 def _lam_to_ints(fld, lam):
     """(k, k lambda as an int), k from ``fields.int_scale``."""
-    raw = fld.to_raw([fld.coerce(lam)])
-    k, scale = int_scale(fld, raw)
-    return k, scale(raw[0])
+    k, (lz,) = int_scale(fld, fld.to_raw([fld.coerce(lam)]))
+    return k, lz
 
 
-def _reduced(fld, m):
-    """The int map m mod p over GF(p), rows that vanish dropped; m over Q."""
-    p = fld.characteristic
+def _reduced(fld, sm):
+    """(s, m mod p) for sm = (s, int map m), rows that vanish dropped."""
+    p, (s, m) = fld.characteristic, sm
     if not p:
-        return m
+        return sm
     rows = ((idx, tuple([x % p for x in r])) for idx, r in m.nz.items())
     out = MultiMap(ZZ, m.arity, m.src_dim, m.tgt_dim)
     out.nz = {idx: r for idx, r in rows if any(r)}
-    return out
+    return s, out
 
 
 def _from_ints(fld, den, m):
-    """The int map m / den over fld (den = 1 over GF(p), zero rows dropped)."""
+    """The int map m / den over fld (mod p over GF(p), zero rows dropped)."""
     inv = fld.one / den
     rows = ((idx, tuple([a * inv for a in r])) for idx, r in m.nz.items())
     out = MultiMap(fld, m.arity, m.src_dim, m.tgt_dim)
@@ -341,7 +342,7 @@ def _from_ints(fld, den, m):
 def _checked(d, scale, explicit, lifted, *args):
     """(D scale, the explicit int result) of a route pair on args, the int
     maps (after the int lambda for d) on d's int context of scale D: both
-    routes, compared over ZZ before the reduction mod p."""
+    routes, compared over ZZ before any reduction mod p."""
     den, dz = d.int_context
     out = explicit(dz, *args)
     if out != lifted(dz, *args):
@@ -350,16 +351,16 @@ def _checked(d, scale, explicit, lifted, *args):
             "%s: explicit formula != lifted route (arity %s)"
             % ("derived bracket" if len(maps) == 2 else "differential d",
                ", ".join(str(m.arity) for m in maps)))
-    return den * scale, _reduced(d.field, out)
+    return den * scale, out
 
 
 def derived_bracket(d, p, q):
     """Graded Lie bracket on Hom(h^{x *}, g), linear in (c_g, rho^L, rho^R),
-    P and Q: the explicit int result over D_d D_p D_q, always checked."""
+    P and Q: the explicit int result over D_d s^2, always checked."""
     _check_maps(d, (p, q))
-    (sp, pz), (sq, qz) = (_to_ints(d.field, f) for f in (p, q))
+    s, (pz, qz) = _to_ints(d.field, (p, q))
     return _from_ints(d.field, *_checked(
-        d, sp * sq, derived_bracket_explicit, derived_bracket_lifted, pz, qz))
+        d, s * s, derived_bracket_explicit, derived_bracket_lifted, pz, qz))
 
 
 def differential_d_explicit(d, lam, p):
@@ -381,39 +382,46 @@ def differential_d(d, lam, p):
     """Differential of the operator dgLa, linear in lambda c_h and in P: the
     explicit int result over D_d D_lam D_p, always checked."""
     _check_maps(d, (p,))
-    (k, lz), (sp, pz) = _lam_to_ints(d.field, lam), _to_ints(d.field, p)
+    (k, lz), (sp, (pz,)) = _lam_to_ints(d.field, lam), _to_ints(d.field, [p])
     return _from_ints(d.field, *_checked(
         d, k * sp, differential_d_explicit, differential_d_lifted, lz, pz))
 
 
-def _mc_coefficient(d, lam, maps, n, bracket=None):
-    """2 dT_n + sum_{i+j=n} [[T_i, T_j]] for arity-1 maps T_0, T_1, ...
-    (zero past the end), the t^n coefficient of 2 dT_t + [[T_t, T_t]].
-    bracket (the explicit route unless given) runs once per unordered pair,
-    doubled off the diagonal: on arity-1 maps [[P, Q]] = [[Q, P]]."""
-    bracket, two = bracket or derived_bracket_explicit, d.field.coerce(2)
-    out = MultiMap(d.field, 2, d.h.dim, d.g.dim)
-    if n < len(maps):
-        out = differential_d_explicit(d, lam, maps[n]).scale(two)
-    for i in range(max(0, n + 1 - len(maps)), n // 2 + 1):
-        br = bracket(d, maps[i], maps[n - i])
-        out = out + (br if 2 * i == n else br.scale(two))
-    return out
+def _mc_coefficient(d, lam, maps, n):
+    """dT_n + sum_{i+j=n} H(T_i, T_j), ordered pairs, for arity-1 maps T_0,
+    T_1, ... (zero past the end): the t^n coefficient of the Maurer-Cartan
+    residual dT_t + 1/2 [[T_t, T_t]], in every field.  As [[P, Q]] = H(P, Q)
+    + H(Q, P) (``_scatter_half``), the int sum 2 dT_n + sum [[T_i, T_j]] on
+    d's int context, the series of one scale, is even: it is halved over ZZ
+    (OracleDisagreement if odd) and divided back once.  Brackets run once
+    per unordered pair, explicit within the series and both routes past
+    its end (the obstruction, with no direct form to check against)."""
+    fld, (den, dz) = d.field, d.int_context
+    (k, lz), (s, zs) = _lam_to_ints(fld, lam), _to_ints(fld, maps)
+    out = MultiMap(ZZ, 2, d.h.dim, d.g.dim)
+    if n < len(zs):
+        out = differential_d_explicit(dz, lz, zs[n]).scale(2 * s)
+    for i in range(max(0, n + 1 - len(zs)), n // 2 + 1):
+        br = derived_bracket_explicit(dz, zs[i], zs[n - i]) if n < len(zs) \
+            else _checked(d, 1, derived_bracket_explicit,
+                          derived_bracket_lifted, zs[i], zs[n - i])[1]
+        out = out + br.scale(k if 2 * i == n else 2 * k)
+    if any(x % 2 for row in out.nz.values() for x in row):
+        raise OracleDisagreement("Maurer-Cartan sum of order %d is odd" % n)
+    out.nz = {idx: tuple([x // 2 for x in row]) for idx, row in out.nz.items()}
+    return _from_ints(fld, den * k * s * s, out)
 
 
 def maurer_cartan_residual(d, lam, t):
-    """dT + (1/2)[[T, T]]; over GF(2) the 2-scaled form 2 dT + [[T, T]].
-
-    The t^0 coefficient of ``_mc_coefficient``, halved where 2 is
-    invertible; there it is zero exactly when T satisfies the weighted
-    operator identity.  T, a Matrix or an arity-1 MultiMap, must be a
-    dim g x dim h map over d's field.
+    """dT + H(T, T), which is dT + 1/2 [[T, T]] where 2 is invertible: the
+    t^0 coefficient of ``_mc_coefficient``, zero exactly when T satisfies
+    the weighted operator identity, in every field.  T, a Matrix or an
+    arity-1 MultiMap, must be a dim g x dim h map over d's field.
     """
     if isinstance(t, MultiMap):
         t = t.to_matrix()
     _check_operator_shape(d, t)
-    out, fld = _mc_coefficient(d, lam, [MultiMap.from_matrix(t)], 0), d.field
-    return out if fld.characteristic == 2 else out.scale(fld.half())
+    return _mc_coefficient(d, lam, [MultiMap.from_matrix(t)], 0)
 
 
 def dgla_samples(d, count=4, max_arity=2, seed=0):
@@ -457,7 +465,7 @@ def check_dgla(d, lam, samples, cross_check=True):
     samples: list of (P, Q) pairs and (P, Q, R) triples of MultiMaps
     h^{x *} -> g.  Antisymmetry, d^2 = 0 and the graded Leibniz rule are
     checked on pairs; the graded Jacobi identity on triples.  Each bracket
-    and differential runs both routes, on lambda and the sample maps
+    and differential runs both routes, on lambda and each sample's maps
     scaled to ints once (``_to_ints``): every element is a pair (scale,
     int map), each law is homogeneous in the scales, so its two sides
     carry the same positive factor and are compared as int maps (mod p
@@ -469,22 +477,25 @@ def check_dgla(d, lam, samples, cross_check=True):
     _check_samples(d, samples)
     rep, fld = ValidationReport("dgla"), d.field
     sl, lz = _lam_to_ints(fld, lam)
-    br = lambda a, b: _checked(d, a[0] * b[0], derived_bracket_explicit,
-                               derived_bracket_lifted, a[1], b[1])
-    dd = lambda a: _checked(d, sl * a[0], differential_d_explicit,
-                            differential_d_lifted, lz, a[1])
+    br = lambda a, b: _reduced(fld, _checked(
+        d, a[0] * b[0], derived_bracket_explicit, derived_bracket_lifted,
+        a[1], b[1]))
+    dd = lambda a: _reduced(fld, _checked(
+        d, sl * a[0], differential_d_explicit, differential_d_lifted, lz,
+        a[1]))
 
     def plus(a, b, k):
         """a + (-1)^k b, both of one scale."""
-        return a[0], _reduced(fld, a[1] + (-b[1] if k % 2 else b[1]))
+        return _reduced(fld, (a[0], a[1] + (-b[1] if k % 2 else b[1])))
 
     def flat(a):
         return _from_ints(fld, *a).flatten()
 
     for k, sample in enumerate(samples):
-        if len(sample) == 2:
-            p, q = [_to_ints(fld, f) for f in sample]
-            m, n = p[1].arity, q[1].arity
+        s, maps = _to_ints(fld, sample)
+        p, q, *r = [(s, f) for f in maps]
+        m, n = p[1].arity, q[1].arity
+        if not r:
             pq = br(p, q)
             if not plus(pq, br(q, p), m * n)[1].is_zero():
                 rep.add("graded-antisymmetry", (k,), flat(pq), [])
@@ -497,10 +508,8 @@ def check_dgla(d, lam, samples, cross_check=True):
             if not ddp[1].is_zero():
                 rep.add("d-squared", (k,), flat(ddp), [])
         else:
-            p, q, r = [_to_ints(fld, f) for f in sample]
-            m, n = p[1].arity, q[1].arity
-            lhs = br(p, br(q, r))
-            rhs = plus(br(br(p, q), r), br(q, br(p, r)), m * n)
+            lhs = br(p, br(q, *r))
+            rhs = plus(br(br(p, q), *r), br(q, br(p, *r)), m * n)
             if lhs[1] != rhs[1]:
                 rep.add("graded-jacobi", (k,), flat(lhs), flat(rhs))
     return rep

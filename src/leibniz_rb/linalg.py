@@ -113,8 +113,8 @@ class Matrix:
     @cached_property
     def ints(self):  # the raw rows times one D from fields.int_scale
         nz = [[(j, x) for j, x in enumerate(raw) if x] for raw in self.raw]
-        scale = int_scale(self.field, [x for row in nz for _, x in row])[1]
-        return [{j: scale(x) for j, x in row} for row in nz]
+        it = iter(int_scale(self.field, [x for row in nz for _, x in row])[1])
+        return [{j: next(it) for j, _ in row} for row in nz]
 
     @property
     def shape(self):

@@ -62,13 +62,16 @@ class MultiMap:
 
     def set_(self, idx, vec):
         # construction-time helper; maps are treated as frozen afterwards
+        idx, src = tuple(idx), range(self.src_dim)
+        if len(idx) != self.arity or not all(a in src for a in idx):
+            raise ShapeMismatch("index %r outside the map's source" % (idx,))
         row = tuple(self.field.coerce(x) for x in vec)
         if len(row) != self.tgt_dim:
             raise ShapeMismatch("coefficient row of wrong length")
         if any(row):
-            self.nz[tuple(idx)] = row
+            self.nz[idx] = row
         else:
-            self.nz.pop(tuple(idx), None)
+            self.nz.pop(idx, None)
 
     def apply(self, args):
         """Evaluate at a mixed argument list of basis indices in

@@ -143,12 +143,43 @@ def test_parser_is_not_built_at_import():
     assert (r.returncode, r.stdout) == (0, "0\n")
 
 
-def test_characteristic_two_is_usage_error():
-    r = _run(["obstruct", os.path.join(ROOT, "manifests",
-                                       "obstructed-deformation.lra"),
-              "--actions", "act", "--field", "gf 2"])
-    assert r.returncode == 2
-    assert r.stderr == "error: 1/2 is undefined over GF(2)\n"
+@pytest.mark.parametrize("field,witness", [("gf 2", "1"), ("gf 3", "2"),
+                                           ("rational", "-1")],
+                         ids=["gf2", "gf3", "rational"])
+def test_obstruct_and_extend_in_every_characteristic(field, witness,
+                                                     tmp_path):
+    # over GF(2) they exited 2 with "1/2 is undefined over GF(2)".  T_1 = 1
+    # on the frozen manifest is obstructed; T_1 = e1 e1^* of DEFORMATION
+    # extends by T_2 = -x for the witness x, which extend re-validates
+    extensible = tmp_path / "defm.lra"
+    extensible.write_text("field gf 2\n" + DEFORMATION % "")
+    frozen = os.path.join(ROOT, "manifests", "obstructed-deformation.lra")
+    for argv, want_code, want in (
+            (["obstruct", frozen, "--actions", "act"], 1,
+             "obstruction class does not vanish\n"),
+            (["extend", frozen, "--actions", "act"], 1,
+             "not extensible: obstruction class does not vanish\n"),
+            (["obstruct", str(extensible)], 0,
+             "obstruction class vanishes\nwitness: e2 -> %s e2\n" % witness),
+            (["extend", str(extensible)], 0,
+             "order: 2\nnext: e2 -> 1 e2\n")):
+        out, err = io.StringIO(), io.StringIO()
+        code = run_command(argv + ["--field", field], out=out, err=err)
+        assert (code, err.getvalue()) == (want_code, "")
+        assert want in out.getvalue()
+
+
+def test_mc_residual_agrees_with_check_rbo_over_gf2():
+    # T = id of weight 0 breaks the identity on dim2-nonlie; over GF(2)
+    # the residual read zero and exited 0
+    argv = [MANIFEST, "--field", "gf 2", "--operator", "id", "--weight", "0"]
+    for command, want in (("mc-residual", "Maurer-Cartan residual is "
+                                          "nonzero\n"),
+                          ("check-rbo", "operator-identity at (0, 0)\n")):
+        out, err = io.StringIO(), io.StringIO()
+        assert (run_command([command] + argv, out=out, err=err),
+                err.getvalue()) == (1, "")
+        assert want in out.getvalue()
 
 
 def test_cohomology_cap_refuses_before_work():
@@ -323,8 +354,8 @@ DEFORMATION = ("algebra g dim 2\nbracket g e1 e1 -> 1 e2\n"
 @pytest.mark.parametrize("valid", [True, False], ids=["valid", "failing"])
 def test_deform_check_in_every_characteristic(field, valid, tmp_path):
     # T_1 = id breaks the order-1 equation at (e1, e1); T_1 = e1 e1^* keeps
-    # it, since T_1 e2 = 0.  Over GF(2) the dgLa form, which needs 1/2, is
-    # not a cross-check, and the direct verdict stands alone.
+    # it, since T_1 e2 = 0.  In every characteristic the dgLa form, which
+    # needs no 1/2, cross-checks the direct verdict.
     path = tmp_path / "defm.lra"
     path.write_text("field gf 2\n" + DEFORMATION
                     % ("" if valid else "entry t1 e2 -> 1 e2\n"))

@@ -478,7 +478,7 @@ def _small_operators(fld):
     context, with entries 0, 1 and -1/2 (0 and 1 over GF(2))."""
     pool = {fld.zero, fld.one}
     if fld.characteristic != 2:
-        pool.add(-fld.half())
+        pool.add(-fld.coerce(Fraction(1, 2)))
     out = []
     for dims in ((1, 1), (2, 1), (1, 2), (2, 2)):
         for d in small_contexts(fld, dims):
@@ -664,7 +664,7 @@ def _int_rows(m, den):
 @pytest.mark.parametrize("p", [0, 5])
 def test_square_zero_trap_is_exact_and_names_the_first_column(p):
     fld = PrimeField(p) if p else RationalField()
-    half = fld.half()
+    half = fld.coerce(Fraction(1, 2))
     dn = Matrix(fld, [[1, 2, 0], [0, 0, 0], [half, 1, 3]])
     # column 0 cancels exactly (2 e_0 - e_1), columns 2 and 3 do not
     dprev = Matrix(fld, [[2, 0, 1, 1], [-1, 0, 0, 1], [0, 0, 0, 0]])

@@ -177,14 +177,13 @@ def test_dgla_cross_check_runs_where_2_is_invertible(p, t1, monkeypatch):
     monkeypatch.setattr(graded, "differential_d_explicit", counted)
     rep = check_deformation(defm)
     assert rep.ok == (t1[1][1] == 0)
-    assert len(calls) == (0 if p == 2 else 1)
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("p", [0, 2, 5])
 def test_split_dgla_form_is_trapped_where_2_is_invertible(p, monkeypatch):
     # the dgLa form forced to read zero on a deformation whose equation
-    # fails at order 1: the verdicts split, except over GF(2), where the
-    # direct verdict is reported alone
+    # fails at order 1: the verdicts split, over GF(2) too
     fld = PrimeField(p) if p else RationalField()
     r = WeightedRBO.on_algebra(dim2_nonlie(fld), fld.one,
                                Matrix.zeros(fld, 2, 2))
@@ -193,11 +192,8 @@ def test_split_dgla_form_is_trapped_where_2_is_invertible(p, monkeypatch):
     zero = lambda d, *args: MultiMap(d.field, 2, d.h.dim, d.g.dim)
     monkeypatch.setattr(graded, "differential_d_explicit", zero)
     monkeypatch.setattr(graded, "derived_bracket_explicit", zero)
-    if p == 2:
-        assert not check_deformation(defm).ok
-    else:
-        with pytest.raises(OracleDisagreement):
-            check_deformation(defm)
+    with pytest.raises(OracleDisagreement):
+        check_deformation(defm)
 
 
 def test_infinitesimal_is_cocycle(gf5):
@@ -272,6 +268,21 @@ def test_x0_must_live_in_g(gf5):
                      lambda: check_nijenhuis(r, x0)):
             with pytest.raises(ShapeMismatch, match="x0 must live in g"):
                 call()
+
+
+@pytest.mark.parametrize("fld,other", [
+    (RationalField(), PrimeField(5)), (PrimeField(5), PrimeField(3))],
+    ids=["gf5-on-q", "gf3-on-gf5"])
+def test_x0_over_another_field_is_wrong_field(fld, other):
+    # a GF(5) x0 on a Q context ended in a bare TypeError
+    r = _rbo_id(fld)
+    defm = Deformation.trivial(r, 1)
+    x0 = [other.one, other.zero]
+    for call in (lambda: check_nijenhuis(r, x0),
+                 lambda: delta_T_0(r, x0),
+                 lambda: check_equivalence(defm, defm, x0)):
+        with pytest.raises(WrongField):
+            call()
 
 
 def test_nijenhuis_matches_reference(gf5):
@@ -453,6 +464,31 @@ def test_rigidity_traps_images_outside_z1(gf5, monkeypatch):
     with pytest.raises(ContainmentViolated):
         rigidity_certificate(WeightedRBO(d, gf5.zero,
                                          Matrix(gf5, [[0], [1]])))
+
+
+def test_gf2_obstruction_predicts_extension_by_brute_force(gf2):
+    # every order-1 deformation over GF(2) of the small contexts, weights 0
+    # and 1: Ob is a coboundary exactly when some T_2 extends it
+    counts = [0, 0]
+    for dims in ((1, 1), (2, 1), (1, 2), (2, 2)):
+        ng, nh = dims
+        maps = [Matrix(gf2, [cells[i * nh:(i + 1) * nh] for i in range(ng)],
+                       nh)
+                for cells in iproduct(gf2.elements(), repeat=ng * nh)]
+        for d, lam, t0 in iproduct(small_contexts(gf2, dims), (0, 1), maps):
+            r = WeightedRBO(d, lam, t0)
+            if not r.is_valid:
+                continue
+            for t1 in maps:
+                defm = Deformation(r, [t0, t1])
+                if not check_deformation(defm).ok:
+                    continue
+                extends = any(check_deformation(
+                    Deformation(r, [t0, t1, t2])).ok for t2 in maps)
+                assert obstruction(defm).is_coboundary == extends
+                assert (extend(defm) is not None) == extends
+                counts[extends] += 1
+    assert counts == [50, 670]
 
 
 def test_obstruction_at_order_zero_is_zero(Q):

@@ -7,7 +7,7 @@ import pytest
 from conftest import is_canonical
 from leibniz_rb.core import (ActionPair, LeibnizAlgebra, LeibnizGRep,
                              _as_store, contract)
-from leibniz_rb.errors import CharacteristicTwo, InvalidInput, WrongField
+from leibniz_rb.errors import InvalidInput, WrongField
 from leibniz_rb.fields import (RESIDUE_TABLE_MAX, ZZ, GFElement, PrimeField,
                                RationalField, field_from_spec)
 from leibniz_rb.linalg import Matrix
@@ -20,18 +20,12 @@ def test_rational_parse_format_roundtrip(Q):
     assert Q.parse("4/2") == Fraction(2)
 
 
-def test_rational_half(Q):
-    assert Q.half() * 2 == Q.one
-
-
 def test_integer_ring_holds_only_plain_ints():
     assert (ZZ.zero, ZZ.one, ZZ.raw_zero, ZZ.characteristic) == (0, 1, 0, 0)
     assert ZZ.coerce(-3) == -3 and ZZ.from_raw(ZZ.to_raw([2, 0])) == [2, 0]
     for x in (Fraction(1), Fraction(1, 2), True, 1.0, GFElement(1, 5)):
         with pytest.raises(TypeError):
             ZZ.coerce(x)
-    with pytest.raises(TypeError):  # no division: 1/2 is no int
-        ZZ.half()
 
 
 def test_prime_field_rejects_composites():
@@ -56,12 +50,6 @@ def test_gf_parse_fraction_notation():
     F = PrimeField(5)
     assert F.parse("1/2") == F.coerce(3)  # 2 * 3 = 1 mod 5
     assert F.parse("-1") == F.coerce(4)
-
-
-def test_gf_half_and_char2():
-    assert PrimeField(5).half() * 2 == PrimeField(5).one
-    with pytest.raises(CharacteristicTwo):
-        PrimeField(2).half()
 
 
 def test_field_from_spec():

@@ -9,7 +9,7 @@ from leibniz_rb.core import (ActionPair, LeibnizAlgebra, LeibnizGRep,
                              adjoint_grep, change_of_basis_grep, over_ints,
                              validate_leibniz_g_rep)
 from leibniz_rb.errors import OracleDisagreement, ShapeMismatch, WrongField
-from leibniz_rb.fields import ZZ, PrimeField, RationalField
+from leibniz_rb.fields import ZZ, GFElement, PrimeField, RationalField
 from leibniz_rb.graded import (balavoine_bracket, check_dgla, derived_bracket,
                                derived_bracket_explicit,
                                derived_bracket_lifted, dgla_samples,
@@ -19,7 +19,7 @@ from leibniz_rb.graded import (balavoine_bracket, check_dgla, derived_bracket,
                                restrict, shuffles2, shuffles3)
 from leibniz_rb.linalg import Matrix
 from leibniz_rb.multimap import MultiMap
-from leibniz_rb.operators import WeightedRBO
+from leibniz_rb.operators import WeightedRBO, check_weighted_relative_rbo
 
 from conftest import (dim2_nonlie, heisenberg, random_multimap, rho_l_context,
                       seeded, sl2, small_contexts)
@@ -265,7 +265,7 @@ def test_mc_residual_characterizes_operators(Q):
 
 def test_mc_residual_gf2(gf2):
     d = rho_l_context(gf2)
-    # zero operator always satisfies the 2-scaled residual
+    # the zero operator is an operator of every weight
     t = MultiMap(gf2, 1, 1, 1)
     assert maurer_cartan_residual(d, gf2.zero, t).is_zero()
 
@@ -325,39 +325,103 @@ def _hand_written_mc(d, lam, ts, n):
     return out
 
 
+def _over(fld, m):
+    """The map m over Q (GF(p) entries as their residues) carried into fld:
+    the int lifts of a GF(p) map, or their coefficients reduced mod p."""
+    rows = [[x.v if isinstance(x, GFElement) else x for x in row]
+            for row in m.coeffs]
+    return MultiMap(fld, m.arity, m.src_dim, m.tgt_dim,
+                    [[fld.coerce(x) for x in row] for row in rows])
+
+
 @pytest.mark.parametrize("p", [0, 2, 3, 5])
 def test_mc_coefficient_matches_the_hand_written_forms(p):
     import leibniz_rb.graded as gr
     fld = PrimeField(p) if p else RationalField()
+    Q, half = RationalField(), Fraction(1, 2)
     rng, nonzero = seeded(83 + p), []
-    for d in (_ctx(fld), _both_actions(fld)):
-        for lam in (fld.coerce(-1), fld.coerce(2)):
+    for make in (_ctx, _both_actions):
+        d, dq = make(fld), make(Q)
+        for lam in (-1, 2):
             # an order-3 series: n = 4 is past its end (the obstruction)
             ts = [random_multimap(fld, 1, d.h.dim, d.g.dim, rng)
                   for _ in range(4)]
+            lifts = [_over(Q, t) for t in ts]
             for n in range(5):
-                want = _hand_written_mc(d, lam, ts, n)
-                nonzero.append(not want.is_zero())
-                assert gr._mc_coefficient(d, lam, ts, n) == want
-            # maurer_cartan_residual: dT + 1/2 [[T, T]], over GF(2)
-            # 2 dT + [[T, T]]
-            dt = differential_d_explicit(d, lam, ts[0])
-            br = derived_bracket_explicit(d, ts[0], ts[0])
-            assert maurer_cartan_residual(d, lam, ts[0]) == (
-                dt.scale(fld.coerce(2)) + br if p == 2
-                else dt + br.scale(fld.half()))
+                got = gr._mc_coefficient(d, lam, ts, n)
+                nonzero.append(not got.is_zero())
+                if p != 2:
+                    assert got.scale(2) == _hand_written_mc(d, lam, ts, n)
+                # in every field: half the 2-scaled form of the int lifts
+                # over Q, an int map, reduced mod p
+                assert got == _over(fld, _hand_written_mc(
+                    dq, lam, lifts, n).scale(half))
+            # maurer_cartan_residual: dT + 1/2 [[T, T]]
+            residual = maurer_cartan_residual(d, lam, ts[0])
+            assert residual == gr._mc_coefficient(d, lam, ts, 0)
             if p != 2:
-                # obstruction: -1/2 sum_{i+j=4, i,j>=1} [[T_i, T_j]] from
-                # checked brackets
-                ob = MultiMap(fld, 2, d.h.dim, d.g.dim)
+                dt = differential_d_explicit(d, lam, ts[0])
+                br = derived_bracket_explicit(d, ts[0], ts[0])
+                assert residual == dt + br.scale(half)
+                # past the end, the obstruction's coefficient, from checked
+                # brackets: 1/2 sum_{i+j=4, i,j>=1} [[T_i, T_j]]
+                want = MultiMap(fld, 2, d.h.dim, d.g.dim)
                 for i in range(1, 4):
-                    ob = ob + derived_bracket(d, ts[i], ts[4 - i])
-                assert gr._mc_coefficient(d, lam, ts, 4, derived_bracket) \
-                    .scale(-fld.half()) == ob.scale(-fld.half())
-    # the comparisons are not of zero maps, except over GF(2): there
-    # 2 dT_n = 0, and [[P, Q]] = H(P, Q) + H(Q, P) is 2 H(P, P) on the
-    # diagonal and comes twice off it, so every coefficient vanishes
-    assert sum(nonzero) > len(nonzero) // 2 if p != 2 else not any(nonzero)
+                    want = want + derived_bracket(d, ts[i], ts[4 - i])
+                assert gr._mc_coefficient(d, lam, ts, 4).scale(2) == want
+    # the comparisons are not of zero maps, over GF(2) too
+    assert sum(nonzero) > len(nonzero) // 2
+
+
+@pytest.mark.parametrize("p", [0, 2, 5])
+def test_odd_mc_sum_is_trapped(p, monkeypatch):
+    # a bracket off by one entry breaks [[T, T]] = 2 H(T, T): the int sum
+    # is odd there, and halving it would floor
+    import leibniz_rb.graded as gr
+    fld = PrimeField(p) if p else RationalField()
+    real, d = gr.derived_bracket_explicit, _ctx(fld)
+
+    def off_by_one(d_, a, b):
+        e = MultiMap(d_.field, 2, d_.h.dim, d_.g.dim)
+        e.set_((0, 0), [1, 0])
+        return real(d_, a, b) + e
+
+    monkeypatch.setattr(gr, "derived_bracket_explicit", off_by_one)
+    with pytest.raises(OracleDisagreement, match="odd"):
+        maurer_cartan_residual(d, -1, Matrix.identity(fld, 2))
+
+
+def test_mc_coefficient_divides_back_every_scale(Q):
+    # over Q the context, lambda and each T_k carry their own denominators:
+    # the int sum is D_d k s^2 times the coefficient, s the series' scale
+    import leibniz_rb.graded as gr
+    d, rng = _det2(_ctx(Q)), seeded(97)
+    ts = [random_multimap(Q, 1, 2, 2, rng).scale(Fraction(1, k))
+          for k in (2, 3, 5)]
+    for lam in (Fraction(1, 2), Fraction(-2, 3)):
+        for n in range(5):
+            want = _hand_written_mc(d, lam, ts, n)
+            assert not want.is_zero()
+            assert gr._mc_coefficient(d, lam, ts, n).scale(2) == want
+
+
+def test_mc_residual_is_the_operator_identity_over_gf2(gf2):
+    # every map of each context, weights 0 and 1: the residual dT + H(T, T)
+    # is zero exactly when the direct identity holds
+    contexts = [_ctx(gf2)] + [d for dims in ((1, 1), (2, 1), (1, 2), (2, 2))
+                              for d in small_contexts(gf2, dims)]
+    verdicts = []
+    for d in contexts:
+        ng, nh = d.g.dim, d.h.dim
+        for lam, cells in product(gf2.elements(),
+                                  product(gf2.elements(), repeat=ng * nh)):
+            t = Matrix(gf2, [cells[i * nh:(i + 1) * nh] for i in range(ng)],
+                       nh)
+            valid = check_weighted_relative_rbo(d, lam, t).ok
+            assert maurer_cartan_residual(d, lam, t).is_zero() == valid
+            verdicts.append(valid)
+    assert len(verdicts) == 2 * (16 + 3 * 2 + 3 * 4 + 3 * 4 + 2 * 16)
+    assert verdicts.count(False) == 64  # 24 of them on dim2-nonlie
 
 
 def _forced_split(real):
@@ -370,6 +434,25 @@ def _forced_split(real):
         got = real(d_, *args)
         return got if got.is_zero() else got.scale(d_.field.coerce(2)) + got
     return split
+
+
+@pytest.mark.parametrize("p", [0, 2, 5])
+def test_only_the_coefficient_past_the_series_runs_the_lifted_bracket(
+        p, monkeypatch):
+    # within the series the dgLa form is checked against the direct
+    # equations; past its end (the obstruction) each bracket runs both
+    # routes, compared over ZZ before the halving, over GF(2) too
+    import leibniz_rb.graded as gr
+    fld = PrimeField(p) if p else RationalField()
+    d, rng = _ctx(fld), seeded(89)
+    ts = [random_multimap(fld, 1, 2, 2, rng) for _ in range(3)]
+    want = [gr._mc_coefficient(d, -1, ts, n) for n in range(4)]
+    assert not want[3].is_zero()
+    monkeypatch.setattr(gr, "derived_bracket_lifted",
+                        _forced_split(gr.derived_bracket_lifted))
+    assert [gr._mc_coefficient(d, -1, ts, n) for n in range(3)] == want[:3]
+    with pytest.raises(OracleDisagreement):
+        gr._mc_coefficient(d, -1, ts, 3)
 
 
 def _identity_operator(fld):
@@ -538,7 +621,7 @@ def test_alternating_contexts_match_fresh_contexts(Q, gf7):
     for _ in range(3):
         for make, d in zip(makers, kept):
             p = random_multimap(d.field, rng.randint(1, 2), d.h.dim,
-                                d.g.dim, rng).scale(d.field.half())
+                                d.g.dim, rng).scale(Fraction(1, 2))
             q = random_multimap(d.field, rng.randint(1, 2), d.h.dim,
                                 d.g.dim, rng)
             assert derived_bracket(d, p, q) == derived_bracket(make(), p, q)

@@ -225,6 +225,18 @@ def test_get_returns_a_copy():
     assert hash(m) == hash(before)
 
 
+@pytest.mark.parametrize("idx", [(5,), (2,), (-1,), (0, 1), ()],
+                         ids=["index-5", "index-2", "index-minus-1",
+                              "two-indices", "no-index"])
+def test_set_refuses_an_index_outside_the_source(idx):
+    # set_((5,), ...) on a 2-dim source stored the row: is_zero() was False
+    # while flatten() and to_matrix() were zero
+    m = MultiMap(Q, 1, 2, 2)
+    with pytest.raises(ShapeMismatch):
+        m.set_(idx, [1, 0])
+    assert m.is_zero() and m.nz == {}
+
+
 def test_zero_rows_are_never_stored():
     m = MultiMap(GF5, 1, 3, 2, [[0, 0], [0, 5], [2, 3]])
     assert set(m.nz) == {(2,)}
