@@ -121,8 +121,6 @@ class GFElement:
 class Field:
     """Common interface of the scalar fields and of ``ZZ``."""
 
-    kind = None
-
     @property
     def characteristic(self):
         raise NotImplementedError
@@ -152,8 +150,6 @@ class Field:
 
 
 class RationalField(Field):
-    kind = "rational"
-
     def __init__(self):
         self.zero = Fraction(0)
         self.one = Fraction(1)
@@ -170,7 +166,7 @@ class RationalField(Field):
             return Fraction(value)
         if isinstance(value, GFElement):
             raise WrongField("cannot coerce a GF(p) element into Q")
-        raise TypeError("cannot coerce %r into Q" % (value,))
+        raise InvalidInput("cannot coerce %r into Q" % (value,))
 
     def format(self, x):
         if x.denominator == 1:
@@ -190,7 +186,7 @@ class RationalField(Field):
 class IntegerRing(Field):
     """The plain ints: exact, characteristic 0, no division."""
 
-    kind, characteristic, zero, one, raw_zero = "integer", 0, 0, 1, 0
+    characteristic, zero, one, raw_zero = 0, 0, 1, 0
 
     def coerce(self, value):
         if type(value) is int:
@@ -232,8 +228,6 @@ class PrimeField(Field):
     ``GFElement`` they must never be mutated.  ``coerce`` and ``elements``
     build new ones."""
 
-    kind = "gf"
-
     def __init__(self, p):
         if not isinstance(p, int) or not is_prime(p):
             raise InvalidInput("PrimeField parameter must be prime, got %r" % (p,))
@@ -255,9 +249,9 @@ class PrimeField(Field):
             return GFElement(value, self.p)
         if isinstance(value, Fraction):
             if value.denominator % self.p == 0:
-                raise ZeroDivisionError("denominator vanishes in GF(%d)" % self.p)
+                raise InvalidInput("denominator vanishes in GF(%d)" % self.p)
             return GFElement(value.numerator, self.p) / GFElement(value.denominator, self.p)
-        raise TypeError("cannot coerce %r into GF(%d)" % (value, self.p))
+        raise InvalidInput("cannot coerce %r into GF(%d)" % (value, self.p))
 
     def to_raw(self, vec):
         p = self.p

@@ -4,14 +4,16 @@ from itertools import product
 
 import pytest
 
-from conftest import is_canonical
+from conftest import dim2_nonlie, is_canonical
 from leibniz_rb.core import (ActionPair, LeibnizAlgebra, LeibnizGRep,
-                             _as_store, contract)
+                             _as_store, adjoint_grep, contract)
 from leibniz_rb.errors import InvalidInput, WrongField
 from leibniz_rb.fields import (RESIDUE_TABLE_MAX, ZZ, GFElement, PrimeField,
                                RationalField, field_from_spec)
 from leibniz_rb.linalg import Matrix
-from leibniz_rb.operators import operator_rhs
+from leibniz_rb.graded import maurer_cartan_residual
+from leibniz_rb.operators import (WeightedRBO, check_weighted_relative_rbo,
+                                  graph_check, operator_rhs)
 
 
 def test_rational_parse_format_roundtrip(Q):
@@ -26,6 +28,19 @@ def test_integer_ring_holds_only_plain_ints():
     for x in (Fraction(1), Fraction(1, 2), True, 1.0, GFElement(1, 5)):
         with pytest.raises(TypeError):
             ZZ.coerce(x)
+
+
+@pytest.mark.parametrize("entry", [check_weighted_relative_rbo, graph_check,
+                                   maurer_cartan_residual, WeightedRBO])
+@pytest.mark.parametrize("field, weight", [
+    (field, weight) for field in (RationalField(), PrimeField(5))
+    for weight in ("x", None, 0.5)] + [(PrimeField(5), Fraction(1, 5))])
+def test_a_weight_that_is_no_scalar_is_invalid_input(entry, field, weight):
+    # each ended in a bare TypeError (or ZeroDivisionError for 1/5 in GF(5))
+    d = adjoint_grep(dim2_nonlie(field))
+    with pytest.raises(InvalidInput) as exc:
+        entry(d, weight, Matrix.identity(field, 2))
+    assert "\n" not in str(exc.value)
 
 
 def test_prime_field_rejects_composites():
