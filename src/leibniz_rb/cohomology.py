@@ -19,7 +19,7 @@ from dataclasses import dataclass, field as dc_field
 from itertools import combinations, product
 from operator import mul
 
-from .core import (ActionPair, LeibnizAlgebra, basis_vec, leibniz_differential,
+from .core import (ActionPair, LeibnizAlgebra, leibniz_differential,
                    over_ints, transport)
 from .errors import (ContainmentViolated, OracleDisagreement, ResourceLimit,
                      ShapeMismatch)
@@ -44,15 +44,32 @@ def induced_representation(r):
 
 
 def x0_columns(d, x0):
-    """The columns of ad_{x0} on g and of rho^L(x0, -) on h over d's field."""
+    """The columns of ad_{x0} on g and of rho^L(x0, -) on h over d's field:
+    the store-row sums ``x0_sums``, one ``from_raw`` per column."""
     fld = d.field
     if len(x0) != d.g.dim:
         raise ShapeMismatch("x0 must live in g")
     x0 = [fld.coerce(x) for x in x0]
-    return ([d.g.bracket(x0, basis_vec(fld, d.g.dim, i))
-             for i in range(d.g.dim)],
-            [d.actions.left_act(x0, basis_vec(fld, d.h.dim, a))
-             for a in range(d.h.dim)])
+    return tuple(list(map(fld.from_raw, cols))
+                 for cols in x0_sums(d, fld.to_raw(x0)))
+
+
+def x0_sums(d, x0):
+    """The raw columns of ad_{x0} and of rho^L(x0, -) for the raw x0."""
+    return [row_sums(store, x0) for store in (d.g.c_nz, d.actions.left_nz)]
+
+
+def row_sums(store, x):
+    """Column i is sum_a x_a row (a, i) of store for the raw values x, not
+    reduced mod p: the raw core of ``x0_columns`` and of the Nijenhuis scan
+    (``deformations.check_nijenhuis``, ``rigidity_certificate``)."""
+    _, n, m = store.dims
+    cols = [[store.field.raw_zero] * m for _ in range(n)]
+    for a, xa in enumerate(x):
+        for i, row in store.by_first.get(a, ()) if xa else ():
+            for k, t in row.items():
+                cols[i][k] += xa * t
+    return cols
 
 
 def delta_T_0(r, x):

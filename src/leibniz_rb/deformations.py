@@ -18,17 +18,18 @@ power-series object exists.
 
 from dataclasses import dataclass
 from itertools import product as iproduct
+from operator import mul
 from typing import Optional
 
 from .cohomology import (delta_T, delta_T_0, delta_matrix, integer_view,
-                         x0_columns)
+                         row_sums, x0_columns, x0_sums)
 from .core import ValidationReport, leibniz_differential, transport
 from .errors import (BaseMismatch, ContainmentViolated, InvalidDeformation,
                      OracleDisagreement, ResourceLimit, ShapeMismatch,
                      WrongField)
 from .fields import PrimeField
 from .graded import _mc_coefficient
-from .linalg import Matrix, axpy
+from .linalg import Matrix
 from .multimap import MultiMap
 from .operators import morphism_at_order, series_coeff
 
@@ -158,14 +159,27 @@ def conjugate_deformation(defm, x0):
 def check_nijenhuis(r, x0):
     """Is x0 a Nijenhuis element?  With A = ad_{x0} and B = rho^L(x0, -),
     [Ax, Ay]_g, [Bu, Bv]_h, rho^L(Ax, Bu) and rho^R(Bu, Ax) vanish on all
-    basis vectors: the order-2 conditions of ``check_equivalence``.  Stops
-    at the first nonzero product."""
-    d = r.context
-    ad, lu = x0_columns(d, x0)
-    conditions = ((d.g.bracket, ad, ad), (d.h.bracket, lu, lu),
-                  (d.actions.left_act, ad, lu), (d.actions.right_act, lu, ad))
-    return not any(any(op(x, y))
-                   for op, xs, ys in conditions for x in xs for y in ys)
+    basis vectors: the order-2 conditions of ``check_equivalence``.  The
+    store-row sums of ``x0_columns`` go to ``_nijenhuis_raw`` as raw values."""
+    d, fld = r.context, r.field
+    return _nijenhuis_raw(d, *([fld.to_raw(c) for c in cols]
+                               for cols in x0_columns(d, x0)))
+
+
+def _nijenhuis_raw(d, ad, lu):
+    """The Nijenhuis conditions on the raw columns ad of A and lu of B: T(x,
+    y) is y dotted with the ``row_sums`` of x for each pair of columns,
+    reduced mod p; the scan stops at the first nonzero."""
+    p = d.field.characteristic
+    for store, xs, ys in ((d.g.c_nz, ad, ad), (d.h.c_nz, lu, lu),
+                          (d.actions.left_nz, ad, lu),
+                          (d.actions.right_nz, lu, ad)):
+        for x in xs if store.rows else ():
+            tx = list(zip(*row_sums(store, x))) if any(x) else ()
+            if any(s % p if p else s for y in ys
+                   for s in (sum(map(mul, y, t)) for t in tx)):
+                return False
+    return True
 
 
 @dataclass
@@ -188,7 +202,10 @@ def rigidity_certificate(r, cap=10 ** 6):
     (``delta_matrix`` checks delta_1 . delta_0 = 0); the criterion holds
     iff there are p^dim Z^1 of them, and more raise ContainmentViolated.
     Otherwise the witness is the first cocycle missed in the digit order
-    of an echelon basis, the lexicographic order of Z^1.
+    of an echelon basis, the lexicographic order of Z^1.  Each candidate's
+    residue digits go to the raw core of ``check_nijenhuis``: the store-row
+    sums ``x0_sums`` and ``_nijenhuis_raw``; images and cocycles are
+    residue tuples, sums of raw rows.
     """
     fld = r.field
     if not isinstance(fld, PrimeField) or fld.p <= 3:
@@ -203,23 +220,22 @@ def rigidity_certificate(r, cap=10 ** 6):
     size = fld.p ** len(zb)  # the elements of Z^1
     images, count = set(), 0
     for digits in iproduct(range(fld.p), repeat=d.g.dim):
-        x0 = [fld.coerce(x) for x in digits]
-        if check_nijenhuis(r, x0):
+        if _nijenhuis_raw(d, *x0_sums(d, digits)):
             count += 1
-            images.add(tuple(m0.mul_vec(x0)))
+            images.add(tuple(sum(map(mul, row, digits)) % fld.p
+                             for row in m0.raw))
     if len(images) > size:
         raise ContainmentViolated("%d distinct delta_0 images in a Z^1 of "
                                   "%d elements" % (len(images), size))
     if len(images) == size:
         return RigidityCertificate(True, len(zb), count)
     # Z^1 has more elements than images (so dim Z^1 >= 1): one is missed
-    echelon = Matrix(fld, zb).rref()[0]
+    cols = list(zip(*map(fld.to_raw, Matrix(fld, zb).rref()[0])))
     for digits in iproduct(range(fld.p), repeat=len(zb)):
-        v = [fld.zero] * (d.g.dim * d.h.dim)
-        for c, row in zip(digits, echelon):
-            axpy(v, fld.coerce(c), row)
-        if tuple(v) not in images:
-            return RigidityCertificate(False, len(zb), count, tuple(v))
+        v = tuple(sum(map(mul, digits, col)) % fld.p for col in cols)
+        if v not in images:
+            return RigidityCertificate(False, len(zb), count,
+                                       tuple(fld.from_raw(v)))
 
 
 @dataclass

@@ -5,9 +5,9 @@ with rho^L, rho^R and the weight term summed separately, and
 ``set_difference_certificate`` decides the rigidity criterion by holding
 Z^1 and delta_0(Nij(T)) as sets and comparing them.  The library compares
 two stores per order, each summed by ``core.transport``, and counts
-delta_0 images instead; the tests compare the two.  ``nijenhuis_reference`` sums the
-four Nijenhuis conditions term by term from the dense tensors, where the
-library contracts the stores.
+delta_0 images instead; the tests compare the two.
+``nijenhuis_reference`` sums the four Nijenhuis conditions term by term
+from the dense tensors, where the library sums the raw store rows.
 """
 
 from itertools import product
@@ -15,7 +15,7 @@ from itertools import product
 from leibniz_rb.cohomology import (IntegerView, delta_matrix,
                                    induced_representation)
 from leibniz_rb.core import basis_vec
-from leibniz_rb.deformations import RigidityCertificate, check_nijenhuis
+from leibniz_rb.deformations import RigidityCertificate
 from leibniz_rb.errors import ResourceLimit
 from leibniz_rb.linalg import axpy, vec_add, vec_scale
 from leibniz_rb.operators import induced_algebra
@@ -46,6 +46,9 @@ def direct_violations(defm):
 def set_difference_certificate(r, cap=10 ** 6):
     """The rigidity criterion as Z^1 == delta_0(Nij(T)), both held as sets.
 
+    The Nijenhuis elements are those of ``nijenhuis_reference``, which
+    shares no code with the library's scan, and delta_0 x0 is
+    ``Matrix.mul_vec``.
     The witness is the smallest cocycle of Z^1 outside the image, in the
     lexicographic order of residues; None when the image is not inside Z^1.
     """
@@ -64,7 +67,7 @@ def set_difference_certificate(r, cap=10 ** 6):
     nij_image, count = set(), 0
     for digits in product(range(fld.p), repeat=d.g.dim):
         x0 = [fld.coerce(x) for x in digits]
-        if check_nijenhuis(r, x0):
+        if nijenhuis_reference(r, x0):
             count += 1
             nij_image.add(tuple(m0.mul_vec(x0)))
     if nij_image == z_set:

@@ -17,15 +17,18 @@ from functools import partial
 import pytest
 
 import test_cohomology
+import test_deformations
 import test_fields
 import test_graded
 import test_multimap
 import test_operators
 from conftest import (dim2_nonlie, heisenberg, random_matrix, random_multimap,
                       seeded, sl2)
+from deformation_reference import set_difference_certificate
 from dgla_reference import reference_dgla
 from operator_reference import reference_check
-from leibniz_rb import cohomology, core, deformations, graded, operators
+from leibniz_rb import (cohomology, core, deformations, graded, manifest,
+                        operators)
 from leibniz_rb.errors import OracleDisagreement, WrongField
 from leibniz_rb.fields import PrimeField, RationalField
 from leibniz_rb.linalg import Matrix
@@ -214,8 +217,26 @@ def extends():
     assert deformations.extend(defm) is not None
 
 
+def rigidity_by_sets():
+    """The rigidity certificate of each small operator over GF(5) against
+    the set route of ``tests/deformation_reference.py``."""
+    for r in test_deformations._small_operators(GF5):
+        assert deformations.rigidity_certificate(r) == \
+            set_difference_certificate(r)
+
+
+def manifest_map():
+    """A map that is not symmetric, parsed, against its matrix by hand:
+    T e1 = e2 is the column (0, 1) of T."""
+    m = manifest.parse_manifest("field rational\nalgebra g dim 2\n"
+                                "map T from g to g\nentry T e1 -> 1 e2\n")
+    assert m.maps["T"] == ("g", "g", Matrix(Q, [[0, 0], [1, 0]]))
+
+
 wrong_field_sample = partial(refuses, WrongField, lambda: graded.check_dgla(
     _ctx(), -1, graded.dgla_samples(_ctx(GF5), count=1)))
+nijenhuis_reference = partial(test_deformations.test_nijenhuis_matches_reference,
+                              GF5)
 screens_by_brute_force = partial(
     test_operators.test_screen_forms_match_brute_force, 3)
 hand_written_mc = partial(
@@ -424,6 +445,26 @@ MUTANTS = [
            "x0 = list(x0)", partial(refuses, WrongField, lambda: deformations.
                                     check_nijenhuis(_rbo_id(Q), [GF5.one,
                                                                  GF5.zero])),
+           AssertionError),
+    # the Nijenhuis scan: rho^L read from the rho^R store, condition 1 on
+    # the store of h, a term of delta_0 x0 dropped; the manifest map
+    # matrix transposed
+    Mutant("cohomology", "x0_sums",
+           "return [row_sums(store, x0) for store in (d.g.c_nz, "
+           "d.actions.left_nz)]",
+           "return [row_sums(store, x0) for store in (d.g.c_nz, "
+           "d.actions.right_nz)]", nijenhuis_reference, AssertionError),
+    Mutant("deformations", "_nijenhuis_raw",
+           "for store, xs, ys in ((d.g.c_nz, ad, ad), (d.h.c_nz, lu, lu),",
+           "for store, xs, ys in ((d.h.c_nz, ad, ad), (d.h.c_nz, lu, lu),",
+           nijenhuis_reference, AssertionError),
+    Mutant("deformations", "rigidity_certificate",
+           "images.add(tuple(sum(map(mul, row, digits)) % fld.p",
+           "images.add(tuple(sum(map(mul, row[1:], digits[1:])) % fld.p",
+           rigidity_by_sets, AssertionError),
+    Mutant("manifest", "_build",
+           "Matrix.from_cols(field, stores[0].dense()[0], dims[1]))",
+           "Matrix(field, stores[0].dense()[0], dims[1]))", manifest_map,
            AssertionError),
     Mutant("multimap", "MultiMap.set_",
            "if len(idx) != self.arity or not all(a in src for a in idx):",

@@ -1,3 +1,4 @@
+from fractions import Fraction
 from itertools import product as iproduct
 
 import pytest
@@ -20,8 +21,8 @@ from leibniz_rb.linalg import Matrix
 from leibniz_rb.multimap import MultiMap
 from leibniz_rb.operators import WeightedRBO, search_rbos
 
-from conftest import (dim2_nonlie, rho_l_context, seeded, sl2 as make_sl2,
-                      small_contexts)
+from conftest import (dim2_nonlie, heisenberg, rho_l_context, seeded,
+                      sl2 as make_sl2, small_contexts)
 from deformation_reference import (direct_violations, nijenhuis_failures,
                                    nijenhuis_reference,
                                    set_difference_certificate)
@@ -285,23 +286,67 @@ def test_x0_over_another_field_is_wrong_field(fld, other):
             call()
 
 
-def test_nijenhuis_matches_reference(gf5):
-    # every x0 over GF(5), on the contexts where the verdict varies and
-    # on every small context
-    cases = _nijenhuis_contexts(gf5) + [
+def _nijenhuis_cases(fld):
+    """The contexts where the verdict varies, then every small context."""
+    return _nijenhuis_contexts(fld) + [
         (d, None, None) for dims in ((1, 1), (2, 1), (1, 2), (2, 2))
-        for d in small_contexts(gf5, dims)]
+        for d in small_contexts(fld, dims)]
+
+
+def _nijenhuis_verdicts_match(fld, cases, sample):
+    """check_nijenhuis == nijenhuis_reference == no failed condition on
+    each x0 of sample(context); returns the verdicts seen, and checks the
+    conditions failed and the Nijenhuis count where cases give them."""
+    verdicts = set()
     for d, failing, count in cases:
-        r = WeightedRBO(d, gf5.zero, Matrix.zeros(gf5, d.g.dim, d.h.dim))
+        r = WeightedRBO(d, fld.zero, Matrix.zeros(fld, d.g.dim, d.h.dim))
         seen, nij = set(), 0
-        for x0 in _all_x0(gf5, d.g.dim):
+        for x0 in sample(d):
             fails = nijenhuis_failures(r, x0)
             assert check_nijenhuis(r, x0) == nijenhuis_reference(r, x0) \
                 == (not fails)
             seen |= fails
             nij += not fails
+            verdicts.add(not fails)
         if failing is not None:
-            assert seen == failing and nij == gf5.p ** count
+            assert seen == failing and nij == fld.p ** count
+    return verdicts
+
+
+def test_nijenhuis_matches_reference(gf5):
+    # every x0 over GF(5), on the contexts where the verdict varies and
+    # on every small context
+    assert _nijenhuis_verdicts_match(gf5, _nijenhuis_cases(gf5), lambda d:
+                                     _all_x0(gf5, d.g.dim)) == {True, False}
+
+
+@pytest.mark.parametrize("p", [2, 3, 7])
+def test_nijenhuis_matches_reference_mod_p(p):
+    # the raw sums are reduced mod p in every characteristic; over GF(2)
+    # sl2 has [H, E] = 2E = 0 and ad_H = 0, so the conditions its contexts
+    # fail and their Nijenhuis counts differ there and are not checked
+    fld = PrimeField(p)
+    cases = [(d, failing, count) if p > 2 or 3 not in (d.g.dim, d.h.dim)
+             else (d, None, None)
+             for d, failing, count in _nijenhuis_cases(fld)]
+    assert _nijenhuis_verdicts_match(fld, cases, lambda d: _all_x0(
+        fld, d.g.dim)) == {True, False}
+
+
+def test_nijenhuis_matches_reference_over_q(Q):
+    # a seeded sample of x0 over Q, with the lattice {0, 1}^dim g, which
+    # holds the Nijenhuis lines of the contexts where the verdict varies
+    rng = seeded(53)
+    values = [0, 0, 1, -1, 2, Fraction(1, 2), Fraction(-2, 3)]
+
+    def sample(d):
+        return [[Q.coerce(x) for x in digits]
+                for digits in iproduct((0, 1), repeat=d.g.dim)] + [
+            [Q.coerce(rng.choice(values)) for _ in range(d.g.dim)]
+            for _ in range(12)]
+
+    cases = [(d, None, None) for d, _, _ in _nijenhuis_cases(Q)]
+    assert _nijenhuis_verdicts_match(Q, cases, sample) == {True, False}
 
 
 def _equivalence_matches_nijenhuis(operators):
@@ -405,6 +450,34 @@ def test_rigidity_matches_set_difference(p):
         certs.append(cert)
     assert any(c.satisfied for c in certs)
     assert any(c.witness is not None for c in certs)
+
+
+@pytest.mark.slow
+def test_rigidity_matches_set_difference_on_a_3_dim_g():
+    # 343 candidates x0 over GF(7): all Nijenhuis on Heisenberg acting by
+    # zero on a line, 49 on r2 + a line acting on the plane (rho^R =
+    # -rho^L), only x0 = 0 on adjoint sl2; the set route shares no code
+    # with the scan
+    fld = PrimeField(7)
+    r2_line = LeibnizAlgebra.from_entries(fld, 3, {(0, 1, 1): 1,
+                                                   (1, 0, 1): -1})
+    left = {(0, 1, 1): -1, (1, 1, 0): 1}
+    contexts = [
+        LeibnizGRep(heisenberg(fld), LeibnizAlgebra.zero(fld, 1),
+                    ActionPair.zero(fld, 3, 1)),
+        LeibnizGRep(r2_line, LeibnizAlgebra.zero(fld, 2), _pair(
+            fld, 3, 2, left, {(a, i, b): -x for (i, a, b), x in left.items()}))]
+    operators = [WeightedRBO(adjoint_grep(make_sl2(fld)), -1,
+                             Matrix.identity(fld, 3))] + [
+        WeightedRBO(d, lam, t) for d in contexts for lam in (0, 1)
+        for t in (Matrix.zeros(fld, 3, d.h.dim),
+                  Matrix.from_cols(fld, [[0, 0, 1]] * d.h.dim, 3))]
+    counts = set()
+    for r in operators:
+        cert = rigidity_certificate(r)
+        assert cert == set_difference_certificate(r)
+        counts.add(cert.nijenhuis_count)
+    assert counts == {1, 49, 343}
 
 
 @pytest.mark.parametrize("p", [5, 7])
