@@ -167,8 +167,8 @@ def check_nijenhuis(r, x0):
 
 
 def _nijenhuis_raw(d, ad, lu):
-    """The Nijenhuis conditions on the raw columns ad of A and lu of B: T(x,
-    y) is y dotted with the ``row_sums`` of x for each pair of columns,
+    """The Nijenhuis conditions on the raw columns ad of A and lu of B: for
+    each pair of columns, T(x, y) is y dotted with the ``row_sums`` of x,
     reduced mod p; the scan stops at the first nonzero."""
     p = d.field.characteristic
     for store, xs, ys in ((d.g.c_nz, ad, ad), (d.h.c_nz, lu, lu),
