@@ -22,6 +22,8 @@ from .linalg import Matrix, span_rank
 
 
 def _check_operator_shape(d, t):
+    if not isinstance(t, Matrix):
+        raise InvalidInput("T must be a Matrix, not %s" % type(t).__name__)
     if t.field != d.field:
         raise WrongField("T over %r, context over %r" % (t.field, d.field))
     if t.shape != (d.g.dim, d.h.dim):
@@ -55,15 +57,26 @@ def operator_rhs(d, lam, a, tu, b, tv):
     return fld.from_raw(out)
 
 
-def check_weighted_relative_rbo(d, lam, t):
-    """Verify the weighted identity on all basis pairs, reading T raw once."""
+def check_weighted_relative_rbo(d, lam, t, memo=None):
+    """Verify the weighted identity on all basis pairs, reading T raw once.
+
+    A search shares memo over its hits: [Te_a, Te_b]_g by raw column pair,
+    up to MEMO_MAX entries; each pair's right-hand side, its T image and
+    the comparison are never shared.  With no memo nothing is hashed.
+    """
     _check_operator_shape(d, t)
     lam = d.field.to_raw([d.field.coerce(lam)])[0]
     rep = ValidationReport("weighted-relative-rbo")
     cols = [t.col(a) for a in range(d.h.dim)]  # T e_a
     raw = [t.raw_col(a) for a in range(d.h.dim)]
+    keys = memo is not None and [tuple(c) for c in raw]
     for a, b in product(range(d.h.dim), repeat=2):
-        lhs = d.g.bracket(cols[a], cols[b])
+        key = keys and (keys[a], keys[b])
+        lhs = memo.get(key) if key else None
+        if lhs is None:
+            lhs = d.g.bracket(cols[a], cols[b])
+            if key and len(memo) < MEMO_MAX:
+                memo[key] = lhs
         rhs = t.mul_vec(operator_rhs(d, lam, a, raw[a], b, raw[b]))
         if lhs != rhs:
             rep.add("operator-identity", (a, b), lhs, rhs)
@@ -297,9 +310,11 @@ def _compile_identity(d, lam):
     return polys
 
 
-# The range of the bitset screen (see ``_screen``)
+# The range of the bitset screen (see ``_screen``), and the most g-brackets
+# a search keeps (see ``check_weighted_relative_rbo``)
 BITSET_MAX_P = 5
 BITSET_MAX_BITS = 1 << 20
+MEMO_MAX = 1 << 14
 
 
 def _screen(polys, p, cells):
@@ -411,8 +426,9 @@ def search_rbos(d, lam, cap=10 ** 6):
     of p^cells bits when p <= 5 and p^cells <= 2^20 (under 8 MB), else
     once per prefix of all cells but the last (``_screen``); every candidate
     that passes is re-verified by check_weighted_relative_rbo, which shares
-    no code with the screen: it reads the columns of T once and sums each
-    right-hand side as one combination of tensor rows (``operator_rhs``).
+    no code with the screen.  The hits share one memo of [Te_a, Te_b]_g by
+    raw column pair, up to MEMO_MAX entries; each hit's right-hand sides
+    (``operator_rhs``), their T images and the comparisons are its own.
     A rejection there raises OracleDisagreement.
     """
     fld = d.field
@@ -425,11 +441,11 @@ def search_rbos(d, lam, cap=10 ** 6):
     if total > cap:
         raise ResourceLimit("search space %d exceeds cap %d" % (total, cap))
     lam = fld.coerce(lam)
-    els = fld.elements()
+    els, memo = fld.elements(), {}
     for x in _screen(_compile_identity(d, lam), p, cells):
         t = Matrix(fld, [[els[x[i * nh + j]] for j in range(nh)]
                          for i in range(ng)], nh)
-        if not check_weighted_relative_rbo(d, lam, t).ok:
+        if not check_weighted_relative_rbo(d, lam, t, memo).ok:
             raise OracleDisagreement(
                 "compiled identity accepts %r, the direct check rejects "
                 "it" % (list(x),))

@@ -208,6 +208,12 @@ def search():
     list(operators.search_rbos(_ctx(GF3), 1))
 
 
+def search_heisenberg():
+    """Every hit of the GF(3) screen re-checked on Heisenberg, weight -1;
+    its bracket is not symmetric, unlike dim2-nonlie's [e1, e1] = e2."""
+    list(operators.search_rbos(core.adjoint_grep(heisenberg(GF3)), -1))
+
+
 def extends():
     """T_1 = e1 e1^* on [e1, e1] = e2, T_0 = 0, weight 1, over Q: Ob is
     nonzero and a coboundary, and extend re-validates the extension."""
@@ -408,6 +414,15 @@ MUTANTS = [
            AssertionError),
     Mutant("core", "contract", "if not yj:", "if yj:", search,
            OracleDisagreement),
+    # the search's g-bracket memo read with the columns swapped, or keyed
+    # by Te_a alone
+    Mutant("operators", "check_weighted_relative_rbo",
+           "lhs = memo.get(key) if key else None",
+           "lhs = memo.get(key[::-1]) if key else None", search_heisenberg,
+           OracleDisagreement),
+    Mutant("operators", "check_weighted_relative_rbo",
+           "key = keys and (keys[a], keys[b])", "key = keys and keys[a]",
+           search_heisenberg, OracleDisagreement),
     # delta_0 = T B - A T with a flipped sign, swapped terms, B for A
     Mutant("cohomology", "delta_T_0", "return r.t * b - a * r.t",
            "return r.t * b + a * r.t", delta_0_by_columns, AssertionError),

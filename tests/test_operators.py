@@ -7,14 +7,15 @@ from itertools import islice, product
 import pytest
 
 from leibniz_rb import operators
-from leibniz_rb.core import (LeibnizAlgebra, ValidationReport, adjoint_grep,
-                             basis_vec, change_of_basis_algebra,
-                             change_of_basis_grep)
+from leibniz_rb.core import (ActionPair, LeibnizAlgebra, LeibnizGRep,
+                             ValidationReport, adjoint_grep, basis_vec,
+                             change_of_basis_algebra, change_of_basis_grep)
 from leibniz_rb.errors import (InvalidInput, InvalidOperator,
                                NotAdjointContext, NotInvertible,
                                OracleDisagreement,
                                ResourceLimit, ShapeMismatch, WrongField)
 from leibniz_rb.fields import PrimeField, RationalField
+from leibniz_rb.graded import maurer_cartan_residual
 from leibniz_rb.linalg import Matrix, vec_add, vec_scale
 from leibniz_rb.operators import (WeightedRBO, OperatorMorphism,
                                   check_crossed_homomorphism,
@@ -430,7 +431,7 @@ def test_bitset_screen_memory_at_the_size_bound(p, cells, count):
 
 
 def test_search_raises_when_direct_check_disagrees(gf5, monkeypatch):
-    def reject(d, lam, t):
+    def reject(d, lam, t, memo=None):
         rep = ValidationReport("weighted-relative-rbo")
         rep.add("operator-identity", (0, 0), [], [])
         return rep
@@ -454,7 +455,7 @@ def test_search_without_polynomials_rechecks_every_candidate(monkeypatch):
     gf3 = PrimeField(3)
     seen = []
 
-    def accept(d, lam, t):
+    def accept(d, lam, t, memo=None):
         seen.append(t.rows)
         return ValidationReport("weighted-relative-rbo")
 
@@ -471,14 +472,85 @@ def test_search_rechecks_each_operator_once(monkeypatch):
     calls = []
     real = operators.check_weighted_relative_rbo
 
-    def counted(d, lam, t):
+    def counted(d, lam, t, memo=None):
         calls.append(t.rows)
-        return real(d, lam, t)
+        return real(d, lam, t, memo)
 
     monkeypatch.setattr(operators, "check_weighted_relative_rbo", counted)
     d = adjoint_grep(heisenberg(gf3))
     found = [t.rows for t in search_rbos(d, -gf3.one)]
     assert found and calls == found
+
+
+def _memo_spy(monkeypatch):
+    """Rebind the re-check to one that keeps each memo it is passed, by id,
+    and the most entries one held after a call."""
+    memos, most, real = {}, [0], operators.check_weighted_relative_rbo
+
+    def spy(d, lam, t, memo=None):
+        rep = real(d, lam, t, memo)
+        memos[id(memo)] = memo
+        most[0] = max(most[0], len(memo))
+        return rep
+
+    monkeypatch.setattr(operators, "check_weighted_relative_rbo", spy)
+    return memos, most
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_shared_memo_gives_the_reports_without_it(p):
+    # one memo per context, shared over a seeded sample of maps and the
+    # weights: the reports equal those without a memo and the reference;
+    # Heisenberg's bracket is not symmetric, so a swapped pair would show
+    fld, rng = PrimeField(p), seeded(p)
+    contexts = [adjoint_grep(heisenberg(fld))] + [
+        c for dims in ((2, 1), (1, 2), (2, 2))
+        for c in small_contexts(fld, dims)]
+    valid = invalid = 0
+    for d in contexts:
+        memo, evals = {}, 0
+        for t in _reference_operators(d, rng):
+            for lam in (0, 1, -1):
+                got = check_weighted_relative_rbo(d, lam, t, memo)
+                assert got == check_weighted_relative_rbo(d, lam, t) == \
+                    reference_check(d, lam, t)
+                valid, invalid = valid + got.ok, invalid + (not got.ok)
+                evals += d.h.dim ** 2
+        assert 0 < len(memo) < evals
+    assert valid and invalid
+
+
+def test_search_under_a_small_memo_cap(monkeypatch):
+    # with room for 4 g-brackets the search finds the same operators, and
+    # the one memo it shares never holds more than 4
+    gf3 = PrimeField(3)
+    d = adjoint_grep(heisenberg(gf3))
+    want = [t.rows for t in search_rbos(d, -gf3.one)]
+    monkeypatch.setattr(operators, "MEMO_MAX", 4)
+    memos, most = _memo_spy(monkeypatch)
+    assert [t.rows for t in search_rbos(d, -gf3.one)] == want
+    assert len(memos) == 1 and most == [4]
+
+
+@pytest.mark.slow
+def test_all_accepting_search_keeps_the_memo_bounded(monkeypatch):
+    # abelian g of dim 15, dim h = 1, zero actions, weight 0 over GF(2):
+    # each of the 2^15 candidates is a hit with a new column, so an
+    # uncapped memo takes one entry per hit (13.9 MB traced on Python
+    # 3.11; 7.4 MB at MEMO_MAX = 2^14)
+    gf2 = PrimeField(2)
+    d = LeibnizGRep(LeibnizAlgebra.zero(gf2, 15), LeibnizAlgebra.zero(gf2, 1),
+                    ActionPair.zero(gf2, 15, 1))
+    memos, most = _memo_spy(monkeypatch)
+    tracemalloc.start()
+    try:
+        hits = sum(1 for _ in search_rbos(d, gf2.zero))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert hits == 2 ** 15
+    assert len(memos) == 1 and most == [operators.MEMO_MAX]
+    assert peak < 10 * 2 ** 20
 
 
 def _manifest_contexts(spec):
@@ -576,6 +648,17 @@ def test_operator_over_another_field_is_wrong_field(fields):
         msg = str(exc.value)
         assert "\n" not in msg
         assert repr(ctx_field) in msg and repr(t_field) in msg
+
+
+@pytest.mark.parametrize("entry", [check_weighted_relative_rbo, WeightedRBO,
+                                   graph_check, maurer_cartan_residual])
+@pytest.mark.parametrize("t", [[[1, 0], [0, 1]], ((1, 0), (0, 1)), None],
+                         ids=["list", "tuple", "none"])
+def test_an_operator_that_is_no_matrix_is_invalid_input(entry, t):
+    # each ended in a bare AttributeError on t.field
+    with pytest.raises(InvalidInput) as exc:
+        entry(adjoint_grep(dim2_nonlie(PrimeField(5))), 0, t)
+    assert "\n" not in str(exc.value)
 
 
 def test_check_converts_each_column_once(monkeypatch):
