@@ -60,9 +60,9 @@ def operator_rhs(d, lam, a, tu, b, tv):
 def check_weighted_relative_rbo(d, lam, t, memo=None):
     """Verify the weighted identity on all basis pairs, reading T raw once.
 
-    A search shares memo over its hits: [Te_a, Te_b]_g by raw column pair,
-    up to MEMO_MAX entries; each pair's right-hand side, its T image and
-    the comparison are never shared.  With no memo nothing is hashed.
+    A search shares memo over its hits in one g: [Te_a, Te_b]_g by raw
+    column pair, up to MEMO_MAX entries; each pair's right-hand side, its
+    T image and the comparison are never shared.  No memo, no hashing.
     """
     _check_operator_shape(d, t)
     lam = d.field.to_raw([d.field.coerce(lam)])[0]

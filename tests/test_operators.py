@@ -501,7 +501,8 @@ def _memo_spy(monkeypatch):
 def test_shared_memo_gives_the_reports_without_it(p):
     # one memo per context, shared over a seeded sample of maps and the
     # weights: the reports equal those without a memo and the reference;
-    # Heisenberg's bracket is not symmetric, so a swapped pair would show
+    # over GF(3) and GF(5) Heisenberg's bracket is not symmetric, so a
+    # swapped pair shows
     fld, rng = PrimeField(p), seeded(p)
     contexts = [adjoint_grep(heisenberg(fld))] + [
         c for dims in ((2, 1), (1, 2), (2, 2))
