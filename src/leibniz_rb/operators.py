@@ -63,21 +63,24 @@ def check_weighted_relative_rbo(d, lam, t, memo=None):
     A search shares memo over its hits in one g: [Te_a, Te_b]_g by raw
     column pair, up to MEMO_MAX entries; each pair's right-hand side, its
     T image and the comparison are never shared.  No memo, no hashing.
+    A zero right-hand side is compared with the zero of g: T 0 = 0, so no
+    T image is formed for it.
     """
     _check_operator_shape(d, t)
     lam = d.field.to_raw([d.field.coerce(lam)])[0]
     rep = ValidationReport("weighted-relative-rbo")
-    cols = [t.col(a) for a in range(d.h.dim)]  # T e_a
-    raw = [t.raw_col(a) for a in range(d.h.dim)]
+    raw = [t.raw_col(a) for a in range(d.h.dim)]  # T e_a
     keys = memo is not None and [tuple(c) for c in raw]
+    zero = [d.field.zero] * d.g.dim
     for a, b in product(range(d.h.dim), repeat=2):
         key = keys and (keys[a], keys[b])
         lhs = memo.get(key) if key else None
         if lhs is None:
-            lhs = d.g.bracket(cols[a], cols[b])
+            lhs = d.g.bracket(t.col(a), t.col(b))
             if key and len(memo) < MEMO_MAX:
                 memo[key] = lhs
-        rhs = t.mul_vec(operator_rhs(d, lam, a, raw[a], b, raw[b]))
+        rhs = operator_rhs(d, lam, a, raw[a], b, raw[b])
+        rhs = t.mul_vec(rhs) if any(rhs) else zero
         if lhs != rhs:
             rep.add("operator-identity", (a, b), lhs, rhs)
     return rep
@@ -428,7 +431,8 @@ def search_rbos(d, lam, cap=10 ** 6):
     that passes is re-verified by check_weighted_relative_rbo, which shares
     no code with the screen.  The hits share one memo of [Te_a, Te_b]_g by
     raw column pair, up to MEMO_MAX entries; each hit's right-hand sides
-    (``operator_rhs``), their T images and the comparisons are its own.
+    (``operator_rhs``), their T images and the comparisons are its own.  A
+    zero right-hand side is compared with the zero of g, with no T image.
     A rejection there raises OracleDisagreement.
     """
     fld = d.field

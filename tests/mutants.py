@@ -10,6 +10,7 @@ check no longer satisfies).  A call reaches the library through module
 attributes, so that it meets the mutant.
 """
 
+import os
 from collections import namedtuple
 from fractions import Fraction
 from functools import partial
@@ -26,6 +27,7 @@ from conftest import (dim2_nonlie, heisenberg, random_matrix, random_multimap,
                       seeded, sl2)
 from deformation_reference import set_difference_certificate
 from dgla_reference import reference_dgla
+from golden_cases import ROOT
 from operator_reference import reference_check
 from leibniz_rb import (cohomology, core, deformations, graded, manifest,
                         operators)
@@ -212,6 +214,15 @@ def search_heisenberg():
     """Every hit of the GF(3) screen re-checked on Heisenberg, weight -1;
     its bracket is not symmetric, unlike dim2-nonlie's [e1, e1] = e2."""
     list(operators.search_rbos(core.adjoint_grep(heisenberg(GF3)), -1))
+
+
+def ideal_inclusion():
+    """The inclusion of the center of Heisenberg, weight -1, from its
+    manifest: every right side is zero, a vector of g (dim 3), not of h."""
+    m = manifest.load_manifest(os.path.join(ROOT, "manifests",
+                                            "heisenberg-ideal.lra"))
+    assert operators.check_weighted_relative_rbo(m.grep("ideal"), -1,
+                                                 m.maps["incl"][2]).ok
 
 
 def extends():
@@ -423,6 +434,21 @@ MUTANTS = [
     Mutant("operators", "check_weighted_relative_rbo",
            "key = keys and (keys[a], keys[b])", "key = keys and keys[a]",
            search_heisenberg, OracleDisagreement),
+    # a zero right side compared with h's zero, one nonzero coordinate
+    # missed, no right side skipped
+    Mutant("operators", "check_weighted_relative_rbo",
+           "zero = [d.field.zero] * d.g.dim",
+           "zero = [d.field.zero] * d.h.dim", ideal_inclusion, AssertionError),
+    Mutant("operators", "check_weighted_relative_rbo",
+           "rhs = t.mul_vec(rhs) if any(rhs) else zero",
+           "rhs = t.mul_vec(rhs) if any(rhs[:-1]) else zero",
+           search_heisenberg, OracleDisagreement),
+    Mutant("operators", "check_weighted_relative_rbo",
+           "rhs = t.mul_vec(rhs) if any(rhs) else zero",
+           "rhs = t.mul_vec(rhs) if True else zero", partial(
+               patched, test_operators.
+               test_search_forms_no_image_of_a_zero_right_hand_side),
+           AssertionError),
     # delta_0 = T B - A T with a flipped sign, swapped terms, B for A
     Mutant("cohomology", "delta_T_0", "return r.t * b - a * r.t",
            "return r.t * b + a * r.t", delta_0_by_columns, AssertionError),

@@ -32,7 +32,8 @@ from conftest import (KERNEL_FIELDS, dense_heisenberg_gf3, dim2_nonlie,
                       heisenberg, is_canonical, random_matrix, rho_l_context,
                       seeded, small_contexts)
 from golden_cases import ROOT
-from operator_reference import crossed_reference, reference_check
+from operator_reference import (crossed_reference, reference_check,
+                                reference_inner)
 
 
 def test_identity_is_minus_one_weighted_rbo(Q):
@@ -678,6 +679,59 @@ def test_check_converts_each_column_once(monkeypatch):
     monkeypatch.setattr(PrimeField, "to_raw", counted)
     assert check_weighted_relative_rbo(d, -1, t).ok
     assert len(calls) <= 3 * d.h.dim ** 2 + 1
+
+
+def test_search_forms_no_image_of_a_zero_right_hand_side(monkeypatch):
+    # the search-gf3 benchmark: dense Heisenberg over GF(3), weight -1; of
+    # the 7,290 pair evaluations of its 810 hits, 4,374 have a zero right
+    # side, so T is applied 2,916 times; the hits are the screened
+    # candidates, in their order
+    gf3 = PrimeField(3)
+    d, lam = adjoint_grep(dense_heisenberg_gf3()), gf3.coerce(-1)
+    els = gf3.elements()
+    screened = [[[els[x[i * 3 + j]] for j in range(3)] for i in range(3)]
+                for x in operators._screen(
+                    operators._compile_identity(d, lam), 3, 9)]
+    calls, real = [], Matrix.mul_vec
+
+    def counted(self, v):
+        calls.append(v)
+        return real(self, v)
+
+    monkeypatch.setattr(Matrix, "mul_vec", counted)
+    found = list(search_rbos(d, lam))
+    monkeypatch.undo()
+    assert [t.rows for t in found] == screened and len(found) == 810
+    nonzero = sum(any(reference_inner(d, lam, t, a, b)) for t in found
+                  for a, b in product(range(3), repeat=2))
+    assert len(calls) == nonzero == 2916
+    assert all(map(any, calls))
+    for t in found[::81]:
+        assert reference_check(d, lam, t).ok
+
+
+@pytest.mark.parametrize("fld", [PrimeField(2), PrimeField(3), PrimeField(5),
+                                 RationalField()], ids=repr)
+def test_relative_reports_with_zero_right_sides(fld):
+    # n_g != n_h: the ideal context of Heisenberg (3 x 1) and the (2, 1)
+    # and (1, 2) small contexts.  Reports of valid and invalid maps equal
+    # the reference, which maps every right side by T; a zero right side
+    # is compared as the zero of g, not of h
+    rng = seeded(23)
+    ctx, incl = ideal_context(heisenberg(fld), [2])
+    cases = [(ctx, incl)] + [(d, t) for d in [ctx] + [
+        c for dims in ((2, 1), (1, 2)) for c in small_contexts(fld, dims)]
+        for t in _reference_operators(d, rng)]
+    valid = invalid = zero_rhs = 0
+    for (d, t), lam in product(cases, (0, 1, -1)):
+        got = check_weighted_relative_rbo(d, lam, t)
+        assert got == reference_check(d, lam, t)
+        assert all(len(v.lhs) == len(v.rhs) == d.g.dim
+                   for v in got.violations)
+        valid, invalid = valid + got.ok, invalid + (not got.ok)
+        zero_rhs += sum(not any(v.rhs) for v in got.violations)
+    assert check_weighted_relative_rbo(ctx, -1, incl).ok
+    assert valid and invalid and zero_rhs
 
 
 def test_search_deterministic_order(gf5):

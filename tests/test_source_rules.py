@@ -33,9 +33,15 @@ checker that sees nothing fails.  The rules:
   characteristic 2 apart: a comparison of a ``characteristic`` attribute
   with the constant 2, or a call of an attribute named ``half``, is a fork
   for GF(2) that must not come back unseen.
+- ``search-recheck``: the operator search re-checks each hit of its screen
+  by a route that shares no code with the screen: the library functions
+  that ``check_weighted_relative_rbo`` reaches by name and those that
+  ``_compile_identity`` and ``_screen`` reach are disjoint.  A row of this
+  kind finds the functions both routes reach instead of matching nodes.
 """
 
 import ast
+import builtins
 import glob
 import os
 from collections import namedtuple
@@ -95,7 +101,50 @@ def _functions(name, node):
     return isinstance(node, ast.FunctionDef)
 
 
-Rule = namedtuple("Rule", "name match scope allowed sample sees")
+STDLIB = set(dir(builtins)).union(
+    *map(dir, (dict, list, tuple, set, str, int)))
+
+
+def _refs(node):
+    """(name, called as an attribute) per bare name and per method call in
+    node; stdlib names do not count."""
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name) and n.id not in STDLIB:
+            yield n.id, False
+        elif (isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+              and n.func.attr not in STDLIB):
+            yield n.func.attr, True
+
+
+def reach(trees, roots):
+    """The functions reached by name from the module functions named in
+    roots: a bare name reaches a module function or a class's __init__, a
+    called attribute every function, method or __init__ of its name."""
+    funcs = {name: node for module, tree in trees.items()
+             for name, node in units(tree, module) if _functions(name, node)}
+
+    def targets(ref, attr):
+        return [q for q in funcs if q.endswith("." + ref + ".__init__")
+                or q.split(".")[-1] == ref and (attr or q.count(".") == 1)]
+
+    seen, todo = set(), [q for root in roots for q in targets(root, False)]
+    while todo:
+        q = todo.pop()
+        if q not in seen:
+            seen.add(q)
+            todo += [t for ref in _refs(funcs[q]) for t in targets(*ref)]
+    return seen
+
+
+def shared(first, second):
+    """The find of a route-intersection row: the functions that the two
+    routes, from the module functions named in first and second, both
+    reach."""
+    return lambda rule, trees: reach(trees, first) & reach(trees, second)
+
+
+Rule = namedtuple("Rule", "name match scope allowed sample sees find",
+                  defaults=(flagged,))
 ALL = lambda name, node: True
 
 RULES = [
@@ -154,17 +203,41 @@ RULES = [
          "def c(out, fld):\n    return out.scale(fld.half())\n"
          "def e(fld, p):\n    return fld.characteristic in (0, 3) or p == 2\n",
          {"m.a", "m.b", "m.c"}),
+    Rule("search-recheck", None, None, set(),
+         "def check_weighted_relative_rbo(d, t, memo):\n"
+         "    return memo.get(t) or d.g.bracket(t, helper(d))\n"
+         "def _compile_identity(d):\n"
+         "    return [helper(d)]\n"
+         "def _screen(polys, cells):\n"
+         "    bracket = cells.get(0)\n"
+         "    return sorted(polys, key=step), bracket\n"
+         "def helper(d):\n"
+         "    return d.field.coerce(1)\n"
+         "def step(x):\n"
+         "    return C(x)\n"
+         "class C:\n"
+         "    def __init__(self, x):\n"
+         "        self.x = x\n"
+         "    def bracket(self, x, y):\n"
+         "        return x\n"
+         "    def coerce(self, v):\n"
+         "        return v\n"
+         "    def get(self, k):\n"
+         "        return k\n",
+         {"m.helper", "m.C.coerce"},
+         shared({"check_weighted_relative_rbo"}, {"_compile_identity",
+                                                  "_screen"})),
 ]
 
 
 @pytest.mark.parametrize("rule", RULES, ids=[r.name for r in RULES])
 def test_library_keeps_the_rule(rule):
     assert len(TREES) > 1 and "graded" in TREES
-    found = flagged(rule, TREES)
+    found = rule.find(rule, TREES)
     assert found == rule.allowed, "rule %s: %s" % (
         rule.name, ", ".join(sorted(found ^ rule.allowed)))
 
 
 @pytest.mark.parametrize("rule", RULES, ids=[r.name for r in RULES])
 def test_rule_flags_its_sample(rule):
-    assert flagged(rule, {"m": ast.parse(rule.sample)}) == rule.sees
+    assert rule.find(rule, {"m": ast.parse(rule.sample)}) == rule.sees
