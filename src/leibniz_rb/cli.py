@@ -19,7 +19,8 @@ from .deformations import (Deformation, check_deformation, check_nijenhuis,
 from .errors import (InvalidDeformation, InvalidInput, InvalidOperator,
                      LrbError, ManifestError, NotInvertible, ResourceLimit,
                      ShapeMismatch, WrongField, WrongWeight)
-from .graded import check_dgla, dgla_samples, maurer_cartan_residual
+from .graded import (SAMPLE_MAX_ARITY, check_dgla, dgla_samples,
+                     maurer_cartan_residual)
 from .linalg import Matrix
 from .manifest import load_manifest
 from .operators import (WeightedRBO, graph_check,
@@ -143,7 +144,7 @@ def _tensor_report(rep, dim, **stores):
     tensor's store, keyed by its name."""
     rep.add("dim", dim)
     for key, store in stores.items():
-        for (i, j), row in store.dense_rows():
+        for (i, j), row in store.vectors():
             for k, c in enumerate(row):
                 if c:
                     rep.add(key, "e%d e%d -> %s e%d"
@@ -213,7 +214,7 @@ def cmd_mc_residual(m, args, rep):
 
 def cmd_dgla_check(m, args, rep):
     d = _context(m, args)
-    cells = 2 * args.samples * d.g.dim * d.h.dim ** 6  # arity 6 at most
+    cells = 2 * args.samples * d.g.dim * d.h.dim ** (3 * SAMPLE_MAX_ARITY)
     if cells > args.cap:  # refused before any sample is drawn
         raise ResourceLimit("dgla-check needs %d cells, more than the "
                             "configured cap %d" % (cells, args.cap))

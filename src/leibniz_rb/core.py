@@ -2,10 +2,10 @@
 
 Structure constants follow the convention c[i][j][k] = coefficient of
 e_k in [e_i, e_j]; each tensor is kept once, as the store of its nonzero
-raw rows (``_Store``), and ``.c``, ``.left``, ``.right`` are dense views
-built on first read.  Validation is always explicit: constructors accept
-arbitrary tensors (dense, shape checked and coerced, or stores) so that
-deliberately broken structures can be used in negative tests.
+raw rows (``_Store``), the only form library code reads; ``.c``, ``.left``
+and ``.right`` are dense views built on first read.  Validation is always
+explicit: constructors accept arbitrary tensors (dense, shape checked and
+coerced, or stores) so that deliberately broken structures can be tested.
 """
 
 import re
@@ -42,12 +42,9 @@ class ValidationReport:
     def add_differences(self, law, lhs, rhs, prefix=()):
         """Add prefix + (i, j) and both rows, as field vectors, for each row
         on which the stores lhs and rhs differ, in key order; returns self."""
-        fld, n = lhs.field, lhs.dims[2]
         for key in sorted(k for k in lhs.rows.keys() | rhs.rows.keys()
                           if lhs.rows.get(k) != rhs.rows.get(k)):
-            self.add(law, prefix + key, *(fld.from_raw([
-                s.rows.get(key, {}).get(k, fld.raw_zero) for k in range(n)])
-                for s in (lhs, rhs)))
+            self.add(law, prefix + key, lhs.vector(key), rhs.vector(key))
         return self
 
     def laws_violated(self):
@@ -88,20 +85,23 @@ class _Store:
         return (((i, j, k), x) for (i, j), row in self.rows.items()
                 for k, x in row.items())
 
-    def dense(self):
-        """The nested tuples of field elements, built on first call."""
-        if self._dense is None:
-            fld, (d0, d1, d2) = self.field, self.dims
-            raw = [[[fld.raw_zero] * d2 for _ in range(d1)] for _ in range(d0)]
-            for (i, j, k), x in self.cells():
-                raw[i][j][k] = x
-            self._dense = tuple(tuple(tuple(fld.from_raw(row)) for row in pl)
-                                for pl in raw)
-        return self._dense
+    def vector(self, key):
+        """Row key as a list of field elements, zero off its entries."""
+        fld, row = self.field, self.rows.get(key, {})
+        return fld.from_raw([row.get(k, fld.raw_zero)
+                             for k in range(self.dims[2])])
 
-    def dense_rows(self):
-        """((i, j), dense row) for every nonzero row, in sorted order."""
-        return [((i, j), self.dense()[i][j]) for i, j in sorted(self.rows)]
+    def vectors(self):
+        """(key, ``vector(key)``) for every nonzero row, in key order."""
+        return [(key, self.vector(key)) for key in sorted(self.rows)]
+
+    def dense(self):
+        """The nested tuples of ``vector``, built on first call."""
+        if self._dense is None:
+            d0, d1, _ = self.dims
+            self._dense = tuple(tuple(tuple(self.vector((i, j)))
+                                      for j in range(d1)) for i in range(d0))
+        return self._dense
 
     def __eq__(self, other):
         return (isinstance(other, _Store) and self.field == other.field
@@ -192,7 +192,7 @@ class LeibnizAlgebra:
         return cls(field, dim, _Store(field, (dim,) * 3, zip(entries, raw)))
 
     def bracket_basis(self, i, j):
-        return list(self.c[i][j])
+        return self.c_nz.vector((i, j))
 
     def bracket(self, x, y):
         return contract(self.field, ((self.c_nz, x, y),), self.dim)
@@ -227,10 +227,10 @@ class ActionPair:
                    _Store(field, (dim_v, dim_g, dim_v)))
 
     def left_basis(self, i, a):
-        return list(self.left[i][a])
+        return self.left_nz.vector((i, a))
 
     def right_basis(self, a, i):
-        return list(self.right[a][i])
+        return self.right_nz.vector((a, i))
 
     def left_act(self, x, v):
         return contract(self.field, ((self.left_nz, x, v),), self.dim_v)
@@ -494,8 +494,7 @@ def leibniz_differential(g, actions, f):
     fld, n, nv, zero = g.field, f.arity, actions.dim_v, g.field.raw_zero
     left, right = actions.left_nz.by_first, actions.right_nz.by_second
     rows = {idx: fld.to_raw(row) for idx, row in f.nz.items()}
-    brackets = {ab: fld.from_raw([row.get(k, zero) for k in range(g.dim)])
-                for ab, row in g.c_nz.rows.items()}
+    brackets = {ab: g.c_nz.vector(ab) for ab in g.c_nz.rows}
     evals, out = {}, MultiMap(fld, n + 1, g.dim, nv)
     for idx in out.tuples():
         acc = [zero] * nv

@@ -197,15 +197,15 @@ def rigidity_certificate(r, cap=10 ** 6):
     is reported when it fails.  Requires GF(p) with p > 3 so that the
     characteristic-0 identities behind the criterion are not degenerate.
 
-    cap bounds the p^dim g candidates x0, refused before any delta is
-    built.  The distinct delta_0 x0 of the Nijenhuis x0 lie in Z^1
-    (``delta_matrix`` checks delta_1 . delta_0 = 0); the criterion holds
-    iff there are p^dim Z^1 of them, and more raise ContainmentViolated.
-    Otherwise the witness is the first cocycle missed in the digit order
-    of an echelon basis, the lexicographic order of Z^1.  Each candidate's
-    residue digits go to the raw core of ``check_nijenhuis``: the store-row
-    sums ``x0_sums`` and ``_nijenhuis_raw``; images and cocycles are
-    residue tuples, sums of raw rows.
+    cap bounds the p^dim g candidates x0, refused before any delta is built,
+    and the cells of delta_0 and delta_1.  The distinct delta_0 x0 of the
+    Nijenhuis x0 lie in Z^1 (``delta_matrix`` checks delta_1 . delta_0 = 0);
+    the criterion holds iff there are p^dim Z^1 of them, and more raise
+    ContainmentViolated.  Otherwise the witness is the first cocycle missed
+    in the digit order of an echelon basis, the lexicographic order of Z^1.
+    Each candidate's residue digits go to ``check_nijenhuis``'s raw core,
+    the store-row sums ``x0_sums`` and ``_nijenhuis_raw``; images and
+    cocycles are residue tuples, sums of raw rows.
     """
     fld = r.field
     if not isinstance(fld, PrimeField) or fld.p <= 3:
@@ -215,7 +215,7 @@ def rigidity_certificate(r, cap=10 ** 6):
         raise ResourceLimit("enumeration of %d vectors exceeds cap %d"
                             % (fld.p ** d.g.dim, cap))
     view = integer_view(r)
-    m0, m1 = (delta_matrix(r, n, view=view) for n in (0, 1))
+    m0, m1 = (delta_matrix(r, n, cap=cap, view=view) for n in (0, 1))
     zb = m1.kernel_basis()
     size = fld.p ** len(zb)  # the elements of Z^1
     images, count = set(), 0

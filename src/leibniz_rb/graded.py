@@ -133,14 +133,13 @@ def balavoine_bracket(f, g):
 
 
 def _block_map(d, mu, lam):
-    """``block_tensor`` as an arity-2 map on V = g + h, one from_raw per
+    """``block_tensor`` as an arity-2 map on V = g + h, one ``vector`` per
     store row; built once per (mu, lam) and kept on d."""
     fld, n = d.field, d.g.dim + d.h.dim
     key = tuple(fld.to_raw([mu, lam]))
     if key not in d._blocks:
-        out, zero = MultiMap(fld, 2, n, n), fld.raw_zero
-        out.nz = {ij: tuple(fld.from_raw([row.get(k, zero) for k in range(n)]))
-                  for ij, row in sorted(block_tensor(d, mu, lam).rows.items())}
+        out = MultiMap(fld, 2, n, n)
+        out.nz = {ij: tuple(v) for ij, v in block_tensor(d, mu, lam).vectors()}
         d._blocks[key] = out
     return d._blocks[key]
 
@@ -424,16 +423,17 @@ def maurer_cartan_residual(d, lam, t):
     return _mc_coefficient(d, lam, [MultiMap.from_matrix(t)], 0)
 
 
-def dgla_samples(d, count=4, max_arity=2, seed=0):
+SAMPLE_MAX_ARITY = 2  # the largest arity of a map ``dgla_samples`` draws
+
+
+def dgla_samples(d, count=4, seed=0):
     """Deterministic pseudo-random (P, Q) pairs and (P, Q, R) triples.
 
-    Elements are multilinear maps h^{x k} -> g with small integer
-    coefficients; the same (d, count, seed) always yields the same list.
+    Elements are multilinear maps h^{x k} -> g, k <= SAMPLE_MAX_ARITY, with
+    small integer coefficients; the same (d, count, seed) gives the same list.
     """
     import random as _random
 
-    if max_arity < 1:
-        raise ShapeMismatch("dgLa samples need max_arity >= 1")
     rng = _random.Random(seed)
     fld = d.field
 
@@ -444,7 +444,7 @@ def dgla_samples(d, count=4, max_arity=2, seed=0):
                          for _ in range(d.g.dim)])
         return m
 
-    return [tuple(draw(rng.randint(1, max_arity)) for _ in range(size))
+    return [tuple(draw(rng.randint(1, SAMPLE_MAX_ARITY)) for _ in range(size))
             for size in (2, 3) for _ in range(count)]
 
 

@@ -198,9 +198,9 @@ def _build(field, kind, values, spaces, cells):
     dims = [dim for _, dim in spaces.values()]
     stores = [_Store(field, shape, zip(keys, field.to_raw(scalars)))
               for shape, keys, scalars in cells.values()]
-    if kind == "map":
-        return (values["SRC"], values["DST"],
-                Matrix.from_cols(field, stores[0].dense()[0], dims[1]))
+    if kind == "map":  # T e_a is the row (0, a)
+        return values["SRC"], values["DST"], Matrix.from_cols(
+            field, [stores[0].vector((0, a)) for a in range(dims[0])], dims[1])
     if kind == "actions":
         return values["G"], values["H"], ActionPair(field, *dims, *stores)
     cls = LeibnizAlgebra if kind == "algebra" else PostLeibnizAlgebra
@@ -265,10 +265,10 @@ def _parts(field, kind, obj):
     if kind in ("algebra", "post"):
         stores = ([obj.c_nz] if kind == "algebra"
                   else [obj.left_nz, obj.right_nz, obj.bracket_nz])
-        return {"N": obj.dim}, [s.dense_rows() for s in stores]
+        return {"N": obj.dim}, [s.vectors() for s in stores]
     if kind == "actions":
-        return {"G": obj[0], "H": obj[1]}, [obj[2].left_nz.dense_rows(),
-                                            obj[2].right_nz.dense_rows()]
+        return {"G": obj[0], "H": obj[1]}, [obj[2].left_nz.vectors(),
+                                            obj[2].right_nz.vectors()]
     if kind == "map":
         return {"SRC": obj[0], "DST": obj[1]}, [
             [((a,), col) for a, col in enumerate(obj[2].transpose().rows)]]

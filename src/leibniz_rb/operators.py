@@ -12,7 +12,7 @@ adjoint context, so all verification code has a single code path.
 from itertools import product
 
 from .core import (ActionPair, LeibnizAlgebra, LeibnizGRep, ValidationReport,
-                   adjoint_grep, basis_vec, expands, is_adjoint_grep,
+                   _Store, adjoint_grep, basis_vec, expands, is_adjoint_grep,
                    is_algebra_morphism, transport)
 from .errors import (InvalidInput, InvalidOperator, NotAdjointContext,
                      OracleDisagreement, ResourceLimit, ShapeMismatch,
@@ -159,9 +159,10 @@ def induced_algebra_unchecked(r):
     d, fld = r.context, r.field
     nh, lam = d.h.dim, fld.to_raw([r.weight])[0]
     cols = [r.t.raw_col(a) for a in range(nh)]
-    c = [[operator_rhs(d, lam, a, cols[a], b, cols[b]) for b in range(nh)]
-         for a in range(nh)]
-    return LeibnizAlgebra(fld, nh, c)
+    return LeibnizAlgebra(fld, nh, _Store(fld, (nh,) * 3, (
+        ((a, b, k), x) for a, b in product(range(nh), repeat=2)
+        for k, x in enumerate(fld.to_raw(
+            operator_rhs(d, lam, a, cols[a], b, cols[b]))) if x)))
 
 
 class OperatorMorphism:

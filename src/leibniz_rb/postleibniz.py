@@ -55,9 +55,7 @@ class PostLeibnizAlgebra:
         return contract(self.field, ((self.bracket_nz, x, y),), self.dim)
 
     def star(self, x, y):
-        return contract(self.field, ((self.left_nz, x, y),
-                                     (self.right_nz, x, y),
-                                     (self.bracket_nz, x, y)), self.dim)
+        return contract(self.field, ((self.star_nz, x, y),), self.dim)
 
     @cached_property
     def star_nz(self):

@@ -162,6 +162,29 @@ def seeded(n=0):
     return random.Random(n)
 
 
+def two_loop_samples(d, count, max_arity, seed):
+    """The draw of ``graded.dgla_samples`` with largest arity max_arity: one
+    loop of (P, Q) pairs, then one of (P, Q, R) triples."""
+    rng, fld = seeded(seed), d.field
+
+    def draw(arity):
+        m = MultiMap(fld, arity, d.h.dim, d.g.dim)
+        for idx in m.tuples():
+            m.set_(idx, [fld.coerce(rng.randrange(-2, 3))
+                         for _ in range(d.g.dim)])
+        return m
+
+    out = []
+    for _ in range(count):
+        out.append((draw(rng.randint(1, max_arity)),
+                    draw(rng.randint(1, max_arity))))
+    for _ in range(count):
+        out.append((draw(rng.randint(1, max_arity)),
+                    draw(rng.randint(1, max_arity)),
+                    draw(rng.randint(1, max_arity))))
+    return out
+
+
 # The fields the GF(p) kernels are checked over, and the scalars they see:
 # mostly zeros, negative ints and fractions.
 KERNEL_FIELDS = (RationalField(), PrimeField(2), PrimeField(3), PrimeField(5),

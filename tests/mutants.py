@@ -504,8 +504,8 @@ MUTANTS = [
            "images.add(tuple(sum(map(mul, row[1:], digits[1:])) % fld.p",
            rigidity_by_sets, AssertionError),
     Mutant("manifest", "_build",
-           "Matrix.from_cols(field, stores[0].dense()[0], dims[1]))",
-           "Matrix(field, stores[0].dense()[0], dims[1]))", manifest_map,
+           'return values["SRC"], values["DST"], Matrix.from_cols(',
+           'return values["SRC"], values["DST"], Matrix(', manifest_map,
            AssertionError),
     Mutant("multimap", "MultiMap.set_",
            "if len(idx) != self.arity or not all(a in src for a in idx):",

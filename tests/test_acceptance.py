@@ -14,7 +14,7 @@ from leibniz_rb.core import (adjoint_grep, change_of_basis_grep,
 from leibniz_rb.deformations import (Deformation, check_deformation, extend,
                                      infinitesimal, obstruction)
 from leibniz_rb.graded import (check_dgla, derived_bracket_explicit,
-                               derived_bracket_lifted, dgla_samples,
+                               derived_bracket_lifted,
                                differential_d_explicit, differential_d_lifted,
                                maurer_cartan_residual, _pow_sign)
 from leibniz_rb.linalg import Matrix
@@ -28,7 +28,8 @@ from leibniz_rb.postleibniz import (PostLeibnizAlgebra, from_rbo,
                                     validate_pre_leibniz)
 
 from conftest import (dim2_nonlie, heisenberg, random_matrix,
-                      random_multimap, seeded, small_contexts)
+                      random_multimap, seeded, small_contexts,
+                      two_loop_samples)
 
 ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), ".."))
 
@@ -75,7 +76,8 @@ def test_criterion_2_dgla_laws(Q):
     plan = [((1, 1), 3, 35), ((2, 1), 3, 35), ((1, 2), 2, 20), ((2, 2), 2, 10)]
     for dims, max_arity, count in plan:
         d = small_contexts(Q, dims)[-1]
-        samples = dgla_samples(d, count=count, max_arity=max_arity, seed=42)
+        # the draw of dgla_samples, up to arity 3 on the smaller contexts
+        samples = two_loop_samples(d, count, max_arity, 42)
         rep = check_dgla(d, Q.coerce(-1), samples)
         assert rep.ok, rep.laws_violated()
         total += len(samples)

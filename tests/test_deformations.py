@@ -522,9 +522,27 @@ def test_rigidity_cap(gf5, monkeypatch):
         with pytest.raises(ResourceLimit):
             rigidity_certificate(r, cap=cap)
     assert calls == []
-    # p^dim g = 25 candidates fit a cap of 25
-    rigidity_certificate(r, cap=25)
-    assert len(calls) == 2
+    # the cap bounds the cells of delta_0 (4 x 2) and delta_1 (8 x 4) too:
+    # the 25 candidates fit a cap of 31, delta_1 does not
+    with pytest.raises(ResourceLimit) as exc:
+        rigidity_certificate(r, cap=31)
+    assert "delta_1" in str(exc.value) and len(calls) == 2
+    rigidity_certificate(r, cap=32)
+    assert len(calls) == 4
+
+
+def test_rigidity_cap_reaches_delta_0_and_delta_1(gf5):
+    # dim g = 1, dim h = 28: 5 candidates, and delta_1 has 28^2 x 28 =
+    # 21,952 cells, past delta_matrix's default cap of 20,000
+    h = LeibnizAlgebra.from_entries(gf5, 28, {(0, 1, 2): 1})
+    d = LeibnizGRep(LeibnizAlgebra.zero(gf5, 1), h,
+                    ActionPair.zero(gf5, 1, 28))
+    r = WeightedRBO(d, 0, Matrix.zeros(gf5, 1, 28))
+    with pytest.raises(ResourceLimit) as exc:
+        rigidity_certificate(r, cap=21951)
+    assert "delta_1" in str(exc.value)
+    cert = rigidity_certificate(r, cap=21952)
+    assert (cert.satisfied, cert.dim_z1, cert.nijenhuis_count) == (False, 28, 5)
 
 
 def test_rigidity_traps_images_outside_z1(gf5, monkeypatch):

@@ -10,7 +10,8 @@ from leibniz_rb.core import (ActionPair, LeibnizAlgebra, LeibnizGRep,
                              validate_leibniz_g_rep)
 from leibniz_rb.errors import OracleDisagreement, ShapeMismatch, WrongField
 from leibniz_rb.fields import ZZ, GFElement, PrimeField, RationalField
-from leibniz_rb.graded import (balavoine_bracket, check_dgla, derived_bracket,
+from leibniz_rb.graded import (SAMPLE_MAX_ARITY, balavoine_bracket,
+                               check_dgla, derived_bracket,
                                derived_bracket_explicit,
                                derived_bracket_lifted, dgla_samples,
                                differential_d, differential_d_explicit,
@@ -22,7 +23,7 @@ from leibniz_rb.multimap import MultiMap
 from leibniz_rb.operators import WeightedRBO, check_weighted_relative_rbo
 
 from conftest import (dim2_nonlie, heisenberg, random_multimap, rho_l_context,
-                      seeded, sl2, small_contexts)
+                      seeded, sl2, small_contexts, two_loop_samples)
 
 
 def _ctx(field):
@@ -224,42 +225,13 @@ def test_mc_residual_gf2(gf2):
     assert maurer_cartan_residual(d, gf2.zero, t).is_zero()
 
 
-def _two_loop_samples(d, count, max_arity, seed):
-    """dgla_samples as first drawn: one loop of pairs, then one of triples."""
-    rng, fld = seeded(seed), d.field
-
-    def draw(arity):
-        m = MultiMap(fld, arity, d.h.dim, d.g.dim)
-        for idx in m.tuples():
-            m.set_(idx, [fld.coerce(rng.randrange(-2, 3))
-                         for _ in range(d.g.dim)])
-        return m
-
-    out = []
-    for _ in range(count):
-        out.append((draw(rng.randint(1, max_arity)),
-                    draw(rng.randint(1, max_arity))))
-    for _ in range(count):
-        out.append((draw(rng.randint(1, max_arity)),
-                    draw(rng.randint(1, max_arity)),
-                    draw(rng.randint(1, max_arity))))
-    return out
-
-
 def test_dgla_samples_match_the_two_loop_draw(Q):
     # the dgla-cross benchmark template is drawn from dgla_samples
     for d in (_ctx(Q), _both_actions(PrimeField(3))):
-        for count, max_arity, seed in product((0, 1, 3), (1, 2, 3), (0, 5)):
-            got = dgla_samples(d, count=count, max_arity=max_arity, seed=seed)
+        for count, seed in product((0, 1, 3), (0, 5)):
+            got = dgla_samples(d, count=count, seed=seed)
             assert [type(s) for s in got] == [tuple] * (2 * count)
-            assert got == _two_loop_samples(d, count, max_arity, seed)
-
-
-def test_dgla_samples_refuse_max_arity_below_1(Q):
-    # randrange(1, 1) ended in a bare ValueError
-    with pytest.raises(ShapeMismatch) as exc:
-        dgla_samples(_ctx(Q), max_arity=0)
-    assert "\n" not in str(exc.value)
+            assert got == two_loop_samples(d, count, SAMPLE_MAX_ARITY, seed)
 
 
 def _hand_written_mc(d, lam, ts, n):

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import manifest_oracle
+from leibniz_rb import cli
 from leibniz_rb.cli import run_command
-from leibniz_rb.core import validate_leibniz, validate_leibniz_g_rep
+from leibniz_rb.core import _Store, validate_leibniz, validate_leibniz_g_rep
 from leibniz_rb.errors import ManifestError, ResourceLimit
 from leibniz_rb.manifest import (MAX_TENSOR_CELLS, load_manifest,
                                  parse_manifest, render_manifest)
@@ -152,6 +153,30 @@ def test_largest_dimension_within_budget_parses():
     assert n ** 3 <= MAX_TENSOR_CELLS < (n + 1) ** 3
     m = parse_manifest("field gf 2\npost P dim 2\nalgebra g dim %d\n" % n)
     assert m.algebras["g"].dim == n
+
+
+def test_reports_read_the_nonzero_rows_only(monkeypatch):
+    # a sparse dim-100 algebra with 100 entries: the CLI report and the
+    # manifest writer read its 100 rows, never the 10^6 cells of its dense
+    # view, and the written text parses back to the same manifest
+    text = "field rational\nalgebra g dim 100\n" + "".join(
+        "bracket g e%d e%d -> %d/3 e%d\n"
+        % (i + 1, 7 * i % 100 + 1, i - 50 or 1, 3 * i % 100 + 1)
+        for i in range(100))
+    m, views, real = parse_manifest(text), [], _Store.dense
+
+    def spy(store):
+        views.append(store.dims)
+        return real(store)
+
+    monkeypatch.setattr(_Store, "dense", spy)
+    rep = cli.Report("algebra", "text")
+    cli._tensor_report(rep, 100, bracket=m.algebras["g"].c_nz)
+    written = render_manifest(m)
+    assert views == []
+    assert len(rep.text) == 1 + 100  # the dim line, then each entry
+    assert parse_manifest(written) == m
+    assert len(written.splitlines()) == 2 + 100
 
 
 def test_total_tensor_cells_are_bounded_before_allocation(tmp_path):
